@@ -41,6 +41,7 @@ from wisealice.quantum import (
     MeasurementFrame,
     OutcomeWeights,
     StrategyAngle,
+    bilinear_form,
     harmonic_coefficients,
     harmonic_coefficients_in_beta,
     outcome_weights,
@@ -93,6 +94,7 @@ __all__ = [
     "StrategyAngle",
     "best_response_alice",
     "best_response_bob",
+    "bilinear_form",
     "bob_outcome",
     "check_representation",
     "disjunction_paradox",

@@ -43,7 +43,6 @@ def _scenario_dict(s: Scenario) -> dict:
         "d": s.d,
         "theta_a_deg": s.theta_a_deg,
         "theta_b_deg": s.theta_b_deg,
-        "scan_resolution_deg": s.scan_resolution_deg,
         "nash_tolerance": s.nash_tolerance,
         "rounds": s.rounds,
         "seed": s.seed,
@@ -65,7 +64,6 @@ def _solve(scenario: Scenario) -> list[Equilibrium]:
     return find_equilibria(
         scenario.payoff_matrix(),
         scenario.frames(),
-        scan_resolution=scenario.scan_resolution_deg,
         nash_tolerance=scenario.nash_tolerance,
     )
 
@@ -159,9 +157,8 @@ def cmd_curves(args: argparse.Namespace) -> int:
     scenario = _load(args)
     h = scenario.payoff_matrix()
     frames = scenario.frames()
-    resolution = args.resolution if args.resolution else 0.5
-    alice = reaction_curve("alice", h, frames, resolution)
-    bob = reaction_curve("bob", h, frames, resolution)
+    alice = reaction_curve("alice", h, frames, args.resolution)
+    bob = reaction_curve("bob", h, frames, args.resolution)
     equilibria = _solve(scenario)
 
     base = Path(args.out) if args.out else Path("curves")
@@ -177,15 +174,10 @@ def cmd_curves(args: argparse.Namespace) -> int:
              "degenerate", "discontinuity_flag"]
         )
         for curve in (alice, bob):
-            jumps = set()
-            for i in range(len(curve.samples) - 1):
-                if abs(curve.samples[i + 1].response_deg
-                       - curve.samples[i].response_deg) > 5.0:
-                    jumps.add(i + 1)
             for i, s in enumerate(curve.samples):
                 writer.writerow(
                     [curve.player, f"{s.input_deg:.6f}", f"{s.response_deg:.6f}",
-                     f"{s.amplitude:.6g}", int(s.degenerate), int(i in jumps)]
+                     f"{s.amplitude:.6g}", int(s.degenerate), int(i in curve.jumps)]
                 )
 
     title = (
@@ -233,7 +225,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             eqs = find_equilibria(
                 h,
                 (MeasurementFrame(ta), MeasurementFrame(tb)),
-                scan_resolution=scenario.scan_resolution_deg,
                 nash_tolerance=scenario.nash_tolerance,
             )
             best = max((eq.value for eq in eqs), default=float("nan"))
@@ -349,8 +340,6 @@ def cmd_lattice_check(args: argparse.Namespace) -> int:
 def _load(args: argparse.Namespace) -> Scenario:
     scenario = load_scenario(args.scenario)
     overrides = {}
-    if getattr(args, "resolution", None) is not None:
-        overrides["scan_resolution_deg"] = args.resolution
     if getattr(args, "seed", None) is not None:
         overrides["seed"] = args.seed
     if getattr(args, "rounds", None) is not None:
@@ -358,14 +347,16 @@ def _load(args: argparse.Namespace) -> Scenario:
     return scenario.with_overrides(**overrides)
 
 
-def _add_common(parser: argparse.ArgumentParser, scenario: bool = True) -> None:
+def _add_common(
+    parser: argparse.ArgumentParser, scenario: bool = True, formats: bool = False
+) -> None:
     if scenario:
         parser.add_argument("--scenario", required=True, help="scenario file path")
     parser.add_argument("--out", help="write output to this path instead of stdout")
-    parser.add_argument(
-        "--format", choices=("text", "json", "csv"), default="text",
-        help="output format where applicable",
-    )
+    if formats:
+        parser.add_argument(
+            "--format", choices=("text", "json"), default="text", help="output format"
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -377,18 +368,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze", help="full classical + quantum report")
-    _add_common(p)
-    p.add_argument("--resolution", type=float, help="override scan resolution (deg)")
+    _add_common(p, formats=True)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("equilibria", help="verified quantum equilibria only")
-    _add_common(p)
-    p.add_argument("--resolution", type=float, help="override scan resolution (deg)")
+    _add_common(p, formats=True)
     p.set_defaults(func=cmd_equilibria)
 
     p = sub.add_parser("curves", help="sample reaction curves to CSV and SVG")
     _add_common(p)
-    p.add_argument("--resolution", type=float, help="curve sampling step (deg)")
+    p.add_argument("--resolution", type=float, default=0.5,
+                   help="curve sampling step (deg)")
     p.set_defaults(func=cmd_curves)
 
     p = sub.add_parser("sweep", help="equilibrium count over a frame-angle grid")
@@ -399,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("simulate", help="Monte Carlo estimate at a strategy pair")
-    _add_common(p)
+    _add_common(p, formats=True)
     p.add_argument("--alpha", type=float, required=True, help="Alice's angle (deg)")
     p.add_argument("--beta", type=float, required=True, help="Bob's angle (deg)")
     p.add_argument("--rounds", type=int, help="override round count")
@@ -421,10 +411,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

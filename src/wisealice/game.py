@@ -8,6 +8,7 @@ corner opposite to the ball.  Alice is paid only on a "no".
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -76,8 +77,10 @@ class PayoffMatrix:
     def __post_init__(self) -> None:
         for name in ("a", "b", "c", "d"):
             value = getattr(self, name)
-            if not value > 0:
-                raise ValueError(f"payoff {name} must be positive, got {value}")
+            if not 0 < value < math.inf:
+                raise ValueError(f"payoff {name} must be positive and finite, got {value}")
+        if self.scale == math.inf:
+            raise ValueError("payoffs must have a finite sum")
 
     @property
     def scale(self) -> float:

@@ -13,9 +13,10 @@ Alice's expected payoff against Bob's weights q is
 
     F = a p1 q3 + c p3 q1 + b p2 q4 + d p4 q2
 
-which, for either angle held fixed, is a single-harmonic sinusoid in
-twice the other angle; the reduction K + U cos 2a + V sin 2a drives the
-analytic best responses in the solver.
+which, in the unit vectors x = (cos 2alpha, sin 2alpha) and
+y = (cos 2beta, sin 2beta), is the bilinear form F = c0 + g.x + k.y + x^T M y.
+The single-harmonic reductions K + U cos 2a + V sin 2a in either angle, the
+analytic best responses and the solver's root solve all derive from it.
 
 Angles are degrees at every interface and radians only inside the
 trigonometric kernels.  The kernels broadcast over numpy arrays so the
@@ -57,6 +58,8 @@ class StrategyAngle:
     degrees: float
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.degrees):
+            raise ValueError(f"angle must be finite, got {self.degrees}")
         object.__setattr__(self, "degrees", self.degrees % 180.0)
 
     @property
@@ -143,6 +146,30 @@ def payoff_surface(
     )
 
 
+def unit_vectors(phi: ArrayLike) -> np.ndarray:
+    """(cos phi, sin phi) along a new last axis; phi in radians."""
+    return np.stack([np.cos(phi), np.sin(phi)], axis=-1)
+
+
+def bilinear_form(
+    h: PayoffMatrix, frame_a: MeasurementFrame, frame_b: MeasurementFrame
+) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    """(c0, g, k, M) with F = c0 + g.x + k.y + x^T M y.
+
+    x = (cos 2alpha, sin 2alpha) and y = (cos 2beta, sin 2beta) are the
+    players' strategies as unit vectors; every squared cosine or sine in F
+    is (1 +- x.e)/2 for the unit vector e of the corresponding basis.
+    """
+    e1 = np.array([1.0, 0.0])
+    ea = unit_vectors(2.0 * math.radians(frame_a.theta_deg))
+    eb = unit_vectors(2.0 * math.radians(frame_b.theta_deg))
+    c0 = (h.a + h.b + h.c + h.d) / 4.0
+    g = (h.a - h.c) / 4.0 * e1 + (h.b - h.d) / 4.0 * ea
+    k = (h.c - h.a) / 4.0 * e1 + (h.d - h.b) / 4.0 * eb
+    m = -(h.a + h.c) / 4.0 * e1[:, None] * e1 - (h.b + h.d) / 4.0 * ea[:, None] * eb
+    return c0, g, k, m
+
+
 def harmonic_coefficients(
     h: PayoffMatrix,
     frame_a: MeasurementFrame,
@@ -151,20 +178,13 @@ def harmonic_coefficients(
 ) -> tuple[ArrayLike, ArrayLike, ArrayLike]:
     """(K, U, V) with F(alpha, beta) = K + U cos 2alpha + V sin 2alpha.
 
-    Obtained from the half-angle identities; exact for every alpha.
-    Accepts a scalar or an array of beta angles in degrees.
+    The view (c0 + k.y, g + M y) of the bilinear form; exact for every
+    alpha.  Accepts a scalar or an array of beta angles in degrees.
     """
-    be = np.radians(_degrees(beta))
-    tb = math.radians(frame_b.theta_deg)
-    s1 = h.a * np.sin(be) ** 2           # coefficient of cos^2(alpha)
-    c1 = h.c * np.cos(be) ** 2           # coefficient of sin^2(alpha)
-    s2 = h.b * np.sin(be - tb) ** 2      # coefficient of cos^2(alpha - theta_a)
-    c2 = h.d * np.cos(be - tb) ** 2      # coefficient of sin^2(alpha - theta_a)
-    two_ta = 2.0 * math.radians(frame_a.theta_deg)
-    k = (s1 + c1 + s2 + c2) / 2.0
-    u = (s1 - c1) / 2.0 + (s2 - c2) / 2.0 * math.cos(two_ta)
-    v = (s2 - c2) / 2.0 * math.sin(two_ta)
-    return k, u, v
+    c0, g, k, m = bilinear_form(h, frame_a, frame_b)
+    y = unit_vectors(2.0 * np.radians(_degrees(beta)))
+    u, v = np.moveaxis(g + y @ m.T, -1, 0)
+    return c0 + y @ k, u, v
 
 
 def harmonic_coefficients_in_beta(
@@ -173,15 +193,11 @@ def harmonic_coefficients_in_beta(
     frame_b: MeasurementFrame,
     alpha: Union[StrategyAngle, ArrayLike],
 ) -> tuple[ArrayLike, ArrayLike, ArrayLike]:
-    """(K, U, V) with F(alpha, beta) = K + U cos 2beta + V sin 2beta."""
-    al = np.radians(_degrees(alpha))
-    ta = math.radians(frame_a.theta_deg)
-    s1 = h.a * np.cos(al) ** 2           # coefficient of sin^2(beta)
-    c1 = h.c * np.sin(al) ** 2           # coefficient of cos^2(beta)
-    s2 = h.b * np.cos(al - ta) ** 2      # coefficient of sin^2(beta - theta_b)
-    c2 = h.d * np.sin(al - ta) ** 2      # coefficient of cos^2(beta - theta_b)
-    two_tb = 2.0 * math.radians(frame_b.theta_deg)
-    k = (s1 + c1 + s2 + c2) / 2.0
-    u = (c1 - s1) / 2.0 + (c2 - s2) / 2.0 * math.cos(two_tb)
-    v = (c2 - s2) / 2.0 * math.sin(two_tb)
-    return k, u, v
+    """(K, U, V) with F(alpha, beta) = K + U cos 2beta + V sin 2beta.
+
+    The view (c0 + g.x, k + M^T x) of the bilinear form.
+    """
+    c0, g, k, m = bilinear_form(h, frame_a, frame_b)
+    x = unit_vectors(2.0 * np.radians(_degrees(alpha)))
+    u, v = np.moveaxis(k + x @ m, -1, 0)
+    return c0 + x @ g, u, v

@@ -1,26 +1,28 @@
 """Scenario files: flat key-value text describing one game instance.
 
-Recognized keys: a, b, c, d, theta_a_deg, theta_b_deg,
-scan_resolution_deg, nash_tolerance, rounds, seed.  Lines starting with
-'#' (or blank) are ignored; values follow an '=' sign.  Solver and
-simulation settings fall back to defaults when omitted.
+Recognized keys: a, b, c, d, theta_a_deg, theta_b_deg, nash_tolerance,
+rounds, seed.  Lines starting with '#' (or blank) are ignored; values
+follow an '=' sign.  Solver and simulation settings fall back to defaults
+when omitted.  The key scan_resolution_deg is accepted and has no effect:
+the equilibrium search has no scan step.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 from wisealice.game import PayoffMatrix
 from wisealice.quantum import MeasurementFrame
 
-DEFAULT_SCAN_RESOLUTION_DEG = 0.05
 DEFAULT_ROUNDS = 100_000
 DEFAULT_SEED = 1
 
 _REQUIRED = ("a", "b", "c", "d", "theta_a_deg", "theta_b_deg")
-_FLOAT_KEYS = _REQUIRED + ("scan_resolution_deg", "nash_tolerance")
+_FLOAT_KEYS = _REQUIRED + ("nash_tolerance",)
 _INT_KEYS = ("rounds", "seed")
+_IGNORED_KEYS = ("scan_resolution_deg",)
 
 
 class ScenarioError(ValueError):
@@ -35,7 +37,6 @@ class Scenario:
     d: float
     theta_a_deg: float
     theta_b_deg: float
-    scan_resolution_deg: float = DEFAULT_SCAN_RESOLUTION_DEG
     nash_tolerance: float | None = None   # None: 1e-8 * (a+b+c+d)
     rounds: int = DEFAULT_ROUNDS
     seed: int = DEFAULT_SEED
@@ -51,13 +52,9 @@ class Scenario:
                 raise ScenarioError(
                     f"{name} must lie strictly inside (0, 90), got {value}"
                 )
-        if self.scan_resolution_deg <= 0:
+        if self.nash_tolerance is not None and not 0 < self.nash_tolerance < math.inf:
             raise ScenarioError(
-                f"scan_resolution_deg must be positive, got {self.scan_resolution_deg}"
-            )
-        if self.nash_tolerance is not None and self.nash_tolerance <= 0:
-            raise ScenarioError(
-                f"nash_tolerance must be positive, got {self.nash_tolerance}"
+                f"nash_tolerance must be positive and finite, got {self.nash_tolerance}"
             )
         if self.rounds < 1:
             raise ScenarioError(f"rounds must be >= 1, got {self.rounds}")
@@ -105,7 +102,7 @@ def load_scenario(path: str | Path) -> Scenario:
                 raise ScenarioError(
                     f"{path}:{lineno}: field {key} needs an integer, got {value!r}"
                 ) from exc
-        else:
+        elif key not in _IGNORED_KEYS:
             raise ScenarioError(f"{path}:{lineno}: unknown field {key!r}")
 
     missing = [k for k in _REQUIRED if k not in values]

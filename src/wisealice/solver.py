@@ -2,20 +2,19 @@
 
 For a fixed opponent angle the payoff is a single-harmonic sinusoid, so
 both best-response maps are analytic: Alice's maximizer satisfies
-2*alpha = atan2(V, U) and Bob's minimizer is the antipode.  Equilibria
-are fixed points of the composed map, located by scanning
+2*alpha = atan2(V, U) and Bob's minimizer is the antipode.
 
-    g(alpha) = wrap180(R_A(R_B(alpha)) - alpha)
+In the bilinear form F = c0 + g.x + k.y + x^T M y (see quantum), Bob's
+reply to x is y = -w/|w| with w = k + M^T x and Alice's reply to y is
+parallel to g + M y, so every equilibrium satisfies
 
-for sign changes, bisecting each bracket, and verifying every candidate
-against the analytic unilateral optima.  A sign change whose endpoints
-swing by more than 90 degrees may be the composed map's representative
-wrapping across +-90 rather than a zero crossing, so its flanking sample
-points are verified as well; bisection on such a bracket converges
-either to a genuine zero (kept) or to the wrap pole (rejected by
-verification), so the distinction never costs an equilibrium.
+    |w|^2 (x cross g)^2 = (x cross M w)^2
 
-Every returned equilibrium carries the verification residual
+a trigonometric polynomial of degree 4 in 2*alpha whose at most eight
+roots come from one companion matrix.  Squaring admits spurious roots, so
+each root is only a candidate: Bob's reply completes it, Newton steps on
+grad F = 0 polish it, and verification against the analytic unilateral
+optima decides.  Every returned equilibrium carries that residual
 
     max( max_l F(l, beta) - F(alpha, beta),  F(alpha, beta) - min_m F(alpha, m) )
 
@@ -35,11 +34,13 @@ from wisealice.quantum import (
     MeasurementFrame,
     OutcomeWeights,
     StrategyAngle,
+    bilinear_form,
     harmonic_coefficients,
     harmonic_coefficients_in_beta,
     outcome_weights,
     payoff_kernel,
     payoff_surface,
+    unit_vectors,
 )
 
 Frames = tuple[MeasurementFrame, MeasurementFrame]
@@ -48,10 +49,9 @@ Frames = tuple[MeasurementFrame, MeasurementFrame]
 JUMP_THRESHOLD_DEG = 5.0
 # relative amplitude below which a best response is treated as indifferent
 DEGENERACY_RATIO = 1e-12
-
-DEFAULT_SCAN_RESOLUTION_DEG = 0.05
-DEFAULT_REFINE_TOLERANCE_DEG = 1e-9
-DEFAULT_MERGE_DISTANCE_DEG = 0.2
+# verified candidates closer than this in both angles are one equilibrium:
+# near-tangent instances yield two roots of the quartic for one equilibrium
+MERGE_DISTANCE_DEG = 0.2
 
 
 class BestResponse(NamedTuple):
@@ -69,11 +69,23 @@ class CurveSample(NamedTuple):
 
 @dataclass(frozen=True)
 class ReactionCurve:
-    """Sampled best-response map of one player over [0, 180)."""
+    """Sampled best-response map of one player over [0, 180).
+
+    jumps holds the index of each sample whose response moved by more than
+    JUMP_THRESHOLD_DEG from the previous sample's.
+    """
 
     player: Literal["alice", "bob"]
     samples: tuple[CurveSample, ...]
-    discontinuities: tuple[float, ...]
+    jumps: tuple[int, ...]
+
+    @property
+    def discontinuities(self) -> tuple[float, ...]:
+        """Input angles midway across each jump."""
+        return tuple(
+            (self.samples[i - 1].input_deg + self.samples[i].input_deg) / 2.0
+            for i in self.jumps
+        )
 
 
 @dataclass(frozen=True)
@@ -86,49 +98,40 @@ class Equilibrium:
     residual: float
 
 
-def _wrap90(x):
-    """Reduce an angle difference to [-90, 90) on the half-turn circle."""
-    return (x + 90.0) % 180.0 - 90.0
-
-
-def _alice_response_array(
-    h: PayoffMatrix, frames: Frames, beta_deg: np.ndarray
+def _responses(
+    player: Literal["alice", "bob"], h: PayoffMatrix, frames: Frames, opponent_deg
 ) -> tuple[np.ndarray, np.ndarray]:
-    k, u, v = harmonic_coefficients(h, frames[0], frames[1], beta_deg)
-    angle = (0.5 * np.degrees(np.arctan2(v, u))) % 180.0
-    return angle, np.hypot(u, v)
+    """Best-response angles and amplitudes of one player to opponent angles."""
+    if player == "alice":
+        _, u, v = harmonic_coefficients(h, frames[0], frames[1], opponent_deg)
+        phase = 0.0
+    elif player == "bob":
+        _, u, v = harmonic_coefficients_in_beta(h, frames[0], frames[1], opponent_deg)
+        phase = 90.0
+    else:
+        raise ValueError(f"unknown player: {player!r}")
+    return (0.5 * np.degrees(np.arctan2(v, u)) + phase) % 180.0, np.hypot(u, v)
 
 
-def _bob_response_array(
-    h: PayoffMatrix, frames: Frames, alpha_deg: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    k, u, v = harmonic_coefficients_in_beta(h, frames[0], frames[1], alpha_deg)
-    angle = (0.5 * np.degrees(np.arctan2(v, u)) + 90.0) % 180.0
-    return angle, np.hypot(u, v)
+def _best_response(player, h: PayoffMatrix, frames: Frames, opponent) -> BestResponse:
+    angle, amplitude = _responses(player, h, frames, opponent.degrees)
+    if amplitude < DEGENERACY_RATIO * h.scale:
+        return BestResponse(StrategyAngle(0.0), float(amplitude), True)
+    return BestResponse(StrategyAngle(float(angle)), float(amplitude), False)
 
 
 def best_response_alice(
     h: PayoffMatrix, frames: Frames, beta: StrategyAngle
 ) -> BestResponse:
     """Maximizer of F(., beta); degenerate when F is flat in alpha."""
-    _, u, v = harmonic_coefficients(h, frames[0], frames[1], beta)
-    amplitude = math.hypot(u, v)
-    if amplitude < DEGENERACY_RATIO * h.scale:
-        return BestResponse(StrategyAngle(0.0), amplitude, True)
-    angle = (0.5 * math.degrees(math.atan2(v, u))) % 180.0
-    return BestResponse(StrategyAngle(angle), amplitude, False)
+    return _best_response("alice", h, frames, beta)
 
 
 def best_response_bob(
     h: PayoffMatrix, frames: Frames, alpha: StrategyAngle
 ) -> BestResponse:
     """Minimizer of F(alpha, .); the phase is the antipode of Alice's rule."""
-    _, u, v = harmonic_coefficients_in_beta(h, frames[0], frames[1], alpha)
-    amplitude = math.hypot(u, v)
-    if amplitude < DEGENERACY_RATIO * h.scale:
-        return BestResponse(StrategyAngle(0.0), amplitude, True)
-    angle = (0.5 * math.degrees(math.atan2(v, u)) + 90.0) % 180.0
-    return BestResponse(StrategyAngle(angle), amplitude, False)
+    return _best_response("bob", h, frames, alpha)
 
 
 def reaction_curve(
@@ -147,23 +150,14 @@ def reaction_curve(
     if resolution <= 0:
         raise ValueError(f"resolution must be positive, got {resolution}")
     inputs = np.arange(0.0, 180.0, resolution)
-    if player == "alice":
-        responses, amplitudes = _alice_response_array(h, frames, inputs)
-    elif player == "bob":
-        responses, amplitudes = _bob_response_array(h, frames, inputs)
-    else:
-        raise ValueError(f"unknown player: {player!r}")
-
+    responses, amplitudes = _responses(player, h, frames, inputs)
     degenerate = amplitudes < DEGENERACY_RATIO * h.scale
     samples = tuple(
         CurveSample(float(t), float(r), float(a), bool(g))
         for t, r, a, g in zip(inputs, responses, amplitudes, degenerate)
     )
-    jumps = []
-    for i in range(len(samples) - 1):
-        if abs(samples[i + 1].response_deg - samples[i].response_deg) > JUMP_THRESHOLD_DEG:
-            jumps.append((samples[i].input_deg + samples[i + 1].input_deg) / 2.0)
-    return ReactionCurve(player, samples, tuple(jumps))
+    jumps = np.flatnonzero(np.abs(np.diff(responses)) > JUMP_THRESHOLD_DEG) + 1
+    return ReactionCurve(player, samples, tuple(int(i) for i in jumps))
 
 
 def verify_nash_quantum(
@@ -183,13 +177,6 @@ def verify_nash_quantum(
     alice_gain = (ka + math.hypot(ua, va)) - value
     bob_gain = value - (kb - math.hypot(ub, vb))
     return max(alice_gain, bob_gain, 0.0)
-
-
-def _composed_defect(h: PayoffMatrix, frames: Frames, alpha_deg):
-    """g(alpha) = wrap180(R_A(R_B(alpha)) - alpha) on scalars or arrays."""
-    rb, _ = _bob_response_array(h, frames, np.asarray(alpha_deg, dtype=float))
-    ra, _ = _alice_response_array(h, frames, rb)
-    return _wrap90(ra - np.asarray(alpha_deg, dtype=float))
 
 
 def _make_equilibrium(
@@ -212,84 +199,84 @@ def _circle_dist(a: float, b: float) -> float:
     return min(d, 180.0 - d)
 
 
+def _saddle_newton(g, k, m, phi, psi):
+    """Newton steps on grad F = 0 in (phi, psi) = (2 alpha, 2 beta).
+
+    The Hessian's determinant -|g + M y| |k + M^T x| - (x'.M y')^2 is
+    negative at an equilibrium, so the steps converge there even where a
+    best reply is ill-conditioned; a singular one gives non-finite angles.
+    """
+    with np.errstate(all="ignore"):
+        for _ in range(3):
+            x, x_turn = unit_vectors(phi), unit_vectors(phi + math.pi / 2)
+            y, y_turn = unit_vectors(psi), unit_vectors(psi + math.pi / 2)
+            v = g + y @ m.T
+            w = k + x @ m
+            grad_a, grad_b = np.sum(x_turn * v, axis=-1), np.sum(y_turn * w, axis=-1)
+            h_aa, h_bb = -np.sum(x * v, axis=-1), -np.sum(y * w, axis=-1)
+            h_ab = np.sum(x_turn * (y_turn @ m.T), axis=-1)
+            det = h_aa * h_bb - h_ab**2
+            phi = phi - (h_bb * grad_a - h_ab * grad_b) / det
+            psi = psi - (h_aa * grad_b - h_ab * grad_a) / det
+    return phi, psi
+
+
+def _candidates(h: PayoffMatrix, frames: Frames) -> tuple[np.ndarray, np.ndarray]:
+    """(alpha, beta) candidates in degrees from the fixed-point polynomial.
+
+    Built from the form divided by the total payoff, so the coefficients
+    stay near one whatever the payoff magnitude.
+    """
+    _, g, k, m = (t / h.scale for t in bilinear_form(h, frames[0], frames[1]))
+    phi = np.arange(16) * (2.0 * math.pi / 16)
+    # x_turn . u is x cross u: x_turn is x turned a quarter
+    x, x_turn = unit_vectors(phi), unit_vectors(phi + math.pi / 2)
+    w = k + x @ m
+    x_cross_mw = np.sum(x_turn * (w @ m.T), axis=1)
+    samples = np.sum(w * w, axis=1) * (x_turn @ g) ** 2 - x_cross_mw**2
+    # Fourier coefficients p_n, |n| <= 4, exact from 16 samples; z^4 P is a
+    # degree-8 polynomial in z = e^{2i alpha}, listed from p_4 down to p_-4
+    coefficients = np.exp(-1j * np.outer(np.arange(4, -5, -1), phi)) @ samples / 16
+    phi = np.angle(np.roots(coefficients))
+    w = k + unit_vectors(phi) @ m
+    psi = np.arctan2(-w[:, 1], -w[:, 0])
+    # a root shared with the spurious factor |w| (x cross g) + x cross M w
+    # keeps only half the digits, and a nearly indifferent Bob turns that
+    # error into a wrong beta; Newton steps on the saddle restore both
+    polished_phi, polished_psi = _saddle_newton(g, k, m, phi, psi)
+    ok = np.isfinite(polished_phi) & np.isfinite(polished_psi)
+    phi = np.where(ok, polished_phi, phi)
+    psi = np.where(ok, polished_psi, psi)
+    return (np.degrees(phi) / 2.0) % 180.0, (np.degrees(psi) / 2.0) % 180.0
+
+
 def find_equilibria(
     h: PayoffMatrix,
     frames: Frames,
-    scan_resolution: float = DEFAULT_SCAN_RESOLUTION_DEG,
-    refine_tolerance: float = DEFAULT_REFINE_TOLERANCE_DEG,
     nash_tolerance: float | None = None,
 ) -> list[Equilibrium]:
     """All verified Nash equilibria, deduplicated and sorted by alpha.
 
-    An empty list is a valid outcome.  Candidates come from zero
-    crossings of the composed best-response defect; each one must pass
-    verify_nash_quantum at nash_tolerance (default 1e-8 * total payoff)
-    before it is reported, so wrap artifacts and near-miss crossings are
-    never returned.
+    An empty list is a valid outcome.  Candidates are the roots of the
+    fixed-point polynomial paired with Bob's best response and polished by
+    Newton steps; each one must pass verify_nash_quantum at nash_tolerance
+    (default 1e-8 * total payoff) before it is reported, so spurious roots
+    are never returned.  Of candidates within MERGE_DISTANCE_DEG of each
+    other in both angles, the one with the smallest residual is kept.
     """
-    if scan_resolution <= 0 or refine_tolerance <= 0:
-        raise ValueError("scan_resolution and refine_tolerance must be positive")
     tol = nash_tolerance if nash_tolerance is not None else 1e-8 * h.scale
-
-    alphas = np.arange(0.0, 180.0, scan_resolution)
-    g = _composed_defect(h, frames, alphas)
-    n = len(alphas)
-
-    candidates: list[float] = []
-    for i in range(n):
-        j = (i + 1) % n
-        lo, hi = float(alphas[i]), float(alphas[i]) + scan_resolution
-        gi, gj = float(g[i]), float(g[j])
-        if gi == 0.0:
-            candidates.append(lo)
-            continue
-        if gi * gj >= 0.0:
-            continue
-        if abs(gj - gi) > 90.0:
-            # the sign change may come from the wrap at +-90 rather than
-            # from a zero crossing; the flanking samples stand in for the
-            # jump itself
-            for flank in (lo, hi % 180.0):
-                candidates.append(flank)
-        # bisect regardless: on a wrap bracket this homes in on the pole
-        # and verification rejects it, while a crossing steeper than the
-        # sampling still gets found
-        flo = gi
-        for _ in range(200):
-            if hi - lo <= refine_tolerance:
-                break
-            mid = (lo + hi) / 2.0
-            fm = float(_composed_defect(h, frames, mid))
-            if flo * fm <= 0.0:
-                hi = mid
-            else:
-                lo, flo = mid, fm
-        candidates.append((lo + hi) / 2.0)
-
-    verified: list[Equilibrium] = []
-    rb_angles, _ = _bob_response_array(h, frames, np.asarray(candidates, dtype=float))
-    for alpha_deg, beta_deg in zip(candidates, rb_angles):
-        eq = _make_equilibrium(h, frames, float(alpha_deg), float(beta_deg))
-        if eq.residual <= tol:
-            verified.append(eq)
-
-    verified.sort(key=lambda e: e.alpha.degrees)
+    candidates = (_make_equilibrium(h, frames, float(alpha), float(beta))
+                  for alpha, beta in zip(*_candidates(h, frames)))
     merged: list[Equilibrium] = []
-    for eq in verified:
-        for i, kept in enumerate(merged):
-            if (
-                _circle_dist(eq.alpha.degrees, kept.alpha.degrees)
-                < DEFAULT_MERGE_DISTANCE_DEG
-                and _circle_dist(eq.beta.degrees, kept.beta.degrees)
-                < DEFAULT_MERGE_DISTANCE_DEG
-            ):
-                if eq.residual < kept.residual:
-                    merged[i] = eq
-                break
-        else:
+    for eq in sorted((eq for eq in candidates if eq.residual <= tol),
+                     key=lambda e: e.residual):
+        if not any(
+            _circle_dist(eq.alpha.degrees, kept.alpha.degrees) < MERGE_DISTANCE_DEG
+            and _circle_dist(eq.beta.degrees, kept.beta.degrees) < MERGE_DISTANCE_DEG
+            for kept in merged
+        ):
             merged.append(eq)
-    merged.sort(key=lambda e: e.alpha.degrees)
-    return merged
+    return sorted(merged, key=lambda e: e.alpha.degrees)
 
 
 def grid_nash_audit(
@@ -302,11 +289,15 @@ def grid_nash_audit(
 
     The payoff grid is built straight from the trigonometric definition
     and compared against the analytic per-row/per-column optima, so this
-    audit shares no code path with the fixed-point scan.  Returns
+    audit shares no code path with the root solve.  Returns
     (alpha, beta, deviation) for every passing grid point.
+
+    The default tol is 4 * scale * (step in radians)^2: a grid point within
+    half a step of an equilibrium leaves a gain of order curvature * step^2,
+    so a tolerance below that passes no point even where one exists.
     """
     if tol is None:
-        tol = 1e-8 * h.scale
+        tol = 4.0 * h.scale * math.radians(step) ** 2
     alphas = np.arange(0.0, 180.0, step)
     betas = np.arange(0.0, 180.0, step)
     ka, ua, va = harmonic_coefficients(h, frames[0], frames[1], betas)

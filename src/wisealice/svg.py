@@ -43,7 +43,7 @@ def _polyline(points: Sequence[tuple[float, float]], css: str) -> str:
     return f'<polyline class="{css}" points="{coords}"/>'
 
 
-def _curve_paths(curve: ReactionCurve, jump_threshold: float = 5.0) -> list[str]:
+def _curve_paths(curve: ReactionCurve) -> list[str]:
     """Solid runs between jumps plus thin segments across each jump."""
 
     def to_xy(sample) -> tuple[float, float]:
@@ -54,15 +54,14 @@ def _curve_paths(curve: ReactionCurve, jump_threshold: float = 5.0) -> list[str]
     css = curve.player
     paths: list[str] = []
     run: list[tuple[float, float]] = []
-    prev = None
-    for sample in curve.samples:
-        if prev is not None and abs(sample.response_deg - prev.response_deg) > jump_threshold:
+    for i, sample in enumerate(curve.samples):
+        if i in curve.jumps:
             if len(run) >= 2:
                 paths.append(_polyline(run, css))
-            paths.append(_polyline([to_xy(prev), to_xy(sample)], f"{css}-jump"))
+            paths.append(_polyline([to_xy(curve.samples[i - 1]), to_xy(sample)],
+                                   f"{css}-jump"))
             run = []
         run.append(to_xy(sample))
-        prev = sample
     if len(run) >= 2:
         paths.append(_polyline(run, css))
     return paths

@@ -7,7 +7,7 @@ from wisealice.cli import main
 from wisealice.game import PayoffMatrix
 from wisealice.quantum import MeasurementFrame, StrategyAngle
 from wisealice.scenario import ScenarioError, load_scenario
-from wisealice.solver import verify_nash_quantum
+from wisealice.solver import find_equilibria, reaction_curve, verify_nash_quantum
 
 
 def write_scenario(tmp_path, text, name="case.txt"):
@@ -32,7 +32,6 @@ def test_load_bundled_scenario(scenario_dir):
     s = load_scenario(scenario_dir / "two_equilibria.txt")
     assert (s.a, s.b, s.c, s.d) == (3, 3, 5, 1)
     assert (s.theta_a_deg, s.theta_b_deg) == (10, 70)
-    assert s.scan_resolution_deg == 0.05  # default applied
     assert s.rounds == 1_000_000
 
 
@@ -60,6 +59,13 @@ def test_scenario_requires_all_payoffs(tmp_path):
     path = write_scenario(tmp_path, "a = 1\nb = 1\ntheta_a_deg = 45\n")
     with pytest.raises(ScenarioError, match="missing required"):
         load_scenario(path)
+
+
+def test_scenario_accepts_scan_resolution_without_effect(scenario_dir, tmp_path):
+    text = (scenario_dir / "two_equilibria.txt").read_text()
+    path = write_scenario(tmp_path, text + "scan_resolution_deg = 5\n")
+    s = load_scenario(path)
+    assert s == load_scenario(scenario_dir / "two_equilibria.txt")
 
 
 def test_scenario_rejects_out_of_range_frame(tmp_path):
@@ -123,6 +129,50 @@ def test_missing_scenario_file_fails(tmp_path, capsys):
     code = main(["analyze", "--scenario", str(tmp_path / "nope.txt")])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+def one_line_error(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
+
+
+def test_out_into_missing_directory_is_an_error(scenario_dir, tmp_path, capsys):
+    code = main(["equilibria", "--scenario", str(scenario_dir / "two_equilibria.txt"),
+                 "--out", str(tmp_path / "missing" / "eq.txt")])
+    assert code == 1
+    one_line_error(capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--format", "csv"],
+    ["equilibria", "--format", "csv"],
+    ["simulate", "--alpha", "0", "--beta", "0", "--format", "csv"],
+    ["curves", "--format", "text"],
+    ["sweep", "--theta-a", "10:20", "--theta-b", "10:20", "--format", "json"],
+    ["analyze", "--resolution", "0.1"],
+    ["equilibria", "--resolution", "0.1"],
+])
+def test_unsupported_options_are_rejected(scenario_dir, argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--scenario", str(scenario_dir / "two_equilibria.txt")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments" in err or "invalid choice" in err
+
+
+def test_infinite_payoff_is_an_error(tmp_path, capsys):
+    path = write_scenario(tmp_path, NO_EQ_TEXT.replace("a = 3", "a = inf"))
+    assert main(["analyze", "--scenario", str(path)]) == 1
+    assert "finite" in one_line_error(capsys)
+
+
+@pytest.mark.parametrize("alpha", ["nan", "inf", "-inf"])
+def test_non_finite_angle_is_an_error(scenario_dir, alpha, capsys):
+    code = main(["simulate", "--scenario", str(scenario_dir / "unit_payoffs.txt"),
+                 f"--alpha={alpha}", "--beta", "0", "--rounds", "10"])
+    assert code == 1
+    assert "finite" in one_line_error(capsys)
 
 
 # --- curves ------------------------------------------------------------------
@@ -228,3 +278,27 @@ def test_lattice_check_rejects_out_of_range_theta(capsys):
     code = main(["lattice-check", "--theta", "95"])
     assert code == 1
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["two_equilibria", "interior_equilibrium",
+                                  "no_equilibrium", "unit_payoffs"])
+def test_curve_jump_flags_agree_with_reaction_curve(scenario_dir, tmp_path, name):
+    base = tmp_path / name
+    assert main(["curves", "--scenario", str(scenario_dir / f"{name}.txt"),
+                 "--out", str(base), "--resolution", "0.5"]) == 0
+    rows = [ln.split(",") for ln in (tmp_path / f"{name}.csv").read_text().splitlines()[1:]]
+    scenario = load_scenario(scenario_dir / f"{name}.txt")
+    svg = (tmp_path / f"{name}.svg").read_text()
+    for player in ("alice", "bob"):
+        curve = reaction_curve(player, scenario.payoff_matrix(), scenario.frames(), 0.5)
+        flags = [int(r[5]) for r in rows if r[0] == player]
+        assert [i for i, flag in enumerate(flags) if flag] == list(curve.jumps)
+        assert svg.count(f'class="{player}-jump"') == len(curve.discontinuities)
+
+
+def test_shipped_scenario_equilibrium_counts(scenario_dir):
+    counts = {"two_equilibria": 1, "interior_equilibrium": 1,
+              "no_equilibrium": 1, "unit_payoffs": 0}
+    for name, count in counts.items():
+        scenario = load_scenario(scenario_dir / f"{name}.txt")
+        assert len(find_equilibria(scenario.payoff_matrix(), scenario.frames())) == count

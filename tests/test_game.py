@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -86,6 +88,16 @@ def test_bob_matrix_is_negation():
 ])
 def test_nonpositive_payoff_rejected(name, payoffs):
     with pytest.raises(ValueError, match=name):
+        PayoffMatrix(*payoffs)
+
+
+@pytest.mark.parametrize("payoffs", [
+    (math.inf, 1, 1, 1),
+    (1, 1, math.nan, 1),
+    (1e308, 1e308, 1, 1),   # finite entries whose sum overflows
+])
+def test_non_finite_payoffs_rejected(payoffs):
+    with pytest.raises(ValueError, match="finite"):
         PayoffMatrix(*payoffs)
 
 

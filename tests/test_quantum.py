@@ -10,6 +10,7 @@ from wisealice.quantum import (
     MeasurementFrame,
     OutcomeWeights,
     StrategyAngle,
+    bilinear_form,
     harmonic_coefficients,
     harmonic_coefficients_in_beta,
     outcome_weights,
@@ -167,6 +168,25 @@ def test_harmonic_reconstruction_in_beta(a, b, c, d, ta, tb, alpha):
             + v * math.sin(2 * math.radians(beta))
         direct = payoff_kernel(h, fa, fb, alpha, beta)
         assert rebuilt == pytest.approx(direct, abs=1e-12)
+
+
+@settings(max_examples=50)
+@given(positive_payoff, positive_payoff, positive_payoff, positive_payoff,
+       frame_angles, frame_angles, angles, angles)
+def test_bilinear_form_reconstruction(a, b, c, d, ta, tb, alpha, beta):
+    h = PayoffMatrix(a, b, c, d)
+    fa, fb = MeasurementFrame(ta), MeasurementFrame(tb)
+    c0, g, k, m = bilinear_form(h, fa, fb)
+    x = np.array([math.cos(2 * math.radians(alpha)), math.sin(2 * math.radians(alpha))])
+    y = np.array([math.cos(2 * math.radians(beta)), math.sin(2 * math.radians(beta))])
+    assert c0 + g @ x + k @ y + x @ m @ y == pytest.approx(
+        payoff_kernel(h, fa, fb, alpha, beta), abs=1e-12)
+
+
+def test_non_finite_angle_rejected():
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            StrategyAngle(value)
 
 
 def test_unit_instance_harmonic_maximizer():

@@ -4,9 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize_scalar
 
 from wisealice.game import PayoffMatrix
-from wisealice.quantum import MeasurementFrame, StrategyAngle, payoff_kernel
+from wisealice.quantum import (
+    MeasurementFrame,
+    StrategyAngle,
+    harmonic_coefficients,
+    harmonic_coefficients_in_beta,
+    payoff_kernel,
+)
 from wisealice.solver import (
     best_response_alice,
     best_response_bob,
@@ -14,6 +21,12 @@ from wisealice.solver import (
     grid_nash_audit,
     reaction_curve,
     verify_nash_quantum,
+)
+
+from scan_reference import (
+    half_angle_coefficients,
+    half_angle_coefficients_in_beta,
+    scan_equilibria,
 )
 
 frame_angles = st.floats(min_value=1.0, max_value=89.0,
@@ -40,6 +53,13 @@ def brute_best_alice(h, frames, beta: float) -> float:
 def brute_best_bob(h, frames, alpha: float) -> float:
     values = payoff_kernel(h, frames[0], frames[1], alpha, GRID_001)
     return float(GRID_001[np.argmin(values)])
+
+
+def brute_force_gain(h, frames, alpha: float, beta: float) -> float:
+    """Best unilateral gain on the 0.01-degree grid, from the trig form alone."""
+    f0 = payoff_kernel(h, frames[0], frames[1], alpha, beta)
+    return max(payoff_kernel(h, frames[0], frames[1], GRID_001, beta).max() - f0,
+               f0 - payoff_kernel(h, frames[0], frames[1], alpha, GRID_001).min())
 
 
 # --- best responses ----------------------------------------------------------
@@ -275,16 +295,7 @@ def test_equilibria_verified_by_brute_force_deviations(two_eq_instance,
                                                        interior_instance):
     for h, frames in (two_eq_instance, close_frames_instance, interior_instance):
         for eq in find_equilibria(h, frames):
-            f0 = payoff_kernel(h, frames[0], frames[1],
-                               eq.alpha.degrees, eq.beta.degrees)
-            best_dev_alice = payoff_kernel(
-                h, frames[0], frames[1], GRID_001, eq.beta.degrees
-            ).max() - f0
-            best_dev_bob = f0 - payoff_kernel(
-                h, frames[0], frames[1], eq.alpha.degrees, GRID_001
-            ).min()
-            assert best_dev_alice <= 1e-6
-            assert best_dev_bob <= 1e-6
+            assert brute_force_gain(h, frames, eq.alpha.degrees, eq.beta.degrees) <= 1e-6
 
 
 def test_equilibrium_set_invariant_under_scaling(two_eq_instance):
@@ -300,10 +311,10 @@ def test_equilibrium_set_invariant_under_scaling(two_eq_instance):
 
 
 def test_steep_crossing_is_not_mistaken_for_a_wrap():
-    # the composed defect swings ~91 degrees per 0.05-degree step at this
-    # crossing, the same signature as a representative wrap; bisection plus
-    # verification must still find the equilibrium (frozen from a fuzzing
-    # run with an independent duality-gap audit)
+    # the composed best-response defect swings ~91 degrees per 0.05-degree
+    # step at this crossing, which a sampled scan could take for the wrap
+    # of its [-90, 90) representative (frozen from a fuzzing run with an
+    # independent duality-gap audit)
     h = PayoffMatrix(0.21567360739370703, 3.879623576993435,
                      0.9145567564246947, 6.239475458641274)
     frames = (MeasurementFrame(12.235840976241876),
@@ -315,12 +326,135 @@ def test_steep_crossing_is_not_mistaken_for_a_wrap():
     assert eqs[0].residual <= 1e-8 * h.scale
 
 
-def test_find_equilibria_rejects_bad_settings(two_eq_instance):
+# --- differential check against the sampled scan ------------------------------
+
+wide_payoffs = st.floats(min_value=-4.0, max_value=4.0).map(math.exp)
+wide_frames = st.floats(min_value=0.01, max_value=89.99)
+
+
+def duality_gap(h, frames) -> float:
+    """minmax - maxmin of the circle game; zero exactly when an equilibrium exists.
+
+    The inner optima are K -+ |(U, V)| from the half-angle coefficients; the
+    outer ones come from the 0.01-degree grid, refined by a bounded scalar
+    search around the best grid point.
+    """
+    def outer_max(fn):
+        values = fn(GRID_001)
+        best = GRID_001[np.argmax(values)]
+        found = minimize_scalar(lambda t: -fn(t), bounds=(best - 0.01, best + 0.01),
+                                method="bounded", options={"xatol": 1e-12})
+        return max(-found.fun, values.max())
+
+    def worst_for_alice(alpha):
+        k, u, v = half_angle_coefficients_in_beta(h, frames, alpha)
+        return k - np.hypot(u, v)
+
+    def minus_best_for_alice(beta):
+        k, u, v = half_angle_coefficients(h, frames, beta)
+        return -(k + np.hypot(u, v))
+
+    return -outer_max(minus_best_for_alice) - outer_max(worst_for_alice)
+
+
+def assert_same_equilibria(h, frames):
+    """Root solve and scan agree up to equilibria at the tolerance's edge.
+
+    Equilibria match when both angles agree to 1e-3 degrees.  One that only
+    one solver returns must have a residual within a factor 2 of the
+    tolerance, where verification cannot tell it from a miss, or else:
+    - if only the scan returns it, the game has a positive duality gap, so
+      it is a point within the tolerance of an equilibrium that does not
+      exist, not a fixed point the root solve lost;
+    - if only the root solve returns it, a brute-force deviation search
+      confirms it: the scan misses crossings steeper than its sampling.
+    """
+    tol = 1e-8 * h.scale
+    roots, scanned = find_equilibria(h, frames), scan_equilibria(h, frames)
+
+    def unmatched(ours, theirs):
+        return [
+            eq for eq in ours
+            if eq.residual < tol / 2.0 and not any(
+                circle_dist(eq.alpha.degrees, other.alpha.degrees) <= 1e-3
+                and circle_dist(eq.beta.degrees, other.beta.degrees) <= 1e-3
+                for other in theirs
+            )
+        ]
+
+    if unmatched(scanned, roots):
+        assert duality_gap(h, frames) > 1e-12 * h.scale, (scanned, roots)
+    for eq in unmatched(roots, scanned):
+        assert brute_force_gain(h, frames, eq.alpha.degrees, eq.beta.degrees) <= tol, (
+            eq, scanned)
+    return roots
+
+
+@settings(max_examples=150, deadline=None)
+@given(wide_payoffs, wide_payoffs, wide_payoffs, wide_payoffs, wide_frames, wide_frames)
+def test_root_solve_matches_scan(a, b, c, d, ta, tb):
+    h = PayoffMatrix(a, b, c, d)
+    assert_same_equilibria(h, (MeasurementFrame(ta), MeasurementFrame(tb)))
+
+
+def test_root_solve_matches_scan_on_shipped_instances(two_eq_instance, unit_instance,
+                                                      close_frames_instance,
+                                                      interior_instance):
+    for h, frames in (two_eq_instance, unit_instance, close_frames_instance,
+                      interior_instance):
+        assert_same_equilibria(h, frames)
+
+
+# (3,3,5,1) at theta_A = 30: the equilibrium of theta_B = 20 leaves the
+# verified set near theta_B = 22.2387592, where its residual crosses the
+# tolerance
+@pytest.mark.parametrize("theta_b, count", [
+    (22.2387, 1), (22.238756, 1), (22.2387590, 1), (22.23875917, None),
+    (22.2387592, 0), (22.2388, 0),
+])
+def test_bifurcation_frames(theta_b, count):
+    h = PayoffMatrix(3, 3, 5, 1)
+    eqs = assert_same_equilibria(h, (MeasurementFrame(30), MeasurementFrame(theta_b)))
+    if count is not None:
+        assert len(eqs) == count
+
+
+@settings(max_examples=40, deadline=None)
+@given(wide_payoffs, wide_payoffs, frame_angles, frame_angles)
+def test_balanced_payoffs_have_no_equilibrium(ac, bd, ta, tb):
+    # with a = c and b = d, g = k = 0: x would have to be a positive
+    # multiple of -M M^T x, which the positive definite M M^T rules out;
+    # frames within hundredths of a degree of 0 or 90 make M nearly
+    # singular, and points within the tolerance of equilibria appear there
+    h = PayoffMatrix(ac, bd, ac, bd)
+    assert find_equilibria(h, (MeasurementFrame(ta), MeasurementFrame(tb))) == []
+
+
+def test_equilibrium_invariant_across_the_float_range(two_eq_instance):
     h, frames = two_eq_instance
-    with pytest.raises(ValueError):
-        find_equilibria(h, frames, scan_resolution=0.0)
-    with pytest.raises(ValueError):
-        find_equilibria(h, frames, refine_tolerance=-1.0)
+    for lam in (1e-300, 1e-150, 1e-80, 1e80, 1e150, 1e300):
+        scaled = h.scaled(lam)
+        eqs = find_equilibria(scaled, frames)
+        assert len(eqs) == 1, lam
+        assert eqs[0].alpha.degrees == pytest.approx(TWO_EQ_POINT[0], abs=1e-6)
+        assert eqs[0].beta.degrees == pytest.approx(TWO_EQ_POINT[1], abs=1e-6)
+        assert eqs[0].value == pytest.approx(lam * TWO_EQ_POINT[2], rel=1e-9)
+        assert eqs[0].residual <= 1e-8 * scaled.scale
+
+
+@settings(max_examples=100, deadline=None)
+@given(wide_payoffs, wide_payoffs, wide_payoffs, wide_payoffs, wide_frames, wide_frames,
+       angles)
+def test_harmonic_views_match_half_angle_formulas(a, b, c, d, ta, tb, angle):
+    h = PayoffMatrix(a, b, c, d)
+    frames = (MeasurementFrame(ta), MeasurementFrame(tb))
+    for view, reference in (
+        (harmonic_coefficients(h, *frames, angle),
+         half_angle_coefficients(h, frames, angle)),
+        (harmonic_coefficients_in_beta(h, *frames, angle),
+         half_angle_coefficients_in_beta(h, frames, angle)),
+    ):
+        assert np.allclose(view, reference, rtol=0.0, atol=1e-14 * h.scale)
 
 
 # --- independent grid audit --------------------------------------------------
@@ -355,3 +489,12 @@ def test_grid_audit_matches_solver_counts(two_eq_instance, unit_instance,
 def test_grid_audit_rejects_everything_at_solver_tolerance(unit_instance):
     h, frames = unit_instance
     assert grid_nash_audit(h, frames, step=0.1, tol=1e-8 * h.scale) == []
+
+
+def test_grid_audit_default_tolerance_confirms_equilibria(two_eq_instance,
+                                                          close_frames_instance,
+                                                          unit_instance):
+    for h, frames in (two_eq_instance, close_frames_instance):
+        assert grid_cluster_count(grid_nash_audit(h, frames)) == 1
+    h, frames = unit_instance
+    assert grid_nash_audit(h, frames) == []
