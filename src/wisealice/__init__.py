@@ -67,6 +67,7 @@ from wisealice.simulate import (
     sample_round,
     simulate,
     transcript_rows,
+    write_transcript,
 )
 from wisealice.scenario import Scenario, ScenarioError, load_scenario
 
@@ -122,4 +123,5 @@ __all__ = [
     "verify_nash_classical",
     "verify_nash_quantum",
     "wise_alice_lattice",
+    "write_transcript",
 ]

@@ -22,7 +22,7 @@ from wisealice.lattice import (
 )
 from wisealice.quantum import StrategyAngle
 from wisealice.scenario import Scenario, ScenarioError, load_scenario
-from wisealice.simulate import SimulationConfig, simulate, transcript_rows
+from wisealice.simulate import SimulationConfig, simulate, write_transcript
 from wisealice.solver import Equilibrium, find_equilibria, reaction_curve
 from wisealice.svg import render_curves_svg
 
@@ -252,13 +252,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     result = simulate(config)
     if args.transcript:
         with open(args.transcript, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["round", "pair", "alice_outcome", "bob_outcome", "payoff"])
-            for row in transcript_rows(config):
-                writer.writerow(
-                    [row.round_index, row.pair, row.alice_outcome,
-                     row.bob_outcome, f"{row.payoff:.6g}"]
-                )
+            write_transcript(config, fh)
 
     z = result.z_score()
     lines = [

@@ -7,14 +7,17 @@ payoff cell is scored, and the {2,4} pair is drawn independently with
 expectation equal the quantum payoff exactly, with no extra factor.
 
 Randomness is counter-based: round i consumes the four SplitMix64 outputs
-at counters 4i..4i+3 under the run's seed, so any subset of rounds can be
-generated independently (or vectorized) with identical results.
+at counters 4i..4i+3 under the run's seed, so any block of rounds can be
+drawn independently with identical results.  One block kernel, `_draws`,
+turns a block's counters into per-pair outcome codes, and one table,
+`_scoring_table`, scores them; `simulate`, `transcript_rows`,
+`write_transcript` and `sample_round` are views of the two.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
@@ -58,35 +61,50 @@ class SimulationConfig:
             raise ValueError(f"rounds must be >= 1, got {self.rounds}")
 
 
-class RoundDraw(NamedTuple):
-    alice_13: int   # 1 or 3
-    bob_13: int
-    alice_24: int   # 2 or 4
-    bob_24: int
-    payoff_13: float
-    payoff_24: float
+BLOCK_ROUNDS = 4096   # rounds drawn per numpy call; results do not depend on it
+_PAIRS = ("13", "24")
 
 
-def _draw_round(config: SimulationConfig, uniforms: Sequence[float]) -> RoundDraw:
-    h = config.payoffs
+def _scoring_table(h: PayoffMatrix) -> tuple[tuple[tuple[int, int, float], ...], ...]:
+    """The scoring rule: table[pair][code] = (alice outcome, bob outcome, payoff).
+
+    A pair's code is 2·[Alice drew its second outcome] + [Bob drew it]; Alice
+    is paid only when the two outcomes are opposite corners.
+    """
+    return (
+        ((1, 1, 0.0), (1, 3, h.a), (3, 1, h.c), (3, 3, 0.0)),
+        ((2, 2, 0.0), (2, 4, h.b), (4, 2, h.d), (4, 4, 0.0)),
+    )
+
+
+def _codes(config: SimulationConfig, uniforms: np.ndarray) -> np.ndarray:
+    """Per-pair outcome codes (n, 2) of the rounds whose uniforms are (n, 4)."""
     p = outcome_weights(config.alpha, config.frame_a)
     q = outcome_weights(config.beta, config.frame_b)
-    a13 = 1 if uniforms[0] < p.p1 else 3
-    b13 = 1 if uniforms[1] < q.p1 else 3
-    a24 = 2 if uniforms[2] < p.p2 else 4
-    b24 = 2 if uniforms[3] < q.p2 else 4
-    pay13 = h.a if (a13, b13) == (1, 3) else h.c if (a13, b13) == (3, 1) else 0.0
-    pay24 = h.b if (a24, b24) == (2, 4) else h.d if (a24, b24) == (4, 2) else 0.0
-    return RoundDraw(a13, b13, a24, b24, pay13, pay24)
+    second = ~(uniforms < np.array([p.p1, q.p1, p.p2, q.p2]))
+    return 2 * second[:, 0::2] + second[:, 1::2]
+
+
+def _draws(config: SimulationConfig, start: int, stop: int) -> np.ndarray:
+    """Outcome codes of rounds [start, stop), from counters 4i..4i+3 of round i."""
+    counters = np.arange(4 * start, 4 * stop, dtype=np.uint64).reshape(-1, 4)
+    return _codes(config, _uniforms(config.seed, counters))
+
+
+def _blocks(config: SimulationConfig) -> Iterator[tuple[range, np.ndarray]]:
+    """(round indices, outcome codes) of every round, BLOCK_ROUNDS at a time."""
+    for start in range(0, config.rounds, BLOCK_ROUNDS):
+        stop = min(start + BLOCK_ROUNDS, config.rounds)
+        yield range(start, stop), _draws(config, start, stop)
 
 
 def sample_round(config: SimulationConfig, round_index: int) -> float:
     """Payoff of one round: both question pairs drawn and scored."""
     if not 0 <= round_index < config.rounds:
         raise ValueError(f"round_index out of range: {round_index}")
-    us = _uniforms(config.seed, 4 * round_index + np.arange(4))
-    draw = _draw_round(config, us)
-    return draw.payoff_13 + draw.payoff_24
+    code13, code24 = _draws(config, round_index, round_index + 1)[0]
+    table = _scoring_table(config.payoffs)
+    return table[0][code13][2] + table[1][code24][2]
 
 
 @dataclass(frozen=True)
@@ -102,39 +120,32 @@ class SimulationResult:
         return (self.mean - self.analytic_value) / self.std_error
 
 
-def _payoff_vector(config: SimulationConfig) -> np.ndarray:
-    """Vectorized per-round payoffs; bit-identical to sample_round calls."""
-    h = config.payoffs
-    p = outcome_weights(config.alpha, config.frame_a)
-    q = outcome_weights(config.beta, config.frame_b)
-    counters = np.arange(config.rounds, dtype=np.uint64) * np.uint64(4)
-    u0 = _uniforms(config.seed, counters)
-    u1 = _uniforms(config.seed, counters + np.uint64(1))
-    u2 = _uniforms(config.seed, counters + np.uint64(2))
-    u3 = _uniforms(config.seed, counters + np.uint64(3))
-    pay13 = np.where(
-        (u0 < p.p1) & ~(u1 < q.p1), h.a, np.where(~(u0 < p.p1) & (u1 < q.p1), h.c, 0.0)
-    )
-    pay24 = np.where(
-        (u2 < p.p2) & ~(u3 < q.p2), h.b, np.where(~(u2 < p.p2) & (u3 < q.p2), h.d, 0.0)
-    )
-    return pay13 + pay24
-
-
 def simulate(config: SimulationConfig) -> SimulationResult:
-    """Run every round and report the empirical mean against the exact value."""
+    """Run every round and report the empirical mean against the exact value.
+
+    Rounds are streamed in blocks and only the count of each joint outcome
+    code is kept, so memory does not grow with the number of rounds.
+    """
     from wisealice.quantum import payoff_surface
 
-    payoffs = _payoff_vector(config)
-    mean = float(payoffs.mean())
-    if config.rounds > 1:
-        se = float(payoffs.std(ddof=1) / np.sqrt(config.rounds))
+    counts = np.zeros(16, dtype=np.int64)
+    for _, codes in _blocks(config):
+        counts += np.bincount(4 * codes[:, 0] + codes[:, 1], minlength=16)
+    pay13, pay24 = (np.array([cell[2] for cell in pair])
+                    for pair in _scoring_table(config.payoffs))
+    values = (pay13[:, None] + pay24[None, :]).ravel()   # round payoff by joint code
+    seen = counts > 0   # an unreached cell must not add 0 * inf to the variance
+    counts, values = counts[seen], values[seen]
+    n = config.rounds
+    mean = float(counts @ values / n)
+    if n > 1:
+        se = float(np.sqrt(counts @ (values - mean) ** 2 / (n - 1)) / np.sqrt(n))
     else:
         se = None
     analytic = payoff_surface(
         config.payoffs, config.frame_a, config.frame_b, config.alpha, config.beta
     )
-    return SimulationResult(config.rounds, mean, se, analytic)
+    return SimulationResult(n, mean, se, analytic)
 
 
 class TranscriptRow(NamedTuple):
@@ -147,11 +158,25 @@ class TranscriptRow(NamedTuple):
 
 def transcript_rows(config: SimulationConfig) -> Iterator[TranscriptRow]:
     """Two rows per round, one per question pair, in round order."""
-    for i in range(config.rounds):
-        us = _uniforms(config.seed, 4 * i + np.arange(4))
-        draw = _draw_round(config, us)
-        yield TranscriptRow(i, "13", draw.alice_13, draw.bob_13, draw.payoff_13)
-        yield TranscriptRow(i, "24", draw.alice_24, draw.bob_24, draw.payoff_24)
+    table = _scoring_table(config.payoffs)
+    for indices, codes in _blocks(config):
+        for i, round_codes in zip(indices, codes.tolist()):
+            for pair, cells, code in zip(_PAIRS, table, round_codes):
+                yield TranscriptRow(i, pair, *cells[code])
+
+
+def write_transcript(config: SimulationConfig, fh: TextIO) -> None:
+    """Write transcript_rows as CSV with a header, payoffs formatted .6g."""
+    tails13, tails24 = (
+        [f",{pair},{alice},{bob},{payoff:.6g}\n" for alice, bob, payoff in cells]
+        for pair, cells in zip(_PAIRS, _scoring_table(config.payoffs))
+    )
+    fh.write("round,pair,alice_outcome,bob_outcome,payoff\n")
+    for indices, codes in _blocks(config):
+        fh.write("".join(
+            f"{i}{tails13[code13]}{i}{tails24[code24]}"
+            for i, code13, code24 in zip(indices, *codes.T.tolist())
+        ))
 
 
 class AutomatonStep(NamedTuple):

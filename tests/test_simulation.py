@@ -1,3 +1,8 @@
+import functools
+import io
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,12 +10,16 @@ from wisealice.game import PayoffMatrix, SquareGeometry
 from wisealice.quantum import MeasurementFrame, StrategyAngle, payoff_surface
 from wisealice.simulate import (
     SimulationConfig,
-    _draw_round,
+    _codes,
+    _scoring_table,
     run_automaton,
     sample_round,
     simulate,
     transcript_rows,
+    write_transcript,
 )
+
+import simulate_reference as reference
 
 
 def make_config(rounds=1000, seed=42, payoffs=(1, 1, 1, 1),
@@ -55,10 +64,13 @@ def test_different_seeds_differ():
 def test_zero_cells_score_nothing():
     # forced outcomes (1,1) and (2,2) land on zero payoff cells
     config = make_config()
-    draw = _draw_round(config, [0.0, 0.0, 0.0, 0.0])
-    assert draw.alice_13 == 1 and draw.bob_13 == 1
-    assert draw.alice_24 == 2 and draw.bob_24 == 2
-    assert draw.payoff_13 == 0.0 and draw.payoff_24 == 0.0
+    [(code13, code24)] = _codes(config, np.zeros((1, 4)))
+    table = _scoring_table(config.payoffs)
+    alice_13, bob_13, payoff_13 = table[0][code13]
+    alice_24, bob_24, payoff_24 = table[1][code24]
+    assert alice_13 == 1 and bob_13 == 1
+    assert alice_24 == 2 and bob_24 == 2
+    assert payoff_13 == 0.0 and payoff_24 == 0.0
 
 
 def test_unit_instance_origin_mean():
@@ -142,3 +154,79 @@ def test_automaton_rejects_bad_vertices():
         run_automaton(geo, h, [1], initial_ball=7)
     with pytest.raises(ValueError):
         run_automaton(geo, h, [0], initial_ball=1)
+
+
+# -- the block kernel against the per-round path ------------------------------
+
+DIFFERENTIAL_ROUNDS = (1, 4095, 4096, 4097, 8195)   # around one and two blocks
+DIFFERENTIAL_SEEDS = (0, 7, 2**64 - 1)
+DIFFERENTIAL_PAYOFFS = ((3, 3, 5, 1), (1 / 3, math.e, 1e-300, 1e300))
+
+
+def differential_config(rounds, seed, payoffs):
+    return make_config(rounds=rounds, seed=seed, payoffs=payoffs,
+                       thetas=(10, 70), alpha=145.44, beta=59.38)
+
+
+@functools.cache
+def reference_draws(seed, payoffs):
+    """Per-round draws of the longest run; counters make shorter runs its prefixes."""
+    config = differential_config(max(DIFFERENTIAL_ROUNDS), seed, payoffs)
+    return reference.round_draws(config)
+
+
+@pytest.mark.parametrize("payoffs", DIFFERENTIAL_PAYOFFS)
+@pytest.mark.parametrize("seed", DIFFERENTIAL_SEEDS)
+@pytest.mark.parametrize("rounds", DIFFERENTIAL_ROUNDS)
+def test_block_kernel_matches_per_round_reference(rounds, seed, payoffs):
+    config = differential_config(rounds, seed, payoffs)
+    draws = reference_draws(seed, payoffs)[:rounds]
+    rows = list(reference.transcript_rows(draws))
+    assert list(transcript_rows(config)) == rows
+
+    expected, written = io.StringIO(), io.StringIO()
+    reference.write_transcript(rows, expected)
+    write_transcript(config, written)
+    assert written.getvalue() == expected.getvalue()
+
+    vector = np.array([draw.payoff_13 + draw.payoff_24 for draw in draws])
+    for i in sorted({0, rounds // 2, rounds - 1}):
+        assert sample_round(config, i) == vector[i]
+
+    with np.errstate(over="ignore"):   # squares of 1e300 deviations are inf on both sides
+        result = simulate(config)
+        std = float(np.std(vector, ddof=1)) if rounds > 1 else None
+    assert result.mean == pytest.approx(float(np.mean(vector)), rel=1e-13)
+    if std is None:
+        assert result.std_error is None
+    else:
+        assert result.std_error == pytest.approx(std / math.sqrt(rounds), rel=1e-13)
+
+
+def test_unreached_cells_leave_the_std_error_as_numpy_has_it():
+    # at the unit origin both players always draw 1 on the {1,3} pair, so
+    # most joint cells never occur; with 1e300 payoffs their squared
+    # deviations overflow, and 0 * inf must not turn the error into NaN
+    config = make_config(rounds=1000, seed=3, payoffs=(1e300,) * 4)
+    vector = [draw.payoff_13 + draw.payoff_24 for draw in reference.round_draws(config)]
+    with np.errstate(over="ignore"):
+        result = simulate(config)
+        std = float(np.std(vector, ddof=1))
+    assert result.mean == pytest.approx(float(np.mean(vector)), rel=1e-13)
+    assert result.std_error == std / math.sqrt(config.rounds) == math.inf
+
+
+def test_simulate_memory_does_not_grow_with_rounds():
+    def peak(rounds):
+        config = make_config(rounds=rounds, seed=11, payoffs=(3, 3, 5, 1),
+                             thetas=(10, 70), alpha=30.0, beta=40.0)
+        tracemalloc.start()
+        try:
+            simulate(config)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(2**14), peak(2**20)
+    assert large < 2 * 2**20
+    assert large - small < 2**20 / 2

@@ -1,8 +1,9 @@
 import math
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
@@ -440,6 +441,25 @@ def test_equilibrium_invariant_across_the_float_range(two_eq_instance):
         assert eqs[0].beta.degrees == pytest.approx(TWO_EQ_POINT[1], abs=1e-6)
         assert eqs[0].value == pytest.approx(lam * TWO_EQ_POINT[2], rel=1e-9)
         assert eqs[0].residual <= 1e-8 * scaled.scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(wide_payoffs, wide_payoffs, wide_payoffs, wide_payoffs, frame_angles, frame_angles,
+       st.integers(min_value=-1074, max_value=1023))
+def test_equilibria_invariant_under_power_of_two_scaling(a, b, c, d, ta, tb, k):
+    # scaling by 2^k is exact while every payoff stays normal, so the
+    # equilibria may move only by rounding inside the solve
+    lam = 2.0**k
+    scaled = (a * lam, b * lam, c * lam, d * lam)
+    assume(all(x >= sys.float_info.min for x in scaled) and math.isfinite(sum(scaled)))
+    frames = (MeasurementFrame(ta), MeasurementFrame(tb))
+    base = find_equilibria(PayoffMatrix(a, b, c, d), frames)
+    found = find_equilibria(PayoffMatrix(*scaled), frames)
+    assert len(found) == len(base)
+    for eq_b, eq_s in zip(base, found):
+        assert circle_dist(eq_s.alpha.degrees, eq_b.alpha.degrees) <= 1e-9
+        assert circle_dist(eq_s.beta.degrees, eq_b.beta.degrees) <= 1e-9
+        assert eq_s.value == pytest.approx(lam * eq_b.value, rel=1e-12)
 
 
 @settings(max_examples=100, deadline=None)
