@@ -55,6 +55,7 @@ from wisealice.solver import (
     best_response_alice,
     best_response_bob,
     find_equilibria,
+    find_equilibria_grid,
     grid_nash_audit,
     reaction_curve,
     verify_nash_quantum,
@@ -102,6 +103,7 @@ __all__ = [
     "expected_payoff",
     "find_distributivity_violation",
     "find_equilibria",
+    "find_equilibria_grid",
     "grid_nash_audit",
     "harmonic_coefficients",
     "harmonic_coefficients_in_beta",

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -23,7 +25,12 @@ from wisealice.lattice import (
 from wisealice.quantum import StrategyAngle
 from wisealice.scenario import Scenario, ScenarioError, load_scenario
 from wisealice.simulate import SimulationConfig, simulate, write_transcript
-from wisealice.solver import Equilibrium, find_equilibria, reaction_curve
+from wisealice.solver import (
+    Equilibrium,
+    find_equilibria,
+    find_equilibria_grid,
+    reaction_curve,
+)
 from wisealice.svg import render_curves_svg
 
 
@@ -206,8 +213,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     lo_a, hi_a = _parse_range(args.theta_a, "--theta-a")
     lo_b, hi_b = _parse_range(args.theta_b, "--theta-b")
     step = args.step
-    if step <= 0:
-        raise ScenarioError(f"--step must be positive, got {step}")
+    if not (math.isfinite(step) and step > 0):
+        raise ScenarioError(f"--step must be positive and finite, got {step}")
 
     def frange(lo: float, hi: float) -> list[float]:
         out = []
@@ -217,23 +224,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             k += 1
         return out
 
-    rows = []
-    from wisealice.quantum import MeasurementFrame
-
-    for ta in frange(lo_a, hi_a):
-        for tb in frange(lo_b, hi_b):
-            eqs = find_equilibria(
-                h,
-                (MeasurementFrame(ta), MeasurementFrame(tb)),
-                nash_tolerance=scenario.nash_tolerance,
-            )
-            best = max((eq.value for eq in eqs), default=float("nan"))
-            rows.append((ta, tb, len(eqs), best))
-
+    thetas_a, thetas_b = frange(lo_a, hi_a), frange(lo_b, hi_b)
+    cells = find_equilibria_grid(h, thetas_a, thetas_b,
+                                 nash_tolerance=scenario.nash_tolerance)
     lines = ["theta_a,theta_b,equilibrium_count,best_value_for_alice"]
-    for ta, tb, count, best in rows:
-        best_txt = "" if count == 0 else f"{best:.9g}"
-        lines.append(f"{ta:.6g},{tb:.6g},{count},{best_txt}")
+    for (ta, tb), eqs in zip(itertools.product(thetas_a, thetas_b), cells):
+        best_txt = f"{max(eq.value for eq in eqs):.9g}" if eqs else ""
+        lines.append(f"{ta:.6g},{tb:.6g},{len(eqs)},{best_txt}")
     _write_or_print("\n".join(lines) + "\n", args.out)
     return 0
 

@@ -19,8 +19,9 @@ The single-harmonic reductions K + U cos 2a + V sin 2a in either angle, the
 analytic best responses and the solver's root solve all derive from it.
 
 Angles are degrees at every interface and radians only inside the
-trigonometric kernels.  The kernels broadcast over numpy arrays so the
-solver can sweep thousands of angles at once.
+trigonometric kernels.  The kernels broadcast over numpy arrays, of
+strategy angles and of frame angles alike, so the solver can sweep
+thousands of angles over a whole grid of frames at once.
 """
 
 from __future__ import annotations
@@ -109,22 +110,33 @@ def quantum_payoff(h: PayoffMatrix, p: OutcomeWeights, q: OutcomeWeights) -> flo
     )
 
 
+# a MeasurementFrame, or frame angles in degrees already checked by one
+Frame = Union[MeasurementFrame, ArrayLike]
+
+
 def _degrees(angle: Union[StrategyAngle, ArrayLike]) -> ArrayLike:
     return getattr(angle, "degrees", angle)
 
 
+def _frame_degrees(frame: Frame) -> ArrayLike:
+    return getattr(frame, "theta_deg", frame)
+
+
 def payoff_kernel(
     h: PayoffMatrix,
-    frame_a: MeasurementFrame,
-    frame_b: MeasurementFrame,
+    frame_a: Frame,
+    frame_b: Frame,
     alpha_deg: ArrayLike,
     beta_deg: ArrayLike,
 ) -> ArrayLike:
-    """F(alpha, beta) for scalar or broadcastable array angles in degrees."""
+    """F(alpha, beta) for scalar or broadcastable array angles in degrees.
+
+    Frame angle arrays broadcast with the strategy angles.
+    """
     al = np.radians(alpha_deg)
     be = np.radians(beta_deg)
-    ta = math.radians(frame_a.theta_deg)
-    tb = math.radians(frame_b.theta_deg)
+    ta = np.radians(_frame_degrees(frame_a))
+    tb = np.radians(_frame_degrees(frame_b))
     return (
         h.a * np.cos(al) ** 2 * np.sin(be) ** 2
         + h.c * np.sin(al) ** 2 * np.cos(be) ** 2
@@ -151,46 +163,65 @@ def unit_vectors(phi: ArrayLike) -> np.ndarray:
     return np.stack([np.cos(phi), np.sin(phi)], axis=-1)
 
 
+def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """u . v over the last axis, broadcasting the others."""
+    return np.sum(u * v, axis=-1)
+
+
+def _mat_vec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """M v for stacks of 2x2 matrices and 2-vectors that broadcast."""
+    return np.sum(m * v[..., None, :], axis=-1)
+
+
+def _vec_mat(v: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """M^T v (the row vector v times M), broadcast like _mat_vec."""
+    return np.sum(v[..., :, None] * m, axis=-2)
+
+
 def bilinear_form(
-    h: PayoffMatrix, frame_a: MeasurementFrame, frame_b: MeasurementFrame
+    h: PayoffMatrix, frame_a: Frame, frame_b: Frame
 ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
     """(c0, g, k, M) with F = c0 + g.x + k.y + x^T M y.
 
     x = (cos 2alpha, sin 2alpha) and y = (cos 2beta, sin 2beta) are the
     players' strategies as unit vectors; every squared cosine or sine in F
-    is (1 +- x.e)/2 for the unit vector e of the corresponding basis.
+    is (1 +- x.e)/2 for the unit vector e of the corresponding basis.  For
+    arrays of frame angles, g, k and M gain their broadcast shape in front
+    of their (2,) and (2, 2) axes.
     """
     e1 = np.array([1.0, 0.0])
-    ea = unit_vectors(2.0 * math.radians(frame_a.theta_deg))
-    eb = unit_vectors(2.0 * math.radians(frame_b.theta_deg))
+    ea = unit_vectors(2.0 * np.radians(_frame_degrees(frame_a)))
+    eb = unit_vectors(2.0 * np.radians(_frame_degrees(frame_b)))
     c0 = (h.a + h.b + h.c + h.d) / 4.0
     g = (h.a - h.c) / 4.0 * e1 + (h.b - h.d) / 4.0 * ea
     k = (h.c - h.a) / 4.0 * e1 + (h.d - h.b) / 4.0 * eb
-    m = -(h.a + h.c) / 4.0 * e1[:, None] * e1 - (h.b + h.d) / 4.0 * ea[:, None] * eb
+    m = (-(h.a + h.c) / 4.0 * e1[:, None] * e1
+         - (h.b + h.d) / 4.0 * ea[..., :, None] * eb[..., None, :])
     return c0, g, k, m
 
 
 def harmonic_coefficients(
     h: PayoffMatrix,
-    frame_a: MeasurementFrame,
-    frame_b: MeasurementFrame,
+    frame_a: Frame,
+    frame_b: Frame,
     beta: Union[StrategyAngle, ArrayLike],
 ) -> tuple[ArrayLike, ArrayLike, ArrayLike]:
     """(K, U, V) with F(alpha, beta) = K + U cos 2alpha + V sin 2alpha.
 
     The view (c0 + k.y, g + M y) of the bilinear form; exact for every
-    alpha.  Accepts a scalar or an array of beta angles in degrees.
+    alpha.  Accepts a scalar or an array of beta angles in degrees, which
+    broadcasts with arrays of frame angles.
     """
     c0, g, k, m = bilinear_form(h, frame_a, frame_b)
     y = unit_vectors(2.0 * np.radians(_degrees(beta)))
-    u, v = np.moveaxis(g + y @ m.T, -1, 0)
-    return c0 + y @ k, u, v
+    u, v = np.moveaxis(g + _mat_vec(m, y), -1, 0)
+    return c0 + _dot(y, k), u, v
 
 
 def harmonic_coefficients_in_beta(
     h: PayoffMatrix,
-    frame_a: MeasurementFrame,
-    frame_b: MeasurementFrame,
+    frame_a: Frame,
+    frame_b: Frame,
     alpha: Union[StrategyAngle, ArrayLike],
 ) -> tuple[ArrayLike, ArrayLike, ArrayLike]:
     """(K, U, V) with F(alpha, beta) = K + U cos 2beta + V sin 2beta.
@@ -199,5 +230,5 @@ def harmonic_coefficients_in_beta(
     """
     c0, g, k, m = bilinear_form(h, frame_a, frame_b)
     x = unit_vectors(2.0 * np.radians(_degrees(alpha)))
-    u, v = np.moveaxis(k + x @ m, -1, 0)
-    return c0 + x @ g, u, v
+    u, v = np.moveaxis(k + _vec_mat(x, m), -1, 0)
+    return c0 + _dot(x, g), u, v

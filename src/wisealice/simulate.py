@@ -134,12 +134,14 @@ def simulate(config: SimulationConfig) -> SimulationResult:
     pay13, pay24 = (np.array([cell[2] for cell in pair])
                     for pair in _scoring_table(config.payoffs))
     values = (pay13[:, None] + pay24[None, :]).ravel()   # round payoff by joint code
-    seen = counts > 0   # an unreached cell must not add 0 * inf to the variance
-    counts, values = counts[seen], values[seen]
     n = config.rounds
     mean = float(counts @ values / n)
     if n > 1:
-        se = float(np.sqrt(counts @ (values - mean) ** 2 / (n - 1)) / np.sqrt(n))
+        # deviations in units of the total payoff: their squares can neither
+        # overflow nor underflow, whatever the payoff magnitude
+        scale = config.payoffs.scale
+        deviations = (values - mean) / scale
+        se = float(np.sqrt(counts @ deviations**2 / (n - 1)) / np.sqrt(n)) * scale
     else:
         se = None
     analytic = payoff_surface(

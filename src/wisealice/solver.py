@@ -14,7 +14,10 @@ a trigonometric polynomial of degree 4 in 2*alpha whose at most eight
 roots come from one companion matrix.  Squaring admits spurious roots, so
 each root is only a candidate: Bob's reply completes it, Newton steps on
 grad F = 0 polish it, and verification against the analytic unilateral
-optima decides.  Every returned equilibrium carries that residual
+optima decides.  A grid of frame pairs goes through in blocks, each step
+one array operation over the block: one stacked eigenvalue call for the
+roots and one broadcast verification.  Every returned equilibrium carries
+that residual
 
     max( max_l F(l, beta) - F(alpha, beta),  F(alpha, beta) - min_m F(alpha, m) )
 
@@ -25,15 +28,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal, NamedTuple
+from typing import Iterable, Literal, NamedTuple
 
 import numpy as np
 
 from wisealice.game import PayoffMatrix
 from wisealice.quantum import (
+    Frame,
     MeasurementFrame,
     OutcomeWeights,
     StrategyAngle,
+    _degrees,
+    _dot,
+    _mat_vec,
+    _vec_mat,
     bilinear_form,
     harmonic_coefficients,
     harmonic_coefficients_in_beta,
@@ -52,6 +60,9 @@ DEGENERACY_RATIO = 1e-12
 # verified candidates closer than this in both angles are one equilibrium:
 # near-tangent instances yield two roots of the quartic for one equilibrium
 MERGE_DISTANCE_DEG = 0.2
+# frame pairs solved per stacked call; a cell's result does not depend on
+# it, and it bounds the block's arrays to a few hundred KiB
+BLOCK_CELLS = 256
 
 
 class BestResponse(NamedTuple):
@@ -162,25 +173,27 @@ def reaction_curve(
 
 def verify_nash_quantum(
     h: PayoffMatrix,
-    frames: Frames,
-    alpha: StrategyAngle,
-    beta: StrategyAngle,
-) -> float:
+    frames: tuple[Frame, Frame],
+    alpha: StrategyAngle | np.ndarray,
+    beta: StrategyAngle | np.ndarray,
+) -> float | np.ndarray:
     """Worst unilateral improvement at (alpha, beta), from analytic optima.
 
     Zero (up to roundoff) exactly at Nash points; invariant under
-    180-degree shifts of either angle.
+    180-degree shifts of either angle.  The angles may also be arrays in
+    degrees and the frames arrays of frame angles in degrees, all
+    broadcasting together; a NaN angle gives a NaN residual.
     """
-    value = payoff_surface(h, frames[0], frames[1], alpha, beta)
+    value = payoff_kernel(h, frames[0], frames[1], _degrees(alpha), _degrees(beta))
     ka, ua, va = harmonic_coefficients(h, frames[0], frames[1], beta)
     kb, ub, vb = harmonic_coefficients_in_beta(h, frames[0], frames[1], alpha)
-    alice_gain = (ka + math.hypot(ua, va)) - value
-    bob_gain = value - (kb - math.hypot(ub, vb))
-    return max(alice_gain, bob_gain, 0.0)
+    alice_gain = (ka + np.hypot(ua, va)) - value
+    bob_gain = value - (kb - np.hypot(ub, vb))
+    return np.maximum(np.maximum(alice_gain, bob_gain), 0.0)
 
 
 def _make_equilibrium(
-    h: PayoffMatrix, frames: Frames, alpha_deg: float, beta_deg: float
+    h: PayoffMatrix, frames: Frames, alpha_deg: float, beta_deg: float, residual: float
 ) -> Equilibrium:
     alpha = StrategyAngle(alpha_deg)
     beta = StrategyAngle(beta_deg)
@@ -190,7 +203,7 @@ def _make_equilibrium(
         value=payoff_surface(h, frames[0], frames[1], alpha, beta),
         weights_a=outcome_weights(alpha, frames[0]),
         weights_b=outcome_weights(beta, frames[1]),
-        residual=verify_nash_quantum(h, frames, alpha, beta),
+        residual=residual,
     )
 
 
@@ -210,36 +223,71 @@ def _saddle_newton(g, k, m, phi, psi):
         for _ in range(3):
             x, x_turn = unit_vectors(phi), unit_vectors(phi + math.pi / 2)
             y, y_turn = unit_vectors(psi), unit_vectors(psi + math.pi / 2)
-            v = g + y @ m.T
-            w = k + x @ m
-            grad_a, grad_b = np.sum(x_turn * v, axis=-1), np.sum(y_turn * w, axis=-1)
-            h_aa, h_bb = -np.sum(x * v, axis=-1), -np.sum(y * w, axis=-1)
-            h_ab = np.sum(x_turn * (y_turn @ m.T), axis=-1)
+            v = g + _mat_vec(m, y)
+            w = k + _vec_mat(x, m)
+            grad_a, grad_b = _dot(x_turn, v), _dot(y_turn, w)
+            h_aa, h_bb = -_dot(x, v), -_dot(y, w)
+            h_ab = _dot(x_turn, _mat_vec(m, y_turn))
             det = h_aa * h_bb - h_ab**2
             phi = phi - (h_bb * grad_a - h_ab * grad_b) / det
             psi = psi - (h_aa * grad_b - h_ab * grad_a) / det
     return phi, psi
 
 
-def _candidates(h: PayoffMatrix, frames: Frames) -> tuple[np.ndarray, np.ndarray]:
-    """(alpha, beta) candidates in degrees from the fixed-point polynomial.
+def _polynomial_roots(rows: np.ndarray) -> np.ndarray:
+    """The roots np.roots finds for each row of coefficients, highest first.
 
-    Built from the form divided by the total payoff, so the coefficients
-    stay near one whatever the payoff magnitude.
+    As np.roots does, exact-zero leading coefficients lower the degree,
+    exact-zero trailing ones are roots at zero and an all-zero row has no
+    roots; NaN fills the places of the missing roots.  Rows with the same
+    zero pattern share one stacked eigenvalue call.
     """
-    _, g, k, m = (t / h.scale for t in bilinear_form(h, frames[0], frames[1]))
-    phi = np.arange(16) * (2.0 * math.pi / 16)
+    n, width = rows.shape
+    roots = np.full((n, width - 1), np.nan, dtype=complex)
+    nonzero = rows != 0
+    lead = np.where(nonzero.any(axis=1), np.argmax(nonzero, axis=1), width)
+    trail = np.argmax(nonzero[:, ::-1], axis=1)
+    for leading, trailing in set(zip(lead.tolist(), trail.tolist())):
+        degree = width - 1 - leading - trailing
+        if degree < 0:   # all zero
+            continue
+        same = (lead == leading) & (trail == trailing)
+        if degree > 0:
+            p = rows[same, leading:width - trailing]
+            companion = np.zeros((len(p), degree, degree), dtype=complex)
+            companion[:, 0, :] = -p[:, 1:] / p[:, :1]
+            companion[:, np.arange(1, degree), np.arange(degree - 1)] = 1.0
+            roots[same, :degree] = np.linalg.eigvals(companion)
+        roots[same, degree:degree + trailing] = 0.0
+    return roots
+
+
+_SAMPLES = np.arange(16) * (2.0 * math.pi / 16)
+# Fourier coefficients p_n, |n| <= 4, exact from the 16 samples, listed from
+# p_4 down to p_-4: z^4 P is then a degree-8 polynomial in z = e^{2i alpha}
+_DFT = np.exp(-1j * np.outer(np.arange(4, -5, -1), _SAMPLES)) / 16
+
+
+def _candidates(
+    h: PayoffMatrix, theta_a: np.ndarray, theta_b: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(alpha, beta) candidates in degrees, (n, 8), at n frame pairs.
+
+    NaN fills the places of roots a cell does not have.  Built from the form
+    divided by the total payoff, so the coefficients stay near one whatever
+    the payoff magnitude.
+    """
+    # g, k: (n, 1, 2) and M: (n, 1, 2, 2); axis 1 runs over samples or roots
+    _, g, k, m = (t / h.scale
+                  for t in bilinear_form(h, theta_a[:, None], theta_b[:, None]))
     # x_turn . u is x cross u: x_turn is x turned a quarter
-    x, x_turn = unit_vectors(phi), unit_vectors(phi + math.pi / 2)
-    w = k + x @ m
-    x_cross_mw = np.sum(x_turn * (w @ m.T), axis=1)
-    samples = np.sum(w * w, axis=1) * (x_turn @ g) ** 2 - x_cross_mw**2
-    # Fourier coefficients p_n, |n| <= 4, exact from 16 samples; z^4 P is a
-    # degree-8 polynomial in z = e^{2i alpha}, listed from p_4 down to p_-4
-    coefficients = np.exp(-1j * np.outer(np.arange(4, -5, -1), phi)) @ samples / 16
-    phi = np.angle(np.roots(coefficients))
-    w = k + unit_vectors(phi) @ m
-    psi = np.arctan2(-w[:, 1], -w[:, 0])
+    x, x_turn = unit_vectors(_SAMPLES), unit_vectors(_SAMPLES + math.pi / 2)
+    w = k + _vec_mat(x, m)
+    x_cross_mw = _dot(x_turn, _mat_vec(m, w))
+    samples = _dot(w, w) * _dot(x_turn, g) ** 2 - x_cross_mw**2
+    phi = np.angle(_polynomial_roots(_dot(samples[:, None, :], _DFT)))
+    w = k + _vec_mat(unit_vectors(phi), m)
+    psi = np.arctan2(-w[..., 1], -w[..., 0])
     # a root shared with the spurious factor |w| (x cross g) + x cross M w
     # keeps only half the digits, and a nearly indifferent Bob turns that
     # error into a wrong beta; Newton steps on the saddle restore both
@@ -248,6 +296,34 @@ def _candidates(h: PayoffMatrix, frames: Frames) -> tuple[np.ndarray, np.ndarray
     phi = np.where(ok, polished_phi, phi)
     psi = np.where(ok, polished_psi, psi)
     return (np.degrees(phi) / 2.0) % 180.0, (np.degrees(psi) / 2.0) % 180.0
+
+
+def _solve_block(
+    h: PayoffMatrix,
+    theta_a: np.ndarray,
+    theta_b: np.ndarray,
+    nash_tolerance: float | None,
+) -> list[list[Equilibrium]]:
+    """find_equilibria at the frame pairs (theta_a[i], theta_b[i]), in degrees."""
+    tol = nash_tolerance if nash_tolerance is not None else 1e-8 * h.scale
+    alpha, beta = _candidates(h, theta_a, theta_b)
+    residual = verify_nash_quantum(h, (theta_a[:, None], theta_b[:, None]), alpha, beta)
+    found = []
+    for cell, passed in enumerate(residual <= tol):
+        kept: list[int] = []
+        for slot in sorted(np.flatnonzero(passed), key=lambda s: residual[cell, s]):
+            if not any(
+                _circle_dist(alpha[cell, slot], alpha[cell, k]) < MERGE_DISTANCE_DEG
+                and _circle_dist(beta[cell, slot], beta[cell, k]) < MERGE_DISTANCE_DEG
+                for k in kept
+            ):
+                kept.append(slot)
+        frames = (MeasurementFrame(theta_a[cell]), MeasurementFrame(theta_b[cell]))
+        found.append(sorted(
+            (_make_equilibrium(h, frames, float(alpha[cell, s]), float(beta[cell, s]),
+                               float(residual[cell, s])) for s in kept),
+            key=lambda e: e.alpha.degrees))
+    return found
 
 
 def find_equilibria(
@@ -263,20 +339,35 @@ def find_equilibria(
     (default 1e-8 * total payoff) before it is reported, so spurious roots
     are never returned.  Of candidates within MERGE_DISTANCE_DEG of each
     other in both angles, the one with the smallest residual is kept.
+    This is find_equilibria_grid's block of one.
     """
-    tol = nash_tolerance if nash_tolerance is not None else 1e-8 * h.scale
-    candidates = (_make_equilibrium(h, frames, float(alpha), float(beta))
-                  for alpha, beta in zip(*_candidates(h, frames)))
-    merged: list[Equilibrium] = []
-    for eq in sorted((eq for eq in candidates if eq.residual <= tol),
-                     key=lambda e: e.residual):
-        if not any(
-            _circle_dist(eq.alpha.degrees, kept.alpha.degrees) < MERGE_DISTANCE_DEG
-            and _circle_dist(eq.beta.degrees, kept.beta.degrees) < MERGE_DISTANCE_DEG
-            for kept in merged
-        ):
-            merged.append(eq)
-    return sorted(merged, key=lambda e: e.alpha.degrees)
+    theta_a, theta_b = (np.array([frame.theta_deg]) for frame in frames)
+    return _solve_block(h, theta_a, theta_b, nash_tolerance)[0]
+
+
+def find_equilibria_grid(
+    h: PayoffMatrix,
+    thetas_a_deg: Iterable[float],
+    thetas_b_deg: Iterable[float],
+    nash_tolerance: float | None = None,
+) -> list[list[Equilibrium]]:
+    """find_equilibria at every pair of the frame angles, theta_a major.
+
+    Cell i * len(thetas_b_deg) + j holds the equilibria at frames
+    (thetas_a_deg[i], thetas_b_deg[j]).  Every angle must be a valid
+    MeasurementFrame.  Cells are solved BLOCK_CELLS at a time, and each
+    cell's result is what find_equilibria returns for it alone.
+    """
+    theta_a, theta_b = (
+        np.array([MeasurementFrame(float(t)).theta_deg for t in thetas], dtype=float)
+        for thetas in (thetas_a_deg, thetas_b_deg))
+    cells_a = np.repeat(theta_a, theta_b.size)
+    cells_b = np.tile(theta_b, theta_a.size)
+    found: list[list[Equilibrium]] = []
+    for start in range(0, cells_a.size, BLOCK_CELLS):
+        block = slice(start, start + BLOCK_CELLS)
+        found += _solve_block(h, cells_a[block], cells_b[block], nash_tolerance)
+    return found
 
 
 def grid_nash_audit(

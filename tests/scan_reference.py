@@ -17,7 +17,8 @@ import math
 import numpy as np
 
 from wisealice.game import PayoffMatrix
-from wisealice.solver import Equilibrium, Frames, _make_equilibrium
+from wisealice.quantum import StrategyAngle
+from wisealice.solver import Equilibrium, Frames, _make_equilibrium, verify_nash_quantum
 
 SCAN_RESOLUTION_DEG = 0.05
 REFINE_TOLERANCE_DEG = 1e-9
@@ -115,7 +116,8 @@ def scan_equilibria(h: PayoffMatrix, frames: Frames,
 
     betas = _bob_response(h, frames, np.asarray(candidates, dtype=float))
     verified = [
-        eq for eq in (_make_equilibrium(h, frames, float(a), float(b))
+        eq for eq in (_make_equilibrium(h, frames, float(a), float(b), float(
+                          verify_nash_quantum(h, frames, StrategyAngle(a), StrategyAngle(b))))
                       for a, b in zip(candidates, betas))
         if eq.residual <= tol
     ]

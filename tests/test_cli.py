@@ -230,6 +230,17 @@ def test_sweep_rejects_empty_range(scenario_dir, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("step", ["nan", "inf"])
+def test_sweep_rejects_a_non_finite_step(scenario_dir, tmp_path, step, capsys):
+    out = tmp_path / "sweep.csv"
+    code = main(["sweep", "--scenario", str(scenario_dir / "two_equilibria.txt"),
+                 "--theta-a", "10:30", "--theta-b", "20:70", "--step", step,
+                 "--out", str(out)])
+    assert code == 1
+    assert "finite" in one_line_error(capsys)
+    assert not out.exists()
+
+
 # --- simulate ----------------------------------------------------------------
 
 def test_simulate_byte_identical_reports(scenario_dir, tmp_path):

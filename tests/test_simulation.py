@@ -1,7 +1,9 @@
+import dataclasses
 import functools
 import io
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -193,9 +195,11 @@ def test_block_kernel_matches_per_round_reference(rounds, seed, payoffs):
     for i in sorted({0, rounds // 2, rounds - 1}):
         assert sample_round(config, i) == vector[i]
 
-    with np.errstate(over="ignore"):   # squares of 1e300 deviations are inf on both sides
-        result = simulate(config)
-        std = float(np.std(vector, ddof=1)) if rounds > 1 else None
+    result = simulate(config)
+    # numpy's std of the payoffs in units of their total, scaled back: the
+    # raw squares of 1e300 deviations would overflow
+    scale = config.payoffs.scale
+    std = float(np.std(vector / scale, ddof=1)) * scale if rounds > 1 else None
     assert result.mean == pytest.approx(float(np.mean(vector)), rel=1e-13)
     if std is None:
         assert result.std_error is None
@@ -205,15 +209,36 @@ def test_block_kernel_matches_per_round_reference(rounds, seed, payoffs):
 
 def test_unreached_cells_leave_the_std_error_as_numpy_has_it():
     # at the unit origin both players always draw 1 on the {1,3} pair, so
-    # most joint cells never occur; with 1e300 payoffs their squared
-    # deviations overflow, and 0 * inf must not turn the error into NaN
+    # most joint cells never occur; with 1e300 payoffs the error must still
+    # be numpy's std of the payoffs in units of their total, scaled back:
+    # finite, and no NaN from the cells no round reached
     config = make_config(rounds=1000, seed=3, payoffs=(1e300,) * 4)
-    vector = [draw.payoff_13 + draw.payoff_24 for draw in reference.round_draws(config)]
-    with np.errstate(over="ignore"):
+    vector = np.array([draw.payoff_13 + draw.payoff_24
+                       for draw in reference.round_draws(config)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         result = simulate(config)
-        std = float(np.std(vector, ddof=1))
+    scale = config.payoffs.scale
+    std = float(np.std(vector / scale, ddof=1)) * scale
     assert result.mean == pytest.approx(float(np.mean(vector)), rel=1e-13)
-    assert result.std_error == std / math.sqrt(config.rounds) == math.inf
+    assert math.isfinite(result.std_error)
+    assert result.std_error == pytest.approx(std / math.sqrt(config.rounds), rel=1e-13)
+
+
+@pytest.mark.parametrize("lam", [1e-300, 1e200, 1e300])
+def test_std_error_scales_with_the_payoffs(lam):
+    # deviations squared raw overflow above ~1e154 and underflow below
+    # ~1e-154; in units of the total payoff they do neither
+    config = make_config(rounds=10_000, seed=5, payoffs=(3, 3, 5, 1),
+                         thetas=(10, 70), alpha=30.0, beta=40.0)
+    base = simulate(config)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scaled = simulate(dataclasses.replace(config, payoffs=config.payoffs.scaled(lam)))
+    assert scaled.std_error == pytest.approx(lam * base.std_error, rel=1e-12)
+    # mean - analytic cancels about two digits, so the z-scores agree to
+    # roundoff times |mean / std error| ~ 100, not to the last bit
+    assert scaled.z_score() == pytest.approx(base.z_score(), rel=0.0, abs=1e-12)
 
 
 def test_simulate_memory_does_not_grow_with_rounds():
