@@ -135,7 +135,8 @@ def simulate(config: SimulationConfig) -> SimulationResult:
                     for pair in _scoring_table(config.payoffs))
     values = (pay13[:, None] + pay24[None, :]).ravel()   # round payoff by joint code
     n = config.rounds
-    mean = float(counts @ values / n)
+    # weights before values: the sum of counts times values overflows first
+    mean = float((counts / n) @ values)
     if n > 1:
         # deviations in units of the total payoff: their squares can neither
         # overflow nor underflow, whatever the payoff magnitude

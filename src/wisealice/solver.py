@@ -10,14 +10,18 @@ parallel to g + M y, so every equilibrium satisfies
 
     |w|^2 (x cross g)^2 = (x cross M w)^2
 
-a trigonometric polynomial of degree 4 in 2*alpha whose at most eight
-roots come from one companion matrix.  Squaring admits spurious roots, so
-each root is only a candidate: Bob's reply completes it, Newton steps on
-grad F = 0 polish it, and verification against the analytic unilateral
-optima decides.  A grid of frame pairs goes through in blocks, each step
-one array operation over the block: one stacked eigenvalue call for the
-roots and one broadcast verification.  Every returned equilibrium carries
-that residual
+a trigonometric polynomial of degree 4 in 2*alpha.  Times (1 + t^2)^4 it is
+a real polynomial of degree 8 in the half-angle t = tan alpha, whose at
+most eight roots come from one real companion matrix; a root at t = inf is
+alpha = 90.  Squaring admits spurious roots, so each root is only a
+candidate: Bob's reply completes it, Newton steps on grad F = 0 polish it,
+and verification against the analytic unilateral optima decides.  Where
+Bob is indifferent, w = 0, his reply -w/|w| is undefined, so the cusp
+x_c = -M^-T k joins the candidates, paired with each y that makes Alice
+reply x_c.  A grid of frame pairs goes through in blocks, each step one
+array operation over the block: one stacked eigenvalue call for the roots
+and one broadcast verification.  Every returned equilibrium carries that
+residual
 
     max( max_l F(l, beta) - F(alpha, beta),  F(alpha, beta) - min_m F(alpha, m) )
 
@@ -47,7 +51,7 @@ from wisealice.quantum import (
     harmonic_coefficients_in_beta,
     outcome_weights,
     payoff_kernel,
-    payoff_surface,
+    quantum_payoff,
     unit_vectors,
 )
 
@@ -197,14 +201,9 @@ def _make_equilibrium(
 ) -> Equilibrium:
     alpha = StrategyAngle(alpha_deg)
     beta = StrategyAngle(beta_deg)
-    return Equilibrium(
-        alpha=alpha,
-        beta=beta,
-        value=payoff_surface(h, frames[0], frames[1], alpha, beta),
-        weights_a=outcome_weights(alpha, frames[0]),
-        weights_b=outcome_weights(beta, frames[1]),
-        residual=residual,
-    )
+    p, q = outcome_weights(alpha, frames[0]), outcome_weights(beta, frames[1])
+    return Equilibrium(alpha=alpha, beta=beta, value=quantum_payoff(h, p, q),
+                       weights_a=p, weights_b=q, residual=residual)
 
 
 def _circle_dist(a: float, b: float) -> float:
@@ -234,13 +233,37 @@ def _saddle_newton(g, k, m, phi, psi):
     return phi, psi
 
 
+def _cusp(g, k, m) -> tuple[np.ndarray, np.ndarray]:
+    """(phi, psi) = (2 alpha, 2 beta) of the two cusp candidates, (n, 2) each.
+
+    Where Bob is indifferent, k + M^T x = 0, every beta is his reply, so the
+    quartic's root there has no reply -w/|w| to pair with.  That x is
+    x_c = -M^-T k, a strategy where it has unit length, and Alice replies
+    with it to the y where x_c cross (g + M y) = 0: a condition of degree
+    one in y, met by up to two y on the circle.
+    """
+    k0, k1 = k[..., 0], k[..., 1]
+    m00, m01, m10, m11 = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
+    # a singular M, or no y on the circle, leaves NaN candidates
+    with np.errstate(all="ignore"):
+        det = m00 * m11 - m01 * m10
+        phi = np.arctan2((k0 * m01 - k1 * m00) / det, (k1 * m10 - k0 * m11) / det)
+        # x_c cross M y = (M^T x_turn) . y = |r| cos(psi - angle of r)
+        x_turn = unit_vectors(phi + math.pi / 2)
+        r = _vec_mat(x_turn, m)
+        spread = np.arccos(-_dot(x_turn, g) / np.hypot(r[..., 0], r[..., 1]))
+    psi = np.arctan2(r[..., 1], r[..., 0]) + np.array([1.0, -1.0]) * spread
+    return np.broadcast_to(phi, psi.shape), psi
+
+
 def _polynomial_roots(rows: np.ndarray) -> np.ndarray:
     """The roots np.roots finds for each row of coefficients, highest first.
 
     As np.roots does, exact-zero leading coefficients lower the degree,
     exact-zero trailing ones are roots at zero and an all-zero row has no
     roots; NaN fills the places of the missing roots.  Rows with the same
-    zero pattern share one stacked eigenvalue call.
+    zero pattern share one stacked eigenvalue call on companion matrices of
+    the rows' dtype, so real rows take the real eigenvalue solver.
     """
     n, width = rows.shape
     roots = np.full((n, width - 1), np.nan, dtype=complex)
@@ -254,7 +277,7 @@ def _polynomial_roots(rows: np.ndarray) -> np.ndarray:
         same = (lead == leading) & (trail == trailing)
         if degree > 0:
             p = rows[same, leading:width - trailing]
-            companion = np.zeros((len(p), degree, degree), dtype=complex)
+            companion = np.zeros((len(p), degree, degree), dtype=rows.dtype)
             companion[:, 0, :] = -p[:, 1:] / p[:, :1]
             companion[:, np.arange(1, degree), np.arange(degree - 1)] = 1.0
             roots[same, :degree] = np.linalg.eigvals(companion)
@@ -262,20 +285,49 @@ def _polynomial_roots(rows: np.ndarray) -> np.ndarray:
     return roots
 
 
+def _cayley(a: int, b: int) -> list[complex]:
+    """Coefficients of (1 + i t)^a (1 - i t)^b, highest first (np.convolve
+    would cost every process ~0.3 MiB of peak RSS)."""
+    return [sum(math.comb(a, j) * math.comb(b, k - j) * 1j**j * (-1j)**(k - j)
+                for j in range(k + 1))
+            for k in range(a + b, -1, -1)]
+
+
 _SAMPLES = np.arange(16) * (2.0 * math.pi / 16)
-# Fourier coefficients p_n, |n| <= 4, exact from the 16 samples, listed from
-# p_4 down to p_-4: z^4 P is then a degree-8 polynomial in z = e^{2i alpha}
+# Fourier coefficients p_n, |n| <= 4, exact from the 16 samples, from p_4
+# down to p_-4.  With z = e^{2i alpha} = (1 + i t)/(1 - i t), t = tan alpha,
+# (1 + t^2)^4 z^n = (1 + i t)^(4+n) (1 - i t)^(4-n), so (1 + t^2)^4 P is a
+# degree-8 polynomial in t, real because p_-n is the conjugate of p_n; the
+# rows of _HALF_ANGLE take the 16 samples to its coefficients, highest first
 _DFT = np.exp(-1j * np.outer(np.arange(4, -5, -1), _SAMPLES)) / 16
+_CAYLEY = np.array([_cayley(4 + n, 4 - n) for n in range(4, -5, -1)])
+# not a matmul: a first BLAS call costs ~0.5 MiB of RSS
+_HALF_ANGLE = _dot(_CAYLEY.T[:, None, :], _DFT.T).real
+
+
+def _half_angle_roots(rows: np.ndarray) -> np.ndarray:
+    """2 alpha at the roots of each row's polynomial in t = tan alpha, (n, 8).
+
+    An exact-zero leading coefficient is a root at t = inf, 2 alpha = pi,
+    and takes the last place, which _polynomial_roots leaves NaN; NaN fills
+    the places of the other missing roots.
+    """
+    t = _polynomial_roots(rows)
+    with np.errstate(all="ignore"):
+        phi = np.angle((1 + 1j * t) / (1 - 1j * t))
+    phi[:, -1] = np.where(rows[:, 0] == 0, math.pi, phi[:, -1])
+    return phi
 
 
 def _candidates(
     h: PayoffMatrix, theta_a: np.ndarray, theta_b: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(alpha, beta) candidates in degrees, (n, 8), at n frame pairs.
+    """(alpha, beta) candidates in degrees, (n, 10), at n frame pairs.
 
-    NaN fills the places of roots a cell does not have.  Built from the form
-    divided by the total payoff, so the coefficients stay near one whatever
-    the payoff magnitude.
+    Eight are the roots of the fixed-point polynomial and two the cusp's;
+    NaN fills the places of candidates a cell does not have.  Built from the
+    form divided by the total payoff, so the coefficients stay near one
+    whatever the payoff magnitude.
     """
     # g, k: (n, 1, 2) and M: (n, 1, 2, 2); axis 1 runs over samples or roots
     _, g, k, m = (t / h.scale
@@ -285,7 +337,7 @@ def _candidates(
     w = k + _vec_mat(x, m)
     x_cross_mw = _dot(x_turn, _mat_vec(m, w))
     samples = _dot(w, w) * _dot(x_turn, g) ** 2 - x_cross_mw**2
-    phi = np.angle(_polynomial_roots(_dot(samples[:, None, :], _DFT)))
+    phi = _half_angle_roots(_dot(samples[:, None, :], _HALF_ANGLE))
     w = k + _vec_mat(unit_vectors(phi), m)
     psi = np.arctan2(-w[..., 1], -w[..., 0])
     # a root shared with the spurious factor |w| (x cross g) + x cross M w
@@ -293,8 +345,9 @@ def _candidates(
     # error into a wrong beta; Newton steps on the saddle restore both
     polished_phi, polished_psi = _saddle_newton(g, k, m, phi, psi)
     ok = np.isfinite(polished_phi) & np.isfinite(polished_psi)
-    phi = np.where(ok, polished_phi, phi)
-    psi = np.where(ok, polished_psi, psi)
+    cusp_phi, cusp_psi = _cusp(g, k, m)
+    phi = np.concatenate([np.where(ok, polished_phi, phi), cusp_phi], axis=1)
+    psi = np.concatenate([np.where(ok, polished_psi, psi), cusp_psi], axis=1)
     return (np.degrees(phi) / 2.0) % 180.0, (np.degrees(psi) / 2.0) % 180.0
 
 
@@ -308,10 +361,11 @@ def _solve_block(
     tol = nash_tolerance if nash_tolerance is not None else 1e-8 * h.scale
     alpha, beta = _candidates(h, theta_a, theta_b)
     residual = verify_nash_quantum(h, (theta_a[:, None], theta_b[:, None]), alpha, beta)
-    found = []
-    for cell, passed in enumerate(residual <= tol):
+    passed = residual <= tol
+    found: list[list[Equilibrium]] = [[] for _ in theta_a]
+    for cell in np.flatnonzero(passed.any(axis=1)):
         kept: list[int] = []
-        for slot in sorted(np.flatnonzero(passed), key=lambda s: residual[cell, s]):
+        for slot in sorted(np.flatnonzero(passed[cell]), key=lambda s: residual[cell, s]):
             if not any(
                 _circle_dist(alpha[cell, slot], alpha[cell, k]) < MERGE_DISTANCE_DEG
                 and _circle_dist(beta[cell, slot], beta[cell, k]) < MERGE_DISTANCE_DEG
@@ -319,10 +373,10 @@ def _solve_block(
             ):
                 kept.append(slot)
         frames = (MeasurementFrame(theta_a[cell]), MeasurementFrame(theta_b[cell]))
-        found.append(sorted(
+        found[cell] = sorted(
             (_make_equilibrium(h, frames, float(alpha[cell, s]), float(beta[cell, s]),
                                float(residual[cell, s])) for s in kept),
-            key=lambda e: e.alpha.degrees))
+            key=lambda e: e.alpha.degrees)
     return found
 
 
@@ -335,9 +389,10 @@ def find_equilibria(
 
     An empty list is a valid outcome.  Candidates are the roots of the
     fixed-point polynomial paired with Bob's best response and polished by
-    Newton steps; each one must pass verify_nash_quantum at nash_tolerance
-    (default 1e-8 * total payoff) before it is reported, so spurious roots
-    are never returned.  Of candidates within MERGE_DISTANCE_DEG of each
+    Newton steps, and the point where Bob is indifferent paired with the
+    angles at which it is Alice's best response; each one must pass
+    verify_nash_quantum at nash_tolerance (default 1e-8 * total payoff)
+    before it is reported, so spurious roots are never returned.  Of candidates within MERGE_DISTANCE_DEG of each
     other in both angles, the one with the smallest residual is kept.
     This is find_equilibria_grid's block of one.
     """

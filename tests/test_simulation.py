@@ -225,10 +225,12 @@ def test_unreached_cells_leave_the_std_error_as_numpy_has_it():
     assert result.std_error == pytest.approx(std / math.sqrt(config.rounds), rel=1e-13)
 
 
-@pytest.mark.parametrize("lam", [1e-300, 1e200, 1e300])
+@pytest.mark.parametrize("lam", [1e-300, 1e200, 1e300, 1.4e307])
 def test_std_error_scales_with_the_payoffs(lam):
     # deviations squared raw overflow above ~1e154 and underflow below
-    # ~1e-154; in units of the total payoff they do neither
+    # ~1e-154; in units of the total payoff they do neither.  At 1.4e307
+    # the total payoff is 1.68e308, and summing counts times values before
+    # dividing by the rounds would overflow the mean
     config = make_config(rounds=10_000, seed=5, payoffs=(3, 3, 5, 1),
                          thetas=(10, 70), alpha=30.0, beta=40.0)
     base = simulate(config)

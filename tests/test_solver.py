@@ -17,7 +17,10 @@ from wisealice.quantum import (
 )
 from wisealice.scenario import load_scenario
 from wisealice.solver import (
+    _HALF_ANGLE,
+    _SAMPLES,
     BLOCK_CELLS,
+    _half_angle_roots,
     _polynomial_roots,
     best_response_alice,
     best_response_bob,
@@ -348,6 +351,61 @@ def test_steep_crossing_is_not_mistaken_for_a_wrap():
     assert eqs[0].residual <= 1e-8 * h.scale
 
 
+# --- the cusp: Bob indifferent ------------------------------------------------
+
+# (payoffs, frames, equilibria as (alpha, beta, value)), the first at the
+# cusp: there k + M^T x = 0, so every beta is Bob's reply and the quartic's
+# root has no reply -w/|w| to pair with; x_c = -M^-T k has unit length
+CUSP_INSTANCES = [
+    ((1, 3, 1, 1), (15, 60), [(135.0, 69.8960906, 1.25)]),
+    # Alice's condition touches the circle at beta = 95: a double root
+    ((1, 1, 3, 3), (60, 10), [(30.0, 95.0, 1.5)]),
+    ((5, 1, 5, 3), (75, 15), [(45.0, 135.0, 3.25), (148.8978862, 135.0, 3.25)]),
+]
+CUSP_THETAS = [15.0, 30.0, 45.0, 60.0, 75.0]
+
+
+def bob_amplitude(h, frames, alpha: float) -> float:
+    """max - min of F(alpha, .) over the 0.01-degree grid, from the trig form."""
+    return float(np.ptp(payoff_kernel(h, frames[0], frames[1], alpha, GRID_001)))
+
+
+@pytest.mark.parametrize("payoffs, thetas, expected", CUSP_INSTANCES)
+def test_equilibria_where_bob_is_indifferent(payoffs, thetas, expected):
+    h = PayoffMatrix(*payoffs)
+    frames = (MeasurementFrame(thetas[0]), MeasurementFrame(thetas[1]))
+    # the oracle, without the root solve: no unilateral deviation on the
+    # 0.01-degree grid gains at the expected points, Bob's payoff is flat
+    # at the cusp, and the independent grid audit counts as many clusters
+    for alpha, beta, value in expected:
+        assert brute_force_gain(h, frames, alpha, beta) <= 1e-12 * h.scale
+        assert payoff_kernel(h, *frames, alpha, beta) == pytest.approx(value, rel=1e-12)
+    assert bob_amplitude(h, frames, expected[0][0]) <= 1e-12 * h.scale
+    assert grid_cluster_count(grid_nash_audit(h, frames)) == len(expected)
+
+    found = find_equilibria(h, frames)
+    assert len(found) == len(expected)
+    for eq, (alpha, beta, value) in zip(found, expected):
+        # the double root's beta keeps half the digits of its angle
+        assert circle_dist(eq.alpha.degrees, alpha) <= 1e-5
+        assert circle_dist(eq.beta.degrees, beta) <= 1e-5
+        assert eq.value == pytest.approx(value, rel=1e-12)
+        assert eq.residual <= 1e-14 * h.scale
+
+
+@pytest.mark.parametrize("payoffs", [payoffs for payoffs, _, _ in CUSP_INSTANCES])
+def test_grid_cells_match_find_equilibria_alone_at_cusps(payoffs):
+    # random frames never land on a cusp; multiples of 15 degrees do, in
+    # whole rows or columns of the grid for these payoffs
+    h = PayoffMatrix(*payoffs)
+    grid = find_equilibria_grid(h, CUSP_THETAS, CUSP_THETAS)
+    assert_grid_matches_alone(h, grid, CUSP_THETAS, CUSP_THETAS)
+    frames = [(MeasurementFrame(ta), MeasurementFrame(tb))
+              for ta in CUSP_THETAS for tb in CUSP_THETAS]
+    assert any(bob_amplitude(h, cell_frames, eq.alpha.degrees) <= 1e-12 * h.scale
+               for cell_frames, found in zip(frames, grid) for eq in found)
+
+
 # --- differential check against the sampled scan ------------------------------
 
 wide_payoffs = st.floats(min_value=-4.0, max_value=4.0).map(math.exp)
@@ -503,23 +561,52 @@ def test_harmonic_views_match_half_angle_formulas(a, b, c, d, ta, tb, angle):
 def test_polynomial_roots_match_np_roots_on_every_zero_pattern():
     # no payoffs and frames gave an exact-zero coefficient (searched over the
     # 0.5-degree frame grid for six payoff patterns), so the companion step
-    # is driven directly, with all patterns stacked in one call
+    # is driven directly, with all patterns stacked in one call; the solver
+    # sends real rows, and complex ones must work as well
     rng = np.random.default_rng(8)
-    rows = rng.normal(size=(10, 9)) + 1j * rng.normal(size=(10, 9))
-    rows[1, 0] = 0          # a leading zero lowers the degree
-    rows[2, :3] = 0
-    rows[3, -1] = 0         # a trailing zero is a root at zero
-    rows[4, [0, -2, -1]] = 0
-    rows[5] = 0             # all zero: no roots at all
-    rows[6, :-1] = 0        # a constant: no roots
-    rows[7, 1:] = 0         # z^8: eight roots at zero
-    rows[8, 3:6] = 0        # interior zeros are ordinary coefficients
-    roots = _polynomial_roots(rows)
-    assert roots.shape == (10, 8)
-    for row, found in zip(rows, roots):
-        expected = np.roots(row)
-        assert np.array_equal(found[:expected.size], expected)
-        assert np.isnan(found[expected.size:]).all()
+    real = rng.normal(size=(10, 9))
+    for rows in (real, real + 1j * rng.normal(size=(10, 9))):
+        rows[1, 0] = 0          # a leading zero lowers the degree
+        rows[2, :3] = 0
+        rows[3, -1] = 0         # a trailing zero is a root at zero
+        rows[4, [0, -2, -1]] = 0
+        rows[5] = 0             # all zero: no roots at all
+        rows[6, :-1] = 0        # a constant: no roots
+        rows[7, 1:] = 0         # z^8: eight roots at zero
+        rows[8, 3:6] = 0        # interior zeros are ordinary coefficients
+        roots = _polynomial_roots(rows)
+        assert roots.shape == (10, 8)
+        for row, found in zip(rows, roots):
+            expected = np.roots(row)
+            assert np.array_equal(found[:expected.size], expected)
+            assert np.isnan(found[expected.size:]).all()
+
+
+def test_half_angle_map_recovers_the_roots_of_a_trigonometric_quartic():
+    # the product of sin(phi - phi_j) over four phi_j is of degree 4 in phi
+    # and vanishes at phi_j and phi_j + pi.  phi_j = pi puts a root at
+    # alpha = 90, where t = tan alpha is infinite: the leading coefficient
+    # is then roundoff, and the other roots keep about ten digits, which
+    # the solver's Newton steps restore
+    for phis, tol in (([0.3, 1.1, 2.0, 2.9], 1e-9), ([math.pi, 0.4, 1.7, 2.5], 1e-4)):
+        samples = np.prod(np.sin(_SAMPLES[:, None] - np.array(phis)), axis=-1)
+        found = np.degrees(_half_angle_roots(samples[None, :] @ _HALF_ANGLE.T)[0]) / 2
+        for phi in phis:
+            for alpha in (math.degrees(phi) / 2, math.degrees(phi) / 2 + 90.0):
+                assert min(circle_dist(alpha, a) for a in found) <= tol
+
+
+def test_exact_zero_leading_coefficient_is_a_root_at_alpha_90():
+    # the degree drops by a root at t = inf, which the map must keep; a
+    # constant and an all-zero row vanish there too, and have no other root
+    alphas = np.array([5.0, 25.0, 50.0, 100.0, 120.0, 150.0, 170.0])
+    rows = np.zeros((3, 9))
+    rows[0, 1:] = np.poly(np.tan(np.radians(alphas)))
+    rows[1, -1] = 1.0
+    found = np.degrees(_half_angle_roots(rows)) / 2 % 180
+    assert np.allclose(np.sort(found[0]), np.sort([*alphas, 90.0]), atol=1e-9)
+    for constant in found[1:]:
+        assert constant[-1] == 90.0 and np.isnan(constant[:-1]).all()
 
 
 GRID_SHAPES = {1: (1, 1), 255: (15, 17), 256: (16, 16), 257: (1, 257), 600: (24, 25)}
@@ -530,6 +617,18 @@ def grid_thetas(count: int, rng) -> np.ndarray:
     thetas = rng.uniform(0.01, 89.99, count)
     thetas[rng.integers(count)] = 45.0
     return thetas
+
+
+def assert_grid_matches_alone(h, grid, thetas_a, thetas_b):
+    """Each grid cell holds what find_equilibria returns for its frames alone."""
+    for found, (ta, tb) in zip(grid, ((ta, tb) for ta in thetas_a for tb in thetas_b)):
+        alone = find_equilibria(h, (MeasurementFrame(ta), MeasurementFrame(tb)))
+        assert len(found) == len(alone)
+        for eq_grid, eq_alone in zip(found, alone):
+            assert circle_dist(eq_grid.alpha.degrees, eq_alone.alpha.degrees) <= 1e-9
+            assert circle_dist(eq_grid.beta.degrees, eq_alone.beta.degrees) <= 1e-9
+            assert eq_grid.value == eq_alone.value
+            assert eq_grid.residual == eq_alone.residual
 
 
 @pytest.mark.parametrize("cells", sorted(GRID_SHAPES))
@@ -546,14 +645,7 @@ def test_grid_cells_match_find_equilibria_alone(cells, payoffs):
     grid = find_equilibria_grid(h, thetas_a, thetas_b)
     assert len(grid) == cells
     assert BLOCK_CELLS == 256
-    for found, (ta, tb) in zip(grid, ((ta, tb) for ta in thetas_a for tb in thetas_b)):
-        alone = find_equilibria(h, (MeasurementFrame(ta), MeasurementFrame(tb)))
-        assert len(found) == len(alone)
-        for eq_grid, eq_alone in zip(found, alone):
-            assert circle_dist(eq_grid.alpha.degrees, eq_alone.alpha.degrees) <= 1e-9
-            assert circle_dist(eq_grid.beta.degrees, eq_alone.beta.degrees) <= 1e-9
-            assert eq_grid.value == eq_alone.value
-            assert eq_grid.residual == eq_alone.residual
+    assert_grid_matches_alone(h, grid, thetas_a, thetas_b)
     if payoffs[0] == payoffs[2] and payoffs[1] == payoffs[3]:
         assert grid == [[]] * cells
     elif cells > 1:
