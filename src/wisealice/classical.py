@@ -1,14 +1,21 @@
 """Classical mixed-strategy baseline for the 4x4 zero-sum game.
 
-The solver enumerates equal-size support pairs (69 in total for a 4x4
-matrix), solves the indifference equations on each candidate support
-directly, and keeps the feasible profiles.  Exact at this size and
-dependency-free, so it doubles as its own oracle.
+Row j pays h_j only in the column opposite to it, so the matrix is
+diagonal up to a column permutation and the game solves in closed form.
+Against x, Bob's best column leaves Alice min_j x_j h_j; against y,
+Alice's best row earns max_j h_j y_opp(j).  Both equal the value v only
+when every term equals v, so the equilibrium is unique:
+
+    v = 1 / sum_j 1/h_j,   x_j = v / h_j,   y_opp(j) = x_j.
+
+The weights are computed relative to the smallest payoff, so no ratio
+overflows, subnormal payoffs work, and scaling the payoffs by a power of
+two leaves x and y bitwise unchanged.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -28,7 +35,11 @@ class MixedProfile:
     value: float
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.value):
+            raise ValueError(f"value must be finite, got {self.value}")
         for name, vec in (("x", self.x), ("y", self.y)):
+            if not all(math.isfinite(v) for v in vec):
+                raise ValueError(f"{name} must have finite entries, got {vec}")
             if len(vec) != 4 or min(vec) < -_SIMPLEX_TOL:
                 raise ValueError(f"{name} must be a nonnegative 4-vector")
             if abs(sum(vec) - 1.0) > _SIMPLEX_TOL:
@@ -47,89 +58,22 @@ def expected_payoff(
     for name, v in (("x", xv), ("y", yv)):
         if v.shape != (4,):
             raise ValueError(f"{name} must have 4 entries")
+        if not np.isfinite(v).all():
+            raise ValueError(f"{name} must have finite entries")
         if v.min() < -tol or abs(v.sum() - 1.0) > tol:
             raise ValueError(f"{name} is not on the probability simplex")
     return float(xv @ h.as_array() @ yv)
 
 
-def _support_solution(
-    arr: np.ndarray, rows: tuple[int, ...], cols: tuple[int, ...]
-) -> tuple[np.ndarray, np.ndarray, float] | None:
-    """Solve the indifference equations on one support pair, or None.
-
-    Unknowns are Alice's weights on ``rows`` plus the value v, constrained
-    so every column in ``cols`` earns exactly v; symmetrically for Bob.
-    """
-    k = len(rows)
-    ax = np.zeros((k + 1, k + 1))
-    bx = np.zeros(k + 1)
-    for i, col in enumerate(cols):
-        ax[i, :k] = arr[rows, col]
-        ax[i, k] = -1.0
-    ax[k, :k] = 1.0
-    bx[k] = 1.0
-
-    ay = np.zeros((k + 1, k + 1))
-    by = np.zeros(k + 1)
-    for i, row in enumerate(rows):
-        ay[i, :k] = arr[row, cols]
-        ay[i, k] = -1.0
-    ay[k, :k] = 1.0
-    by[k] = 1.0
-
-    try:
-        solx = np.linalg.solve(ax, bx)
-        soly = np.linalg.solve(ay, by)
-    except np.linalg.LinAlgError:
-        return None
-    if abs(solx[k] - soly[k]) > 1e-9 * (1.0 + abs(solx[k])):
-        return None
-
-    x = np.zeros(4)
-    y = np.zeros(4)
-    x[list(rows)] = solx[:k]
-    y[list(cols)] = soly[:k]
-    return x, y, float(solx[k])
-
-
 def solve_zero_sum(h: PayoffMatrix) -> MixedProfile:
-    """Optimal mixed strategies and game value by support enumeration.
-
-    Among all feasible equilibria the one with lexicographically smallest
-    (row support, column support) is returned, which makes ties (e.g. the
-    all-ones matrix) deterministic.
-    """
-    arr = h.as_array()
-    slack = 1e-9 * h.scale
-    feasible: list[tuple[tuple[int, ...], tuple[int, ...], np.ndarray, np.ndarray, float]] = []
-
-    for k in range(1, 5):
-        for rows in itertools.combinations(range(4), k):
-            for cols in itertools.combinations(range(4), k):
-                sol = _support_solution(arr, rows, cols)
-                if sol is None:
-                    continue
-                x, y, value = sol
-                if x.min() < -slack or y.min() < -slack:
-                    continue
-                # no unplayed column may pay Bob less than the value,
-                # no unplayed row may pay Alice more
-                col_payoffs = x @ arr
-                row_payoffs = arr @ y
-                if col_payoffs.min() < value - slack:
-                    continue
-                if row_payoffs.max() > value + slack:
-                    continue
-                feasible.append((rows, cols, x, y, value))
-
-    if not feasible:
-        raise RuntimeError("support enumeration found no equilibrium")
-    rows, cols, x, y, value = min(feasible, key=lambda f: (f[0], f[1]))
-    x = np.clip(x, 0.0, None)
-    y = np.clip(y, 0.0, None)
-    x /= x.sum()
-    y /= y.sum()
-    return MixedProfile(tuple(x), tuple(y), value)
+    """The unique equilibrium: catch probabilities x_j h_j all equal the value."""
+    payoffs = (h.a, h.b, h.c, h.d)
+    low = min(payoffs)
+    ratios = [low / p for p in payoffs]       # in [0, 1], the smallest payoff's is 1
+    total = math.fsum(ratios)                 # in [1, 4]
+    x = tuple(r / total for r in ratios)
+    # the column opposite row j is j + 2 (mod 4)
+    return MixedProfile(x, x[2:] + x[:2], low / total)
 
 
 def verify_nash_classical(

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import itertools
 import json
 import math
@@ -34,26 +35,18 @@ from wisealice.solver import (
 from wisealice.svg import render_curves_svg
 
 
+# Largest frame grid `sweep` will solve.  A cell costs about 70 us and
+# 0.6 KiB (measured up to 285,156 cells on a 2-vCPU host), so the cap
+# holds one sweep near 70 s and 0.6 GiB.
+MAX_SWEEP_CELLS = 1_000_000
+
+
 def _fmt(value: float) -> str:
     return f"{value:.6g}"
 
 
 def _fmt_angle(value: float) -> str:
     return f"{value:.6f}".rstrip("0").rstrip(".")
-
-
-def _scenario_dict(s: Scenario) -> dict:
-    return {
-        "a": s.a,
-        "b": s.b,
-        "c": s.c,
-        "d": s.d,
-        "theta_a_deg": s.theta_a_deg,
-        "theta_b_deg": s.theta_b_deg,
-        "nash_tolerance": s.nash_tolerance,
-        "rounds": s.rounds,
-        "seed": s.seed,
-    }
 
 
 def _equilibrium_dict(eq: Equilibrium) -> dict:
@@ -64,6 +57,14 @@ def _equilibrium_dict(eq: Equilibrium) -> dict:
         "p": list(eq.weights_a.as_tuple()),
         "q": list(eq.weights_b.as_tuple()),
         "residual": eq.residual,
+    }
+
+
+def _quantum_report(equilibria: list[Equilibrium]) -> dict:
+    return {
+        "quantum": [_equilibrium_dict(eq) for eq in equilibria],
+        "equilibrium_count": len(equilibria),
+        "status": "equilibria_found" if equilibria else "no_equilibrium",
     }
 
 
@@ -90,7 +91,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     equilibria = _solve(scenario)
 
     report = {
-        "scenario": _scenario_dict(scenario),
+        "scenario": dataclasses.asdict(scenario),
         "classical": {
             "maxmin": pure.maxmin,
             "minmax": pure.minmax,
@@ -99,9 +100,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             "x": list(mixed.x),
             "y": list(mixed.y),
         },
-        "quantum": [_equilibrium_dict(eq) for eq in equilibria],
-        "equilibrium_count": len(equilibria),
-        "status": "equilibria_found" if equilibria else "no_equilibrium",
+        **_quantum_report(equilibria),
     }
     if args.format == "json":
         _write_or_print(json.dumps(report, indent=2) + "\n", args.out)
@@ -139,12 +138,8 @@ def cmd_equilibria(args: argparse.Namespace) -> int:
     scenario = _load(args)
     equilibria = _solve(scenario)
     if args.format == "json":
-        report = {
-            "scenario": _scenario_dict(scenario),
-            "quantum": [_equilibrium_dict(eq) for eq in equilibria],
-            "equilibrium_count": len(equilibria),
-            "status": "equilibria_found" if equilibria else "no_equilibrium",
-        }
+        report = {"scenario": dataclasses.asdict(scenario),
+                  **_quantum_report(equilibria)}
         _write_or_print(json.dumps(report, indent=2) + "\n", args.out)
         return 0
     if not equilibria:
@@ -207,6 +202,25 @@ def _parse_range(spec: str, name: str) -> tuple[float, float]:
     return lo, hi
 
 
+def _axis_length(lo: float, hi: float, step: float) -> int | float:
+    """How many of lo, lo + step, lo + 2*step, ... are <= hi + 1e-12.
+
+    The quotient gives the count to within a few steps, and the test
+    itself settles it, so no list is built.  A count above the cell cap
+    comes back as the uncorrected float.
+    """
+    top = hi + 1e-12
+    estimate = (top - lo) / step
+    if estimate >= MAX_SWEEP_CELLS:
+        return estimate + 1
+    k = int(estimate)
+    while lo + (k + 1) * step <= top:
+        k += 1
+    while k > 0 and lo + k * step > top:
+        k -= 1
+    return k + 1
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
     scenario = _load(args)
     h = scenario.payoff_matrix()
@@ -216,15 +230,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if not (math.isfinite(step) and step > 0):
         raise ScenarioError(f"--step must be positive and finite, got {step}")
 
-    def frange(lo: float, hi: float) -> list[float]:
-        out = []
-        k = 0
-        while lo + k * step <= hi + 1e-12:
-            out.append(round(lo + k * step, 10))
-            k += 1
-        return out
-
-    thetas_a, thetas_b = frange(lo_a, hi_a), frange(lo_b, hi_b)
+    n_a, n_b = _axis_length(lo_a, hi_a, step), _axis_length(lo_b, hi_b, step)
+    if n_a * n_b > MAX_SWEEP_CELLS:
+        raise ScenarioError(
+            f"--step {step} gives too many grid cells ({n_a * n_b:.4g}); "
+            f"at most {MAX_SWEEP_CELLS} are allowed"
+        )
+    thetas_a = [round(lo_a + k * step, 10) for k in range(n_a)]
+    thetas_b = [round(lo_b + k * step, 10) for k in range(n_b)]
     cells = find_equilibria_grid(h, thetas_a, thetas_b,
                                  nash_tolerance=scenario.nash_tolerance)
     lines = ["theta_a,theta_b,equilibrium_count,best_value_for_alice"]
@@ -329,13 +342,9 @@ def cmd_lattice_check(args: argparse.Namespace) -> int:
 
 
 def _load(args: argparse.Namespace) -> Scenario:
-    scenario = load_scenario(args.scenario)
-    overrides = {}
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
-    if getattr(args, "rounds", None) is not None:
-        overrides["rounds"] = args.rounds
-    return scenario.with_overrides(**overrides)
+    return load_scenario(args.scenario).with_overrides(
+        seed=getattr(args, "seed", None), rounds=getattr(args, "rounds", None)
+    )
 
 
 def _add_common(

@@ -3,8 +3,7 @@
 Recognized keys: a, b, c, d, theta_a_deg, theta_b_deg, nash_tolerance,
 rounds, seed.  Lines starting with '#' (or blank) are ignored; values
 follow an '=' sign.  Solver and simulation settings fall back to defaults
-when omitted.  The key scan_resolution_deg is accepted and has no effect:
-the equilibrium search has no scan step.
+when omitted.  Any other key is an error.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ DEFAULT_SEED = 1
 _REQUIRED = ("a", "b", "c", "d", "theta_a_deg", "theta_b_deg")
 _FLOAT_KEYS = _REQUIRED + ("nash_tolerance",)
 _INT_KEYS = ("rounds", "seed")
-_IGNORED_KEYS = ("scan_resolution_deg",)
 
 
 class ScenarioError(ValueError):
@@ -102,7 +100,7 @@ def load_scenario(path: str | Path) -> Scenario:
                 raise ScenarioError(
                     f"{path}:{lineno}: field {key} needs an integer, got {value!r}"
                 ) from exc
-        elif key not in _IGNORED_KEYS:
+        else:
             raise ScenarioError(f"{path}:{lineno}: unknown field {key!r}")
 
     missing = [k for k in _REQUIRED if k not in values]

@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,13 +19,46 @@ UNIFORM = (0.25, 0.25, 0.25, 0.25)
 
 positive_payoff = st.floats(min_value=0.1, max_value=10.0,
                             allow_nan=False, allow_infinity=False)
+# payoffs from e^-30 to e^30, a ratio of up to 1e26 between any two
+wide_payoff = st.floats(min_value=-30.0, max_value=30.0).map(math.exp)
+# 2^k times a wide payoff stays a normal float
+power_of_two = st.integers(min_value=-950, max_value=950)
+
+# wide payoff ratios and subnormal payoffs
+EXTREME_PAYOFFS = [(1e9, 1, 1, 1), (1e5, 1e-5, 1, 1), (1e-310,) * 4]
+
+
+def exact_solution(h: PayoffMatrix) -> tuple[Fraction, list[Fraction], list[Fraction]]:
+    """Value and both strategies in rational arithmetic.
+
+    v = 1 / sum 1/h_j, x_j = v / h_j, and Bob's weight on the column
+    opposite row j is x_j.
+    """
+    payoffs = [Fraction(p) for p in (h.a, h.b, h.c, h.d)]
+    value = 1 / sum(1 / p for p in payoffs)
+    x = [value / p for p in payoffs]
+    return value, x, x[2:] + x[:2]
+
+
+def assert_within_ulps(got: float, exact: Fraction, ulps: int = 4) -> None:
+    nearest = float(exact)
+    assert abs(Fraction(got) - exact) <= ulps * Fraction(math.ulp(nearest)), (
+        got, nearest)
+
+
+def assert_exact_to_ulps(h: PayoffMatrix) -> None:
+    profile = solve_zero_sum(h)
+    value, x, y = exact_solution(h)
+    assert_within_ulps(profile.value, value)
+    for got, want in zip(profile.x + profile.y, x + y):
+        assert_within_ulps(got, want)
 
 
 def lp_oracle_value(h: PayoffMatrix) -> float:
     """Game value via the standard minimax LP, solved with scipy.
 
     Maximize v s.t. sum_j x_j h[j][k] >= v for every column k, x on the
-    simplex; independent of the support-enumeration path.
+    simplex; independent of the closed form.
     """
     from scipy.optimize import linprog
 
@@ -48,6 +84,25 @@ def test_expected_payoff_pure_strategies():
     h = PayoffMatrix(3, 3, 5, 1)
     assert expected_payoff(h, E[0], E[2]) == pytest.approx(3.0)   # h[1][3] = a
     assert expected_payoff(h, E[0], E[0]) == 0.0
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_expected_payoff_rejects_non_finite(bad):
+    h = PayoffMatrix(1, 1, 1, 1)
+    with pytest.raises(ValueError, match="finite"):
+        expected_payoff(h, (bad,) * 4, UNIFORM)
+    with pytest.raises(ValueError, match="finite"):
+        expected_payoff(h, UNIFORM, (bad, 0.0, 0.0, 1.0))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_mixed_profile_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="finite"):
+        MixedProfile((bad,) * 4, (bad,) * 4, bad)
+    with pytest.raises(ValueError, match="finite"):
+        MixedProfile((bad, 0.0, 0.0, 1.0), UNIFORM, 0.25)
+    with pytest.raises(ValueError, match="finite"):
+        MixedProfile(UNIFORM, UNIFORM, bad)
 
 
 def test_expected_payoff_rejects_off_simplex():
@@ -76,10 +131,38 @@ def test_reference_matrix_value_matches_lp_oracle():
 def test_catch_probabilities_equalize_columns():
     # at the optimum every question is caught with the same probability:
     # x_j * payoff_j is constant
-    h = PayoffMatrix(3, 3, 5, 1)
-    profile = solve_zero_sum(h)
-    products = [x * w for x, w in zip(profile.x, (3, 3, 5, 1))]
-    assert products == pytest.approx([profile.value] * 4, abs=1e-12)
+    for payoffs in [(3, 3, 5, 1)] + EXTREME_PAYOFFS:
+        profile = solve_zero_sum(PayoffMatrix(*payoffs))
+        products = [x * w for x, w in zip(profile.x, payoffs)]
+        assert products == pytest.approx([profile.value] * 4, abs=1e-12)
+        # the same relative to the value, which the absolute check cannot
+        # see for subnormal payoffs
+        ratios = [p / profile.value for p in products]
+        assert ratios == pytest.approx([1.0] * 4, abs=1e-12)
+
+
+@pytest.mark.parametrize("payoffs", EXTREME_PAYOFFS)
+def test_extreme_payoffs_match_exact_solution(payoffs):
+    h = PayoffMatrix(*payoffs)
+    assert_exact_to_ulps(h)
+    assert verify_nash_classical(h, solve_zero_sum(h), 1e-9)
+
+
+@settings(max_examples=200, deadline=None)
+@given(wide_payoff, wide_payoff, wide_payoff, wide_payoff)
+def test_closed_form_matches_exact_rationals(a, b, c, d):
+    assert_exact_to_ulps(PayoffMatrix(a, b, c, d))
+
+
+@settings(max_examples=200, deadline=None)
+@given(wide_payoff, wide_payoff, wide_payoff, wide_payoff, power_of_two)
+def test_power_of_two_scaling_is_exact(a, b, c, d, k):
+    base = solve_zero_sum(PayoffMatrix(a, b, c, d))
+    h = PayoffMatrix(*(math.ldexp(p, k) for p in (a, b, c, d)))
+    scaled = solve_zero_sum(h)
+    assert_exact_to_ulps(h)
+    assert scaled.x == base.x and scaled.y == base.y
+    assert scaled.value == math.ldexp(base.value, k)
 
 
 def test_scaling_keeps_strategies_scales_value():

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from wisealice.cli import main
+from wisealice.cli import MAX_SWEEP_CELLS, main
 from wisealice.game import PayoffMatrix
 from wisealice.quantum import MeasurementFrame, StrategyAngle
 from wisealice.scenario import ScenarioError, load_scenario
@@ -61,11 +61,14 @@ def test_scenario_requires_all_payoffs(tmp_path):
         load_scenario(path)
 
 
-def test_scenario_accepts_scan_resolution_without_effect(scenario_dir, tmp_path):
+def test_scenario_rejects_scan_resolution(scenario_dir, tmp_path, capsys):
+    # the search has no scan step, so the key is an unknown field
     text = (scenario_dir / "two_equilibria.txt").read_text()
     path = write_scenario(tmp_path, text + "scan_resolution_deg = 5\n")
-    s = load_scenario(path)
-    assert s == load_scenario(scenario_dir / "two_equilibria.txt")
+    with pytest.raises(ScenarioError, match="unknown field 'scan_resolution_deg'"):
+        load_scenario(path)
+    assert main(["analyze", "--scenario", str(path)]) == 1
+    assert "unknown field" in one_line_error(capsys)
 
 
 def test_scenario_rejects_out_of_range_frame(tmp_path):
@@ -123,6 +126,15 @@ def test_equilibria_text_output(scenario_dir, capsys):
     output = capsys.readouterr().out
     assert "alpha=140.431231" in output
     assert "value=2.5678" in output
+
+
+def test_analyze_wide_payoff_ratio_classical_value(tmp_path, capsys):
+    # 1 / (1e-9 + 3): a wide payoff ratio must not spoil the classical baseline
+    path = write_scenario(
+        tmp_path, "a = 1e9\nb = 1\nc = 1\nd = 1\ntheta_a_deg = 10\ntheta_b_deg = 70\n"
+    )
+    assert main(["analyze", "--scenario", str(path)]) == 0
+    assert "  value=0.333333\n" in capsys.readouterr().out
 
 
 def test_missing_scenario_file_fails(tmp_path, capsys):
@@ -238,6 +250,18 @@ def test_sweep_rejects_a_non_finite_step(scenario_dir, tmp_path, step, capsys):
                  "--out", str(out)])
     assert code == 1
     assert "finite" in one_line_error(capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("step", ["1e-300", "1e-6"])
+def test_sweep_rejects_a_grid_above_the_cell_cap(scenario_dir, tmp_path, step, capsys):
+    # 5 + k * 1e-300 == 5: listing the axis first would never end
+    out = tmp_path / "sweep.csv"
+    code = main(["sweep", "--scenario", str(scenario_dir / "two_equilibria.txt"),
+                 "--theta-a", "5:85", "--theta-b", "5:85", "--step", step,
+                 "--out", str(out)])
+    assert code == 1
+    assert str(MAX_SWEEP_CELLS) in one_line_error(capsys)
     assert not out.exists()
 
 
