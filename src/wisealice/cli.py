@@ -37,7 +37,8 @@ from wisealice.svg import render_curves_svg
 
 # Largest frame grid `sweep` will solve.  A cell costs about 70 us and
 # 0.6 KiB (measured up to 285,156 cells on a 2-vCPU host), so the cap
-# holds one sweep near 70 s and 0.6 GiB.
+# holds one sweep near 70 s and 0.6 GiB.  `curves` caps its samples per
+# curve at the same number (1e5 per curve took 1.5 s and 92 MiB there).
 MAX_SWEEP_CELLS = 1_000_000
 
 
@@ -159,6 +160,11 @@ def cmd_curves(args: argparse.Namespace) -> int:
     scenario = _load(args)
     h = scenario.payoff_matrix()
     frames = scenario.frames()
+    if args.resolution > 0 and 180.0 / args.resolution > MAX_SWEEP_CELLS:
+        raise ScenarioError(
+            f"--resolution {args.resolution} gives too many curve samples "
+            f"({180.0 / args.resolution:.4g}); at most {MAX_SWEEP_CELLS} are allowed"
+        )
     alice = reaction_curve("alice", h, frames, args.resolution)
     bob = reaction_curve("bob", h, frames, args.resolution)
     equilibria = _solve(scenario)

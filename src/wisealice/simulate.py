@@ -22,7 +22,7 @@ from typing import Iterator, NamedTuple, Sequence, TextIO
 import numpy as np
 
 from wisealice.game import PayoffMatrix, SquareGeometry, bob_outcome
-from wisealice.quantum import MeasurementFrame, StrategyAngle, outcome_weights
+from wisealice.quantum import MeasurementFrame, StrategyAngle, outcome_weights, payoff_surface
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -126,8 +126,6 @@ def simulate(config: SimulationConfig) -> SimulationResult:
     Rounds are streamed in blocks and only the count of each joint outcome
     code is kept, so memory does not grow with the number of rounds.
     """
-    from wisealice.quantum import payoff_surface
-
     counts = np.zeros(16, dtype=np.int64)
     for _, codes in _blocks(config):
         counts += np.bincount(4 * codes[:, 0] + codes[:, 1], minlength=16)

@@ -11,9 +11,11 @@ parallel to g + M y, so every equilibrium satisfies
     |w|^2 (x cross g)^2 = (x cross M w)^2
 
 a trigonometric polynomial of degree 4 in 2*alpha.  Times (1 + t^2)^4 it is
-a real polynomial of degree 8 in the half-angle t = tan alpha, whose at
-most eight roots come from one real companion matrix; a root at t = inf is
-alpha = 90.  Squaring admits spurious roots, so each root is only a
+a real polynomial of degree 8 in the half-angle t = tan(alpha - alpha_0),
+whose at most eight roots come from one real companion matrix.  Each cell
+takes its own origin alpha_0, a quarter turn before its largest sample of
+the quartic, so the leading coefficient is that sample and no root lies at
+t = inf.  Squaring admits spurious roots, so each root is only a
 candidate: Bob's reply completes it, Newton steps on grad F = 0 polish it,
 and verification against the analytic unilateral optima decides.  Where
 Bob is indifferent, w = 0, his reply -w/|w| is undefined, so the cusp
@@ -162,8 +164,8 @@ def reaction_curve(
     crossings of the 0/180 plot boundary, matching how the curves are
     drawn on the square.
     """
-    if resolution <= 0:
-        raise ValueError(f"resolution must be positive, got {resolution}")
+    if not (math.isfinite(resolution) and resolution > 0):
+        raise ValueError(f"resolution must be positive and finite, got {resolution}")
     inputs = np.arange(0.0, 180.0, resolution)
     responses, amplitudes = _responses(player, h, frames, inputs)
     degenerate = amplitudes < DEGENERACY_RATIO * h.scale
@@ -211,6 +213,11 @@ def _circle_dist(a: float, b: float) -> float:
     return min(d, 180.0 - d)
 
 
+def _turn(v: np.ndarray) -> np.ndarray:
+    """v turned a quarter, (-v1, v0): _turn(x) . u is x cross u."""
+    return np.stack([-v[..., 1], v[..., 0]], axis=-1)
+
+
 def _saddle_newton(g, k, m, phi, psi):
     """Newton steps on grad F = 0 in (phi, psi) = (2 alpha, 2 beta).
 
@@ -220,8 +227,8 @@ def _saddle_newton(g, k, m, phi, psi):
     """
     with np.errstate(all="ignore"):
         for _ in range(3):
-            x, x_turn = unit_vectors(phi), unit_vectors(phi + math.pi / 2)
-            y, y_turn = unit_vectors(psi), unit_vectors(psi + math.pi / 2)
+            x, y = unit_vectors(phi), unit_vectors(psi)
+            x_turn, y_turn = _turn(x), _turn(y)
             v = g + _mat_vec(m, y)
             w = k + _vec_mat(x, m)
             grad_a, grad_b = _dot(x_turn, v), _dot(y_turn, w)
@@ -249,40 +256,11 @@ def _cusp(g, k, m) -> tuple[np.ndarray, np.ndarray]:
         det = m00 * m11 - m01 * m10
         phi = np.arctan2((k0 * m01 - k1 * m00) / det, (k1 * m10 - k0 * m11) / det)
         # x_c cross M y = (M^T x_turn) . y = |r| cos(psi - angle of r)
-        x_turn = unit_vectors(phi + math.pi / 2)
+        x_turn = _turn(unit_vectors(phi))
         r = _vec_mat(x_turn, m)
         spread = np.arccos(-_dot(x_turn, g) / np.hypot(r[..., 0], r[..., 1]))
     psi = np.arctan2(r[..., 1], r[..., 0]) + np.array([1.0, -1.0]) * spread
     return np.broadcast_to(phi, psi.shape), psi
-
-
-def _polynomial_roots(rows: np.ndarray) -> np.ndarray:
-    """The roots np.roots finds for each row of coefficients, highest first.
-
-    As np.roots does, exact-zero leading coefficients lower the degree,
-    exact-zero trailing ones are roots at zero and an all-zero row has no
-    roots; NaN fills the places of the missing roots.  Rows with the same
-    zero pattern share one stacked eigenvalue call on companion matrices of
-    the rows' dtype, so real rows take the real eigenvalue solver.
-    """
-    n, width = rows.shape
-    roots = np.full((n, width - 1), np.nan, dtype=complex)
-    nonzero = rows != 0
-    lead = np.where(nonzero.any(axis=1), np.argmax(nonzero, axis=1), width)
-    trail = np.argmax(nonzero[:, ::-1], axis=1)
-    for leading, trailing in set(zip(lead.tolist(), trail.tolist())):
-        degree = width - 1 - leading - trailing
-        if degree < 0:   # all zero
-            continue
-        same = (lead == leading) & (trail == trailing)
-        if degree > 0:
-            p = rows[same, leading:width - trailing]
-            companion = np.zeros((len(p), degree, degree), dtype=rows.dtype)
-            companion[:, 0, :] = -p[:, 1:] / p[:, :1]
-            companion[:, np.arange(1, degree), np.arange(degree - 1)] = 1.0
-            roots[same, :degree] = np.linalg.eigvals(companion)
-        roots[same, degree:degree + trailing] = 0.0
-    return roots
 
 
 def _cayley(a: int, b: int) -> list[complex]:
@@ -305,18 +283,25 @@ _CAYLEY = np.array([_cayley(4 + n, 4 - n) for n in range(4, -5, -1)])
 _HALF_ANGLE = _dot(_CAYLEY.T[:, None, :], _DFT.T).real
 
 
-def _half_angle_roots(rows: np.ndarray) -> np.ndarray:
-    """2 alpha at the roots of each row's polynomial in t = tan alpha, (n, 8).
+def _half_angle_roots(samples: np.ndarray) -> np.ndarray:
+    """2 alpha at the roots of the quartic from each row of its samples, (n, 8).
 
-    An exact-zero leading coefficient is a root at t = inf, 2 alpha = pi,
-    and takes the last place, which _polynomial_roots leaves NaN; NaN fills
-    the places of the other missing roots.
+    Each row is measured from its own origin alpha_0, a quarter turn before
+    its largest |P|: in t = tan(alpha - alpha_0), (1 + t^2)^4 P leads with
+    P(alpha_0 + 90), that largest sample, so t = inf is never a root and
+    the companion roots keep their accuracy relative to the coefficients.
+    An all-zero row has no roots and gives NaN.
     """
-    t = _polynomial_roots(rows)
-    with np.errstate(all="ignore"):
-        phi = np.angle((1 + 1j * t) / (1 - 1j * t))
-    phi[:, -1] = np.where(rows[:, 0] == 0, math.pi, phi[:, -1])
-    return phi
+    origin = (np.argmax(np.abs(samples), axis=1) + 8) % 16
+    rolled = np.take_along_axis(samples, (origin[:, None] + np.arange(16)) % 16, axis=1)
+    rows = _dot(rolled[:, None, :], _HALF_ANGLE)
+    zero = rows[:, :1] == 0
+    companion = np.zeros((len(rows), 8, 8))
+    companion[:, 0, :] = -rows[:, 1:] / np.where(zero, 1.0, rows[:, :1])
+    companion[:, np.arange(1, 8), np.arange(7)] = 1.0
+    t = np.linalg.eigvals(companion)
+    phi = np.angle((1 + 1j * t) / (1 - 1j * t))
+    return np.where(zero, np.nan, phi + _SAMPLES[origin, None])
 
 
 def _candidates(
@@ -332,12 +317,12 @@ def _candidates(
     # g, k: (n, 1, 2) and M: (n, 1, 2, 2); axis 1 runs over samples or roots
     _, g, k, m = (t / h.scale
                   for t in bilinear_form(h, theta_a[:, None], theta_b[:, None]))
-    # x_turn . u is x cross u: x_turn is x turned a quarter
-    x, x_turn = unit_vectors(_SAMPLES), unit_vectors(_SAMPLES + math.pi / 2)
+    x = unit_vectors(_SAMPLES)
+    x_turn = _turn(x)
     w = k + _vec_mat(x, m)
     x_cross_mw = _dot(x_turn, _mat_vec(m, w))
     samples = _dot(w, w) * _dot(x_turn, g) ** 2 - x_cross_mw**2
-    phi = _half_angle_roots(_dot(samples[:, None, :], _HALF_ANGLE))
+    phi = _half_angle_roots(samples)
     w = k + _vec_mat(unit_vectors(phi), m)
     psi = np.arctan2(-w[..., 1], -w[..., 0])
     # a root shared with the spurious factor |w| (x cross g) + x cross M w
@@ -392,8 +377,9 @@ def find_equilibria(
     Newton steps, and the point where Bob is indifferent paired with the
     angles at which it is Alice's best response; each one must pass
     verify_nash_quantum at nash_tolerance (default 1e-8 * total payoff)
-    before it is reported, so spurious roots are never returned.  Of candidates within MERGE_DISTANCE_DEG of each
-    other in both angles, the one with the smallest residual is kept.
+    before it is reported, so spurious roots are never returned.  Of
+    candidates within MERGE_DISTANCE_DEG of each other in both angles, the
+    one with the smallest residual is kept.
     This is find_equilibria_grid's block of one.
     """
     theta_a, theta_b = (np.array([frame.theta_deg]) for frame in frames)

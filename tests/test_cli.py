@@ -215,6 +215,18 @@ def test_curves_marks_equilibria(scenario_dir, tmp_path):
     assert '<circle class="eq"' in svg
 
 
+@pytest.mark.parametrize("resolution", ["nan", "inf", "-inf", "1e-9"])
+def test_curves_reject_a_resolution_out_of_range(scenario_dir, tmp_path, resolution,
+                                                  capsys):
+    # 1e-9 would ask for 1.8e11 samples per curve before any check ran
+    base = tmp_path / "curves"
+    code = main(["curves", "--scenario", str(scenario_dir / "unit_payoffs.txt"),
+                 "--out", str(base), f"--resolution={resolution}"])
+    assert code == 1
+    assert "resolution" in one_line_error(capsys)
+    assert not base.with_suffix(".csv").exists()
+
+
 # --- sweep -------------------------------------------------------------------
 
 def test_sweep_rows_deterministic(scenario_dir, tmp_path):

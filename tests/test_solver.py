@@ -17,11 +17,9 @@ from wisealice.quantum import (
 )
 from wisealice.scenario import load_scenario
 from wisealice.solver import (
-    _HALF_ANGLE,
     _SAMPLES,
     BLOCK_CELLS,
     _half_angle_roots,
-    _polynomial_roots,
     best_response_alice,
     best_response_bob,
     find_equilibria,
@@ -558,55 +556,23 @@ def test_harmonic_views_match_half_angle_formulas(a, b, c, d, ta, tb, angle):
 
 # --- grid solve ---------------------------------------------------------------
 
-def test_polynomial_roots_match_np_roots_on_every_zero_pattern():
-    # no payoffs and frames gave an exact-zero coefficient (searched over the
-    # 0.5-degree frame grid for six payoff patterns), so the companion step
-    # is driven directly, with all patterns stacked in one call; the solver
-    # sends real rows, and complex ones must work as well
-    rng = np.random.default_rng(8)
-    real = rng.normal(size=(10, 9))
-    for rows in (real, real + 1j * rng.normal(size=(10, 9))):
-        rows[1, 0] = 0          # a leading zero lowers the degree
-        rows[2, :3] = 0
-        rows[3, -1] = 0         # a trailing zero is a root at zero
-        rows[4, [0, -2, -1]] = 0
-        rows[5] = 0             # all zero: no roots at all
-        rows[6, :-1] = 0        # a constant: no roots
-        rows[7, 1:] = 0         # z^8: eight roots at zero
-        rows[8, 3:6] = 0        # interior zeros are ordinary coefficients
-        roots = _polynomial_roots(rows)
-        assert roots.shape == (10, 8)
-        for row, found in zip(rows, roots):
-            expected = np.roots(row)
-            assert np.array_equal(found[:expected.size], expected)
-            assert np.isnan(found[expected.size:]).all()
-
-
 def test_half_angle_map_recovers_the_roots_of_a_trigonometric_quartic():
     # the product of sin(phi - phi_j) over four phi_j is of degree 4 in phi
-    # and vanishes at phi_j and phi_j + pi.  phi_j = pi puts a root at
-    # alpha = 90, where t = tan alpha is infinite: the leading coefficient
-    # is then roundoff, and the other roots keep about ten digits, which
-    # the solver's Newton steps restore
-    for phis, tol in (([0.3, 1.1, 2.0, 2.9], 1e-9), ([math.pi, 0.4, 1.7, 2.5], 1e-4)):
-        samples = np.prod(np.sin(_SAMPLES[:, None] - np.array(phis)), axis=-1)
-        found = np.degrees(_half_angle_roots(samples[None, :] @ _HALF_ANGLE.T)[0]) / 2
+    # and vanishes at phi_j and phi_j + pi.  phi_j = pi is a root at
+    # alpha = 90, and pi +- 2e-9 one 1e-9 rad to either side of it: each
+    # row's own origin keeps those roots as accurate as the others.  The
+    # rows are solved in one call; an all-zero row has no roots
+    cases = ([0.3, 1.1, 2.0, 2.9], [math.pi, 0.4, 1.7, 2.5],
+             [math.pi + 2e-9, 0.4, 1.7, 2.5], [math.pi - 2e-9, 0.9, 1.3, 2.2])
+    samples = np.array([np.prod(np.sin(_SAMPLES[:, None] - np.array(phis)), axis=-1)
+                        for phis in cases] + [np.zeros(16)])
+    found = np.degrees(_half_angle_roots(samples)) / 2
+    assert found.shape == (5, 8)
+    for phis, roots in zip(cases, found):
         for phi in phis:
             for alpha in (math.degrees(phi) / 2, math.degrees(phi) / 2 + 90.0):
-                assert min(circle_dist(alpha, a) for a in found) <= tol
-
-
-def test_exact_zero_leading_coefficient_is_a_root_at_alpha_90():
-    # the degree drops by a root at t = inf, which the map must keep; a
-    # constant and an all-zero row vanish there too, and have no other root
-    alphas = np.array([5.0, 25.0, 50.0, 100.0, 120.0, 150.0, 170.0])
-    rows = np.zeros((3, 9))
-    rows[0, 1:] = np.poly(np.tan(np.radians(alphas)))
-    rows[1, -1] = 1.0
-    found = np.degrees(_half_angle_roots(rows)) / 2 % 180
-    assert np.allclose(np.sort(found[0]), np.sort([*alphas, 90.0]), atol=1e-9)
-    for constant in found[1:]:
-        assert constant[-1] == 90.0 and np.isnan(constant[:-1]).all()
+                assert min(circle_dist(alpha, a) for a in roots) <= 1e-9
+    assert np.isnan(found[-1]).all()
 
 
 GRID_SHAPES = {1: (1, 1), 255: (15, 17), 256: (16, 16), 257: (1, 257), 600: (24, 25)}
