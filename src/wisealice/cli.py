@@ -40,6 +40,8 @@ from wisealice.svg import render_curves_svg
 # holds one sweep near 70 s and 0.6 GiB.  `curves` caps its samples per
 # curve at the same number (1e5 per curve took 1.5 s and 92 MiB there).
 MAX_SWEEP_CELLS = 1_000_000
+# decimals `sweep` rounds its frame angles to
+_AXIS_DIGITS = 10
 
 
 def _fmt(value: float) -> str:
@@ -69,14 +71,6 @@ def _quantum_report(equilibria: list[Equilibrium]) -> dict:
     }
 
 
-def _solve(scenario: Scenario) -> list[Equilibrium]:
-    return find_equilibria(
-        scenario.payoff_matrix(),
-        scenario.frames(),
-        nash_tolerance=scenario.nash_tolerance,
-    )
-
-
 def _write_or_print(text: str, out: str | None) -> None:
     if out:
         Path(out).write_text(text)
@@ -89,7 +83,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     h = scenario.payoff_matrix()
     pure = pure_saddle_analysis(h)
     mixed = solve_zero_sum(h)
-    equilibria = _solve(scenario)
+    equilibria = find_equilibria(h, scenario.frames())
 
     report = {
         "scenario": dataclasses.asdict(scenario),
@@ -137,7 +131,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_equilibria(args: argparse.Namespace) -> int:
     scenario = _load(args)
-    equilibria = _solve(scenario)
+    equilibria = find_equilibria(scenario.payoff_matrix(), scenario.frames())
     if args.format == "json":
         report = {"scenario": dataclasses.asdict(scenario),
                   **_quantum_report(equilibria)}
@@ -167,7 +161,7 @@ def cmd_curves(args: argparse.Namespace) -> int:
         )
     alice = reaction_curve("alice", h, frames, args.resolution)
     bob = reaction_curve("bob", h, frames, args.resolution)
-    equilibria = _solve(scenario)
+    equilibria = find_equilibria(h, frames)
 
     base = Path(args.out) if args.out else Path("curves")
     if base.suffix in (".csv", ".svg"):
@@ -202,9 +196,11 @@ def _parse_range(spec: str, name: str) -> tuple[float, float]:
     parts = spec.split(":")
     if len(parts) != 2:
         raise ScenarioError(f"{name} must look like LO:HI, got {spec!r}")
-    lo, hi = float(parts[0]), float(parts[1])
+    # rounded as the axis values are, so every cell lies strictly inside (0, 90)
+    lo, hi = round(float(parts[0]), _AXIS_DIGITS), round(float(parts[1]), _AXIS_DIGITS)
     if not (0.0 < lo <= hi < 90.0):
-        raise ScenarioError(f"{name} must satisfy 0 < LO <= HI < 90, got {spec!r}")
+        raise ScenarioError(f"{name} must satisfy 0 < LO <= HI < 90 after rounding "
+                            f"to {_AXIS_DIGITS} decimals, got {spec!r}")
     return lo, hi
 
 
@@ -242,10 +238,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             f"--step {step} gives too many grid cells ({n_a * n_b:.4g}); "
             f"at most {MAX_SWEEP_CELLS} are allowed"
         )
-    thetas_a = [round(lo_a + k * step, 10) for k in range(n_a)]
-    thetas_b = [round(lo_b + k * step, 10) for k in range(n_b)]
-    cells = find_equilibria_grid(h, thetas_a, thetas_b,
-                                 nash_tolerance=scenario.nash_tolerance)
+    thetas_a = [round(lo_a + k * step, _AXIS_DIGITS) for k in range(n_a)]
+    thetas_b = [round(lo_b + k * step, _AXIS_DIGITS) for k in range(n_b)]
+    cells = find_equilibria_grid(h, thetas_a, thetas_b)
     lines = ["theta_a,theta_b,equilibrium_count,best_value_for_alice"]
     for (ta, tb), eqs in zip(itertools.product(thetas_a, thetas_b), cells):
         best_txt = f"{max(eq.value for eq in eqs):.9g}" if eqs else ""

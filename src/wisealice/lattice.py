@@ -24,6 +24,8 @@ ATOMS = ("1", "2", "3", "4")
 
 # tolerance for comparing line angles of the plane realization, in degrees
 ANGLE_TOL_DEG = 1e-9
+# slack of additivity_holds on a weight sum, whose target is 1
+_WEIGHT_TOL = 1e-12
 
 
 class LatticeStructureError(ValueError):
@@ -173,10 +175,10 @@ class ParadoxEntry:
 class ParadoxReport:
     entries: tuple[ParadoxEntry, ...]
 
-    def additivity_holds(self, tol: float = 1e-12) -> bool:
+    def additivity_holds(self) -> bool:
         """True iff every sure-event pair carries total weight 1."""
         return all(
-            abs(e.weight_sum - 1.0) <= tol
+            abs(e.weight_sum - 1.0) <= _WEIGHT_TOL
             for e in self.entries
             if e.join_element == TOP
         )

@@ -1,14 +1,14 @@
 """Scenario files: flat key-value text describing one game instance.
 
-Recognized keys: a, b, c, d, theta_a_deg, theta_b_deg, nash_tolerance,
-rounds, seed.  Lines starting with '#' (or blank) are ignored; values
-follow an '=' sign.  Solver and simulation settings fall back to defaults
-when omitted.  Any other key is an error.
+Recognized keys: a, b, c, d, theta_a_deg, theta_b_deg, rounds, seed.
+Lines starting with '#' (or blank) are ignored; values follow an '=' sign.
+The simulation settings rounds and seed fall back to defaults when
+omitted.  Any other key is an error; the equilibrium tolerance is
+solver.NASH_TOLERANCE and cannot be set here.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -19,7 +19,7 @@ DEFAULT_ROUNDS = 100_000
 DEFAULT_SEED = 1
 
 _REQUIRED = ("a", "b", "c", "d", "theta_a_deg", "theta_b_deg")
-_FLOAT_KEYS = _REQUIRED + ("nash_tolerance",)
+_FLOAT_KEYS = _REQUIRED
 _INT_KEYS = ("rounds", "seed")
 
 
@@ -35,7 +35,6 @@ class Scenario:
     d: float
     theta_a_deg: float
     theta_b_deg: float
-    nash_tolerance: float | None = None   # None: 1e-8 * (a+b+c+d)
     rounds: int = DEFAULT_ROUNDS
     seed: int = DEFAULT_SEED
 
@@ -50,10 +49,6 @@ class Scenario:
                 raise ScenarioError(
                     f"{name} must lie strictly inside (0, 90), got {value}"
                 )
-        if self.nash_tolerance is not None and not 0 < self.nash_tolerance < math.inf:
-            raise ScenarioError(
-                f"nash_tolerance must be positive and finite, got {self.nash_tolerance}"
-            )
         if self.rounds < 1:
             raise ScenarioError(f"rounds must be >= 1, got {self.rounds}")
 

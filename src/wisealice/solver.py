@@ -16,8 +16,9 @@ whose at most eight roots come from one real companion matrix.  Each cell
 takes its own origin alpha_0, a quarter turn before its largest sample of
 the quartic, so the leading coefficient is that sample and no root lies at
 t = inf.  Squaring admits spurious roots, so each root is only a
-candidate: Bob's reply completes it, Newton steps on grad F = 0 polish it,
-and verification against the analytic unilateral optima decides.  Where
+candidate: Bob's reply completes it, or where that fits worse a y to which
+Alice replies with it, Newton steps on grad F = 0 polish it, and
+verification against the analytic unilateral optima decides.  Where
 Bob is indifferent, w = 0, his reply -w/|w| is undefined, so the cusp
 x_c = -M^-T k joins the candidates, paired with each y that makes Alice
 reply x_c.  A grid of frame pairs goes through in blocks, each step one
@@ -63,6 +64,9 @@ Frames = tuple[MeasurementFrame, MeasurementFrame]
 JUMP_THRESHOLD_DEG = 5.0
 # relative amplitude below which a best response is treated as indifferent
 DEGENERACY_RATIO = 1e-12
+# a candidate is an equilibrium when verify_nash_quantum gives at most this
+# times the total payoff a + b + c + d
+NASH_TOLERANCE = 1e-8
 # verified candidates closer than this in both angles are one equilibrium:
 # near-tangent instances yield two roots of the quartic for one equilibrium
 MERGE_DISTANCE_DEG = 0.2
@@ -240,14 +244,22 @@ def _saddle_newton(g, k, m, phi, psi):
     return phi, psi
 
 
+def _alice_partners(g, m, x) -> np.ndarray:
+    """psi = 2 beta of the up to two y Alice replies x to, NaN where none, (..., 2):
+    x cross (g + M y) = 0, and x cross M y = (M^T x_turn) . y = |r| cos(psi - angle r)."""
+    r = _vec_mat(_turn(x), m)
+    with np.errstate(all="ignore"):
+        spread = np.arccos(-_dot(_turn(x), g) / np.hypot(r[..., 0], r[..., 1]))
+    return np.arctan2(r[..., 1:], r[..., :1]) + spread[..., None] * np.array([1.0, -1.0])
+
+
 def _cusp(g, k, m) -> tuple[np.ndarray, np.ndarray]:
     """(phi, psi) = (2 alpha, 2 beta) of the two cusp candidates, (n, 2) each.
 
     Where Bob is indifferent, k + M^T x = 0, every beta is his reply, so the
     quartic's root there has no reply -w/|w| to pair with.  That x is
     x_c = -M^-T k, a strategy where it has unit length, and Alice replies
-    with it to the y where x_c cross (g + M y) = 0: a condition of degree
-    one in y, met by up to two y on the circle.
+    with it to the y of _alice_partners.
     """
     k0, k1 = k[..., 0], k[..., 1]
     m00, m01, m10, m11 = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
@@ -255,11 +267,7 @@ def _cusp(g, k, m) -> tuple[np.ndarray, np.ndarray]:
     with np.errstate(all="ignore"):
         det = m00 * m11 - m01 * m10
         phi = np.arctan2((k0 * m01 - k1 * m00) / det, (k1 * m10 - k0 * m11) / det)
-        # x_c cross M y = (M^T x_turn) . y = |r| cos(psi - angle of r)
-        x_turn = _turn(unit_vectors(phi))
-        r = _vec_mat(x_turn, m)
-        spread = np.arccos(-_dot(x_turn, g) / np.hypot(r[..., 0], r[..., 1]))
-    psi = np.arctan2(r[..., 1], r[..., 0]) + np.array([1.0, -1.0]) * spread
+    psi = _alice_partners(g, m, unit_vectors(phi))[..., 0, :]
     return np.broadcast_to(phi, psi.shape), psi
 
 
@@ -304,6 +312,21 @@ def _half_angle_roots(samples: np.ndarray) -> np.ndarray:
     return np.where(zero, np.nan, phi + _SAMPLES[origin, None])
 
 
+def _partner(g, k, m, phi) -> np.ndarray:
+    """psi = 2 beta for each root phi: Bob's reply -w/|w|, or a y of _alice_partners
+    where one has a smaller unilateral gain (a nearly indifferent Bob magnifies
+    the root's error)."""
+    x = unit_vectors(phi)
+    w = k + _vec_mat(x, m)
+    psi = np.concatenate([np.arctan2(-w[..., 1:], -w[..., :1]), _alice_partners(g, m, x)], -1)
+    y, w = unit_vectors(psi), w[..., None, :]
+    v = g[..., None, :] + _mat_vec(m[..., None, :, :], y)
+    gain = np.maximum(np.hypot(v[..., 0], v[..., 1]) - _dot(x[..., None, :], v),
+                      _dot(y, w) + np.hypot(w[..., 0], w[..., 1]))
+    best = np.argmin(np.where(np.isnan(gain), np.inf, gain), axis=-1)[..., None]
+    return np.take_along_axis(psi, best, axis=-1)[..., 0]
+
+
 def _candidates(
     h: PayoffMatrix, theta_a: np.ndarray, theta_b: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -323,11 +346,11 @@ def _candidates(
     x_cross_mw = _dot(x_turn, _mat_vec(m, w))
     samples = _dot(w, w) * _dot(x_turn, g) ** 2 - x_cross_mw**2
     phi = _half_angle_roots(samples)
-    w = k + _vec_mat(unit_vectors(phi), m)
-    psi = np.arctan2(-w[..., 1], -w[..., 0])
+    psi = _partner(g, k, m, phi)
     # a root shared with the spurious factor |w| (x cross g) + x cross M w
     # keeps only half the digits, and a nearly indifferent Bob turns that
-    # error into a wrong beta; Newton steps on the saddle restore both
+    # error into a wrong beta, which _partner can only shrink; Newton steps
+    # on the saddle restore both
     polished_phi, polished_psi = _saddle_newton(g, k, m, phi, psi)
     ok = np.isfinite(polished_phi) & np.isfinite(polished_psi)
     cusp_phi, cusp_psi = _cusp(g, k, m)
@@ -340,13 +363,11 @@ def _solve_block(
     h: PayoffMatrix,
     theta_a: np.ndarray,
     theta_b: np.ndarray,
-    nash_tolerance: float | None,
 ) -> list[list[Equilibrium]]:
     """find_equilibria at the frame pairs (theta_a[i], theta_b[i]), in degrees."""
-    tol = nash_tolerance if nash_tolerance is not None else 1e-8 * h.scale
     alpha, beta = _candidates(h, theta_a, theta_b)
     residual = verify_nash_quantum(h, (theta_a[:, None], theta_b[:, None]), alpha, beta)
-    passed = residual <= tol
+    passed = residual <= NASH_TOLERANCE * h.scale
     found: list[list[Equilibrium]] = [[] for _ in theta_a]
     for cell in np.flatnonzero(passed.any(axis=1)):
         kept: list[int] = []
@@ -365,39 +386,36 @@ def _solve_block(
     return found
 
 
-def find_equilibria(
-    h: PayoffMatrix,
-    frames: Frames,
-    nash_tolerance: float | None = None,
-) -> list[Equilibrium]:
+def find_equilibria(h: PayoffMatrix, frames: Frames) -> list[Equilibrium]:
     """All verified Nash equilibria, deduplicated and sorted by alpha.
 
     An empty list is a valid outcome.  Candidates are the roots of the
     fixed-point polynomial paired with Bob's best response and polished by
     Newton steps, and the point where Bob is indifferent paired with the
     angles at which it is Alice's best response; each one must pass
-    verify_nash_quantum at nash_tolerance (default 1e-8 * total payoff)
-    before it is reported, so spurious roots are never returned.  Of
-    candidates within MERGE_DISTANCE_DEG of each other in both angles, the
-    one with the smallest residual is kept.
+    verify_nash_quantum at NASH_TOLERANCE * (a + b + c + d) before it is
+    reported, so spurious roots are never returned.  The tolerance is a
+    module constant, not a parameter.  Of candidates within
+    MERGE_DISTANCE_DEG of each other in both angles, the one with the
+    smallest residual is kept.
     This is find_equilibria_grid's block of one.
     """
     theta_a, theta_b = (np.array([frame.theta_deg]) for frame in frames)
-    return _solve_block(h, theta_a, theta_b, nash_tolerance)[0]
+    return _solve_block(h, theta_a, theta_b)[0]
 
 
 def find_equilibria_grid(
     h: PayoffMatrix,
     thetas_a_deg: Iterable[float],
     thetas_b_deg: Iterable[float],
-    nash_tolerance: float | None = None,
 ) -> list[list[Equilibrium]]:
     """find_equilibria at every pair of the frame angles, theta_a major.
 
     Cell i * len(thetas_b_deg) + j holds the equilibria at frames
     (thetas_a_deg[i], thetas_b_deg[j]).  Every angle must be a valid
-    MeasurementFrame.  Cells are solved BLOCK_CELLS at a time, and each
-    cell's result is what find_equilibria returns for it alone.
+    MeasurementFrame.  Cells are solved BLOCK_CELLS at a time and judged
+    at the same NASH_TOLERANCE, so each cell's result is what
+    find_equilibria returns for it alone.
     """
     theta_a, theta_b = (
         np.array([MeasurementFrame(float(t)).theta_deg for t in thetas], dtype=float)
@@ -407,7 +425,7 @@ def find_equilibria_grid(
     found: list[list[Equilibrium]] = []
     for start in range(0, cells_a.size, BLOCK_CELLS):
         block = slice(start, start + BLOCK_CELLS)
-        found += _solve_block(h, cells_a[block], cells_b[block], nash_tolerance)
+        found += _solve_block(h, cells_a[block], cells_b[block])
     return found
 
 

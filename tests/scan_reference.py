@@ -18,7 +18,13 @@ import numpy as np
 
 from wisealice.game import PayoffMatrix
 from wisealice.quantum import StrategyAngle
-from wisealice.solver import Equilibrium, Frames, _make_equilibrium, verify_nash_quantum
+from wisealice.solver import (
+    NASH_TOLERANCE,
+    Equilibrium,
+    Frames,
+    _make_equilibrium,
+    verify_nash_quantum,
+)
 
 SCAN_RESOLUTION_DEG = 0.05
 REFINE_TOLERANCE_DEG = 1e-9
@@ -80,10 +86,9 @@ def _circle_dist(a: float, b: float) -> float:
     return min(d, 180.0 - d)
 
 
-def scan_equilibria(h: PayoffMatrix, frames: Frames,
-                    nash_tolerance: float | None = None) -> list[Equilibrium]:
+def scan_equilibria(h: PayoffMatrix, frames: Frames) -> list[Equilibrium]:
     """Verified equilibria from sign changes of the composed defect."""
-    tol = nash_tolerance if nash_tolerance is not None else 1e-8 * h.scale
+    tol = NASH_TOLERANCE * h.scale
     step = SCAN_RESOLUTION_DEG
     alphas = np.arange(0.0, 180.0, step)
     g = _composed_defect(h, frames, alphas)

@@ -360,7 +360,7 @@ def test_criterion_5_classical_baseline():
     for _ in range(100):
         a, b, c, d = np.exp(rng.uniform(np.log(0.1), np.log(10.0), size=4))
         h = PayoffMatrix(a, b, c, d)
-        if not verify_nash_classical(h, solve_zero_sum(h), 1e-9):
+        if not verify_nash_classical(h, solve_zero_sum(h)):
             failures.append(f"solver profile failed verification for {(a, b, c, d)}")
             break
 

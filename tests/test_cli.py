@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -6,7 +7,13 @@ import pytest
 from wisealice.cli import MAX_SWEEP_CELLS, main
 from wisealice.game import PayoffMatrix
 from wisealice.quantum import MeasurementFrame, StrategyAngle
-from wisealice.scenario import ScenarioError, load_scenario
+from wisealice.scenario import (
+    _FLOAT_KEYS,
+    _INT_KEYS,
+    Scenario,
+    ScenarioError,
+    load_scenario,
+)
 from wisealice.solver import find_equilibria, reaction_curve, verify_nash_quantum
 
 
@@ -62,13 +69,21 @@ def test_scenario_requires_all_payoffs(tmp_path):
 
 
 def test_scenario_rejects_scan_resolution(scenario_dir, tmp_path, capsys):
-    # the search has no scan step, so the key is an unknown field
+    # the search has no scan step and its tolerance is a solver constant,
+    # so both keys are unknown fields
     text = (scenario_dir / "two_equilibria.txt").read_text()
-    path = write_scenario(tmp_path, text + "scan_resolution_deg = 5\n")
-    with pytest.raises(ScenarioError, match="unknown field 'scan_resolution_deg'"):
-        load_scenario(path)
-    assert main(["analyze", "--scenario", str(path)]) == 1
-    assert "unknown field" in one_line_error(capsys)
+    for key, value in (("scan_resolution_deg", "5"), ("nash_tolerance", "1e-6")):
+        path = write_scenario(tmp_path, text + f"{key} = {value}\n")
+        with pytest.raises(ScenarioError, match=f"unknown field '{key}'"):
+            load_scenario(path)
+        assert main(["analyze", "--scenario", str(path)]) == 1
+        assert f"unknown field '{key}'" in one_line_error(capsys)
+
+
+def test_scenario_keys_are_the_scenario_fields():
+    # a key without a field would reach Scenario(**values) as a TypeError
+    fields = [field.name for field in dataclasses.fields(Scenario)]
+    assert sorted(_FLOAT_KEYS + _INT_KEYS) == sorted(fields)
 
 
 def test_scenario_rejects_out_of_range_frame(tmp_path):
@@ -249,9 +264,14 @@ def test_sweep_rows_deterministic(scenario_dir, tmp_path):
 
 
 def test_sweep_rejects_empty_range(scenario_dir, capsys):
-    code = main(["sweep", "--scenario", str(scenario_dir / "two_equilibria.txt"),
-                 "--theta-a", "50:10", "--theta-b", "20:30"])
-    assert code == 1
+    # the last two bounds round onto 90 and 0 as the grid's angles do
+    for flag, theta_a, theta_b in (("--theta-a", "50:10", "20:30"),
+                                   ("--theta-a", "89.99999999999:89.99999999999", "20:30"),
+                                   ("--theta-b", "10:20", "1e-300:1e-300")):
+        code = main(["sweep", "--scenario", str(scenario_dir / "two_equilibria.txt"),
+                     "--theta-a", theta_a, "--theta-b", theta_b])
+        assert code == 1
+        assert flag in one_line_error(capsys)
 
 
 @pytest.mark.parametrize("step", ["nan", "inf"])

@@ -19,6 +19,7 @@ from wisealice.scenario import load_scenario
 from wisealice.solver import (
     _SAMPLES,
     BLOCK_CELLS,
+    NASH_TOLERANCE,
     _half_angle_roots,
     best_response_alice,
     best_response_bob,
@@ -447,7 +448,7 @@ def assert_same_equilibria(h, frames):
     - if only the root solve returns it, a brute-force deviation search
       confirms it: the scan misses crossings steeper than its sampling.
     """
-    tol = 1e-8 * h.scale
+    tol = NASH_TOLERANCE * h.scale
     roots, scanned = find_equilibria(h, frames), scan_equilibria(h, frames)
 
     def unmatched(ours, theirs):
@@ -470,6 +471,15 @@ def assert_same_equilibria(h, frames):
 
 @settings(max_examples=150, deadline=None)
 @given(wide_payoffs, wide_payoffs, wide_payoffs, wide_payoffs, wide_frames, wide_frames)
+# both frames near 90 or near 0, where Alice and Bob are both nearly
+# indifferent at the equilibrium: Bob's reply to the root is tens of
+# degrees off, and Newton from it stops 0.002 degrees short or elsewhere
+@example(math.exp(-4.0), math.exp(3.5), math.exp(4.0), math.exp(-4.0), 89.875, 89.984375)
+@example(math.exp(-4.0), math.exp(3.5), math.exp(4.0), math.exp(-3.625), 89.875, 89.984375)
+@example(48.182698291098816, 0.018948344087971147, 0.01831563888873418, 44.36807025768936,
+         89.97966635944748, 89.90699606634448)
+@example(48.182698291098816, 33.11545195869231, 0.042528085166786085, 0.028332142798731294,
+         0.011536394184157093, 0.024679625850786854)
 def test_root_solve_matches_scan(a, b, c, d, ta, tb):
     h = PayoffMatrix(a, b, c, d)
     assert_same_equilibria(h, (MeasurementFrame(ta), MeasurementFrame(tb)))
@@ -635,7 +645,7 @@ SWEEP_THETAS = [5.0 + 2.5 * k for k in range(33)]
 def test_sweep_grid_cells_have_at_most_one_equilibrium(scenario_dir, name, cells_with_one):
     scenario = load_scenario(scenario_dir / f"{name}.txt")
     counts = [len(eqs) for eqs in find_equilibria_grid(
-        scenario.payoff_matrix(), SWEEP_THETAS, SWEEP_THETAS, scenario.nash_tolerance)]
+        scenario.payoff_matrix(), SWEEP_THETAS, SWEEP_THETAS)]
     assert max(counts) <= 1
     assert counts.count(1) == cells_with_one
 
@@ -654,6 +664,11 @@ def test_sweep_grid_cells_have_at_most_one_equilibrium(scenario_dir, name, cells
          1.0232507043975223, 22.387533976194195)
 @example(0.05224121895171803, 10.06081972187502, 0.07587639195024413, 3.2897644466639595,
          0.1, 20.5541948881458)
+# both frames far from 0 and 90: (23.0957, 117.0742) at residual 6.6e-9 *
+# scale lies 0.28 degrees, just past MERGE_DISTANCE_DEG, from the
+# equilibrium (23.3784, 117.0783) at 4.9e-17 * scale
+@example(0.27389357093257377, 0.07567227636498573, 1.035501233998605, 35.037844417659976,
+         31.47012855935395, 24.53836514601862)
 def test_random_instances_have_at_most_one_equilibrium(a, b, c, d, ta, tb):
     # F is bilinear in the unit vectors, so the game extended to the disks is
     # convex-concave and its saddle set convex; it meets the torus at most
@@ -694,7 +709,7 @@ def test_grid_audit_matches_solver_counts(two_eq_instance, unit_instance,
 
 def test_grid_audit_rejects_everything_at_solver_tolerance(unit_instance):
     h, frames = unit_instance
-    assert grid_nash_audit(h, frames, step=0.1, tol=1e-8 * h.scale) == []
+    assert grid_nash_audit(h, frames, step=0.1, tol=NASH_TOLERANCE * h.scale) == []
 
 
 def test_grid_audit_default_tolerance_confirms_equilibria(two_eq_instance,
