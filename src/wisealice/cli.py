@@ -196,8 +196,12 @@ def _parse_range(spec: str, name: str) -> tuple[float, float]:
     parts = spec.split(":")
     if len(parts) != 2:
         raise ScenarioError(f"{name} must look like LO:HI, got {spec!r}")
-    # rounded as the axis values are, so every cell lies strictly inside (0, 90)
-    lo, hi = round(float(parts[0]), _AXIS_DIGITS), round(float(parts[1]), _AXIS_DIGITS)
+    try:
+        # rounded as the axis values are, so every cell lies strictly inside (0, 90)
+        lo, hi = (round(float(part), _AXIS_DIGITS) for part in parts)
+    except ValueError:
+        raise ScenarioError(f"{name} must look like LO:HI with two numbers, "
+                            f"got {spec!r}") from None
     if not (0.0 < lo <= hi < 90.0):
         raise ScenarioError(f"{name} must satisfy 0 < LO <= HI < 90 after rounding "
                             f"to {_AXIS_DIGITS} decimals, got {spec!r}")
@@ -240,11 +244,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         )
     thetas_a = [round(lo_a + k * step, _AXIS_DIGITS) for k in range(n_a)]
     thetas_b = [round(lo_b + k * step, _AXIS_DIGITS) for k in range(n_b)]
+    if len(set(thetas_a)) < n_a or len(set(thetas_b)) < n_b:
+        raise ScenarioError(f"--step {step} rounds two grid angles to one at "
+                            f"{_AXIS_DIGITS} decimals")
     cells = find_equilibria_grid(h, thetas_a, thetas_b)
     lines = ["theta_a,theta_b,equilibrium_count,best_value_for_alice"]
     for (ta, tb), eqs in zip(itertools.product(thetas_a, thetas_b), cells):
         best_txt = f"{max(eq.value for eq in eqs):.9g}" if eqs else ""
-        lines.append(f"{ta:.6g},{tb:.6g},{len(eqs)},{best_txt}")
+        # 12 significant digits print every 10-decimal angle below 90 exactly
+        lines.append(f"{ta:.12g},{tb:.12g},{len(eqs)},{best_txt}")
     _write_or_print("\n".join(lines) + "\n", args.out)
     return 0
 

@@ -17,18 +17,20 @@ takes its own origin alpha_0, a quarter turn before its largest sample of
 the quartic, so the leading coefficient is that sample and no root lies at
 t = inf.  Squaring admits spurious roots, so each root is only a
 candidate: Bob's reply completes it, or where that fits worse a y to which
-Alice replies with it, Newton steps on grad F = 0 polish it, and
-verification against the analytic unilateral optima decides.  Where
-Bob is indifferent, w = 0, his reply -w/|w| is undefined, so the cusp
-x_c = -M^-T k joins the candidates, paired with each y that makes Alice
-reply x_c.  A grid of frame pairs goes through in blocks, each step one
-array operation over the block: one stacked eigenvalue call for the roots
-and one broadcast verification.  Every returned equilibrium carries that
-residual
+Alice replies with it, Newton steps on grad F = 0 polish it, and the judge
+takes Newton's output as it is (a failed step leaves NaN, which fails).
+Where Bob is indifferent, w = 0, his reply -w/|w| is undefined, so the
+cusp x_c = -M^-T k joins the candidates, paired with each y that makes
+Alice reply x_c.  A grid of frame pairs goes through in blocks, each step
+one array operation over the block: one stacked eigenvalue call for the
+roots and one broadcast verification.  Every returned equilibrium carries
+that residual, the larger unilateral gain
 
-    max( max_l F(l, beta) - F(alpha, beta),  F(alpha, beta) - min_m F(alpha, m) )
+    max( |v| - x.v,  |w| + y.w ),   v = g + M y,  w = k + M^T x
 
-so callers never need to trust the fixed-point argument itself.
+which is max_l F(l, beta) - F(alpha, beta) and F(alpha, beta) - min_m F(alpha, m)
+read off the bilinear form, so callers never need to trust the fixed-point
+argument itself.
 """
 
 from __future__ import annotations
@@ -181,6 +183,18 @@ def reaction_curve(
     return ReactionCurve(player, samples, tuple(int(i) for i in jumps))
 
 
+def _gain(g, k, m, x, y):
+    """The larger player's gain from deviating alone at unit vectors (x, y).
+
+    F is c0 + k.y + x.v in x with v = g + M y, and c0 + g.x + y.w in y with
+    w = k + M^T x, so Alice gains |v| - x.v and Bob |w| + y.w.
+    """
+    v = g + _mat_vec(m, y)
+    w = k + _vec_mat(x, m)
+    return np.maximum(np.hypot(v[..., 0], v[..., 1]) - _dot(x, v),
+                      _dot(y, w) + np.hypot(w[..., 0], w[..., 1]))
+
+
 def verify_nash_quantum(
     h: PayoffMatrix,
     frames: tuple[Frame, Frame],
@@ -189,17 +203,17 @@ def verify_nash_quantum(
 ) -> float | np.ndarray:
     """Worst unilateral improvement at (alpha, beta), from analytic optima.
 
+    That is max(_gain(g, k, M, x, y), 0) at the unit vectors of 2 alpha and
+    2 beta, so no gain is a difference of two payoffs of size a + b + c + d.
     Zero (up to roundoff) exactly at Nash points; invariant under
     180-degree shifts of either angle.  The angles may also be arrays in
     degrees and the frames arrays of frame angles in degrees, all
     broadcasting together; a NaN angle gives a NaN residual.
     """
-    value = payoff_kernel(h, frames[0], frames[1], _degrees(alpha), _degrees(beta))
-    ka, ua, va = harmonic_coefficients(h, frames[0], frames[1], beta)
-    kb, ub, vb = harmonic_coefficients_in_beta(h, frames[0], frames[1], alpha)
-    alice_gain = (ka + np.hypot(ua, va)) - value
-    bob_gain = value - (kb - np.hypot(ub, vb))
-    return np.maximum(np.maximum(alice_gain, bob_gain), 0.0)
+    _, g, k, m = bilinear_form(h, frames[0], frames[1])
+    x = unit_vectors(2.0 * np.radians(_degrees(alpha)))
+    y = unit_vectors(2.0 * np.radians(_degrees(beta)))
+    return np.maximum(_gain(g, k, m, x, y), 0.0)
 
 
 def _make_equilibrium(
@@ -319,10 +333,8 @@ def _partner(g, k, m, phi) -> np.ndarray:
     x = unit_vectors(phi)
     w = k + _vec_mat(x, m)
     psi = np.concatenate([np.arctan2(-w[..., 1:], -w[..., :1]), _alice_partners(g, m, x)], -1)
-    y, w = unit_vectors(psi), w[..., None, :]
-    v = g[..., None, :] + _mat_vec(m[..., None, :, :], y)
-    gain = np.maximum(np.hypot(v[..., 0], v[..., 1]) - _dot(x[..., None, :], v),
-                      _dot(y, w) + np.hypot(w[..., 0], w[..., 1]))
+    gain = _gain(g[..., None, :], k[..., None, :], m[..., None, :, :], x[..., None, :],
+                 unit_vectors(psi))
     best = np.argmin(np.where(np.isnan(gain), np.inf, gain), axis=-1)[..., None]
     return np.take_along_axis(psi, best, axis=-1)[..., 0]
 
@@ -332,8 +344,9 @@ def _candidates(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(alpha, beta) candidates in degrees, (n, 10), at n frame pairs.
 
-    Eight are the roots of the fixed-point polynomial and two the cusp's;
-    NaN fills the places of candidates a cell does not have.  Built from the
+    Eight are the roots of the fixed-point polynomial after Newton's steps,
+    taken as they come, and two the cusp's; NaN fills the places of
+    candidates a cell does not have or whose step failed.  Built from the
     form divided by the total payoff, so the coefficients stay near one
     whatever the payoff magnitude.
     """
@@ -346,17 +359,18 @@ def _candidates(
     x_cross_mw = _dot(x_turn, _mat_vec(m, w))
     samples = _dot(w, w) * _dot(x_turn, g) ** 2 - x_cross_mw**2
     phi = _half_angle_roots(samples)
-    psi = _partner(g, k, m, phi)
     # a root shared with the spurious factor |w| (x cross g) + x cross M w
     # keeps only half the digits, and a nearly indifferent Bob turns that
     # error into a wrong beta, which _partner can only shrink; Newton steps
     # on the saddle restore both
-    polished_phi, polished_psi = _saddle_newton(g, k, m, phi, psi)
-    ok = np.isfinite(polished_phi) & np.isfinite(polished_psi)
+    phi, psi = _saddle_newton(g, k, m, phi, _partner(g, k, m, phi))
     cusp_phi, cusp_psi = _cusp(g, k, m)
-    phi = np.concatenate([np.where(ok, polished_phi, phi), cusp_phi], axis=1)
-    psi = np.concatenate([np.where(ok, polished_psi, psi), cusp_psi], axis=1)
-    return (np.degrees(phi) / 2.0) % 180.0, (np.degrees(psi) / 2.0) % 180.0
+    phi = np.concatenate([phi, cusp_phi], axis=1)
+    psi = np.concatenate([psi, cusp_psi], axis=1)
+    # a singular Newton step leaves +-inf, which % turns into NaN: such a
+    # candidate gets a NaN residual and fails the judge
+    with np.errstate(invalid="ignore"):
+        return (np.degrees(phi) / 2.0) % 180.0, (np.degrees(psi) / 2.0) % 180.0
 
 
 def _solve_block(

@@ -19,6 +19,7 @@ import numpy as np
 from wisealice.game import PayoffMatrix
 from wisealice.quantum import StrategyAngle
 from wisealice.solver import (
+    MERGE_DISTANCE_DEG,
     NASH_TOLERANCE,
     Equilibrium,
     Frames,
@@ -28,7 +29,6 @@ from wisealice.solver import (
 
 SCAN_RESOLUTION_DEG = 0.05
 REFINE_TOLERANCE_DEG = 1e-9
-MERGE_DISTANCE_DEG = 0.2
 
 
 def half_angle_coefficients(h: PayoffMatrix, frames: Frames, beta_deg):

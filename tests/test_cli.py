@@ -264,14 +264,39 @@ def test_sweep_rows_deterministic(scenario_dir, tmp_path):
 
 
 def test_sweep_rejects_empty_range(scenario_dir, capsys):
-    # the last two bounds round onto 90 and 0 as the grid's angles do
+    # two bounds round onto 90 and 0 as the grid's angles do; x is no number
     for flag, theta_a, theta_b in (("--theta-a", "50:10", "20:30"),
                                    ("--theta-a", "89.99999999999:89.99999999999", "20:30"),
-                                   ("--theta-b", "10:20", "1e-300:1e-300")):
+                                   ("--theta-b", "10:20", "1e-300:1e-300"),
+                                   ("--theta-a", "x:5", "20:30")):
         code = main(["sweep", "--scenario", str(scenario_dir / "two_equilibria.txt"),
                      "--theta-a", theta_a, "--theta-b", theta_b])
         assert code == 1
-        assert flag in one_line_error(capsys)
+        error = one_line_error(capsys)
+        assert flag in error
+        assert (theta_a if flag == "--theta-a" else theta_b) in error
+
+
+def test_sweep_rejects_a_step_that_rounds_two_angles_to_one(scenario_dir, tmp_path, capsys):
+    # the 101 angles 10 + k * 1e-11 are 11 distinct ones at 10 decimals
+    out = tmp_path / "sweep.csv"
+    code = main(["sweep", "--scenario", str(scenario_dir / "two_equilibria.txt"),
+                 "--theta-a", "10:10.000000001", "--theta-b", "20:20", "--step", "1e-11",
+                 "--out", str(out)])
+    assert code == 1
+    assert "--step" in one_line_error(capsys)
+    assert not out.exists()
+
+
+def test_sweep_labels_name_each_cell(scenario_dir, tmp_path):
+    # 6 significant digits printed all 11 cells as 10,20
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--scenario", str(scenario_dir / "two_equilibria.txt"),
+                 "--theta-a", "10:10.00001", "--theta-b", "20:20", "--step", "1e-6",
+                 "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert [float(row[0]) for row in rows] == [round(10 + k * 1e-6, 10) for k in range(11)]
+    assert [row[1] for row in rows] == ["20"] * 11
 
 
 @pytest.mark.parametrize("step", ["nan", "inf"])

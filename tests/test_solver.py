@@ -1,5 +1,6 @@
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -263,6 +264,17 @@ def test_residual_arrays_invariant_under_half_turn_shifts(a, b, c, d, ta, tb, al
     assert np.allclose(shifted, base, rtol=0.0, atol=1e-12 * h.scale)
 
 
+def test_nan_angles_give_nan_residuals_without_a_warning(two_eq_instance):
+    # _candidates hands a failed Newton step to the judge as NaN, which must fail
+    h, frames = two_eq_instance
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        residual = verify_nash_quantum(h, frames, np.array([math.nan, 30.0, math.nan]),
+                                       np.array([40.0, math.nan, math.nan]))
+    assert np.isnan(residual).all()
+    assert not np.any(residual <= NASH_TOLERANCE * h.scale)
+
+
 # --- equilibrium search ------------------------------------------------------
 
 # frozen by hand-refined bisection plus an independent 0.0005-degree
@@ -403,6 +415,23 @@ def test_grid_cells_match_find_equilibria_alone_at_cusps(payoffs):
               for ta in CUSP_THETAS for tb in CUSP_THETAS]
     assert any(bob_amplitude(h, cell_frames, eq.alpha.degrees) <= 1e-12 * h.scale
                for cell_frames, found in zip(frames, grid) for eq in found)
+
+
+def test_cusp_candidate_is_the_only_one_to_find_this_equilibrium():
+    # Bob is nearly indifferent here: the quartic's samples are at most 1.4e-7,
+    # every polished root misses, and only _cusp's (90.2133, 179.9406) passes
+    h = PayoffMatrix(32.35978971903452, 224.85711873998432,
+                     0.0004248362085169901, 0.001003037919629702)
+    frames = (MeasurementFrame(0.3438537318107828), MeasurementFrame(0.013675748768441364))
+    # the oracle, without the root solve: the circle game has no duality gap
+    assert duality_gap(h, frames) <= 1e-12 * h.scale
+    found = find_equilibria(h, frames)
+    assert len(found) == 1
+    eq = found[0]
+    assert circle_dist(eq.alpha.degrees, 90.2133) <= 1e-4
+    assert circle_dist(eq.beta.degrees, 179.9406) <= 1e-4
+    assert brute_force_gain(h, frames, eq.alpha.degrees, eq.beta.degrees) <= (
+        NASH_TOLERANCE * h.scale)
 
 
 # --- differential check against the sampled scan ------------------------------
@@ -562,6 +591,30 @@ def test_harmonic_views_match_half_angle_formulas(a, b, c, d, ta, tb, angle):
          half_angle_coefficients_in_beta(h, frames, angle)),
     ):
         assert np.allclose(view, reference, rtol=0.0, atol=1e-14 * h.scale)
+
+
+@settings(max_examples=100, deadline=None)
+@given(wide_payoffs, wide_payoffs, wide_payoffs, wide_payoffs, wide_frames, wide_frames,
+       st.integers(min_value=-1074, max_value=1023),
+       st.lists(angles, min_size=1, max_size=6), st.lists(angles, min_size=1, max_size=6))
+def test_judge_matches_the_trigonometric_definition(a, b, c, d, ta, tb, k, alphas, betas):
+    # the judge reads each gain off the bilinear form; the reference takes
+    # F from its trigonometric definition and the best replies K -+ |(U, V)|
+    # from the half-angle formulas, so it never calls bilinear_form
+    lam = 2.0**k
+    scaled = (a * lam, b * lam, c * lam, d * lam)
+    assume(all(x >= sys.float_info.min for x in scaled) and math.isfinite(sum(scaled)))
+    h = PayoffMatrix(*scaled)
+    frames = (MeasurementFrame(ta), MeasurementFrame(tb))
+    alphas, betas = np.array(alphas)[:, None], np.array(betas)[None, :]
+    value = payoff_kernel(h, *frames, alphas, betas)
+    ka, ua, va = half_angle_coefficients(h, frames, betas)
+    kb, ub, vb = half_angle_coefficients_in_beta(h, frames, alphas)
+    expected = np.maximum(np.maximum(ka + np.hypot(ua, va) - value,
+                                     value - (kb - np.hypot(ub, vb))), 0.0)
+    residual = verify_nash_quantum(h, frames, alphas, betas)
+    assert residual.shape == expected.shape
+    assert np.allclose(residual, expected, rtol=0.0, atol=1e-14 * h.scale)
 
 
 # --- grid solve ---------------------------------------------------------------
