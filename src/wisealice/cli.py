@@ -8,8 +8,12 @@ import dataclasses
 import itertools
 import json
 import math
+import os
 import sys
 from pathlib import Path
+
+# set before numpy loads: an idle OpenBLAS pool spins a core for the whole process
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from wisealice.classical import solve_zero_sum
 from wisealice.game import pure_saddle_analysis

@@ -14,6 +14,7 @@ from pathlib import Path
 
 from wisealice.game import PayoffMatrix
 from wisealice.quantum import MeasurementFrame
+from wisealice.simulate import _check_stream
 
 DEFAULT_ROUNDS = 100_000
 DEFAULT_SEED = 1
@@ -41,16 +42,15 @@ class Scenario:
     def __post_init__(self) -> None:
         try:
             self.payoff_matrix()
+            for name in ("theta_a_deg", "theta_b_deg"):
+                value = getattr(self, name)
+                if not 0.0 < value < 90.0:
+                    raise ValueError(
+                        f"{name} must lie strictly inside (0, 90), got {value}"
+                    )
+            _check_stream(self.rounds, self.seed)
         except ValueError as exc:
             raise ScenarioError(str(exc)) from exc
-        for name in ("theta_a_deg", "theta_b_deg"):
-            value = getattr(self, name)
-            if not 0.0 < value < 90.0:
-                raise ScenarioError(
-                    f"{name} must lie strictly inside (0, 90), got {value}"
-                )
-        if self.rounds < 1:
-            raise ScenarioError(f"rounds must be >= 1, got {self.rounds}")
 
     def payoff_matrix(self) -> PayoffMatrix:
         return PayoffMatrix(self.a, self.b, self.c, self.d)

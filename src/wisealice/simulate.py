@@ -28,6 +28,15 @@ _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _U53 = float(1 << 53)
+MAX_ROUNDS = 1 << 62   # the counters 4i..4i+3 of every round fit in uint64
+
+
+def _check_stream(rounds: int, seed: int) -> None:
+    """Reject a round count or seed outside the counter stream's domain."""
+    if not 1 <= rounds <= MAX_ROUNDS:
+        raise ValueError(f"rounds must lie in [1, 2**62], got {rounds}")
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
 
 
 def _mix64(x: np.ndarray) -> np.ndarray:
@@ -40,7 +49,7 @@ def _mix64(x: np.ndarray) -> np.ndarray:
 
 def _uniforms(seed: int, counters: np.ndarray) -> np.ndarray:
     """Uniform [0, 1) doubles at the given stream counters."""
-    key = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
+    key = np.uint64(seed)
     counters = np.asarray(counters, dtype=np.uint64)
     words = _mix64((counters + np.uint64(1)) * _GAMMA + key)
     return (words >> np.uint64(11)).astype(np.float64) / _U53
@@ -57,8 +66,7 @@ class SimulationConfig:
     beta: StrategyAngle
 
     def __post_init__(self) -> None:
-        if self.rounds < 1:
-            raise ValueError(f"rounds must be >= 1, got {self.rounds}")
+        _check_stream(self.rounds, self.seed)
 
 
 BLOCK_ROUNDS = 4096   # rounds drawn per numpy call; results do not depend on it

@@ -1,3 +1,4 @@
+import importlib
 from pathlib import Path
 
 import pytest
@@ -30,3 +31,13 @@ def close_frames_instance():
 @pytest.fixture
 def interior_instance():
     return PayoffMatrix(3, 3, 5, 1), (MeasurementFrame(15), MeasurementFrame(35))
+
+
+@pytest.fixture
+def no_draws(monkeypatch):
+    """Make any draw from the simulation's random stream fail the test."""
+    def draw(*args):
+        raise AssertionError("drew from the stream")
+
+    # the package exports the function simulate under the module's name
+    monkeypatch.setattr(importlib.import_module("wisealice.simulate"), "_uniforms", draw)

@@ -355,6 +355,28 @@ def test_simulate_transcript_export(scenario_dir, tmp_path):
     assert len(lines) == 1 + 20
 
 
+@pytest.mark.parametrize("key, value", [
+    ("seed", -1), ("seed", 2**64), ("seed", 2**64 + 3), ("rounds", 2**62 + 1),
+])
+def test_simulate_rejects_what_the_stream_cannot_draw(scenario_dir, tmp_path, key, value,
+                                                      no_draws, capsys):
+    # a seed reduced mod 2**64 made --seed 18446744073709551619 replay --seed 3
+    argv = ["simulate", "--alpha", "10", "--beta", "20"]
+    assert main(argv + ["--scenario", str(scenario_dir / "unit_payoffs.txt"),
+                        f"--{key}", str(value)]) == 1
+    assert one_line_error(capsys).startswith(f"error: {key} must lie in")
+    path = write_scenario(tmp_path, NO_EQ_TEXT + f"{key} = {value}\n")
+    assert main(argv + ["--scenario", str(path)]) == 1
+    assert one_line_error(capsys).startswith(f"error: {path}: {key} must lie in")
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_simulate_accepts_both_ends_of_the_seed_range(scenario_dir, seed):
+    assert main(["simulate", "--scenario", str(scenario_dir / "unit_payoffs.txt"),
+                 "--alpha", "10", "--beta", "20", "--rounds", "10",
+                 "--seed", str(seed)]) == 0
+
+
 # --- lattice-check -----------------------------------------------------------
 
 def test_lattice_check_passes_at_45(capsys):

@@ -14,6 +14,7 @@ from wisealice.simulate import (
     SimulationConfig,
     _codes,
     _scoring_table,
+    _uniforms,
     run_automaton,
     sample_round,
     simulate,
@@ -40,6 +41,26 @@ def make_config(rounds=1000, seed=42, payoffs=(1, 1, 1, 1),
 def test_round_count_validation():
     with pytest.raises(ValueError):
         make_config(rounds=0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("rounds", 2**62 + 1), ("seed", -1), ("seed", 2**64), ("seed", 2**64 + 3),
+])
+def test_config_rejects_what_the_stream_cannot_draw(no_draws, field, value):
+    """Round i draws at counters 4i..4i+3 under a 64-bit key, so both must fit.
+
+    A masked seed made 2**64 + 3 replay seed 3; the check runs before any draw.
+    """
+    with pytest.raises(ValueError, match=f"^{field} must lie in"):
+        make_config(**{field: value})
+
+
+def test_last_round_of_the_stream_draws_the_last_counters():
+    config = make_config(rounds=2**62, seed=2**64 - 1)
+    counters = 4 * (config.rounds - 1) + np.arange(4, dtype=np.uint64)
+    draw = reference.draw_round(config, _uniforms(config.seed, counters))
+    assert counters[-1] == np.uint64(2**64 - 1)
+    assert sample_round(config, config.rounds - 1) == draw.payoff_13 + draw.payoff_24
 
 
 def test_sample_round_deterministic():
