@@ -81,6 +81,8 @@ def load_scenario(path: str | Path) -> Scenario:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
+        if key in values:
+            raise ScenarioError(f"{path}:{lineno}: duplicate field {key!r}")
         if key in _FLOAT_KEYS:
             try:
                 values[key] = float(value)

@@ -16,12 +16,12 @@ whose at most eight roots come from one real companion matrix.  Each cell
 takes its own origin alpha_0, a quarter turn before its largest sample of
 the quartic, so the leading coefficient is that sample and no root lies at
 t = inf.  Squaring admits spurious roots, so each root is only a
-candidate: Bob's reply completes it, or where that fits worse a y to which
-Alice replies with it, Newton steps on grad F = 0 polish it, and the judge
-takes Newton's output as it is (a failed step leaves NaN, which fails).
-Where Bob is indifferent, w = 0, his reply -w/|w| is undefined, so the
-cusp x_c = -M^-T k joins the candidates, paired with each y that makes
-Alice reply x_c.  A grid of frame pairs goes through in blocks, each step
+candidate.  Where Bob is indifferent, w = 0, the quartic's root may be
+lost in roundoff, so the cusp x_c = -M^-T k joins the eight roots as a
+ninth.  Each of the nine is completed by Bob's reply, or where that fits
+worse by a y to which Alice replies with it, polished by Newton steps on
+grad F = 0, and judged as Newton leaves it (a failed step leaves NaN,
+which fails).  A grid of frame pairs goes through in blocks, each step
 one array operation over the block: one stacked eigenvalue call for the
 roots and one broadcast verification.  Every returned equilibrium carries
 that residual, the larger unilateral gain
@@ -242,9 +242,11 @@ def _saddle_newton(g, k, m, phi, psi):
     The Hessian's determinant -|g + M y| |k + M^T x| - (x'.M y')^2 is
     negative at an equilibrium, so the steps converge there even where a
     best reply is ill-conditioned; a singular one gives non-finite angles.
+    Four steps, because the cusp can start farther from a saddle than a
+    root does.
     """
     with np.errstate(all="ignore"):
-        for _ in range(3):
+        for _ in range(4):
             x, y = unit_vectors(phi), unit_vectors(psi)
             x_turn, y_turn = _turn(x), _turn(y)
             v = g + _mat_vec(m, y)
@@ -258,31 +260,18 @@ def _saddle_newton(g, k, m, phi, psi):
     return phi, psi
 
 
-def _alice_partners(g, m, x) -> np.ndarray:
-    """psi = 2 beta of the up to two y Alice replies x to, NaN where none, (..., 2):
-    x cross (g + M y) = 0, and x cross M y = (M^T x_turn) . y = |r| cos(psi - angle r)."""
-    r = _vec_mat(_turn(x), m)
-    with np.errstate(all="ignore"):
-        spread = np.arccos(-_dot(_turn(x), g) / np.hypot(r[..., 0], r[..., 1]))
-    return np.arctan2(r[..., 1:], r[..., :1]) + spread[..., None] * np.array([1.0, -1.0])
+def _cusp(k, m) -> np.ndarray:
+    """phi = 2 alpha, (n, 1), of x_c = -M^-T k, where Bob is indifferent.
 
-
-def _cusp(g, k, m) -> tuple[np.ndarray, np.ndarray]:
-    """(phi, psi) = (2 alpha, 2 beta) of the two cusp candidates, (n, 2) each.
-
-    Where Bob is indifferent, k + M^T x = 0, every beta is his reply, so the
-    quartic's root there has no reply -w/|w| to pair with.  That x is
-    x_c = -M^-T k, a strategy where it has unit length, and Alice replies
-    with it to the y of _alice_partners.
+    There k + M^T x = 0, so the quartic's root at x_c, if roundoff leaves
+    one, has no reply -w/|w|; _partner pairs x_c like a root.  Off the
+    circle, or for a singular M, it is one more candidate for the judge.
     """
     k0, k1 = k[..., 0], k[..., 1]
     m00, m01, m10, m11 = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
-    # a singular M, or no y on the circle, leaves NaN candidates
     with np.errstate(all="ignore"):
         det = m00 * m11 - m01 * m10
-        phi = np.arctan2((k0 * m01 - k1 * m00) / det, (k1 * m10 - k0 * m11) / det)
-    psi = _alice_partners(g, m, unit_vectors(phi))[..., 0, :]
-    return np.broadcast_to(phi, psi.shape), psi
+        return np.arctan2((k0 * m01 - k1 * m00) / det, (k1 * m10 - k0 * m11) / det)
 
 
 def _cayley(a: int, b: int) -> list[complex]:
@@ -327,12 +316,18 @@ def _half_angle_roots(samples: np.ndarray) -> np.ndarray:
 
 
 def _partner(g, k, m, phi) -> np.ndarray:
-    """psi = 2 beta for each root phi: Bob's reply -w/|w|, or a y of _alice_partners
-    where one has a smaller unilateral gain (a nearly indifferent Bob magnifies
-    the root's error)."""
+    """psi = 2 beta for each phi: Bob's reply -w/|w|, or one of the up to two y
+    to which Alice replies x, whichever gains less (a nearly indifferent Bob
+    magnifies phi's error, and at the cusp w = 0).  Alice replies x to y where
+    x cross (g + M y) = 0, and x cross M y = (M^T x_turn) . y = |r| cos(psi - angle r)."""
     x = unit_vectors(phi)
     w = k + _vec_mat(x, m)
-    psi = np.concatenate([np.arctan2(-w[..., 1:], -w[..., :1]), _alice_partners(g, m, x)], -1)
+    r = _vec_mat(_turn(x), m)
+    with np.errstate(all="ignore"):
+        spread = np.arccos(-_dot(_turn(x), g) / np.hypot(r[..., 0], r[..., 1]))
+    bob = np.arctan2(-w[..., 1:], -w[..., :1])
+    alice = np.arctan2(r[..., 1:], r[..., :1]) + spread[..., None] * [1.0, -1.0]
+    psi = np.concatenate([bob, alice], -1)
     gain = _gain(g[..., None, :], k[..., None, :], m[..., None, :, :], x[..., None, :],
                  unit_vectors(psi))
     best = np.argmin(np.where(np.isnan(gain), np.inf, gain), axis=-1)[..., None]
@@ -342,11 +337,11 @@ def _partner(g, k, m, phi) -> np.ndarray:
 def _candidates(
     h: PayoffMatrix, theta_a: np.ndarray, theta_b: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(alpha, beta) candidates in degrees, (n, 10), at n frame pairs.
+    """(alpha, beta) candidates in degrees, (n, 9), at n frame pairs.
 
-    Eight are the roots of the fixed-point polynomial after Newton's steps,
-    taken as they come, and two the cusp's; NaN fills the places of
-    candidates a cell does not have or whose step failed.  Built from the
+    The eight roots of the fixed-point polynomial and the cusp, each paired
+    by _partner and taken as Newton's steps leave it; NaN fills the places
+    of candidates a cell does not have or whose step failed.  Built from the
     form divided by the total payoff, so the coefficients stay near one
     whatever the payoff magnitude.
     """
@@ -358,15 +353,12 @@ def _candidates(
     w = k + _vec_mat(x, m)
     x_cross_mw = _dot(x_turn, _mat_vec(m, w))
     samples = _dot(w, w) * _dot(x_turn, g) ** 2 - x_cross_mw**2
-    phi = _half_angle_roots(samples)
+    phi = np.concatenate([_half_angle_roots(samples), _cusp(k, m)], axis=1)
     # a root shared with the spurious factor |w| (x cross g) + x cross M w
     # keeps only half the digits, and a nearly indifferent Bob turns that
     # error into a wrong beta, which _partner can only shrink; Newton steps
     # on the saddle restore both
     phi, psi = _saddle_newton(g, k, m, phi, _partner(g, k, m, phi))
-    cusp_phi, cusp_psi = _cusp(g, k, m)
-    phi = np.concatenate([phi, cusp_phi], axis=1)
-    psi = np.concatenate([psi, cusp_psi], axis=1)
     # a singular Newton step leaves +-inf, which % turns into NaN: such a
     # candidate gets a NaN residual and fails the judge
     with np.errstate(invalid="ignore"):
@@ -404,9 +396,9 @@ def find_equilibria(h: PayoffMatrix, frames: Frames) -> list[Equilibrium]:
     """All verified Nash equilibria, deduplicated and sorted by alpha.
 
     An empty list is a valid outcome.  Candidates are the roots of the
-    fixed-point polynomial paired with Bob's best response and polished by
-    Newton steps, and the point where Bob is indifferent paired with the
-    angles at which it is Alice's best response; each one must pass
+    fixed-point polynomial and the point where Bob is indifferent, each
+    paired with Bob's best response or a beta to which it is Alice's, and
+    polished by Newton steps; each one must pass
     verify_nash_quantum at NASH_TOLERANCE * (a + b + c + d) before it is
     reported, so spurious roots are never returned.  The tolerance is a
     module constant, not a parameter.  Of candidates within

@@ -1,0 +1,66 @@
+"""Write the solver's regression corpus: the outputs a solver change may move.
+
+    PYTHONPATH=src python tests/sweep_corpus.py OUTDIR
+
+runs wisealice.cli.main in this process and writes into OUTDIR
+
+- 80 sweep CSVs, 367,560 cells: for seeds sweep:1 to sweep:40, payoffs drawn
+  as perfbench/workloads.py draws its sweep scenario, each at frames
+  5:85 step 2.5 and at 0.5:89.5 step 1;
+- for each shipped scenario, analyze and equilibria as text and as JSON, and
+  curves at a resolution of 0.25 degrees (CSV and SVG).
+
+Point PYTHONPATH at another checkout's src to write its corpus with the same
+script, then compare the two with ``diff -r``.  Not a test module: pytest
+does not collect it.  It takes about half a minute on a 2-vCPU host.
+"""
+
+from __future__ import annotations
+
+import random
+import sys
+from pathlib import Path
+
+from wisealice.cli import main
+
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+SEEDS = range(1, 41)
+GRIDS = {"coarse": ("5:85", "2.5"), "fine": ("0.5:89.5", "1")}
+
+
+def run(*argv: str) -> None:
+    code = main(list(argv))
+    if code != 0:
+        raise SystemExit(f"wisealice {' '.join(argv)} exited with {code}")
+
+
+def write_sweeps(out: Path) -> None:
+    for seed in SEEDS:
+        # the draw of perfbench/workloads.py's sweep workload
+        rng = random.Random(f"sweep:{seed}")
+        a, b, c, d = (round(rng.uniform(0.5, 5.0), 6) for _ in range(4))
+        scenario = out / f"sweep_{seed}.txt"
+        scenario.write_text(f"a = {a}\nb = {b}\nc = {c}\nd = {d}\n"
+                            "theta_a_deg = 45\ntheta_b_deg = 45\n")
+        for name, (span, step) in GRIDS.items():
+            run("sweep", "--scenario", str(scenario), "--theta-a", span, "--theta-b", span,
+                "--step", step, "--out", str(out / f"sweep_{seed}_{name}.csv"))
+
+
+def write_shipped(out: Path) -> None:
+    for scenario in sorted(SCENARIO_DIR.glob("*.txt")):
+        for command in ("analyze", "equilibria"):
+            for fmt in ("text", "json"):
+                run(command, "--scenario", str(scenario), "--format", fmt,
+                    "--out", str(out / f"{scenario.stem}_{command}.{fmt}"))
+        run("curves", "--scenario", str(scenario), "--resolution", "0.25",
+            "--out", str(out / f"{scenario.stem}_curves"))
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        raise SystemExit(__doc__)
+    out = Path(sys.argv[1])
+    out.mkdir(parents=True, exist_ok=True)
+    write_sweeps(out)
+    write_shipped(out)

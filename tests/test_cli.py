@@ -80,6 +80,14 @@ def test_scenario_rejects_scan_resolution(scenario_dir, tmp_path, capsys):
         assert f"unknown field '{key}'" in one_line_error(capsys)
 
 
+def test_scenario_rejects_a_repeated_key(tmp_path, capsys):
+    path = write_scenario(tmp_path, NO_EQ_TEXT + "a = 7\n")
+    with pytest.raises(ScenarioError, match=":7: duplicate field 'a'"):
+        load_scenario(path)
+    assert main(["analyze", "--scenario", str(path)]) == 1
+    assert one_line_error(capsys) == f"error: {path}:7: duplicate field 'a'\n"
+
+
 def test_scenario_keys_are_the_scenario_fields():
     # a key without a field would reach Scenario(**values) as a TypeError
     fields = [field.name for field in dataclasses.fields(Scenario)]

@@ -419,17 +419,22 @@ def test_grid_cells_match_find_equilibria_alone_at_cusps(payoffs):
 
 def test_cusp_candidate_is_the_only_one_to_find_this_equilibrium():
     # Bob is nearly indifferent here: the quartic's samples are at most 1.4e-7,
-    # every polished root misses, and only _cusp's (90.2133, 179.9406) passes
+    # and only the cusp x_c, paired and polished like a root, finds the point
     h = PayoffMatrix(32.35978971903452, 224.85711873998432,
                      0.0004248362085169901, 0.001003037919629702)
     frames = (MeasurementFrame(0.3438537318107828), MeasurementFrame(0.013675748768441364))
-    # the oracle, without the root solve: the circle game has no duality gap
-    assert duality_gap(h, frames) <= 1e-12 * h.scale
+    # the oracle, without the root solve: the circle game has no duality gap,
+    # and its maxmin and minmax strategies sit at the 40-digit equilibrium
+    gap, alpha, beta = duality_gap(h, frames)
+    assert gap <= 1e-12 * h.scale
+    assert circle_dist(alpha, 90.2266157) <= 1e-5
+    assert circle_dist(beta, 179.9574804) <= 1e-5
     found = find_equilibria(h, frames)
     assert len(found) == 1
     eq = found[0]
-    assert circle_dist(eq.alpha.degrees, 90.2133) <= 1e-4
-    assert circle_dist(eq.beta.degrees, 179.9406) <= 1e-4
+    assert circle_dist(eq.alpha.degrees, alpha) <= 1e-5
+    assert circle_dist(eq.beta.degrees, beta) <= 1e-5
+    assert eq.residual <= 1e-15 * h.scale
     assert brute_force_gain(h, frames, eq.alpha.degrees, eq.beta.degrees) <= (
         NASH_TOLERANCE * h.scale)
 
@@ -440,8 +445,9 @@ wide_payoffs = st.floats(min_value=-4.0, max_value=4.0).map(math.exp)
 wide_frames = st.floats(min_value=0.01, max_value=89.99)
 
 
-def duality_gap(h, frames) -> float:
-    """minmax - maxmin of the circle game; zero exactly when an equilibrium exists.
+def duality_gap(h, frames) -> tuple[float, float, float]:
+    """minmax - maxmin of the circle game, zero exactly when an equilibrium
+    exists, with Alice's maxmin alpha and Bob's minmax beta in degrees.
 
     The inner optima are K -+ |(U, V)| from the half-angle coefficients; the
     outer ones come from the 0.01-degree grid, refined by a bounded scalar
@@ -452,7 +458,9 @@ def duality_gap(h, frames) -> float:
         best = GRID_001[np.argmax(values)]
         found = minimize_scalar(lambda t: -fn(t), bounds=(best - 0.01, best + 0.01),
                                 method="bounded", options={"xatol": 1e-12})
-        return max(-found.fun, values.max())
+        if -found.fun > values.max():
+            return -found.fun, found.x % 180.0
+        return values.max(), best
 
     def worst_for_alice(alpha):
         k, u, v = half_angle_coefficients_in_beta(h, frames, alpha)
@@ -462,7 +470,9 @@ def duality_gap(h, frames) -> float:
         k, u, v = half_angle_coefficients(h, frames, beta)
         return -(k + np.hypot(u, v))
 
-    return -outer_max(minus_best_for_alice) - outer_max(worst_for_alice)
+    maxmin, alpha = outer_max(worst_for_alice)
+    minus_minmax, beta = outer_max(minus_best_for_alice)
+    return -minus_minmax - maxmin, alpha, beta
 
 
 def assert_same_equilibria(h, frames):
@@ -491,7 +501,7 @@ def assert_same_equilibria(h, frames):
         ]
 
     if unmatched(scanned, roots):
-        assert duality_gap(h, frames) > 1e-12 * h.scale, (scanned, roots)
+        assert duality_gap(h, frames)[0] > 1e-12 * h.scale, (scanned, roots)
     for eq in unmatched(roots, scanned):
         assert brute_force_gain(h, frames, eq.alpha.degrees, eq.beta.degrees) <= tol, (
             eq, scanned)
