@@ -42,27 +42,25 @@ class MixedProfile:
     def __post_init__(self) -> None:
         if not math.isfinite(self.value):
             raise ValueError(f"value must be finite, got {self.value}")
-        for name, vec in (("x", self.x), ("y", self.y)):
-            if not all(math.isfinite(v) for v in vec):
-                raise ValueError(f"{name} must have finite entries, got {vec}")
-            if len(vec) != 4 or min(vec) < -_SIMPLEX_TOL:
-                raise ValueError(f"{name} must be a nonnegative 4-vector")
-            if abs(sum(vec) - 1.0) > _SIMPLEX_TOL:
-                raise ValueError(f"{name} must sum to 1, got {sum(vec)}")
+        _probability_vector("x", self.x)
+        _probability_vector("y", self.y)
+
+
+def _probability_vector(name: str, vec: Sequence[float]) -> np.ndarray:
+    """vec as an array, or ValueError unless it is a finite point of the simplex."""
+    v = np.asarray(vec, dtype=float)
+    if v.shape != (4,):
+        raise ValueError(f"{name} must have 4 entries, got {vec}")
+    if not np.isfinite(v).all():
+        raise ValueError(f"{name} must have finite entries, got {vec}")
+    if v.min() < -_SIMPLEX_TOL or abs(v.sum() - 1.0) > _SIMPLEX_TOL:
+        raise ValueError(f"{name} is not on the probability simplex, got {vec}")
+    return v
 
 
 def expected_payoff(h: PayoffMatrix, x: Sequence[float], y: Sequence[float]) -> float:
     """Bilinear form sum_jk h[j][k] x_j y_k of two probability vectors."""
-    xv = np.asarray(x, dtype=float)
-    yv = np.asarray(y, dtype=float)
-    for name, v in (("x", xv), ("y", yv)):
-        if v.shape != (4,):
-            raise ValueError(f"{name} must have 4 entries")
-        if not np.isfinite(v).all():
-            raise ValueError(f"{name} must have finite entries")
-        if v.min() < -_SIMPLEX_TOL or abs(v.sum() - 1.0) > _SIMPLEX_TOL:
-            raise ValueError(f"{name} is not on the probability simplex")
-    return float(xv @ h.as_array() @ yv)
+    return float(_probability_vector("x", x) @ h.as_array() @ _probability_vector("y", y))
 
 
 def solve_zero_sum(h: PayoffMatrix) -> MixedProfile:

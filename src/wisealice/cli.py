@@ -167,11 +167,11 @@ def cmd_curves(args: argparse.Namespace) -> int:
     bob = reaction_curve("bob", h, frames, args.resolution)
     equilibria = find_equilibria(h, frames)
 
-    base = Path(args.out) if args.out else Path("curves")
-    if base.suffix in (".csv", ".svg"):
-        base = base.with_suffix("")
-    csv_path = base.with_suffix(".csv")
-    svg_path = base.with_suffix(".svg")
+    # a dotted base such as curves_0.25 keeps its dot: only .csv or .svg is cut
+    base = args.out or "curves"
+    if base.endswith((".csv", ".svg")):
+        base = base[:-4]
+    csv_path, svg_path = Path(base + ".csv"), Path(base + ".svg")
 
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -307,11 +307,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_lattice_check(args: argparse.Namespace) -> int:
-    theta = args.theta
-    if not 0.0 < theta < 90.0:
-        print(f"error: theta must lie strictly inside (0, 90), got {theta}",
-              file=sys.stderr)
-        return 1
+    rep = PlaneSubspaceRep(args.theta)
     lattice = wise_alice_lattice()
     report = ortholattice_law_report(lattice)
     lines = ["ortholattice laws:"]
@@ -344,10 +340,9 @@ def cmd_lattice_check(args: argparse.Namespace) -> int:
            "impossible: sure events carry total weight below 1")
     )
 
-    rep = PlaneSubspaceRep(theta)
     ok = check_representation(lattice, rep)
     lines.append(
-        f"plane realization at theta={_fmt_angle(theta)}: "
+        f"plane realization at theta={_fmt_angle(rep.theta_deg)}: "
         + ("isomorphic" if ok else "NOT isomorphic")
     )
     _write_or_print("\n".join(lines) + "\n", args.out)

@@ -261,76 +261,48 @@ class PlaneSubspaceRep:
                 )
 
 
-# plane subspaces for the case analysis: dimension tag plus line angle
+# plane subspaces: dimension tag plus line angle, (1, angle) for a line
 _ZERO = (0, 0.0)
 _PLANE = (2, 0.0)
 
 
-def _line(angle_deg: float) -> tuple[int, float]:
-    return (1, _norm180(angle_deg))
+def _within(s: tuple[int, float], t: tuple[int, float]) -> bool:
+    """True iff subspace s lies inside subspace t."""
+    if s[0] == 0 or t[0] == 2:
+        return True
+    return s[0] == t[0] == 1 and _same_line(s[1], t[1])
 
 
-def _sub_meet(s: tuple[int, float], t: tuple[int, float]) -> tuple[int, float]:
-    if s[0] == 0 or t[0] == 0:
-        return _ZERO
-    if s[0] == 2:
-        return t
-    if t[0] == 2:
-        return s
-    return s if _same_line(s[1], t[1]) else _ZERO
-
-
-def _sub_join(s: tuple[int, float], t: tuple[int, float]) -> tuple[int, float]:
-    if s[0] == 2 or t[0] == 2:
-        return _PLANE
-    if s[0] == 0:
-        return t
-    if t[0] == 0:
-        return s
-    return s if _same_line(s[1], t[1]) else _PLANE
-
-
-def _sub_perp(s: tuple[int, float]) -> tuple[int, float]:
+def _perp(s: tuple[int, float]) -> tuple[int, float]:
     if s[0] == 0:
         return _PLANE
     if s[0] == 2:
         return _ZERO
-    return _line(s[1] + 90.0)
-
-
-def _sub_eq(s: tuple[int, float], t: tuple[int, float]) -> bool:
-    if s[0] != t[0]:
-        return False
-    return s[0] != 1 or _same_line(s[1], t[1])
+    return (1, s[1] + 90.0)
 
 
 def check_representation(lattice: FiniteOrtholattice, rep: PlaneSubspaceRep) -> bool:
     """True iff the atom->line mapping is an ortholattice isomorphism.
 
-    Meet must map to intersection, join to linear span, complement to the
-    orthogonal complement, with O and I going to the zero subspace and the
-    full plane.
+    With O at the zero subspace and I at the plane, the mapping must
+    preserve and reflect the order (x <= y iff x's subspace lies in y's)
+    and send each x' to the orthogonal complement of x's subspace.  That
+    suffices: an order embedding is injective, and O, distinct lines and
+    the plane are closed under intersection and span, so the order alone
+    makes meet the intersection and join the span.
     """
     mapping: dict[str, tuple[int, float]] = {BOTTOM: _ZERO, TOP: _PLANE}
     for atom in lattice.atoms():
         if atom not in rep.line_angles:
             return False
-        mapping[atom] = _line(rep.line_angles[atom])
+        mapping[atom] = (1, rep.line_angles[atom])
     if set(mapping) != set(lattice.elements):
         return False
-
-    # injectivity: distinct elements must map to distinct subspaces
-    items = list(mapping.items())
-    for (x, s), (y, t) in itertools.combinations(items, 2):
-        if _sub_eq(s, t):
-            return False
-
-    for x in lattice.elements:
-        if not _sub_eq(_sub_perp(mapping[x]), mapping[orthocomplement(lattice, x)]):
-            return False
-    for x, y in itertools.product(lattice.elements, repeat=2):
-        if not _sub_eq(_sub_meet(mapping[x], mapping[y]), mapping[meet(lattice, x, y)]):
-            return False
-        if not _sub_eq(_sub_join(mapping[x], mapping[y]), mapping[join(lattice, x, y)]):
-            return False
-    return True
+    return all(
+        lattice.leq(x, y) == _within(mapping[x], mapping[y])
+        for x, y in itertools.product(lattice.elements, repeat=2)
+    ) and all(
+        _within(_perp(mapping[x]), mapping[lattice.complement[x]])
+        and _within(mapping[lattice.complement[x]], _perp(mapping[x]))
+        for x in lattice.elements
+    )

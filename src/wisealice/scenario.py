@@ -1,15 +1,16 @@
 """Scenario files: flat key-value text describing one game instance.
 
-Recognized keys: a, b, c, d, theta_a_deg, theta_b_deg, rounds, seed.
+The keys are the fields of Scenario (a, b, c, d, theta_a_deg,
+theta_b_deg, rounds, seed), each parsed as its field's type; the fields
+with defaults, the simulation settings rounds and seed, may be omitted.
 Lines starting with '#' (or blank) are ignored; values follow an '=' sign.
-The simulation settings rounds and seed fall back to defaults when
-omitted.  Any other key is an error; the equilibrium tolerance is
+Any other key is an error; the equilibrium tolerance is
 solver.NASH_TOLERANCE and cannot be set here.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass, replace
+# no `from __future__ import annotations`: load_scenario calls each field's
+# type to parse its value, so the types must stay classes, not strings
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 
 from wisealice.game import PayoffMatrix
@@ -18,10 +19,6 @@ from wisealice.simulate import _check_stream
 
 DEFAULT_ROUNDS = 100_000
 DEFAULT_SEED = 1
-
-_REQUIRED = ("a", "b", "c", "d", "theta_a_deg", "theta_b_deg")
-_FLOAT_KEYS = _REQUIRED
-_INT_KEYS = ("rounds", "seed")
 
 
 class ScenarioError(ValueError):
@@ -71,6 +68,7 @@ def load_scenario(path: str | Path) -> Scenario:
     except OSError as exc:
         raise ScenarioError(f"{path}: {exc}") from exc
 
+    kinds = {f.name: f.type for f in fields(Scenario)}
     values: dict[str, float | int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -83,24 +81,18 @@ def load_scenario(path: str | Path) -> Scenario:
         value = value.strip()
         if key in values:
             raise ScenarioError(f"{path}:{lineno}: duplicate field {key!r}")
-        if key in _FLOAT_KEYS:
-            try:
-                values[key] = float(value)
-            except ValueError as exc:
-                raise ScenarioError(
-                    f"{path}:{lineno}: field {key} needs a number, got {value!r}"
-                ) from exc
-        elif key in _INT_KEYS:
-            try:
-                values[key] = int(value)
-            except ValueError as exc:
-                raise ScenarioError(
-                    f"{path}:{lineno}: field {key} needs an integer, got {value!r}"
-                ) from exc
-        else:
+        if key not in kinds:
             raise ScenarioError(f"{path}:{lineno}: unknown field {key!r}")
+        try:
+            values[key] = kinds[key](value)
+        except ValueError as exc:
+            noun = "an integer" if kinds[key] is int else "a number"
+            raise ScenarioError(
+                f"{path}:{lineno}: field {key} needs {noun}, got {value!r}"
+            ) from exc
 
-    missing = [k for k in _REQUIRED if k not in values]
+    missing = [f.name for f in fields(Scenario)
+               if f.default is MISSING and f.name not in values]
     if missing:
         raise ScenarioError(f"{path}: missing required fields: {', '.join(missing)}")
     try:

@@ -1,4 +1,4 @@
-"""Write the solver's regression corpus: the outputs a solver change may move.
+"""Write the regression corpus: the outputs a solver change may move.
 
     PYTHONPATH=src python tests/sweep_corpus.py OUTDIR
 
@@ -8,7 +8,8 @@ runs wisealice.cli.main in this process and writes into OUTDIR
   as perfbench/workloads.py draws its sweep scenario, each at frames
   5:85 step 2.5 and at 0.5:89.5 step 1;
 - for each shipped scenario, analyze and equilibria as text and as JSON, and
-  curves at a resolution of 0.25 degrees (CSV and SVG).
+  curves at a resolution of 0.25 degrees (CSV and SVG);
+- lattice-check at theta = 0.5, 1.0, ..., 89.5 degrees, 179 reports.
 
 Point PYTHONPATH at another checkout's src to write its corpus with the same
 script, then compare the two with ``diff -r``.  Not a test module: pytest
@@ -57,6 +58,12 @@ def write_shipped(out: Path) -> None:
             "--out", str(out / f"{scenario.stem}_curves"))
 
 
+def write_lattice(out: Path) -> None:
+    for half_degrees in range(1, 180):
+        theta = str(half_degrees / 2)
+        run("lattice-check", "--theta", theta, "--out", str(out / f"lattice_{theta}.txt"))
+
+
 if __name__ == "__main__":
     if len(sys.argv) != 2:
         raise SystemExit(__doc__)
@@ -64,3 +71,4 @@ if __name__ == "__main__":
     out.mkdir(parents=True, exist_ok=True)
     write_sweeps(out)
     write_shipped(out)
+    write_lattice(out)

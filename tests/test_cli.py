@@ -7,13 +7,7 @@ import pytest
 from wisealice.cli import MAX_SWEEP_CELLS, main
 from wisealice.game import PayoffMatrix
 from wisealice.quantum import MeasurementFrame, StrategyAngle
-from wisealice.scenario import (
-    _FLOAT_KEYS,
-    _INT_KEYS,
-    Scenario,
-    ScenarioError,
-    load_scenario,
-)
+from wisealice.scenario import Scenario, ScenarioError, load_scenario
 from wisealice.solver import find_equilibria, reaction_curve, verify_nash_quantum
 
 
@@ -88,18 +82,31 @@ def test_scenario_rejects_a_repeated_key(tmp_path, capsys):
     assert one_line_error(capsys) == f"error: {path}:7: duplicate field 'a'\n"
 
 
-def test_scenario_keys_are_the_scenario_fields():
-    # a key without a field would reach Scenario(**values) as a TypeError
-    fields = [field.name for field in dataclasses.fields(Scenario)]
-    assert sorted(_FLOAT_KEYS + _INT_KEYS) == sorted(fields)
+def test_scenario_keys_are_the_scenario_fields(tmp_path, capsys):
+    # no value is a default, so a field the parser skipped would show
+    values = {"a": 1.5, "b": 2.0, "c": 3.0, "d": 4.0, "theta_a_deg": 10.0,
+              "theta_b_deg": 70.0, "rounds": 7, "seed": 9}
+    assert list(values) == [field.name for field in dataclasses.fields(Scenario)]
+    path = write_scenario(tmp_path, "".join(f"{k} = {v}\n" for k, v in values.items()))
+    scenario = load_scenario(path)
+    assert dataclasses.asdict(scenario) == values
+    assert type(scenario.rounds) is int and type(scenario.seed) is int
+
+    path = write_scenario(tmp_path, NO_EQ_TEXT + "rounds = 1.5\n")
+    with pytest.raises(ScenarioError, match="field rounds needs an integer"):
+        load_scenario(path)
+    assert main(["analyze", "--scenario", str(path)]) == 1
+    assert "needs an integer" in one_line_error(capsys)
 
 
-def test_scenario_rejects_out_of_range_frame(tmp_path):
+def test_scenario_rejects_out_of_range_frame(tmp_path, capsys):
     path = write_scenario(
         tmp_path, "a = 1\nb = 1\nc = 1\nd = 1\ntheta_a_deg = 95\ntheta_b_deg = 45\n"
     )
     with pytest.raises(ScenarioError, match="theta_a_deg"):
         load_scenario(path)
+    assert main(["analyze", "--scenario", str(path)]) == 1
+    assert "theta_a_deg" in one_line_error(capsys)
 
 
 # --- analyze / equilibria ----------------------------------------------------
@@ -167,7 +174,8 @@ def test_missing_scenario_file_fails(tmp_path, capsys):
 
 
 def one_line_error(capsys) -> str:
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == "", out
     assert err.startswith("error: ") and err.count("\n") == 1, err
     return err
 
@@ -236,6 +244,18 @@ def test_curves_marks_equilibria(scenario_dir, tmp_path):
           "--out", str(base), "--resolution", "1"])
     svg = (tmp_path / "two.svg").read_text()
     assert '<circle class="eq"' in svg
+
+
+@pytest.mark.parametrize("out", ["curves_0.25", "curves_0.25.csv", "curves_0.25.svg"])
+def test_curves_out_keeps_a_dotted_base_name(scenario_dir, tmp_path, out, capsys):
+    # Path.with_suffix would turn curves_0.25 into curves_0.csv
+    code = main(["curves", "--scenario", str(scenario_dir / "unit_payoffs.txt"),
+                 "--out", str(tmp_path / out), "--resolution", "1"])
+    assert code == 0
+    base = tmp_path / "curves_0.25"
+    assert capsys.readouterr().out == f"wrote {base}.csv and {base}.svg\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["curves_0.25.csv",
+                                                          "curves_0.25.svg"]
 
 
 @pytest.mark.parametrize("resolution", ["nan", "inf", "-inf", "1e-9"])
@@ -397,9 +417,10 @@ def test_lattice_check_passes_at_45(capsys):
 
 
 def test_lattice_check_rejects_out_of_range_theta(capsys):
-    code = main(["lattice-check", "--theta", "95"])
-    assert code == 1
-    assert "error" in capsys.readouterr().err
+    # 1e-10 lies inside (0, 90) but puts atom 2's line on atom 1's
+    for theta in ("95", "nan", "1e-10"):
+        assert main(["lattice-check", "--theta", theta]) == 1
+        one_line_error(capsys)
 
 
 @pytest.mark.parametrize("name", ["two_equilibria", "interior_equilibrium",

@@ -1,4 +1,5 @@
 import itertools
+from types import SimpleNamespace
 
 import pytest
 
@@ -132,6 +133,14 @@ def test_representation_at_reference_angles(lat, theta):
 def test_representation_every_degree(lat):
     for theta in range(1, 90):
         assert check_representation(lat, PlaneSubspaceRep(float(theta))), theta
+
+
+@pytest.mark.parametrize("angles", [
+    {"1": 0.0, "3": 60.0, "2": 30.0, "4": 120.0},   # 3 = 1' is not perpendicular to 1
+    {"1": 0.0, "3": 90.0, "2": 0.0, "4": 90.0},     # atoms 1 and 2 share a line
+])
+def test_representation_check_can_fail(lat, angles):
+    assert not check_representation(lat, SimpleNamespace(line_angles=angles))
 
 
 @pytest.mark.parametrize("theta", [0.0, 90.0, 95.0, -10.0])
