@@ -21,8 +21,8 @@ __version__ = "0.1.0"
 
 # exported name -> home module
 _HOME = {name: module for module, names in {
-    "game": ("BobOutcome", "PayoffMatrix", "PureSaddleAnalysis", "SquareGeometry",
-             "bob_outcome", "payoff_matrix_from_rules", "pure_saddle_analysis"),
+    "game": ("BobOutcome", "PayoffMatrix", "PureSaddleAnalysis", "bob_outcome",
+             "payoff_matrix_from_rules", "pure_saddle_analysis"),
     "lattice": ("FiniteOrtholattice", "LatticeStructureError", "PlaneSubspaceRep",
                 "check_representation", "disjunction_paradox",
                 "find_distributivity_violation", "join", "meet", "orthocomplement",

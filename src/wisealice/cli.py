@@ -92,9 +92,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     report = {
         "scenario": dataclasses.asdict(scenario),
         "classical": {
-            "maxmin": pure.maxmin,
-            "minmax": pure.minmax,
-            "saddle_exists": pure.saddle_exists,
+            **pure._asdict(),
             "mixed_value": mixed.value,
             "x": list(mixed.x),
             "y": list(mixed.y),
@@ -286,28 +284,19 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         f"z-score: {'undefined' if z is None else _fmt(z)}",
     ]
     if args.format == "json":
-        _write_or_print(
-            json.dumps(
-                {
-                    "rounds": result.rounds,
-                    "mean": result.mean,
-                    "std_error": result.std_error,
-                    "analytic_value": result.analytic_value,
-                    "z_score": z,
-                    "std_error_defined": result.std_error is not None,
-                },
-                indent=2,
-            )
-            + "\n",
-            args.out,
-        )
+        report = {**dataclasses.asdict(result), "z_score": z,
+                  "std_error_defined": result.std_error is not None}
+        _write_or_print(json.dumps(report, indent=2) + "\n", args.out)
         return 0
     _write_or_print("\n".join(lines) + "\n", args.out)
     return 0
 
 
 def cmd_lattice_check(args: argparse.Namespace) -> int:
-    rep = PlaneSubspaceRep(args.theta)
+    try:
+        rep = PlaneSubspaceRep(args.theta)
+    except ValueError as exc:
+        raise ValueError(f"--theta: {exc}") from None
     lattice = wise_alice_lattice()
     report = ortholattice_law_report(lattice)
     lines = ["ortholattice laws:"]

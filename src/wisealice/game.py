@@ -1,4 +1,4 @@
-"""The ball-in-a-box game: square geometry, Bob's move rule, payoffs.
+"""The ball-in-a-box game: the square's corners, Bob's move rule, payoffs.
 
 Bob hides a ball in a corner of a square box; Alice asks whether it sits
 in a particular corner.  Before answering, Bob may slide the ball to an
@@ -9,34 +9,21 @@ corner opposite to the ball.  Alice is paid only on a "no".
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
+# corners 1..4 in cyclic order, the corners adjacent to each, and the opposite one
 VERTICES = (1, 2, 3, 4)
+ADJACENT = {1: frozenset({2, 4}), 2: frozenset({1, 3}),
+            3: frozenset({2, 4}), 4: frozenset({1, 3})}
+OPPOSITE = {1: 3, 2: 4, 3: 1, 4: 2}
 
 
-@dataclass(frozen=True)
-class SquareGeometry:
-    """Corners 1..4 in cyclic order with adjacency and the opposite map."""
-
-    vertices: tuple[int, ...] = VERTICES
-    adjacency: dict[int, frozenset[int]] = field(
-        default_factory=lambda: {
-            1: frozenset({2, 4}),
-            2: frozenset({1, 3}),
-            3: frozenset({2, 4}),
-            4: frozenset({1, 3}),
-        }
-    )
-    opposite: dict[int, int] = field(
-        default_factory=lambda: {1: 3, 2: 4, 3: 1, 4: 2}
-    )
-
-    def require_vertex(self, v: int) -> None:
-        if v not in self.vertices:
-            raise ValueError(f"invalid vertex: {v}")
+def require_vertex(v: int) -> None:
+    if v not in VERTICES:
+        raise ValueError(f"invalid vertex: {v}")
 
 
 class BobOutcome(NamedTuple):
@@ -44,7 +31,7 @@ class BobOutcome(NamedTuple):
     new_ball: int
 
 
-def bob_outcome(geometry: SquareGeometry, question: int, ball: int) -> BobOutcome:
+def bob_outcome(question: int, ball: int) -> BobOutcome:
     """Resolve one question: Bob slides to the asked corner whenever he can.
 
     The ball reaches the question corner iff it is already there or
@@ -52,9 +39,9 @@ def bob_outcome(geometry: SquareGeometry, question: int, ball: int) -> BobOutcom
     stays put (the payoff does not depend on where Bob leaves it, but the
     simulator needs a definite rule).
     """
-    geometry.require_vertex(question)
-    geometry.require_vertex(ball)
-    if ball == question or ball in geometry.adjacency[question]:
+    require_vertex(question)
+    require_vertex(ball)
+    if ball == question or ball in ADJACENT[question]:
         return BobOutcome("yes", question)
     return BobOutcome("no", ball)
 
@@ -92,8 +79,7 @@ class PayoffMatrix:
     def entry(self, j: int, k: int) -> float:
         if j not in VERTICES or k not in VERTICES:
             raise ValueError(f"invalid matrix cell ({j}, {k})")
-        opposite = ((j + 1) % 4) + 1
-        return self.row_payoff(j) if k == opposite else 0.0
+        return self.row_payoff(j) if k == OPPOSITE[j] else 0.0
 
     def as_array(self) -> np.ndarray:
         h = np.zeros((4, 4))
@@ -110,14 +96,16 @@ class PayoffMatrix:
                             self.c * factor, self.d * factor)
 
 
-def payoff_matrix_from_rules(
-    geometry: SquareGeometry, a: float, b: float, c: float, d: float
-) -> PayoffMatrix:
-    """Derive the payoff matrix by playing out all 16 question/ball pairs."""
+def payoff_matrix_from_rules(a: float, b: float, c: float, d: float) -> PayoffMatrix:
+    """Derive the payoff matrix by playing out all 16 question/ball pairs.
+
+    Bob's move rule reads ADJACENT and the matrix reads OPPOSITE, so this
+    cross-checks two separate statements of the one rule.
+    """
     payoffs = PayoffMatrix(a, b, c, d)
-    for question in geometry.vertices:
-        for ball in geometry.vertices:
-            answer, _ = bob_outcome(geometry, question, ball)
+    for question in VERTICES:
+        for ball in VERTICES:
+            answer, _ = bob_outcome(question, ball)
             expected = payoffs.row_payoff(question) if answer == "no" else 0.0
             if payoffs.entry(question, ball) != expected:
                 raise AssertionError(

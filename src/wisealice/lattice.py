@@ -24,7 +24,8 @@ ATOMS = ("1", "2", "3", "4")
 
 # tolerance for comparing line angles of the plane realization, in degrees
 ANGLE_TOL_DEG = 1e-9
-# slack of additivity_holds on a weight sum, whose target is 1
+# slack on a weight sum whose target is 1: of the atom weights given to
+# disjunction_paradox, and of each sure-event pair in additivity_holds
 _WEIGHT_TOL = 1e-12
 
 
@@ -204,7 +205,7 @@ def disjunction_paradox(
     if any(w < 0 for w in weights.values()):
         raise ValueError("atom weights must be nonnegative")
     total = sum(weights.get(a, 0.0) for a in atoms)
-    if abs(total - 1.0) > 1e-9:
+    if not abs(total - 1.0) <= _WEIGHT_TOL:   # a NaN weight fails too
         raise ValueError(f"atom weights must sum to 1, got {total}")
 
     entries = []
@@ -219,12 +220,8 @@ def disjunction_paradox(
 
 # --- plane realization -------------------------------------------------------
 
-def _norm180(angle_deg: float) -> float:
-    return angle_deg % 180.0
-
-
 def _same_line(a: float, b: float) -> bool:
-    d = abs(_norm180(a) - _norm180(b))
+    d = abs(a - b) % 180.0
     return min(d, 180.0 - d) <= ANGLE_TOL_DEG
 
 
@@ -233,8 +230,8 @@ class PlaneSubspaceRep:
     """Realization of the lattice by subspaces of the plane.
 
     Atoms map to lines through the origin: atom 1 at 0 degrees, atom 3 at
-    90, atom 2 at theta, atom 4 at theta + 90 (all mod 180); O maps to the
-    zero subspace and I to the whole plane.  theta must lie strictly
+    90, atom 2 at theta, atom 4 at theta + 90 (all in [0, 180)); O maps to
+    the zero subspace and I to the whole plane.  theta must lie strictly
     between 0 and 90 degrees or the four lines collapse pairwise.
     """
 
@@ -249,8 +246,8 @@ class PlaneSubspaceRep:
         angles = {
             "1": 0.0,
             "3": 90.0,
-            "2": _norm180(self.theta_deg),
-            "4": _norm180(self.theta_deg + 90.0),
+            "2": self.theta_deg,
+            "4": self.theta_deg + 90.0,
         }
         object.__setattr__(self, "line_angles", angles)
         for x, y in itertools.combinations(angles, 2):

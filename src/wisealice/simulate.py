@@ -21,7 +21,7 @@ from typing import Iterator, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
-from wisealice.game import PayoffMatrix, SquareGeometry, bob_outcome
+from wisealice.game import PayoffMatrix, bob_outcome, require_vertex
 from wisealice.quantum import MeasurementFrame, StrategyAngle, outcome_weights, payoff_surface
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
@@ -70,19 +70,19 @@ class SimulationConfig:
 
 
 BLOCK_ROUNDS = 4096   # rounds drawn per numpy call; results do not depend on it
-_PAIRS = ("13", "24")
+# each question pair's label and its two corners
+_PAIRS = {"13": (1, 3), "24": (2, 4)}
 
 
 def _scoring_table(h: PayoffMatrix) -> tuple[tuple[tuple[int, int, float], ...], ...]:
     """The scoring rule: table[pair][code] = (alice outcome, bob outcome, payoff).
 
-    A pair's code is 2·[Alice drew its second outcome] + [Bob drew it]; Alice
-    is paid only when the two outcomes are opposite corners.
+    A pair's code is 2·[Alice drew its second outcome] + [Bob drew it]; the
+    payoff is the matrix entry of the two outcomes, so Alice is paid only
+    when they are opposite corners.
     """
-    return (
-        ((1, 1, 0.0), (1, 3, h.a), (3, 1, h.c), (3, 3, 0.0)),
-        ((2, 2, 0.0), (2, 4, h.b), (4, 2, h.d), (4, 4, 0.0)),
-    )
+    return tuple(tuple((j, k, h.entry(j, k)) for j in pair for k in pair)
+                 for pair in _PAIRS.values())
 
 
 def _codes(config: SimulationConfig, uniforms: np.ndarray) -> np.ndarray:
@@ -196,20 +196,17 @@ class AutomatonStep(NamedTuple):
 
 
 def run_automaton(
-    geometry: SquareGeometry,
-    payoffs: PayoffMatrix,
-    questions: Sequence[int],
-    initial_ball: int,
+    payoffs: PayoffMatrix, questions: Sequence[int], initial_ball: int
 ) -> list[AutomatonStep]:
     """Play a question sequence with the ball reset before every round.
 
     Each round starts from initial_ball (rounds are independent plays of
     the one-shot game); the recorded ball is where Bob left it.
     """
-    geometry.require_vertex(initial_ball)
+    require_vertex(initial_ball)
     steps = []
     for question in questions:
-        answer, new_ball = bob_outcome(geometry, question, initial_ball)
+        answer, new_ball = bob_outcome(question, initial_ball)
         payoff = payoffs.row_payoff(question) if answer == "no" else 0.0
         steps.append(AutomatonStep(question, answer, payoff, new_ball))
     return steps

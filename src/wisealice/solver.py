@@ -161,7 +161,7 @@ def reaction_curve(
     player: Literal["alice", "bob"],
     h: PayoffMatrix,
     frames: Frames,
-    resolution: float = 1.0,
+    resolution: float,
 ) -> ReactionCurve:
     """Sample a best-response map and flag jumps between adjacent samples.
 
@@ -404,10 +404,9 @@ def find_equilibria(h: PayoffMatrix, frames: Frames) -> list[Equilibrium]:
     module constant, not a parameter.  Of candidates within
     MERGE_DISTANCE_DEG of each other in both angles, the one with the
     smallest residual is kept.
-    This is find_equilibria_grid's block of one.
+    This is find_equilibria_grid's grid of one cell.
     """
-    theta_a, theta_b = (np.array([frame.theta_deg]) for frame in frames)
-    return _solve_block(h, theta_a, theta_b)[0]
+    return find_equilibria_grid(h, [frames[0].theta_deg], [frames[1].theta_deg])[0]
 
 
 def find_equilibria_grid(
@@ -441,12 +440,15 @@ def grid_nash_audit(
     step: float = 0.1,
     tol: float | None = None,
 ) -> list[tuple[float, float, float]]:
-    """Independent 2-D sweep: grid points whose unilateral gain is below tol.
+    """2-D sweep: grid points whose unilateral gain is below tol.
 
-    The payoff grid is built straight from the trigonometric definition
-    and compared against the analytic per-row/per-column optima, so this
-    audit shares no code path with the root solve.  Returns
-    (alpha, beta, deviation) for every passing grid point.
+    The payoff grid, payoff_kernel, is built straight from the
+    trigonometric definition.  The per-row/per-column optima it is
+    compared against come from the two harmonic reductions, which read
+    them off bilinear_form, the form the root solve and verify_nash_quantum
+    use.  So the audit is independent of the root solve's candidates,
+    pairing and Newton steps, but not of the form.  Returns (alpha, beta,
+    deviation) for every passing grid point.
 
     The default tol is 4 * scale * (step in radians)^2: a grid point within
     half a step of an equilibrium leaves a gain of order curvature * step^2,

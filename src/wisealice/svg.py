@@ -71,7 +71,7 @@ def render_curves_svg(
     alice: ReactionCurve,
     bob: ReactionCurve,
     equilibria: Sequence[Equilibrium],
-    title: str = "Reaction curves",
+    title: str,
 ) -> str:
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SIZE}" height="{_SIZE}" '

@@ -7,13 +7,17 @@ runs wisealice.cli.main in this process and writes into OUTDIR
 - 80 sweep CSVs, 367,560 cells: for seeds sweep:1 to sweep:40, payoffs drawn
   as perfbench/workloads.py draws its sweep scenario, each at frames
   5:85 step 2.5 and at 0.5:89.5 step 1;
-- for each shipped scenario, analyze and equilibria as text and as JSON, and
-  curves at a resolution of 0.25 degrees (CSV and SVG);
+- for each shipped scenario, analyze and equilibria as text and as JSON,
+  curves at a resolution of 0.25 degrees (CSV and SVG), and simulate as text
+  and as JSON at one fixed strategy pair, seed and round count; the first
+  scenario's simulate also writes its per-round transcript;
 - lattice-check at theta = 0.5, 1.0, ..., 89.5 degrees, 179 reports.
 
 Point PYTHONPATH at another checkout's src to write its corpus with the same
-script, then compare the two with ``diff -r``.  Not a test module: pytest
-does not collect it.  It takes about half a minute on a 2-vCPU host.
+script, then compare the two with ``diff -r``.  It fails when it finds no
+shipped scenario, since the two corpora would then agree without comparing
+them.  Not a test module: pytest does not collect it.  It takes about half a
+minute on a 2-vCPU host.
 """
 
 from __future__ import annotations
@@ -27,6 +31,8 @@ from wisealice.cli import main
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 SEEDS = range(1, 41)
 GRIDS = {"coarse": ("5:85", "2.5"), "fine": ("0.5:89.5", "1")}
+# simulate's strategy pair, seed and round count for every shipped scenario
+SIMULATE = ("--alpha", "30", "--beta", "60", "--seed", "7", "--rounds", "20000")
 
 
 def run(*argv: str) -> None:
@@ -49,13 +55,20 @@ def write_sweeps(out: Path) -> None:
 
 
 def write_shipped(out: Path) -> None:
-    for scenario in sorted(SCENARIO_DIR.glob("*.txt")):
-        for command in ("analyze", "equilibria"):
+    scenarios = sorted(SCENARIO_DIR.glob("*.txt"))
+    if not scenarios:
+        raise SystemExit(f"no shipped scenario in {SCENARIO_DIR}")
+    for scenario in scenarios:
+        for command in ("analyze", "equilibria", "simulate"):
+            extra = SIMULATE if command == "simulate" else ()
             for fmt in ("text", "json"):
-                run(command, "--scenario", str(scenario), "--format", fmt,
+                run(command, "--scenario", str(scenario), *extra, "--format", fmt,
                     "--out", str(out / f"{scenario.stem}_{command}.{fmt}"))
         run("curves", "--scenario", str(scenario), "--resolution", "0.25",
             "--out", str(out / f"{scenario.stem}_curves"))
+    run("simulate", "--scenario", str(scenarios[0]), *SIMULATE,
+        "--transcript", str(out / f"{scenarios[0].stem}_transcript.csv"),
+        "--out", str(out / f"{scenarios[0].stem}_transcript_simulate.txt"))
 
 
 def write_lattice(out: Path) -> None:
@@ -69,6 +82,6 @@ if __name__ == "__main__":
         raise SystemExit(__doc__)
     out = Path(sys.argv[1])
     out.mkdir(parents=True, exist_ok=True)
+    write_shipped(out)   # first: it fails at once when no scenario is found
     write_sweeps(out)
-    write_shipped(out)
     write_lattice(out)

@@ -420,7 +420,7 @@ def test_lattice_check_rejects_out_of_range_theta(capsys):
     # 1e-10 lies inside (0, 90) but puts atom 2's line on atom 1's
     for theta in ("95", "nan", "1e-10"):
         assert main(["lattice-check", "--theta", theta]) == 1
-        one_line_error(capsys)
+        assert "--theta" in one_line_error(capsys)
 
 
 @pytest.mark.parametrize("name", ["two_equilibria", "interior_equilibrium",

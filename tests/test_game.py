@@ -6,8 +6,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from wisealice.game import (
+    OPPOSITE,
+    VERTICES,
     PayoffMatrix,
-    SquareGeometry,
     bob_outcome,
     payoff_matrix_from_rules,
     pure_saddle_analysis,
@@ -17,44 +18,39 @@ positive_payoff = st.floats(min_value=0.01, max_value=100.0,
                             allow_nan=False, allow_infinity=False)
 
 
-@pytest.fixture(scope="module")
-def geometry():
-    return SquareGeometry()
+def test_bob_escapes_from_adjacent_corner():
+    assert bob_outcome(1, 2) == ("yes", 1)
+    assert bob_outcome(1, 4) == ("yes", 1)
 
 
-def test_bob_escapes_from_adjacent_corner(geometry):
-    assert bob_outcome(geometry, 1, 2) == ("yes", 1)
-    assert bob_outcome(geometry, 1, 4) == ("yes", 1)
-
-
-def test_bob_trapped_at_opposite_corner(geometry):
-    answer, ball = bob_outcome(geometry, 1, 3)
+def test_bob_trapped_at_opposite_corner():
+    answer, ball = bob_outcome(1, 3)
     assert answer == "no"
     assert ball == 3  # ball stays put on a failed round
 
 
-def test_ball_already_at_question(geometry):
-    assert bob_outcome(geometry, 1, 1) == ("yes", 1)
+def test_ball_already_at_question():
+    assert bob_outcome(1, 1) == ("yes", 1)
 
 
-def test_invalid_vertex_rejected(geometry):
+def test_invalid_vertex_rejected():
     with pytest.raises(ValueError):
-        bob_outcome(geometry, 0, 1)
+        bob_outcome(0, 1)
     with pytest.raises(ValueError):
-        bob_outcome(geometry, 1, 5)
+        bob_outcome(1, 5)
 
 
-def test_exactly_one_losing_ball_position_per_question(geometry):
-    for question in geometry.vertices:
+def test_exactly_one_losing_ball_position_per_question():
+    for question in VERTICES:
         losing = [
-            ball for ball in geometry.vertices
-            if bob_outcome(geometry, question, ball).answer == "no"
+            ball for ball in VERTICES
+            if bob_outcome(question, ball).answer == "no"
         ]
-        assert losing == [geometry.opposite[question]]
+        assert losing == [OPPOSITE[question]]
 
 
-def test_payoff_matrix_matches_game_rules(geometry):
-    h = payoff_matrix_from_rules(geometry, 3, 3, 5, 1)
+def test_payoff_matrix_matches_game_rules():
+    h = payoff_matrix_from_rules(3, 3, 5, 1)
     expected = np.array([
         [0, 0, 3, 0],
         [0, 0, 0, 3],
@@ -64,8 +60,8 @@ def test_payoff_matrix_matches_game_rules(geometry):
     assert np.array_equal(h.as_array(), expected)
 
 
-def test_all_ones_matrix(geometry):
-    h = payoff_matrix_from_rules(geometry, 1, 1, 1, 1)
+def test_all_ones_matrix():
+    h = payoff_matrix_from_rules(1, 1, 1, 1)
     arr = h.as_array()
     assert np.count_nonzero(arr) == 4
     assert set(arr[arr != 0]) == {1.0}

@@ -115,6 +115,15 @@ def test_disjunction_paradox_rejects_bad_weights(lat):
         disjunction_paradox(lat, {"1": -0.5, "2": 0.5, "3": 0.5, "4": 0.5})
 
 
+@pytest.mark.parametrize("first", [
+    1.0 + 5e-10,    # would give the sure-event pair (1, 3) a weight additivity_holds rejects
+    float("nan"),
+])
+def test_disjunction_paradox_rejects_a_sum_off_by_more_than_the_slack(lat, first):
+    with pytest.raises(ValueError, match="sum to 1"):
+        disjunction_paradox(lat, {"1": first, "2": 0.0, "3": 0.0, "4": 0.0})
+
+
 def test_no_additive_measure_for_uniform_assignment(lat):
     # every pair of distinct atoms meets at O yet joins to the sure event,
     # so additivity would force weight(x) + weight(y) = 1 for all six pairs

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from wisealice.game import PayoffMatrix, SquareGeometry
+from wisealice.game import PayoffMatrix
 from wisealice.quantum import MeasurementFrame, StrategyAngle, payoff_surface
 from wisealice.simulate import (
     SimulationConfig,
@@ -151,32 +151,29 @@ def test_single_round_has_undefined_std_error():
 
 
 def test_automaton_answers_and_payoffs():
-    geo = SquareGeometry()
     h = PayoffMatrix(3, 3, 5, 1)
-    steps = run_automaton(geo, h, [1, 1], initial_ball=3)
+    steps = run_automaton(h, [1, 1], initial_ball=3)
     assert steps[0].answer == "no"
     assert steps[0].payoff == 3.0
-    steps = run_automaton(geo, h, [1], initial_ball=4)
+    steps = run_automaton(h, [1], initial_ball=4)
     assert steps[0].answer == "yes"
     assert steps[0].payoff == 0.0
 
 
 def test_automaton_reproduces_payoff_table():
-    geo = SquareGeometry()
     h = PayoffMatrix(3, 3, 5, 1)
     for question in range(1, 5):
         for ball in range(1, 5):
-            step = run_automaton(geo, h, [question], initial_ball=ball)[0]
+            step = run_automaton(h, [question], initial_ball=ball)[0]
             assert step.payoff == h.entry(question, ball)
 
 
 def test_automaton_rejects_bad_vertices():
-    geo = SquareGeometry()
     h = PayoffMatrix(1, 1, 1, 1)
     with pytest.raises(ValueError):
-        run_automaton(geo, h, [1], initial_ball=7)
+        run_automaton(h, [1], initial_ball=7)
     with pytest.raises(ValueError):
-        run_automaton(geo, h, [0], initial_ball=1)
+        run_automaton(h, [0], initial_ball=1)
 
 
 # -- the block kernel against the per-round path ------------------------------
