@@ -35,8 +35,7 @@ _HOME = {name: module for module, names in {
     "solver": ("BestResponse", "Equilibrium", "ReactionCurve", "best_response_alice",
                "best_response_bob", "find_equilibria", "find_equilibria_grid",
                "grid_nash_audit", "reaction_curve", "verify_nash_quantum"),
-    "simulate": ("AutomatonStep", "SimulationConfig", "SimulationResult",
-                 "run_automaton", "sample_round", "simulate", "transcript_rows",
+    "simulate": ("SimulationConfig", "SimulationResult", "sample_round", "simulate",
                  "write_transcript"),
     "scenario": ("Scenario", "ScenarioError", "load_scenario"),
 }.items() for name in names}

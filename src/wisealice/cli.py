@@ -261,12 +261,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     scenario = _load(args)
+    frame_a, frame_b = scenario.frames()
     config = SimulationConfig(
         rounds=scenario.rounds,
         seed=scenario.seed,
         payoffs=scenario.payoff_matrix(),
-        frame_a=scenario.frames()[0],
-        frame_b=scenario.frames()[1],
+        frame_a=frame_a,
+        frame_b=frame_b,
         alpha=StrategyAngle(args.alpha),
         beta=StrategyAngle(args.beta),
     )

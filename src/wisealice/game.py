@@ -88,9 +88,6 @@ class PayoffMatrix:
                 h[j - 1, k - 1] = self.entry(j, k)
         return h
 
-    def bob_array(self) -> np.ndarray:
-        return -self.as_array()
-
     def scaled(self, factor: float) -> "PayoffMatrix":
         return PayoffMatrix(self.a * factor, self.b * factor,
                             self.c * factor, self.d * factor)

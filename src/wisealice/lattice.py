@@ -24,9 +24,6 @@ ATOMS = ("1", "2", "3", "4")
 
 # tolerance for comparing line angles of the plane realization, in degrees
 ANGLE_TOL_DEG = 1e-9
-# slack on a weight sum whose target is 1: of the atom weights given to
-# disjunction_paradox, and of each sure-event pair in additivity_holds
-_WEIGHT_TOL = 1e-12
 
 
 class LatticeStructureError(ValueError):
@@ -35,7 +32,7 @@ class LatticeStructureError(ValueError):
 
 @dataclass(frozen=True)
 class FiniteOrtholattice:
-    """A finite bounded lattice with an orthocomplementation.
+    """A finite lattice, bounded by BOTTOM and TOP, with an orthocomplementation.
 
     ``order`` holds every pair (x, y) with x <= y, reflexive pairs
     included.  ``complement`` is the involution x -> x'.
@@ -52,27 +49,14 @@ class FiniteOrtholattice:
 
     def atoms(self) -> tuple[str, ...]:
         """Elements covering the bottom and nothing else below them."""
-        bottom = self.bottom()
         out = []
         for x in self.elements:
-            if x == bottom:
+            if x == BOTTOM:
                 continue
             below = [z for z in self.elements if self.leq(z, x) and z != x]
-            if below == [bottom]:
+            if below == [BOTTOM]:
                 out.append(x)
         return tuple(out)
-
-    def bottom(self) -> str:
-        for x in self.elements:
-            if all(self.leq(x, y) for y in self.elements):
-                return x
-        raise LatticeStructureError("no minimum element")
-
-    def top(self) -> str:
-        for x in self.elements:
-            if all(self.leq(y, x) for y in self.elements):
-                return x
-        raise LatticeStructureError("no maximum element")
 
     def _require(self, x: str) -> None:
         if x not in self.elements:
@@ -133,17 +117,15 @@ def ortholattice_law_report(lattice: FiniteOrtholattice) -> dict[str, bool]:
         not (leq(x, y) and leq(y, z)) or leq(x, z)
         for x in els for y in els for z in els
     )
-    bottom = lattice.bottom()
-    top = lattice.top()
-    report["bounded"] = bottom == BOTTOM and top == TOP
+    report["bounded"] = all(leq(BOTTOM, x) and leq(x, TOP) for x in els)
 
     comp = lattice.complement
     report["complement_involution"] = all(comp[comp[x]] == x for x in els)
     report["complement_order_reversing"] = all(
         not leq(x, y) or leq(comp[y], comp[x]) for x in els for y in els
     )
-    report["complement_meet_bottom"] = all(meet(lattice, x, comp[x]) == bottom for x in els)
-    report["complement_join_top"] = all(join(lattice, x, comp[x]) == top for x in els)
+    report["complement_meet_bottom"] = all(meet(lattice, x, comp[x]) == BOTTOM for x in els)
+    report["complement_join_top"] = all(join(lattice, x, comp[x]) == TOP for x in els)
     report["de_morgan"] = all(
         comp[join(lattice, x, y)] == meet(lattice, comp[x], comp[y])
         for x in els for y in els
@@ -177,45 +159,28 @@ class ParadoxReport:
     entries: tuple[ParadoxEntry, ...]
 
     def additivity_holds(self) -> bool:
-        """True iff every sure-event pair carries total weight 1."""
-        return all(
-            abs(e.weight_sum - 1.0) <= _WEIGHT_TOL
-            for e in self.entries
-            if e.join_element == TOP
-        )
+        """True iff every entry, a sure-event pair, carries total weight exactly 1.
+
+        With n atoms of weight 1/n a pair sums to exactly 1 only when n = 2.
+        """
+        return all(e.weight_sum == 1.0 for e in self.entries)
 
 
-def disjunction_paradox(
-    lattice: FiniteOrtholattice,
-    atom_probability: Mapping[str, float] | None = None,
-) -> ParadoxReport:
-    """Tabulate weight sums of atom pairs whose join is the top element.
+def disjunction_paradox(lattice: FiniteOrtholattice) -> ParadoxReport:
+    """Tabulate the weight sums of atom pairs whose join is the top element.
 
-    With equal weights 1/4 every disjunction of two distinct atoms is the
-    sure event I yet carries additive weight 1/2: no additive probability
-    measure fits the lattice.
+    Every atom carries the same weight, 1/n for n atoms.  With the four
+    atoms each disjunction of two distinct atoms is the sure event I yet
+    carries additive weight 1/2: no additive probability measure fits the
+    lattice.
     """
     atoms = lattice.atoms()
-    if atom_probability is None:
-        atom_probability = {a: 1.0 / len(atoms) for a in atoms}
-    weights = dict(atom_probability)
-    unknown = set(weights) - set(atoms)
-    if unknown:
-        raise ValueError(f"weights given for non-atoms: {sorted(unknown)}")
-    if any(w < 0 for w in weights.values()):
-        raise ValueError("atom weights must be nonnegative")
-    total = sum(weights.get(a, 0.0) for a in atoms)
-    if not abs(total - 1.0) <= _WEIGHT_TOL:   # a NaN weight fails too
-        raise ValueError(f"atom weights must sum to 1, got {total}")
-
-    entries = []
-    for x, y in itertools.combinations(atoms, 2):
-        j = join(lattice, x, y)
-        if j == lattice.top():
-            entries.append(
-                ParadoxEntry((x, y), weights.get(x, 0.0) + weights.get(y, 0.0), j)
-            )
-    return ParadoxReport(tuple(entries))
+    weight = 1.0 / len(atoms)
+    return ParadoxReport(tuple(
+        ParadoxEntry((x, y), weight + weight, TOP)
+        for x, y in itertools.combinations(atoms, 2)
+        if join(lattice, x, y) == TOP
+    ))
 
 
 # --- plane realization -------------------------------------------------------

@@ -61,7 +61,9 @@ class StrategyAngle:
     def __post_init__(self) -> None:
         if not math.isfinite(self.degrees):
             raise ValueError(f"angle must be finite, got {self.degrees}")
-        object.__setattr__(self, "degrees", self.degrees % 180.0)
+        # % rounds a tiny negative angle, -1e-20 say, up to 180 itself
+        degrees = self.degrees % 180.0
+        object.__setattr__(self, "degrees", 0.0 if degrees == 180.0 else degrees)
 
     @property
     def radians(self) -> float:

@@ -40,11 +40,10 @@ class Scenario:
         try:
             self.payoff_matrix()
             for name in ("theta_a_deg", "theta_b_deg"):
-                value = getattr(self, name)
-                if not 0.0 < value < 90.0:
-                    raise ValueError(
-                        f"{name} must lie strictly inside (0, 90), got {value}"
-                    )
+                try:
+                    MeasurementFrame(getattr(self, name))
+                except ValueError as exc:
+                    raise ValueError(f"{name}: {exc}") from None
             _check_stream(self.rounds, self.seed)
         except ValueError as exc:
             raise ScenarioError(str(exc)) from exc

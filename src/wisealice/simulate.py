@@ -1,4 +1,4 @@
-"""Monte Carlo check of the payoff rule and a round-by-round automaton.
+"""Monte Carlo check of the payoff rule.
 
 One simulated round plays both question pairs: Alice's outcome on the
 {1,3} pair is drawn with weights (p1, p3) and Bob's with (q1, q3), the
@@ -10,18 +10,18 @@ Randomness is counter-based: round i consumes the four SplitMix64 outputs
 at counters 4i..4i+3 under the run's seed, so any block of rounds can be
 drawn independently with identical results.  One block kernel, `_draws`,
 turns a block's counters into per-pair outcome codes, and one table,
-`_scoring_table`, scores them; `simulate`, `transcript_rows`,
-`write_transcript` and `sample_round` are views of the two.
+`_scoring_table`, scores them; `simulate`, `write_transcript` and
+`sample_round` are views of the two.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Sequence, TextIO
+from typing import Iterator, TextIO
 
 import numpy as np
 
-from wisealice.game import PayoffMatrix, bob_outcome, require_vertex
+from wisealice.game import PayoffMatrix
 from wisealice.quantum import MeasurementFrame, StrategyAngle, outcome_weights, payoff_surface
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
@@ -157,25 +157,12 @@ def simulate(config: SimulationConfig) -> SimulationResult:
     return SimulationResult(n, mean, se, analytic)
 
 
-class TranscriptRow(NamedTuple):
-    round_index: int
-    pair: str               # "13" or "24"
-    alice_outcome: int
-    bob_outcome: int
-    payoff: float
-
-
-def transcript_rows(config: SimulationConfig) -> Iterator[TranscriptRow]:
-    """Two rows per round, one per question pair, in round order."""
-    table = _scoring_table(config.payoffs)
-    for indices, codes in _blocks(config):
-        for i, round_codes in zip(indices, codes.tolist()):
-            for pair, cells, code in zip(_PAIRS, table, round_codes):
-                yield TranscriptRow(i, pair, *cells[code])
-
-
 def write_transcript(config: SimulationConfig, fh: TextIO) -> None:
-    """Write transcript_rows as CSV with a header, payoffs formatted .6g."""
+    """Write every round as CSV with a header, payoffs formatted .6g.
+
+    Each round gives two rows, one per question pair, in round order:
+    round, pair ("13" or "24"), alice_outcome, bob_outcome, payoff.
+    """
     tails13, tails24 = (
         [f",{pair},{alice},{bob},{payoff:.6g}\n" for alice, bob, payoff in cells]
         for pair, cells in zip(_PAIRS, _scoring_table(config.payoffs))
@@ -186,27 +173,3 @@ def write_transcript(config: SimulationConfig, fh: TextIO) -> None:
             f"{i}{tails13[code13]}{i}{tails24[code24]}"
             for i, code13, code24 in zip(indices, *codes.T.tolist())
         ))
-
-
-class AutomatonStep(NamedTuple):
-    question: int
-    answer: str
-    payoff: float
-    ball: int
-
-
-def run_automaton(
-    payoffs: PayoffMatrix, questions: Sequence[int], initial_ball: int
-) -> list[AutomatonStep]:
-    """Play a question sequence with the ball reset before every round.
-
-    Each round starts from initial_ball (rounds are independent plays of
-    the one-shot game); the recorded ball is where Bob left it.
-    """
-    require_vertex(initial_ball)
-    steps = []
-    for question in questions:
-        answer, new_ball = bob_outcome(question, initial_ball)
-        payoff = payoffs.row_payoff(question) if answer == "no" else 0.0
-        steps.append(AutomatonStep(question, answer, payoff, new_ball))
-    return steps

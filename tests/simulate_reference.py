@@ -16,7 +16,15 @@ from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
 import numpy as np
 
 from wisealice.quantum import outcome_weights
-from wisealice.simulate import SimulationConfig, TranscriptRow, _uniforms
+from wisealice.simulate import SimulationConfig, _uniforms
+
+
+class TranscriptRow(NamedTuple):
+    round_index: int
+    pair: str               # "13" or "24"
+    alice_outcome: int
+    bob_outcome: int
+    payoff: float
 
 
 class RoundDraw(NamedTuple):

@@ -103,8 +103,11 @@ def test_scenario_rejects_out_of_range_frame(tmp_path, capsys):
     path = write_scenario(
         tmp_path, "a = 1\nb = 1\nc = 1\nd = 1\ntheta_a_deg = 95\ntheta_b_deg = 45\n"
     )
-    with pytest.raises(ScenarioError, match="theta_a_deg"):
+    with pytest.raises(ScenarioError, match="theta_a_deg") as info:
         load_scenario(path)
+    with pytest.raises(ValueError) as frame_info:
+        MeasurementFrame(95.0)
+    assert f"theta_a_deg: {frame_info.value}" in str(info.value)
     assert main(["analyze", "--scenario", str(path)]) == 1
     assert "theta_a_deg" in one_line_error(capsys)
 

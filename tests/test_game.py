@@ -72,11 +72,6 @@ def test_matrix_has_exactly_four_nonzero_entries():
     assert np.count_nonzero(arr) == 4
 
 
-def test_bob_matrix_is_negation():
-    h = PayoffMatrix(3, 3, 5, 1)
-    assert np.array_equal(h.as_array() + h.bob_array(), np.zeros((4, 4)))
-
-
 @pytest.mark.parametrize("name,payoffs", [
     ("a", (0, 1, 1, 1)),
     ("b", (1, -2, 1, 1)),

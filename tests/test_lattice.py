@@ -101,27 +101,13 @@ def test_disjunction_paradox_uniform(lat):
     assert not report.additivity_holds()
 
 
-def test_disjunction_paradox_degenerate_weights(lat):
-    report = disjunction_paradox(lat, {"1": 1.0, "2": 0.0, "3": 0.0, "4": 0.0})
-    by_pair = {e.pair: e for e in report.entries}
-    assert by_pair[("1", "3")].weight_sum == pytest.approx(1.0)
-    assert by_pair[("1", "3")].join_element == "I"
-
-
-def test_disjunction_paradox_rejects_bad_weights(lat):
-    with pytest.raises(ValueError):
-        disjunction_paradox(lat, {"1": 0.9, "2": 0.3, "3": 0.0, "4": 0.0})
-    with pytest.raises(ValueError):
-        disjunction_paradox(lat, {"1": -0.5, "2": 0.5, "3": 0.5, "4": 0.5})
-
-
-@pytest.mark.parametrize("first", [
-    1.0 + 5e-10,    # would give the sure-event pair (1, 3) a weight additivity_holds rejects
-    float("nan"),
-])
-def test_disjunction_paradox_rejects_a_sum_off_by_more_than_the_slack(lat, first):
-    with pytest.raises(ValueError, match="sum to 1"):
-        disjunction_paradox(lat, {"1": first, "2": 0.0, "3": 0.0, "4": 0.0})
+def test_two_atom_paradox_is_additive():
+    # equal weights 1/2 make the one sure-event pair sum to exactly 1
+    report = disjunction_paradox(boolean_square())
+    assert [(e.pair, e.weight_sum, e.join_element) for e in report.entries] == [
+        (("x", "y"), 1.0, "I")
+    ]
+    assert report.additivity_holds()
 
 
 def test_no_additive_measure_for_uniform_assignment(lat):

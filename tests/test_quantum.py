@@ -32,6 +32,9 @@ def test_strategy_angle_canonical_mod_180():
     assert StrategyAngle(190.0).degrees == pytest.approx(10.0)
     assert StrategyAngle(-30.0).degrees == pytest.approx(150.0)
     assert StrategyAngle(145.5) == StrategyAngle(325.5)
+    # a tiny negative angle lies just below 180, which is 0 on the half-turn circle
+    assert StrategyAngle(-1e-20).degrees == 0.0
+    assert StrategyAngle(-1e-20) == StrategyAngle(180.0 - 1e-20)
 
 
 def test_measurement_frame_bounds():

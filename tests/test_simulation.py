@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import functools
 import io
@@ -15,10 +16,8 @@ from wisealice.simulate import (
     _codes,
     _scoring_table,
     _uniforms,
-    run_automaton,
     sample_round,
     simulate,
-    transcript_rows,
     write_transcript,
 )
 
@@ -36,6 +35,16 @@ def make_config(rounds=1000, seed=42, payoffs=(1, 1, 1, 1),
         alpha=StrategyAngle(alpha),
         beta=StrategyAngle(beta),
     )
+
+
+def transcript_rows(config):
+    """The rows of write_transcript's CSV, parsed back into TranscriptRow."""
+    fh = io.StringIO()
+    write_transcript(config, fh)
+    fh.seek(0)
+    return [reference.TranscriptRow(int(r["round"]), r["pair"], int(r["alice_outcome"]),
+                                    int(r["bob_outcome"]), float(r["payoff"]))
+            for r in csv.DictReader(fh)]
 
 
 def test_round_count_validation():
@@ -121,7 +130,7 @@ def test_marginal_frequencies_converge():
                          thetas=(10, 70), alpha=145.44, beta=59.38)
     p = outcome_weights(config.alpha, config.frame_a)
     q = outcome_weights(config.beta, config.frame_b)
-    rows = list(transcript_rows(config))
+    rows = transcript_rows(config)
     n = config.rounds
     freq_a13 = sum(1 for r in rows if r.pair == "13" and r.alice_outcome == 1) / n
     freq_b13 = sum(1 for r in rows if r.pair == "13" and r.bob_outcome == 1) / n
@@ -135,8 +144,8 @@ def test_marginal_frequencies_converge():
 
 def test_transcript_shape_and_determinism():
     config = make_config(rounds=25, seed=5)
-    rows_a = list(transcript_rows(config))
-    rows_b = list(transcript_rows(config))
+    rows_a = transcript_rows(config)
+    rows_b = transcript_rows(config)
     assert rows_a == rows_b
     assert len(rows_a) == 2 * config.rounds
     assert [r.pair for r in rows_a[:4]] == ["13", "24", "13", "24"]
@@ -148,32 +157,6 @@ def test_single_round_has_undefined_std_error():
     result = simulate(make_config(rounds=1))
     assert result.std_error is None
     assert result.z_score() is None
-
-
-def test_automaton_answers_and_payoffs():
-    h = PayoffMatrix(3, 3, 5, 1)
-    steps = run_automaton(h, [1, 1], initial_ball=3)
-    assert steps[0].answer == "no"
-    assert steps[0].payoff == 3.0
-    steps = run_automaton(h, [1], initial_ball=4)
-    assert steps[0].answer == "yes"
-    assert steps[0].payoff == 0.0
-
-
-def test_automaton_reproduces_payoff_table():
-    h = PayoffMatrix(3, 3, 5, 1)
-    for question in range(1, 5):
-        for ball in range(1, 5):
-            step = run_automaton(h, [question], initial_ball=ball)[0]
-            assert step.payoff == h.entry(question, ball)
-
-
-def test_automaton_rejects_bad_vertices():
-    h = PayoffMatrix(1, 1, 1, 1)
-    with pytest.raises(ValueError):
-        run_automaton(h, [1], initial_ball=7)
-    with pytest.raises(ValueError):
-        run_automaton(h, [0], initial_ball=1)
 
 
 # -- the block kernel against the per-round path ------------------------------
@@ -202,7 +185,6 @@ def test_block_kernel_matches_per_round_reference(rounds, seed, payoffs):
     config = differential_config(rounds, seed, payoffs)
     draws = reference_draws(seed, payoffs)[:rounds]
     rows = list(reference.transcript_rows(draws))
-    assert list(transcript_rows(config)) == rows
 
     expected, written = io.StringIO(), io.StringIO()
     reference.write_transcript(rows, expected)
