@@ -21,7 +21,7 @@ __version__ = "0.1.0"
 
 # exported name -> home module
 _HOME = {name: module for module, names in {
-    "game": ("BobOutcome", "PayoffMatrix", "PureSaddleAnalysis", "bob_outcome",
+    "game": ("PayoffMatrix", "PureSaddleAnalysis", "bob_outcome",
              "payoff_matrix_from_rules", "pure_saddle_analysis"),
     "lattice": ("FiniteOrtholattice", "LatticeStructureError", "PlaneSubspaceRep",
                 "check_representation", "disjunction_paradox",
@@ -32,9 +32,9 @@ _HOME = {name: module for module, names in {
     "quantum": ("MeasurementFrame", "OutcomeWeights", "StrategyAngle", "bilinear_form",
                 "harmonic_coefficients", "harmonic_coefficients_in_beta",
                 "outcome_weights", "payoff_surface", "quantum_payoff"),
-    "solver": ("BestResponse", "Equilibrium", "ReactionCurve", "best_response_alice",
-               "best_response_bob", "find_equilibria", "find_equilibria_grid",
-               "grid_nash_audit", "reaction_curve", "verify_nash_quantum"),
+    "solver": ("Equilibrium", "ReactionCurve", "best_responses", "find_equilibria",
+               "find_equilibria_grid", "grid_nash_audit", "reaction_curve",
+               "verify_nash_quantum"),
     "simulate": ("SimulationConfig", "SimulationResult", "sample_round", "simulate",
                  "write_transcript"),
     "scenario": ("Scenario", "ScenarioError", "load_scenario"),

@@ -332,7 +332,7 @@ def cmd_lattice_check(args: argparse.Namespace) -> int:
 
     ok = check_representation(lattice, rep)
     lines.append(
-        f"plane realization at theta={_fmt_angle(rep.theta_deg)}: "
+        f"plane realization at theta={rep.theta_deg:.12g}: "
         + ("isomorphic" if ok else "NOT isomorphic")
     )
     _write_or_print("\n".join(lines) + "\n", args.out)

@@ -26,24 +26,15 @@ def require_vertex(v: int) -> None:
         raise ValueError(f"invalid vertex: {v}")
 
 
-class BobOutcome(NamedTuple):
-    answer: str  # "yes" | "no"
-    new_ball: int
-
-
-def bob_outcome(question: int, ball: int) -> BobOutcome:
-    """Resolve one question: Bob slides to the asked corner whenever he can.
+def bob_outcome(question: int, ball: int) -> str:
+    """Bob's answer, "yes" or "no": he slides to the asked corner whenever he can.
 
     The ball reaches the question corner iff it is already there or
-    adjacent; only the opposite corner forces a "no".  On a "no" the ball
-    stays put (the payoff does not depend on where Bob leaves it, but the
-    simulator needs a definite rule).
+    adjacent; only the opposite corner forces a "no".
     """
     require_vertex(question)
     require_vertex(ball)
-    if ball == question or ball in ADJACENT[question]:
-        return BobOutcome("yes", question)
-    return BobOutcome("no", ball)
+    return "yes" if ball == question or ball in ADJACENT[question] else "no"
 
 
 @dataclass(frozen=True)
@@ -102,8 +93,8 @@ def payoff_matrix_from_rules(a: float, b: float, c: float, d: float) -> PayoffMa
     payoffs = PayoffMatrix(a, b, c, d)
     for question in VERTICES:
         for ball in VERTICES:
-            answer, _ = bob_outcome(question, ball)
-            expected = payoffs.row_payoff(question) if answer == "no" else 0.0
+            no = bob_outcome(question, ball) == "no"
+            expected = payoffs.row_payoff(question) if no else 0.0
             if payoffs.entry(question, ball) != expected:
                 raise AssertionError(
                     f"payoff pattern mismatch at ({question}, {ball})"

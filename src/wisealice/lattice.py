@@ -16,14 +16,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from numbers import Rational
 from typing import Mapping
 
 BOTTOM = "O"
 TOP = "I"
 ATOMS = ("1", "2", "3", "4")
-
-# tolerance for comparing line angles of the plane realization, in degrees
-ANGLE_TOL_DEG = 1e-9
 
 
 class LatticeStructureError(ValueError):
@@ -185,9 +183,8 @@ def disjunction_paradox(lattice: FiniteOrtholattice) -> ParadoxReport:
 
 # --- plane realization -------------------------------------------------------
 
-def _same_line(a: float, b: float) -> bool:
-    d = abs(a - b) % 180.0
-    return min(d, 180.0 - d) <= ANGLE_TOL_DEG
+def _same_line(a: Rational, b: Rational) -> bool:
+    return (a - b) % 180 == 0
 
 
 @dataclass(frozen=True)
@@ -195,52 +192,46 @@ class PlaneSubspaceRep:
     """Realization of the lattice by subspaces of the plane.
 
     Atoms map to lines through the origin: atom 1 at 0 degrees, atom 3 at
-    90, atom 2 at theta, atom 4 at theta + 90 (all in [0, 180)); O maps to
-    the zero subspace and I to the whole plane.  theta must lie strictly
-    between 0 and 90 degrees or the four lines collapse pairwise.
+    90, atom 2 at theta, atom 4 at theta + 90; O maps to the zero subspace
+    and I to the whole plane.  theta must be a valid MeasurementFrame.  The
+    line angles are exact rationals, so the four lines are distinct for
+    every theta strictly between 0 and 90 degrees.
     """
 
     theta_deg: float
-    line_angles: Mapping[str, float] = field(init=False)
+    line_angles: Mapping[str, Rational] = field(init=False)
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.theta_deg < 90.0:
-            raise ValueError(
-                f"theta_deg must lie strictly inside (0, 90), got {self.theta_deg}"
-            )
-        angles = {
-            "1": 0.0,
-            "3": 90.0,
-            "2": self.theta_deg,
-            "4": self.theta_deg + 90.0,
-        }
-        object.__setattr__(self, "line_angles", angles)
-        for x, y in itertools.combinations(angles, 2):
-            if _same_line(angles[x], angles[y]):
-                raise ValueError(
-                    f"line angles for atoms {x} and {y} coincide at theta_deg="
-                    f"{self.theta_deg}"
-                )
+        # imported here: at module level fractions would add 2-3 ms to every CLI
+        # process, and quantum would load numpy with the lattice
+        from fractions import Fraction
+
+        from wisealice.quantum import MeasurementFrame
+
+        MeasurementFrame(self.theta_deg)
+        theta = Fraction(self.theta_deg)
+        object.__setattr__(self, "line_angles",
+                           {"1": 0, "3": 90, "2": theta, "4": theta + 90})
 
 
 # plane subspaces: dimension tag plus line angle, (1, angle) for a line
-_ZERO = (0, 0.0)
-_PLANE = (2, 0.0)
+_ZERO = (0, 0)
+_PLANE = (2, 0)
 
 
-def _within(s: tuple[int, float], t: tuple[int, float]) -> bool:
+def _within(s: tuple[int, Rational], t: tuple[int, Rational]) -> bool:
     """True iff subspace s lies inside subspace t."""
     if s[0] == 0 or t[0] == 2:
         return True
     return s[0] == t[0] == 1 and _same_line(s[1], t[1])
 
 
-def _perp(s: tuple[int, float]) -> tuple[int, float]:
+def _perp(s: tuple[int, Rational]) -> tuple[int, Rational]:
     if s[0] == 0:
         return _PLANE
     if s[0] == 2:
         return _ZERO
-    return (1, s[1] + 90.0)
+    return (1, s[1] + 90)
 
 
 def check_representation(lattice: FiniteOrtholattice, rep: PlaneSubspaceRep) -> bool:
@@ -253,7 +244,7 @@ def check_representation(lattice: FiniteOrtholattice, rep: PlaneSubspaceRep) -> 
     the plane are closed under intersection and span, so the order alone
     makes meet the intersection and join the span.
     """
-    mapping: dict[str, tuple[int, float]] = {BOTTOM: _ZERO, TOP: _PLANE}
+    mapping: dict[str, tuple[int, Rational]] = {BOTTOM: _ZERO, TOP: _PLANE}
     for atom in lattice.atoms():
         if atom not in rep.line_angles:
             return False

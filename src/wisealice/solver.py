@@ -64,7 +64,11 @@ Frames = tuple[MeasurementFrame, MeasurementFrame]
 
 # consecutive reaction-curve samples further apart than this are flagged
 JUMP_THRESHOLD_DEG = 5.0
-# relative amplitude below which a best response is treated as indifferent
+# relative amplitude below which a best response is treated as indifferent.
+# On a payoff flat in alpha but for a factor 1 + eps, a 50-digit atan2 puts
+# the reply's roundoff at 3.7e-4 deg at amplitude 5.8e-13 * scale, 3.7e-3 at
+# 5.8e-14 and 0.012 at 1.85e-14, past the 0.01-deg grid oracle; the tests
+# fail at a ratio of 1e-14
 DEGENERACY_RATIO = 1e-12
 # a candidate is an equilibrium when verify_nash_quantum gives at most this
 # times the total payoff a + b + c + d
@@ -75,12 +79,6 @@ MERGE_DISTANCE_DEG = 0.2
 # frame pairs solved per stacked call; a cell's result does not depend on
 # it, and it bounds the block's arrays to a few hundred KiB
 BLOCK_CELLS = 256
-
-
-class BestResponse(NamedTuple):
-    angle: StrategyAngle
-    amplitude: float
-    degenerate: bool
 
 
 class CurveSample(NamedTuple):
@@ -121,10 +119,17 @@ class Equilibrium:
     residual: float
 
 
-def _responses(
+def best_responses(
     player: Literal["alice", "bob"], h: PayoffMatrix, frames: Frames, opponent_deg
-) -> tuple[np.ndarray, np.ndarray]:
-    """Best-response angles and amplitudes of one player to opponent angles."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Best replies of one player to opponent angles in degrees, scalar or array.
+
+    Returns (angle_deg, amplitude, degenerate): Alice's maximizer or Bob's
+    minimizer mod 180, the amplitude sqrt(U^2 + V^2) of the payoff's
+    harmonic in the player's angle, and whether that amplitude is below
+    DEGENERACY_RATIO * (a + b + c + d).  A degenerate reply, where the
+    payoff is flat up to roundoff, is reported at angle 0.
+    """
     if player == "alice":
         _, u, v = harmonic_coefficients(h, frames[0], frames[1], opponent_deg)
         phase = 0.0
@@ -133,28 +138,10 @@ def _responses(
         phase = 90.0
     else:
         raise ValueError(f"unknown player: {player!r}")
-    return (0.5 * np.degrees(np.arctan2(v, u)) + phase) % 180.0, np.hypot(u, v)
-
-
-def _best_response(player, h: PayoffMatrix, frames: Frames, opponent) -> BestResponse:
-    angle, amplitude = _responses(player, h, frames, opponent.degrees)
-    if amplitude < DEGENERACY_RATIO * h.scale:
-        return BestResponse(StrategyAngle(0.0), float(amplitude), True)
-    return BestResponse(StrategyAngle(float(angle)), float(amplitude), False)
-
-
-def best_response_alice(
-    h: PayoffMatrix, frames: Frames, beta: StrategyAngle
-) -> BestResponse:
-    """Maximizer of F(., beta); degenerate when F is flat in alpha."""
-    return _best_response("alice", h, frames, beta)
-
-
-def best_response_bob(
-    h: PayoffMatrix, frames: Frames, alpha: StrategyAngle
-) -> BestResponse:
-    """Minimizer of F(alpha, .); the phase is the antipode of Alice's rule."""
-    return _best_response("bob", h, frames, alpha)
+    amplitude = np.hypot(u, v)
+    degenerate = amplitude < DEGENERACY_RATIO * h.scale
+    angle = (0.5 * np.degrees(np.arctan2(v, u)) + phase) % 180.0
+    return np.where(degenerate, 0.0, angle), amplitude, degenerate
 
 
 def reaction_curve(
@@ -163,7 +150,7 @@ def reaction_curve(
     frames: Frames,
     resolution: float,
 ) -> ReactionCurve:
-    """Sample a best-response map and flag jumps between adjacent samples.
+    """best_responses sampled over [0, 180), with jumps flagged between samples.
 
     A jump is any change of the [0, 180) representative larger than
     JUMP_THRESHOLD_DEG; this flags both genuinely steep stretches and
@@ -173,8 +160,7 @@ def reaction_curve(
     if not (math.isfinite(resolution) and resolution > 0):
         raise ValueError(f"resolution must be positive and finite, got {resolution}")
     inputs = np.arange(0.0, 180.0, resolution)
-    responses, amplitudes = _responses(player, h, frames, inputs)
-    degenerate = amplitudes < DEGENERACY_RATIO * h.scale
+    responses, amplitudes, degenerate = best_responses(player, h, frames, inputs)
     samples = tuple(
         CurveSample(float(t), float(r), float(a), bool(g))
         for t, r, a, g in zip(inputs, responses, amplitudes, degenerate)

@@ -420,10 +420,16 @@ def test_lattice_check_passes_at_45(capsys):
 
 
 def test_lattice_check_rejects_out_of_range_theta(capsys):
-    # 1e-10 lies inside (0, 90) but puts atom 2's line on atom 1's
-    for theta in ("95", "nan", "1e-10"):
+    for theta in ("95", "nan"):
         assert main(["lattice-check", "--theta", theta]) == 1
         assert "--theta" in one_line_error(capsys)
+
+
+@pytest.mark.parametrize("theta", ["1e-10", "89.9999999999"])
+def test_lattice_check_accepts_and_prints_every_frame_near_the_ends(capsys, theta):
+    assert main(["lattice-check", "--theta", theta]) == 0
+    assert capsys.readouterr().out.endswith(
+        f"plane realization at theta={theta}: isomorphic\n")
 
 
 @pytest.mark.parametrize("name", ["two_equilibria", "interior_equilibrium",

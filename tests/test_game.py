@@ -19,18 +19,16 @@ positive_payoff = st.floats(min_value=0.01, max_value=100.0,
 
 
 def test_bob_escapes_from_adjacent_corner():
-    assert bob_outcome(1, 2) == ("yes", 1)
-    assert bob_outcome(1, 4) == ("yes", 1)
+    assert bob_outcome(1, 2) == "yes"
+    assert bob_outcome(1, 4) == "yes"
 
 
 def test_bob_trapped_at_opposite_corner():
-    answer, ball = bob_outcome(1, 3)
-    assert answer == "no"
-    assert ball == 3  # ball stays put on a failed round
+    assert bob_outcome(1, 3) == "no"
 
 
 def test_ball_already_at_question():
-    assert bob_outcome(1, 1) == ("yes", 1)
+    assert bob_outcome(1, 1) == "yes"
 
 
 def test_invalid_vertex_rejected():
@@ -44,7 +42,7 @@ def test_exactly_one_losing_ball_position_per_question():
     for question in VERTICES:
         losing = [
             ball for ball in VERTICES
-            if bob_outcome(question, ball).answer == "no"
+            if bob_outcome(question, ball) == "no"
         ]
         assert losing == [OPPOSITE[question]]
 

@@ -1,4 +1,5 @@
 import itertools
+import math
 from types import SimpleNamespace
 
 import pytest
@@ -128,6 +129,11 @@ def test_representation_at_reference_angles(lat, theta):
 def test_representation_every_degree(lat):
     for theta in range(1, 90):
         assert check_representation(lat, PlaneSubspaceRep(float(theta))), theta
+
+
+@pytest.mark.parametrize("theta", [5e-324, 1e-10, 1e-9, 90 - 1e-14, math.nextafter(90, 0)])
+def test_representation_at_every_frame_near_the_ends(lat, theta):
+    assert check_representation(lat, PlaneSubspaceRep(theta))
 
 
 @pytest.mark.parametrize("angles", [

@@ -76,3 +76,9 @@ def test_cli_import_loads_every_layer():
                        "print(' '.join(sorted(m for m in sys.modules "
                        "if m.startswith('wisealice.'))))")
     assert out.split() == [f"wisealice.{layer}" for layer in LAYERS]
+
+
+def test_cli_import_loads_no_fractions():
+    """fractions loads when a plane realization is built, not with the CLI."""
+    out = fresh_python("import sys, wisealice.cli; print('fractions' in sys.modules)")
+    assert out == "False\n"

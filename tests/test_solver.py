@@ -2,6 +2,7 @@ import math
 import sys
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -22,8 +23,7 @@ from wisealice.solver import (
     BLOCK_CELLS,
     NASH_TOLERANCE,
     _half_angle_roots,
-    best_response_alice,
-    best_response_bob,
+    best_responses,
     find_equilibria,
     find_equilibria_grid,
     grid_nash_audit,
@@ -74,16 +74,15 @@ def brute_force_gain(h, frames, alpha: float, beta: float) -> float:
 
 def test_alice_best_response_unit_instance(unit_instance):
     h, frames = unit_instance
-    response = best_response_alice(h, frames, StrategyAngle(0))
-    assert response.angle.degrees == pytest.approx(90.0)
-    assert not response.degenerate
+    angle, _, degenerate = best_responses("alice", h, frames, StrategyAngle(0).degrees)
+    assert angle == pytest.approx(90.0)
+    assert not degenerate
 
 
 def test_bob_best_response_matches_grid_unit_instance(unit_instance):
     h, frames = unit_instance
-    response = best_response_bob(h, frames, StrategyAngle(90))
-    assert circle_dist(response.angle.degrees,
-                       brute_best_bob(h, frames, 90.0)) <= 0.01
+    angle, _, _ = best_responses("bob", h, frames, StrategyAngle(90).degrees)
+    assert circle_dist(angle, brute_best_bob(h, frames, 90.0)) <= 0.01
 
 
 @settings(max_examples=60, deadline=None)
@@ -91,22 +90,20 @@ def test_bob_best_response_matches_grid_unit_instance(unit_instance):
 def test_analytic_responses_match_grid(a, b, c, d, ta, tb, opponent):
     h = PayoffMatrix(a, b, c, d)
     frames = (MeasurementFrame(ta), MeasurementFrame(tb))
-    alice = best_response_alice(h, frames, StrategyAngle(opponent))
-    if not alice.degenerate:
-        assert circle_dist(alice.angle.degrees,
-                           brute_best_alice(h, frames, opponent)) <= 0.01
-    bob = best_response_bob(h, frames, StrategyAngle(opponent))
-    if not bob.degenerate:
-        assert circle_dist(bob.angle.degrees,
-                           brute_best_bob(h, frames, opponent)) <= 0.01
+    alice, _, degenerate = best_responses("alice", h, frames, StrategyAngle(opponent).degrees)
+    if not degenerate:
+        assert circle_dist(alice, brute_best_alice(h, frames, opponent)) <= 0.01
+    bob, _, degenerate = best_responses("bob", h, frames, StrategyAngle(opponent).degrees)
+    if not degenerate:
+        assert circle_dist(bob, brute_best_bob(h, frames, opponent)) <= 0.01
 
 
 def test_bob_response_definitional_minimum(two_eq_instance):
     h, frames = two_eq_instance
     rng = np.random.default_rng(3)
     for alpha in rng.uniform(0.0, 180.0, size=5):
-        best = best_response_bob(h, frames, StrategyAngle(alpha))
-        f_best = payoff_kernel(h, frames[0], frames[1], alpha, best.angle.degrees)
+        best, _, _ = best_responses("bob", h, frames, StrategyAngle(alpha).degrees)
+        f_best = payoff_kernel(h, frames[0], frames[1], alpha, best)
         for mu in rng.uniform(0.0, 180.0, size=100):
             assert f_best <= payoff_kernel(h, frames[0], frames[1], alpha, mu) + 1e-12
 
@@ -115,23 +112,61 @@ def test_alice_response_definitional_maximum(two_eq_instance):
     h, frames = two_eq_instance
     rng = np.random.default_rng(4)
     for beta in rng.uniform(0.0, 180.0, size=5):
-        best = best_response_alice(h, frames, StrategyAngle(beta))
-        f_best = payoff_kernel(h, frames[0], frames[1], best.angle.degrees, beta)
+        best, _, _ = best_responses("alice", h, frames, StrategyAngle(beta).degrees)
+        f_best = payoff_kernel(h, frames[0], frames[1], best, beta)
         for lam in rng.uniform(0.0, 180.0, size=100):
             assert f_best >= payoff_kernel(h, frames[0], frames[1], lam, beta) - 1e-12
 
 
-def test_degenerate_response_flagged():
+def flat_for_alice(eps: float = 0.0):
+    """Payoffs and frames on which F(., 30) is flat, with a scaled by 1 + eps."""
     theta_b = 70.0
     beta = math.radians(30.0)
     q1, q3 = math.cos(beta) ** 2, math.sin(beta) ** 2
     q2 = math.cos(beta - math.radians(theta_b)) ** 2
     q4 = math.sin(beta - math.radians(theta_b)) ** 2
-    h = PayoffMatrix(q1 / q3, q2 / q4, 1.0, 1.0)
-    frames = (MeasurementFrame(25), MeasurementFrame(theta_b))
-    response = best_response_alice(h, frames, StrategyAngle(30.0))
-    assert response.degenerate
-    assert response.angle.degrees == 0.0
+    h = PayoffMatrix(q1 / q3 * (1.0 + eps), q2 / q4, 1.0, 1.0)
+    return h, (MeasurementFrame(25), MeasurementFrame(theta_b))
+
+
+def exact_alice_reply(h, theta_a: float, theta_b: float, beta: float) -> float:
+    """Alice's reply in degrees, 0.5 atan2(V, U) at 50 digits from the trig form.
+
+    p1 = (1 + cos 2a)/2 and p2 = (1 + cos(2a - 2 theta_a))/2, so
+    U = (a q3 - c q1)/2 + r cos 2 theta_a and V = r sin 2 theta_a with
+    r = (b q4 - d q2)/2.  The payoffs are the floats the solver sees.
+    """
+    with mpmath.workdps(50):
+        rad = mpmath.pi / 180
+        q1, q3 = mpmath.cos(beta * rad) ** 2, mpmath.sin(beta * rad) ** 2
+        q2 = mpmath.cos((beta - theta_b) * rad) ** 2
+        q4 = mpmath.sin((beta - theta_b) * rad) ** 2
+        a, b, c, d = (mpmath.mpf(x) for x in (h.a, h.b, h.c, h.d))
+        r = (b * q4 - d * q2) / 2
+        u = (a * q3 - c * q1) / 2 + r * mpmath.cos(2 * theta_a * rad)
+        v = r * mpmath.sin(2 * theta_a * rad)
+        return float((mpmath.atan2(v, u) / (2 * rad)) % 180)
+
+
+def test_degenerate_response_flagged():
+    h, frames = flat_for_alice()
+    angle, _, degenerate = best_responses("alice", h, frames, StrategyAngle(30.0).degrees)
+    assert degenerate
+    assert angle == 0.0
+
+
+def test_every_unflagged_reply_meets_the_grid_oracle():
+    """DEGENERACY_RATIO flags each reply whose roundoff exceeds 0.01 degrees.
+
+    That is the grid oracle's resolution.  Ten steps a decade take the
+    amplitude from 5.8e-8 down to 1e-16 times the scale; a ratio of 1e-14
+    would leave the reply at 1.85e-14 unflagged, 0.012 degrees off.
+    """
+    for eps in 10.0 ** -np.arange(6.0, 15.01, 0.1):
+        h, frames = flat_for_alice(eps)
+        angle, _, degenerate = best_responses("alice", h, frames, 30.0)
+        if not degenerate:
+            assert circle_dist(angle, exact_alice_reply(h, 25, 70, 30)) <= 0.01, eps
 
 
 def test_scaling_leaves_responses_unchanged(two_eq_instance):
@@ -140,13 +175,13 @@ def test_scaling_leaves_responses_unchanged(two_eq_instance):
         scaled = h.scaled(lam)
         for beta in (0.0, 59.4, 150.0):
             assert circle_dist(
-                best_response_alice(scaled, frames, StrategyAngle(beta)).angle.degrees,
-                best_response_alice(h, frames, StrategyAngle(beta)).angle.degrees,
+                best_responses("alice", scaled, frames, StrategyAngle(beta).degrees)[0],
+                best_responses("alice", h, frames, StrategyAngle(beta).degrees)[0],
             ) <= 1e-9
         for alpha in (0.0, 53.5, 145.4):
             assert circle_dist(
-                best_response_bob(scaled, frames, StrategyAngle(alpha)).angle.degrees,
-                best_response_bob(h, frames, StrategyAngle(alpha)).angle.degrees,
+                best_responses("bob", scaled, frames, StrategyAngle(alpha).degrees)[0],
+                best_responses("bob", h, frames, StrategyAngle(alpha).degrees)[0],
             ) <= 1e-9
 
 
@@ -206,9 +241,9 @@ def test_reaction_curve_samples_satisfy_optimality(two_eq_instance):
 def test_responses_are_half_turn_periodic(two_eq_instance):
     h, frames = two_eq_instance
     for t in (0.0, 33.3, 90.0):
-        a = best_response_alice(h, frames, StrategyAngle(t))
-        b = best_response_alice(h, frames, StrategyAngle(t + 180.0))
-        assert a.angle == b.angle
+        a, _, _ = best_responses("alice", h, frames, StrategyAngle(t).degrees)
+        b, _, _ = best_responses("alice", h, frames, StrategyAngle(t + 180.0).degrees)
+        assert StrategyAngle(a) == StrategyAngle(b)
 
 
 def test_reaction_curve_rejects_bad_resolution(two_eq_instance):
