@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from wisealice.game import PayoffMatrix
+from wisealice.game import OPPOSITE, VERTICES, PayoffMatrix
 
 # slack on probability vectors: entries >= -_SIMPLEX_TOL, sum within it of 1
 _SIMPLEX_TOL = 1e-12
@@ -70,8 +70,7 @@ def solve_zero_sum(h: PayoffMatrix) -> MixedProfile:
     ratios = [low / p for p in payoffs]       # in [0, 1], the smallest payoff's is 1
     total = math.fsum(ratios)                 # in [1, 4]
     x = tuple(r / total for r in ratios)
-    # the column opposite row j is j + 2 (mod 4)
-    return MixedProfile(x, x[2:] + x[:2], low / total)
+    return MixedProfile(x, tuple(x[OPPOSITE[k] - 1] for k in VERTICES), low / total)
 
 
 def verify_nash_classical(h: PayoffMatrix, profile: MixedProfile) -> bool:

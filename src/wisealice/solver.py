@@ -62,8 +62,6 @@ from wisealice.quantum import (
 
 Frames = tuple[MeasurementFrame, MeasurementFrame]
 
-# consecutive reaction-curve samples further apart than this are flagged
-JUMP_THRESHOLD_DEG = 5.0
 # relative amplitude below which a best response is treated as indifferent.
 # On a payoff flat in alpha but for a factor 1 + eps, a 50-digit atan2 puts
 # the reply's roundoff at 3.7e-4 deg at amplitude 5.8e-13 * scale, 3.7e-3 at
@@ -92,8 +90,11 @@ class CurveSample(NamedTuple):
 class ReactionCurve:
     """Sampled best-response map of one player over [0, 180).
 
-    jumps holds the index of each sample whose response moved by more than
-    JUMP_THRESHOLD_DEG from the previous sample's.
+    jumps holds the index of each sample where the reply crosses the
+    0/180 edge, so the flags count the curve's wraps.  The curve is open
+    at 180: the step from the last sample back to the first is not
+    flagged, so the unit instance's Bob reply, which wraps exactly there,
+    carries no flag.
     """
 
     player: Literal["alice", "bob"]
@@ -102,7 +103,7 @@ class ReactionCurve:
 
     @property
     def discontinuities(self) -> tuple[float, ...]:
-        """Input angles midway across each jump."""
+        """Input angles midway across each wrap."""
         return tuple(
             (self.samples[i - 1].input_deg + self.samples[i].input_deg) / 2.0
             for i in self.jumps
@@ -150,12 +151,20 @@ def reaction_curve(
     frames: Frames,
     resolution: float,
 ) -> ReactionCurve:
-    """best_responses sampled over [0, 180), with jumps flagged between samples.
+    """best_responses sampled over [0, 180), with each wrap flagged.
 
-    A jump is any change of the [0, 180) representative larger than
-    JUMP_THRESHOLD_DEG; this flags both genuinely steep stretches and
-    crossings of the 0/180 plot boundary, matching how the curves are
-    drawn on the square.
+    A sample is flagged where its [0, 180) reply differs from the previous
+    sample's by more than 90, half the reply's period.  A reply that turns
+    less than a quarter turn between samples does that only by crossing
+    the 0/180 edge, so every flag marks a crossing.  The curve is open at
+    180: the closing step, from the last sample back to the first, is not
+    flagged.  With that step the crossings count the curve's winding mod 2.
+    The reply is parallel to g + M y for Alice and to -(k + M^T x) for Bob,
+    so the curve winds once exactly when the opponent vector at which the
+    player is indifferent, -M^-1 g or -M^-T k, lies inside the unit circle.
+    No sampled rule resolves two crossings within one step, or a reply that
+    turns more than 90 within one step, as it does where that vector lies
+    next to the circle.
     """
     if not (math.isfinite(resolution) and resolution > 0):
         raise ValueError(f"resolution must be positive and finite, got {resolution}")
@@ -165,7 +174,7 @@ def reaction_curve(
         CurveSample(float(t), float(r), float(a), bool(g))
         for t, r, a, g in zip(inputs, responses, amplitudes, degenerate)
     )
-    jumps = np.flatnonzero(np.abs(np.diff(responses)) > JUMP_THRESHOLD_DEG) + 1
+    jumps = np.flatnonzero(np.abs(np.diff(responses)) > 180.0 / 2) + 1
     return ReactionCurve(player, samples, tuple(int(i) for i in jumps))
 
 

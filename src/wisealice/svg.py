@@ -1,10 +1,12 @@
 """Self-contained SVG plot of the two reaction curves on the strategy square.
 
 No plotting dependency: the figure is assembled from polyline segments.
-Both axes run 0..180 degrees (alpha horizontal, beta vertical).  Curve
-stretches between flagged discontinuities are drawn solid; the jumps
-themselves are drawn as thin connecting lines, and equilibria are marked
-with filled circles.
+Both axes run 0..180 degrees (alpha horizontal, beta vertical).  A curve
+is drawn solid between its flags, which mark where the reply crosses the
+0/180 edge; each crossing is drawn as a thin line between the two samples
+around it.  The curve is open at 180, so a reply that wraps exactly there,
+as the unit instance's Bob reply does, has no thin line.  Equilibria are
+marked with filled circles.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ def _polyline(points: Sequence[tuple[float, float]], css: str) -> str:
 
 
 def _curve_paths(curve: ReactionCurve) -> list[str]:
-    """Solid runs between jumps plus thin segments across each jump."""
+    """Solid runs between wraps plus thin segments across each wrap."""
 
     def to_xy(sample) -> tuple[float, float]:
         if curve.player == "alice":

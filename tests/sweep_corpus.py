@@ -8,9 +8,10 @@ runs wisealice.cli.main in this process and writes into OUTDIR
   as perfbench/workloads.py draws its sweep scenario, each at frames
   5:85 step 2.5 and at 0.5:89.5 step 1;
 - for each shipped scenario, analyze and equilibria as text and as JSON,
-  curves at a resolution of 0.25 degrees (CSV and SVG), and simulate as text
-  and as JSON at one fixed strategy pair, seed and round count; the first
-  scenario's simulate also writes its per-round transcript;
+  curves (CSV and SVG) at resolutions of 0.25 and 0.05 degrees, the finer
+  in NAME_curves_0.05.*, so the flags are pinned at two resolutions, and
+  simulate as text and as JSON at one fixed strategy pair, seed and round
+  count; the first scenario's simulate also writes its per-round transcript;
 - lattice-check at theta = 0.5, 1.0, ..., 89.5 degrees, 179 reports.
 
 Point PYTHONPATH at another checkout's src to write its corpus with the same
@@ -64,8 +65,9 @@ def write_shipped(out: Path) -> None:
             for fmt in ("text", "json"):
                 run(command, "--scenario", str(scenario), *extra, "--format", fmt,
                     "--out", str(out / f"{scenario.stem}_{command}.{fmt}"))
-        run("curves", "--scenario", str(scenario), "--resolution", "0.25",
-            "--out", str(out / f"{scenario.stem}_curves"))
+        for resolution, suffix in (("0.25", ""), ("0.05", "_0.05")):
+            run("curves", "--scenario", str(scenario), "--resolution", resolution,
+                "--out", str(out / f"{scenario.stem}_curves{suffix}"))
     run("simulate", "--scenario", str(scenarios[0]), *SIMULATE,
         "--transcript", str(out / f"{scenarios[0].stem}_transcript.csv"),
         "--out", str(out / f"{scenarios[0].stem}_transcript_simulate.txt"))

@@ -215,6 +215,48 @@ def test_two_eq_instance_alice_curve_is_discontinuous(two_eq_instance):
     assert len(curve.discontinuities) > 0
 
 
+@pytest.mark.parametrize("player", ["alice", "bob"])
+def test_curve_flags_do_not_depend_on_resolution(scenario_dir, player):
+    for path in sorted(scenario_dir.glob("*.txt")):
+        scenario = load_scenario(path)
+        h, frames = scenario.payoff_matrix(), scenario.frames()
+        coarse, *finer = (reaction_curve(player, h, frames, resolution).discontinuities
+                          for resolution in (0.5, 0.25, 0.05))
+        for fine in finer:
+            assert len(fine) == len(coarse), (path.name, coarse, fine)
+            for a, b in zip(coarse, fine):
+                assert abs(a - b) <= 0.5, (path.name, coarse, fine)
+
+
+def test_curve_wraps_count_the_winding():
+    """Flags plus the closing step are odd exactly when r < 1.
+
+    r(theta) is |-M^-1 g| at theta_B for Alice and |-M^-T k| at theta_A for
+    Bob, written from the payoffs and frames alone.
+    """
+    rng = np.random.default_rng(18)
+    checked = 0
+    for _ in range(200):
+        a, b, c, d = np.exp(rng.uniform(-4.0, 4.0, size=4))
+        theta_a, theta_b = rng.uniform(0.05, 89.95, size=2)
+        h = PayoffMatrix(a, b, c, d)
+        frames = (MeasurementFrame(theta_a), MeasurementFrame(theta_b))
+        s, t = (a - c) / (a + c), (b - d) / (b + d)
+        for player, theta in (("alice", theta_b), ("bob", theta_a)):
+            two = math.radians(2.0 * theta)
+            r = math.sqrt(s * s + t * t - 2.0 * s * t * math.cos(two)) / math.sin(two)
+            # beside r = 1 the reply turns more than 90 deg within one step,
+            # which no sampled rule resolves
+            if abs(r - 1.0) < 1e-3:
+                continue
+            curve = reaction_curve(player, h, frames, resolution=0.5)
+            closing = abs(curve.samples[-1].response_deg - curve.samples[0].response_deg) > 90.0
+            assert (len(curve.jumps) + closing) % 2 == (r < 1.0), \
+                (a, b, c, d, theta_a, theta_b, player, r, curve.discontinuities)
+            checked += 1
+    assert checked > 390
+
+
 def test_reaction_curve_inputs_strictly_increasing(two_eq_instance):
     h, frames = two_eq_instance
     curve = reaction_curve("bob", h, frames, resolution=0.5)
