@@ -14,8 +14,6 @@ and no numpy; each exported name imports its home module on first use.
 """
 
 import importlib
-import sys
-import types
 
 __version__ = "0.1.0"
 
@@ -35,23 +33,12 @@ _HOME = {name: module for module, names in {
     "solver": ("Equilibrium", "ReactionCurve", "best_responses", "find_equilibria",
                "find_equilibria_grid", "grid_nash_audit", "reaction_curve",
                "verify_nash_quantum"),
-    "simulate": ("SimulationConfig", "SimulationResult", "sample_round", "simulate",
+    "simulate": ("SimulationConfig", "SimulationResult", "sample_round",
                  "write_transcript"),
     "scenario": ("Scenario", "ScenarioError", "load_scenario"),
 }.items() for name in names}
 
 __all__ = sorted(_HOME)
-
-
-class _Package(types.ModuleType):
-    def __setattr__(self, name: str, value) -> None:
-        # Importing a submodule binds it on its package; the module
-        # `simulate` must not shadow the function `simulate` exported here.
-        if not (name in _HOME and isinstance(value, types.ModuleType)):
-            super().__setattr__(name, value)
-
-
-sys.modules[__name__].__class__ = _Package
 
 
 def __getattr__(name: str):

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import argparse
-import csv
+import contextlib
 import dataclasses
 import itertools
 import json
@@ -11,12 +11,13 @@ import math
 import os
 import sys
 from pathlib import Path
+from typing import Callable, Iterable, Iterator
 
 # set before numpy loads: an idle OpenBLAS pool spins a core for the whole process
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from wisealice.classical import solve_zero_sum
-from wisealice.game import pure_saddle_analysis
+from wisealice.game import PayoffMatrix, pure_saddle_analysis
 from wisealice.lattice import (
     PlaneSubspaceRep,
     check_representation,
@@ -31,6 +32,7 @@ from wisealice.quantum import StrategyAngle
 from wisealice.scenario import Scenario, ScenarioError, load_scenario
 from wisealice.simulate import SimulationConfig, simulate, write_transcript
 from wisealice.solver import (
+    CurveSample,
     Equilibrium,
     find_equilibria,
     find_equilibria_grid,
@@ -56,6 +58,27 @@ def _fmt_angle(value: float) -> str:
     return f"{value:.6f}".rstrip("0").rstrip(".")
 
 
+def _fmt_payoffs(h: PayoffMatrix) -> str:
+    return f"a={_fmt(h.a)} b={_fmt(h.b)} c={_fmt(h.c)} d={_fmt(h.d)}"
+
+
+@contextlib.contextmanager
+def _output(path: str | Path | None) -> Iterator[Callable[[Iterable[str]], None]]:
+    """Yield a function that streams lines, each ending in a newline, to path or stdout.
+
+    The file is opened on entry, so a command enters once its arguments are
+    checked and before its work: an unwritable path fails before any work.
+    Lines are written as they are drawn, so a generator is never held whole.
+    """
+    with open(path, "w") if path else contextlib.nullcontext(sys.stdout) as fh:
+        yield lambda lines: fh.writelines(f"{line}\n" for line in lines)
+
+
+def _formatted(args: argparse.Namespace, report: dict, lines: list[str]) -> list[str]:
+    """The report as indented JSON, or the text lines, as --format asks."""
+    return [json.dumps(report, indent=2)] if args.format == "json" else lines
+
+
 def _equilibrium_dict(eq: Equilibrium) -> dict:
     return {
         "alpha_deg": eq.alpha.degrees,
@@ -75,95 +98,69 @@ def _quantum_report(equilibria: list[Equilibrium]) -> dict:
     }
 
 
-def _write_or_print(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text)
-    else:
-        print(text, end="" if text.endswith("\n") else "\n")
-
-
 def cmd_analyze(args: argparse.Namespace) -> int:
     scenario = _load(args)
-    h = scenario.payoff_matrix()
-    pure = pure_saddle_analysis(h)
-    mixed = solve_zero_sum(h)
-    equilibria = find_equilibria(h, scenario.frames())
-
-    report = {
-        "scenario": dataclasses.asdict(scenario),
-        "classical": {
-            **pure._asdict(),
-            "mixed_value": mixed.value,
-            "x": list(mixed.x),
-            "y": list(mixed.y),
-        },
-        **_quantum_report(equilibria),
-    }
-    if args.format == "json":
-        _write_or_print(json.dumps(report, indent=2) + "\n", args.out)
-        return 0
-
-    lines = [
-        f"payoffs: a={_fmt(h.a)} b={_fmt(h.b)} c={_fmt(h.c)} d={_fmt(h.d)}",
-        f"frames: theta_a={_fmt_angle(scenario.theta_a_deg)} "
-        f"theta_b={_fmt_angle(scenario.theta_b_deg)}",
-        "",
-        "classical (pure):",
-        f"  maxmin={_fmt(pure.maxmin)} minmax={_fmt(pure.minmax)} "
-        f"saddle={'yes' if pure.saddle_exists else 'no'}",
-        "classical (mixed):",
-        f"  value={_fmt(mixed.value)}",
-        f"  x=({', '.join(_fmt(v) for v in mixed.x)})",
-        f"  y=({', '.join(_fmt(v) for v in mixed.y)})",
-        "",
-        f"quantum equilibria: {len(equilibria)}"
-        + ("" if equilibria else "  (no equilibrium)"),
-    ]
-    for i, eq in enumerate(equilibria, 1):
-        lines += [
-            f"  [{i}] alpha={_fmt_angle(eq.alpha.degrees)} "
-            f"beta={_fmt_angle(eq.beta.degrees)} value={_fmt(eq.value)}",
-            f"      p=({', '.join(_fmt(v) for v in eq.weights_a.as_tuple())})",
-            f"      q=({', '.join(_fmt(v) for v in eq.weights_b.as_tuple())})",
-            f"      residual={eq.residual:.3e}",
+    with _output(args.out) as write:
+        h = scenario.payoff_matrix()
+        pure = pure_saddle_analysis(h)
+        mixed = solve_zero_sum(h)
+        equilibria = find_equilibria(h, scenario.frames())
+        report = {
+            "scenario": dataclasses.asdict(scenario),
+            "classical": {
+                **pure._asdict(),
+                "mixed_value": mixed.value,
+                "x": list(mixed.x),
+                "y": list(mixed.y),
+            },
+            **_quantum_report(equilibria),
+        }
+        lines = [
+            f"payoffs: {_fmt_payoffs(h)}",
+            f"frames: theta_a={_fmt_angle(scenario.theta_a_deg)} "
+            f"theta_b={_fmt_angle(scenario.theta_b_deg)}",
+            "",
+            "classical (pure):",
+            f"  maxmin={_fmt(pure.maxmin)} minmax={_fmt(pure.minmax)} "
+            f"saddle={'yes' if pure.saddle_exists else 'no'}",
+            "classical (mixed):",
+            f"  value={_fmt(mixed.value)}",
+            f"  x=({', '.join(_fmt(v) for v in mixed.x)})",
+            f"  y=({', '.join(_fmt(v) for v in mixed.y)})",
+            "",
+            f"quantum equilibria: {len(equilibria)}"
+            + ("" if equilibria else "  (no equilibrium)"),
         ]
-    _write_or_print("\n".join(lines) + "\n", args.out)
+        for i, eq in enumerate(equilibria, 1):
+            lines += [
+                f"  [{i}] alpha={_fmt_angle(eq.alpha.degrees)} "
+                f"beta={_fmt_angle(eq.beta.degrees)} value={_fmt(eq.value)}",
+                f"      p=({', '.join(_fmt(v) for v in eq.weights_a.as_tuple())})",
+                f"      q=({', '.join(_fmt(v) for v in eq.weights_b.as_tuple())})",
+                f"      residual={eq.residual:.3e}",
+            ]
+        write(_formatted(args, report, lines))
     return 0
 
 
 def cmd_equilibria(args: argparse.Namespace) -> int:
     scenario = _load(args)
-    equilibria = find_equilibria(scenario.payoff_matrix(), scenario.frames())
-    if args.format == "json":
-        report = {"scenario": dataclasses.asdict(scenario),
-                  **_quantum_report(equilibria)}
-        _write_or_print(json.dumps(report, indent=2) + "\n", args.out)
-        return 0
-    if not equilibria:
-        _write_or_print("no equilibrium\n", args.out)
-        return 0
-    lines = []
-    for eq in equilibria:
-        lines.append(
-            f"alpha={_fmt_angle(eq.alpha.degrees)} beta={_fmt_angle(eq.beta.degrees)} "
-            f"value={_fmt(eq.value)} residual={eq.residual:.3e}"
-        )
-    _write_or_print("\n".join(lines) + "\n", args.out)
+    with _output(args.out) as write:
+        equilibria = find_equilibria(scenario.payoff_matrix(), scenario.frames())
+        report = {"scenario": dataclasses.asdict(scenario), **_quantum_report(equilibria)}
+        lines = [f"alpha={_fmt_angle(eq.alpha.degrees)} beta={_fmt_angle(eq.beta.degrees)} "
+                 f"value={_fmt(eq.value)} residual={eq.residual:.3e}" for eq in equilibria]
+        write(_formatted(args, report, lines or ["no equilibrium"]))
     return 0
 
 
 def cmd_curves(args: argparse.Namespace) -> int:
     scenario = _load(args)
-    h = scenario.payoff_matrix()
-    frames = scenario.frames()
-    if args.resolution > 0 and 180.0 / args.resolution > MAX_SWEEP_CELLS:
-        raise ScenarioError(
-            f"--resolution {args.resolution} gives too many curve samples "
-            f"({180.0 / args.resolution:.4g}); at most {MAX_SWEEP_CELLS} are allowed"
-        )
-    alice = reaction_curve("alice", h, frames, args.resolution)
-    bob = reaction_curve("bob", h, frames, args.resolution)
-    equilibria = find_equilibria(h, frames)
+    resolution = args.resolution
+    if not (math.isfinite(resolution) and resolution > 0
+            and 180.0 / resolution <= MAX_SWEEP_CELLS):
+        raise ScenarioError(f"--resolution must be positive and finite and give at most "
+                            f"{MAX_SWEEP_CELLS} samples per curve, got {resolution}")
 
     # a dotted base such as curves_0.25 keeps its dot: only .csv or .svg is cut
     base = args.out or "curves"
@@ -171,26 +168,19 @@ def cmd_curves(args: argparse.Namespace) -> int:
         base = base[:-4]
     csv_path, svg_path = Path(base + ".csv"), Path(base + ".svg")
 
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["player", "input_deg", "response_deg", "amplitude",
-             "degenerate", "discontinuity_flag"]
-        )
-        for curve in (alice, bob):
-            for i, s in enumerate(curve.samples):
-                writer.writerow(
-                    [curve.player, f"{s.input_deg:.6f}", f"{s.response_deg:.6f}",
-                     f"{s.amplitude:.6g}", int(s.degenerate), int(i in curve.jumps)]
-                )
-
-    title = (
-        f"a={_fmt(h.a)} b={_fmt(h.b)} c={_fmt(h.c)} d={_fmt(h.d)}, "
-        f"theta_a={_fmt_angle(scenario.theta_a_deg)}, "
-        f"theta_b={_fmt_angle(scenario.theta_b_deg)}"
-    )
-    svg_path.write_text(render_curves_svg(alice, bob, equilibria, title))
-    print(f"wrote {csv_path} and {svg_path}")
+    h, frames = scenario.payoff_matrix(), scenario.frames()
+    with _output(csv_path) as write, open(svg_path, "w") as svg:
+        alice = reaction_curve("alice", h, frames, resolution)
+        bob = reaction_curve("bob", h, frames, resolution)
+        write([",".join(("player", *CurveSample._fields, "discontinuity_flag"))])
+        write(f"{curve.player},{s.input_deg:.6f},{s.response_deg:.6f},{s.amplitude:.6g},"
+              f"{s.degenerate:d},{i in curve.jumps:d}"
+              for curve in (alice, bob) for i, s in enumerate(curve.samples))
+        title = (f"{_fmt_payoffs(h)}, theta_a={_fmt_angle(scenario.theta_a_deg)}, "
+                 f"theta_b={_fmt_angle(scenario.theta_b_deg)}")
+        svg.write(render_curves_svg(alice, bob, find_equilibria(h, frames), title))
+    with _output(None) as write:
+        write([f"wrote {csv_path} and {svg_path}"])
     return 0
 
 
@@ -249,13 +239,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if len(set(thetas_a)) < n_a or len(set(thetas_b)) < n_b:
         raise ScenarioError(f"--step {step} rounds two grid angles to one at "
                             f"{_AXIS_DIGITS} decimals")
-    cells = find_equilibria_grid(h, thetas_a, thetas_b)
-    lines = ["theta_a,theta_b,equilibrium_count,best_value_for_alice"]
-    for (ta, tb), eqs in zip(itertools.product(thetas_a, thetas_b), cells):
-        best_txt = f"{max(eq.value for eq in eqs):.9g}" if eqs else ""
+    with _output(args.out) as write:
+        cells = find_equilibria_grid(h, thetas_a, thetas_b)
+        write(["theta_a,theta_b,equilibrium_count,best_value_for_alice"])
         # 12 significant digits print every 10-decimal angle below 90 exactly
-        lines.append(f"{ta:.12g},{tb:.12g},{len(eqs)},{best_txt}")
-    _write_or_print("\n".join(lines) + "\n", args.out)
+        write(f"{ta:.12g},{tb:.12g},{len(eqs)},"
+              + (f"{max(eq.value for eq in eqs):.9g}" if eqs else "")
+              for (ta, tb), eqs in zip(itertools.product(thetas_a, thetas_b), cells))
     return 0
 
 
@@ -271,25 +261,22 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         alpha=StrategyAngle(args.alpha),
         beta=StrategyAngle(args.beta),
     )
-    result = simulate(config)
-    if args.transcript:
-        with open(args.transcript, "w", newline="") as fh:
+    # --out first: an unwritable --out must not leave a transcript behind
+    with _output(args.out) as write, (open(args.transcript, "w", newline="")
+                                      if args.transcript else contextlib.nullcontext()) as fh:
+        result = simulate(config)
+        if fh:
             write_transcript(config, fh)
-
-    z = result.z_score()
-    lines = [
-        f"rounds: {result.rounds}",
-        f"empirical mean: {_fmt(result.mean)}",
-        f"std error: {'undefined (single round)' if result.std_error is None else _fmt(result.std_error)}",
-        f"analytic value: {_fmt(result.analytic_value)}",
-        f"z-score: {'undefined' if z is None else _fmt(z)}",
-    ]
-    if args.format == "json":
+        z = result.z_score()
         report = {**dataclasses.asdict(result), "z_score": z,
                   "std_error_defined": result.std_error is not None}
-        _write_or_print(json.dumps(report, indent=2) + "\n", args.out)
-        return 0
-    _write_or_print("\n".join(lines) + "\n", args.out)
+        write(_formatted(args, report, [
+            f"rounds: {result.rounds}",
+            f"empirical mean: {_fmt(result.mean)}",
+            f"std error: {'undefined (single round)' if result.std_error is None else _fmt(result.std_error)}",
+            f"analytic value: {_fmt(result.analytic_value)}",
+            f"z-score: {'undefined' if z is None else _fmt(z)}",
+        ]))
     return 0
 
 
@@ -298,44 +285,45 @@ def cmd_lattice_check(args: argparse.Namespace) -> int:
         rep = PlaneSubspaceRep(args.theta)
     except ValueError as exc:
         raise ValueError(f"--theta: {exc}") from None
-    lattice = wise_alice_lattice()
-    report = ortholattice_law_report(lattice)
-    lines = ["ortholattice laws:"]
-    for law, ok in report.items():
-        lines.append(f"  {law}: {'pass' if ok else 'FAIL'}")
+    with _output(args.out) as write:
+        lattice = wise_alice_lattice()
+        report = ortholattice_law_report(lattice)
+        lines = ["ortholattice laws:"]
+        for law, ok in report.items():
+            lines.append(f"  {law}: {'pass' if ok else 'FAIL'}")
 
-    witness = find_distributivity_violation(lattice)
-    if witness:
-        x, y, z = witness
-        left = meet(lattice, x, join(lattice, y, z))
-        right = join(lattice, meet(lattice, x, y), meet(lattice, x, z))
+        witness = find_distributivity_violation(lattice)
+        if witness:
+            x, y, z = witness
+            left = meet(lattice, x, join(lattice, y, z))
+            right = join(lattice, meet(lattice, x, y), meet(lattice, x, z))
+            lines.append(
+                f"distributivity violated at (x, y, z) = ({x}, {y}, {z}): "
+                f"x^(yvz) = {left} but (x^y)v(x^z) = {right}"
+            )
+        else:
+            lines.append("distributivity holds (no witness)")
+
+        paradox = disjunction_paradox(lattice)
+        lines.append(f"disjunction paradox (uniform weights 1/{len(lattice.atoms())}):")
+        lines.append("  pair  weight_sum  join")
+        for entry in paradox.entries:
+            lines.append(
+                f"  {entry.pair[0]},{entry.pair[1]}   {entry.weight_sum:.6g}       "
+                f"{entry.join_element}"
+            )
         lines.append(
-            f"distributivity violated at (x, y, z) = ({x}, {y}, {z}): "
-            f"x^(yvz) = {left} but (x^y)v(x^z) = {right}"
+            "additive measure "
+            + ("consistent" if paradox.additivity_holds() else
+               "impossible: sure events carry total weight below 1")
         )
-    else:
-        lines.append("distributivity holds (no witness)")
 
-    paradox = disjunction_paradox(lattice)
-    lines.append("disjunction paradox (uniform weights 1/4):")
-    lines.append("  pair  weight_sum  join")
-    for entry in paradox.entries:
+        ok = check_representation(lattice, rep)
         lines.append(
-            f"  {entry.pair[0]},{entry.pair[1]}   {entry.weight_sum:.6g}       "
-            f"{entry.join_element}"
+            f"plane realization at theta={rep.theta_deg:.12g}: "
+            + ("isomorphic" if ok else "NOT isomorphic")
         )
-    lines.append(
-        "additive measure "
-        + ("consistent" if paradox.additivity_holds() else
-           "impossible: sure events carry total weight below 1")
-    )
-
-    ok = check_representation(lattice, rep)
-    lines.append(
-        f"plane realization at theta={rep.theta_deg:.12g}: "
-        + ("isomorphic" if ok else "NOT isomorphic")
-    )
-    _write_or_print("\n".join(lines) + "\n", args.out)
+        write(lines)
     return 0 if all(report.values()) and ok else 1
 
 

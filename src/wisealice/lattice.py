@@ -74,26 +74,25 @@ def wise_alice_lattice() -> FiniteOrtholattice:
     return FiniteOrtholattice(elements, frozenset(pairs), complement)
 
 
-def meet(lattice: FiniteOrtholattice, x: str, y: str) -> str:
-    """Greatest lower bound of x and y."""
+def _bound(lattice: FiniteOrtholattice, x: str, y: str, name: str, leq) -> str:
+    """Greatest element below both x and y in the order leq, named name in errors."""
     lattice._require(x)
     lattice._require(y)
-    lower = [z for z in lattice.elements if lattice.leq(z, x) and lattice.leq(z, y)]
-    greatest = [z for z in lower if all(lattice.leq(w, z) for w in lower)]
+    lower = [z for z in lattice.elements if leq(z, x) and leq(z, y)]
+    greatest = [z for z in lower if all(leq(w, z) for w in lower)]
     if len(greatest) != 1:
-        raise LatticeStructureError(f"meet({x}, {y}) is not unique: {greatest}")
+        raise LatticeStructureError(f"{name}({x}, {y}) is not unique: {greatest}")
     return greatest[0]
 
 
+def meet(lattice: FiniteOrtholattice, x: str, y: str) -> str:
+    """Greatest lower bound of x and y."""
+    return _bound(lattice, x, y, "meet", lattice.leq)
+
+
 def join(lattice: FiniteOrtholattice, x: str, y: str) -> str:
-    """Least upper bound of x and y."""
-    lattice._require(x)
-    lattice._require(y)
-    upper = [z for z in lattice.elements if lattice.leq(x, z) and lattice.leq(y, z)]
-    least = [z for z in upper if all(lattice.leq(z, w) for w in upper)]
-    if len(least) != 1:
-        raise LatticeStructureError(f"join({x}, {y}) is not unique: {least}")
-    return least[0]
+    """Least upper bound of x and y: their meet in the dual order."""
+    return _bound(lattice, x, y, "join", lambda a, b: lattice.leq(b, a))
 
 
 def orthocomplement(lattice: FiniteOrtholattice, x: str) -> str:

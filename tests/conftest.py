@@ -1,4 +1,3 @@
-import importlib
 from pathlib import Path
 
 import pytest
@@ -39,5 +38,4 @@ def no_draws(monkeypatch):
     def draw(*args):
         raise AssertionError("drew from the stream")
 
-    # the package exports the function simulate under the module's name
-    monkeypatch.setattr(importlib.import_module("wisealice.simulate"), "_uniforms", draw)
+    monkeypatch.setattr("wisealice.simulate._uniforms", draw)

@@ -15,10 +15,11 @@ runs wisealice.cli.main in this process and writes into OUTDIR
 - lattice-check at theta = 0.5, 1.0, ..., 89.5 degrees, 179 reports.
 
 Point PYTHONPATH at another checkout's src to write its corpus with the same
-script, then compare the two with ``diff -r``.  It fails when it finds no
-shipped scenario, since the two corpora would then agree without comparing
-them.  Not a test module: pytest does not collect it.  It takes about half a
-minute on a 2-vCPU host.
+script, then compare the two with ``diff -r``; ``tests/corpus_diff.py REV``
+does both runs and the comparison for a git revision.  It fails when it
+finds no shipped scenario, since the two corpora would then agree without
+comparing them.  Not a test module: pytest does not collect it.  It takes
+about half a minute on a 2-vCPU host.
 """
 
 from __future__ import annotations

@@ -8,7 +8,7 @@ from wisealice.cli import MAX_SWEEP_CELLS, main
 from wisealice.game import PayoffMatrix
 from wisealice.quantum import MeasurementFrame, StrategyAngle
 from wisealice.scenario import Scenario, ScenarioError, load_scenario
-from wisealice.solver import find_equilibria, reaction_curve, verify_nash_quantum
+from wisealice.solver import CurveSample, find_equilibria, reaction_curve, verify_nash_quantum
 
 
 def write_scenario(tmp_path, text, name="case.txt"):
@@ -190,6 +190,50 @@ def test_out_into_missing_directory_is_an_error(scenario_dir, tmp_path, capsys):
     one_line_error(capsys)
 
 
+@pytest.mark.parametrize("argv, work", [
+    (["sweep", "--theta-a", "0.5:89.5", "--theta-b", "0.5:89.5", "--step", "0.5"],
+     "find_equilibria_grid"),
+    (["curves", "--resolution", "0.0018"], "reaction_curve"),
+])
+def test_an_unwritable_out_fails_before_the_work(scenario_dir, tmp_path, monkeypatch, argv,
+                                                 work, capsys):
+    def fail(*args):
+        raise AssertionError(f"called {work}")
+
+    monkeypatch.setattr(f"wisealice.cli.{work}", fail)
+    code = main(argv + ["--scenario", str(scenario_dir / "two_equilibria.txt"),
+                        "--out", str(tmp_path / "missing" / "out.csv")])
+    assert code == 1
+    assert "No such file or directory" in one_line_error(capsys)
+
+
+SIMULATE_ARGS = ["simulate", "--alpha", "30", "--beta", "60", "--rounds", "1000"]
+
+
+@pytest.mark.parametrize("scenario, argv", [
+    ("two_equilibria", ["analyze"]),
+    ("unit_payoffs", ["analyze", "--format", "json"]),
+    ("interior_equilibrium", ["equilibria"]),
+    ("unit_payoffs", ["equilibria"]),
+    ("two_equilibria", ["equilibria", "--format", "json"]),
+    ("unit_payoffs", SIMULATE_ARGS),
+    ("unit_payoffs", SIMULATE_ARGS + ["--format", "json"]),
+    ("two_equilibria", ["sweep", "--theta-a", "10:30", "--theta-b", "20:70", "--step", "20"]),
+    (None, ["lattice-check", "--theta", "30"]),
+])
+def test_out_writes_the_bytes_stdout_gets(scenario_dir, tmp_path, scenario, argv,
+                                          capsysbinary):
+    if scenario:
+        argv = argv + ["--scenario", str(scenario_dir / f"{scenario}.txt")]
+    assert main(argv) == 0
+    printed = capsysbinary.readouterr().out
+    out = tmp_path / "out.txt"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert capsysbinary.readouterr().out == b""
+    assert out.read_bytes() == printed
+    assert printed.endswith(b"\n") and not printed.endswith(b"\n\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["analyze", "--format", "csv"],
     ["equilibria", "--format", "csv"],
@@ -239,6 +283,14 @@ def test_curves_csv_and_svg(scenario_dir, tmp_path, capsys):
     assert svg.startswith("<svg")
     assert "alice-jump" in svg       # thin line for the flagged jump
     assert "</svg>" in svg
+
+
+def test_curves_csv_header_names_the_sample_fields(scenario_dir, tmp_path):
+    base = tmp_path / "curves"
+    assert main(["curves", "--scenario", str(scenario_dir / "unit_payoffs.txt"),
+                 "--out", str(base), "--resolution", "1"]) == 0
+    header = (tmp_path / "curves.csv").read_text().splitlines()[0]
+    assert header.split(",") == ["player", *CurveSample._fields, "discontinuity_flag"]
 
 
 def test_curves_marks_equilibria(scenario_dir, tmp_path):
@@ -384,6 +436,27 @@ def test_simulate_transcript_export(scenario_dir, tmp_path):
     lines = transcript.read_text().splitlines()
     assert lines[0] == "round,pair,alice_outcome,bob_outcome,payoff"
     assert len(lines) == 1 + 20
+
+
+def test_simulate_opens_its_transcript_before_drawing(scenario_dir, tmp_path, no_draws,
+                                                       capsys):
+    code = main(["simulate", "--scenario", str(scenario_dir / "unit_payoffs.txt"),
+                 "--alpha", "0", "--beta", "0", "--rounds", "20000000",
+                 "--transcript", str(tmp_path / "missing" / "t.csv")])
+    assert code == 1
+    assert "No such file or directory" in one_line_error(capsys)
+
+
+def test_simulate_with_an_unwritable_out_writes_no_transcript(scenario_dir, tmp_path,
+                                                              no_draws, capsys):
+    transcript = tmp_path / "t.csv"
+    code = main(["simulate", "--scenario", str(scenario_dir / "unit_payoffs.txt"),
+                 "--alpha", "0", "--beta", "0", "--rounds", "300000",
+                 "--transcript", str(transcript),
+                 "--out", str(tmp_path / "missing" / "o.txt")])
+    assert code == 1
+    assert "No such file or directory" in one_line_error(capsys)
+    assert not transcript.exists()
 
 
 @pytest.mark.parametrize("key, value", [

@@ -4,6 +4,8 @@ import importlib
 import os
 import subprocess
 import sys
+import types
+import unittest.mock
 from pathlib import Path
 
 import pytest
@@ -30,13 +32,27 @@ def test_import_loads_no_layer_and_no_numpy():
 
 
 def test_every_export_is_the_object_its_home_module_defines():
-    # with the module wisealice.simulate loaded, the name simulate must
-    # still give the function
+    # importing a layer binds it on the package, so no export may share a
+    # layer's name
+    assert not set(wisealice.__all__) & set(LAYERS)
     importlib.import_module("wisealice.simulate")
     for name in wisealice.__all__:
         obj = getattr(wisealice, name)
         assert obj.__module__.startswith("wisealice.")
         assert getattr(sys.modules[obj.__module__], name) is obj
+
+
+def test_the_simulate_module_is_reached_by_its_dotted_name(unit_instance):
+    import wisealice.simulate as m
+
+    assert isinstance(m, types.ModuleType)
+    h, (frame_a, frame_b) = unit_instance
+    config = m.SimulationConfig(10, 1, h, frame_a, frame_b, wisealice.StrategyAngle(0),
+                                wisealice.StrategyAngle(0))
+    with unittest.mock.patch("wisealice.simulate._uniforms",
+                             side_effect=RuntimeError("patched draw")):
+        with pytest.raises(RuntimeError, match="patched draw"):
+            m.simulate(config)
 
 
 def test_an_unknown_name_is_an_attribute_error():
