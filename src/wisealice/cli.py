@@ -11,7 +11,7 @@ import math
 import os
 import sys
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, TextIO
 
 # set before numpy loads: an idle OpenBLAS pool spins a core for the whole process
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
@@ -41,10 +41,12 @@ from wisealice.solver import (
 from wisealice.svg import render_curves_svg
 
 
-# Largest frame grid `sweep` will solve.  A cell costs about 70 us and
-# 0.6 KiB (measured up to 285,156 cells on a 2-vCPU host), so the cap
-# holds one sweep near 70 s and 0.6 GiB.  `curves` caps its samples per
-# curve at the same number (1e5 per curve took 1.5 s and 92 MiB there).
+# Largest frame grid `sweep` will solve.  A cell that is solved costs about
+# 70 us and 0.6 KiB (measured up to 285,156 cells on a 2-vCPU host); a cell
+# the solver certifies empty is not solved, at about 0.4 us of solver time.  So
+# the cap holds one sweep below 70 s and 0.6 GiB whatever the payoffs.
+# `curves` caps its samples per curve at the same number (1e5 per curve took
+# 1.5 s and 92 MiB there).
 MAX_SWEEP_CELLS = 1_000_000
 # decimals `sweep` rounds its frame angles to
 _AXIS_DIGITS = 10
@@ -63,14 +65,33 @@ def _fmt_payoffs(h: PayoffMatrix) -> str:
 
 
 @contextlib.contextmanager
+def _created(path: str | Path, newline: str | None = None) -> Iterator[TextIO]:
+    """path opened for writing, and removed again if the body raises.
+
+    So a command that fails after opening it, for instance on its next
+    output path, leaves no empty or partial file.  Only a regular file is
+    removed, never a device such as /dev/null.
+    """
+    with open(path, "w", newline=newline) as fh:
+        try:
+            yield fh
+        except BaseException:
+            fh.close()
+            if os.path.isfile(path):
+                os.remove(path)
+            raise
+
+
+@contextlib.contextmanager
 def _output(path: str | Path | None) -> Iterator[Callable[[Iterable[str]], None]]:
     """Yield a function that streams lines, each ending in a newline, to path or stdout.
 
     The file is opened on entry, so a command enters once its arguments are
-    checked and before its work: an unwritable path fails before any work.
-    Lines are written as they are drawn, so a generator is never held whole.
+    checked and before its work: an unwritable path fails before any work,
+    and a failure inside removes the file (_created).  Lines are written as
+    they are drawn, so a generator is never held whole.
     """
-    with open(path, "w") if path else contextlib.nullcontext(sys.stdout) as fh:
+    with _created(path) if path else contextlib.nullcontext(sys.stdout) as fh:
         yield lambda lines: fh.writelines(f"{line}\n" for line in lines)
 
 
@@ -169,7 +190,7 @@ def cmd_curves(args: argparse.Namespace) -> int:
     csv_path, svg_path = Path(base + ".csv"), Path(base + ".svg")
 
     h, frames = scenario.payoff_matrix(), scenario.frames()
-    with _output(csv_path) as write, open(svg_path, "w") as svg:
+    with _output(csv_path) as write, _created(svg_path) as svg:
         alice = reaction_curve("alice", h, frames, resolution)
         bob = reaction_curve("bob", h, frames, resolution)
         write([",".join(("player", *CurveSample._fields, "discontinuity_flag"))])
@@ -262,7 +283,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         beta=StrategyAngle(args.beta),
     )
     # --out first: an unwritable --out must not leave a transcript behind
-    with _output(args.out) as write, (open(args.transcript, "w", newline="")
+    with _output(args.out) as write, (_created(args.transcript, newline="")
                                       if args.transcript else contextlib.nullcontext()) as fh:
         result = simulate(config)
         if fh:

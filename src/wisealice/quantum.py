@@ -165,19 +165,24 @@ def unit_vectors(phi: ArrayLike) -> np.ndarray:
     return np.stack([np.cos(phi), np.sin(phi)], axis=-1)
 
 
+# The 2-vector kernels are written out by component: the same two products
+# and one sum that np.sum over an axis of length 2 forms, without its overhead
+
 def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """u . v over the last axis, broadcasting the others."""
-    return np.sum(u * v, axis=-1)
+    """u . v for 2-vectors on the last axis, broadcasting the others."""
+    return u[..., 0] * v[..., 0] + u[..., 1] * v[..., 1]
 
 
 def _mat_vec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
     """M v for stacks of 2x2 matrices and 2-vectors that broadcast."""
-    return np.sum(m * v[..., None, :], axis=-1)
+    return np.stack([m[..., 0, 0] * v[..., 0] + m[..., 0, 1] * v[..., 1],
+                     m[..., 1, 0] * v[..., 0] + m[..., 1, 1] * v[..., 1]], axis=-1)
 
 
 def _vec_mat(v: np.ndarray, m: np.ndarray) -> np.ndarray:
     """M^T v (the row vector v times M), broadcast like _mat_vec."""
-    return np.sum(v[..., :, None] * m, axis=-2)
+    return np.stack([v[..., 0] * m[..., 0, 0] + v[..., 1] * m[..., 1, 0],
+                     v[..., 0] * m[..., 0, 1] + v[..., 1] * m[..., 1, 1]], axis=-1)
 
 
 def bilinear_form(

@@ -23,8 +23,11 @@ worse by a y to which Alice replies with it, polished by Newton steps on
 grad F = 0, and judged as Newton leaves it (a failed step leaves NaN,
 which fails).  A grid of frame pairs goes through in blocks, each step
 one array operation over the block: one stacked eigenvalue call for the
-roots and one broadcast verification.  Every returned equilibrium carries
-that residual, the larger unilateral gain
+roots and one broadcast verification.  Cells where both indifference
+points x_c and y_c = -M^-1 g lie far enough inside the circle are not
+solved: there every pure pair gains more than the judge's tolerance, a
+bound read off the payoffs and the two frame angles (_certified_empty).
+Every returned equilibrium carries its residual, the larger unilateral gain
 
     max( |v| - x.v,  |w| + y.w ),   v = g + M y,  w = k + M^T x
 
@@ -286,7 +289,7 @@ _SAMPLES = np.arange(16) * (2.0 * math.pi / 16)
 _DFT = np.exp(-1j * np.outer(np.arange(4, -5, -1), _SAMPLES)) / 16
 _CAYLEY = np.array([_cayley(4 + n, 4 - n) for n in range(4, -5, -1)])
 # not a matmul: a first BLAS call costs ~0.5 MiB of RSS
-_HALF_ANGLE = _dot(_CAYLEY.T[:, None, :], _DFT.T).real
+_HALF_ANGLE = np.sum(_CAYLEY.T[:, None, :] * _DFT.T, axis=-1).real
 
 
 def _half_angle_roots(samples: np.ndarray) -> np.ndarray:
@@ -300,7 +303,7 @@ def _half_angle_roots(samples: np.ndarray) -> np.ndarray:
     """
     origin = (np.argmax(np.abs(samples), axis=1) + 8) % 16
     rolled = np.take_along_axis(samples, (origin[:, None] + np.arange(16)) % 16, axis=1)
-    rows = _dot(rolled[:, None, :], _HALF_ANGLE)
+    rows = np.sum(rolled[:, None, :] * _HALF_ANGLE, axis=-1)
     zero = rows[:, :1] == 0
     companion = np.zeros((len(rows), 8, 8))
     companion[:, 0, :] = -rows[:, 1:] / np.where(zero, 1.0, rows[:, :1])
@@ -404,6 +407,38 @@ def find_equilibria(h: PayoffMatrix, frames: Frames) -> list[Equilibrium]:
     return find_equilibria_grid(h, [frames[0].theta_deg], [frames[1].theta_deg])[0]
 
 
+def _circle_margin(h: PayoffMatrix, theta_deg: np.ndarray) -> np.ndarray:
+    """q(theta) = sin 2theta - |s e_1 - t e(2theta)|, s = (a-c)/(a+c), t = (b-d)/(b+d).
+
+    That is sin 2theta (1 - r(theta)), where r(theta_A) = |x_c| is the length
+    of Bob's indifference point -M^-T k and r(theta_B) = |y_c| that of
+    Alice's, -M^-1 g; q > 0 exactly where the point lies inside the circle.
+    It reads the payoffs and the frame alone, not the bilinear form.
+    """
+    s = (h.a - h.c) / (h.a + h.c)
+    t = (h.b - h.d) / (h.b + h.d)
+    two_theta = 2.0 * np.radians(theta_deg)
+    return np.sin(two_theta) - np.hypot(s - t * np.cos(two_theta), t * np.sin(two_theta))
+
+
+def _certified_empty(h: PayoffMatrix, theta_a: np.ndarray, theta_b: np.ndarray) -> np.ndarray:
+    """(len(theta_a), len(theta_b)) mask of frame cells where no point can pass the judge.
+
+    With F = v* + (x - x_c)^T M (y - y_c), the two gains at unit vectors
+    (x, y) sum to |M dy| - x_c^T M dy + |M^T dx| + y_c^T M^T dx, dx = x - x_c
+    and dy = y - y_c, which is at least (1 - |x_c|) |M dy| + (1 - |y_c|) |M^T dx|.
+    As |dx| >= 1 - |x_c|, |dy| >= 1 - |y_c| and sigma_min(M) >= |det M| / (S/4),
+    S = a + b + c + d, the sum is at least 2 sigma_min(M) (1 - |x_c|) (1 - |y_c|),
+    so the larger gain is at least (a+c)(b+d)/(4S) q(theta_A) q(theta_B) where
+    both q are positive.  A cell is certified where that bound, formed
+    scale-free, exceeds NASH_TOLERANCE * S.
+    """
+    q_a = _circle_margin(h, theta_a)[:, None]
+    q_b = _circle_margin(h, theta_b)[None, :]
+    weight = (h.a + h.c) / h.scale * ((h.b + h.d) / h.scale) / 4.0
+    return (q_a > 0) & (q_b > 0) & (weight * q_a * q_b > NASH_TOLERANCE)
+
+
 def find_equilibria_grid(
     h: PayoffMatrix,
     thetas_a_deg: Iterable[float],
@@ -413,19 +448,22 @@ def find_equilibria_grid(
 
     Cell i * len(thetas_b_deg) + j holds the equilibria at frames
     (thetas_a_deg[i], thetas_b_deg[j]).  Every angle must be a valid
-    MeasurementFrame.  Cells are solved BLOCK_CELLS at a time and judged
-    at the same NASH_TOLERANCE, so each cell's result is what
-    find_equilibria returns for it alone.
+    MeasurementFrame.  A cell that _certified_empty proves holds no point
+    within NASH_TOLERANCE is not solved and gets [].  The others are solved
+    BLOCK_CELLS at a time and judged at that same tolerance, so each cell's
+    result is what find_equilibria returns for it alone.
     """
     theta_a, theta_b = (
         np.array([MeasurementFrame(float(t)).theta_deg for t in thetas], dtype=float)
         for thetas in (thetas_a_deg, thetas_b_deg))
     cells_a = np.repeat(theta_a, theta_b.size)
     cells_b = np.tile(theta_b, theta_a.size)
-    found: list[list[Equilibrium]] = []
-    for start in range(0, cells_a.size, BLOCK_CELLS):
-        block = slice(start, start + BLOCK_CELLS)
-        found += _solve_block(h, cells_a[block], cells_b[block])
+    solve = np.flatnonzero(~_certified_empty(h, theta_a, theta_b).ravel())
+    found: list[list[Equilibrium]] = [[] for _ in cells_a]
+    for start in range(0, solve.size, BLOCK_CELLS):
+        block = solve[start:start + BLOCK_CELLS]
+        for cell, equilibria in zip(block, _solve_block(h, cells_a[block], cells_b[block])):
+            found[cell] = equilibria
     return found
 
 

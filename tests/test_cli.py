@@ -325,6 +325,15 @@ def test_curves_reject_a_resolution_out_of_range(scenario_dir, tmp_path, resolut
     assert not base.with_suffix(".csv").exists()
 
 
+def test_curves_with_an_unwritable_svg_leaves_no_csv(scenario_dir, tmp_path, capsys):
+    (tmp_path / "c.svg").mkdir()
+    code = main(["curves", "--scenario", str(scenario_dir / "unit_payoffs.txt"),
+                 "--out", str(tmp_path / "c"), "--resolution", "1"])
+    assert code == 1
+    assert "Is a directory" in one_line_error(capsys)
+    assert [p.name for p in tmp_path.iterdir()] == ["c.svg"]
+
+
 # --- sweep -------------------------------------------------------------------
 
 def test_sweep_rows_deterministic(scenario_dir, tmp_path):
@@ -457,6 +466,32 @@ def test_simulate_with_an_unwritable_out_writes_no_transcript(scenario_dir, tmp_
     assert code == 1
     assert "No such file or directory" in one_line_error(capsys)
     assert not transcript.exists()
+
+
+def test_simulate_with_an_unwritable_transcript_leaves_no_out(scenario_dir, tmp_path,
+                                                             capsys):
+    out = tmp_path / "o.txt"
+    code = main(["simulate", "--scenario", str(scenario_dir / "unit_payoffs.txt"),
+                 "--alpha", "0", "--beta", "0", "--rounds", "10", "--out", str(out),
+                 "--transcript", str(tmp_path / "missing" / "t.csv")])
+    assert code == 1
+    assert "No such file or directory" in one_line_error(capsys)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_simulate_that_fails_while_writing_leaves_no_file(scenario_dir, tmp_path,
+                                                          monkeypatch, capsys):
+    def fail(config, fh):
+        fh.write("round,pair\n")
+        raise OSError("disk full")
+
+    monkeypatch.setattr("wisealice.cli.write_transcript", fail)
+    code = main(["simulate", "--scenario", str(scenario_dir / "unit_payoffs.txt"),
+                 "--alpha", "0", "--beta", "0", "--rounds", "10",
+                 "--out", str(tmp_path / "o.txt"), "--transcript", str(tmp_path / "t.csv")])
+    assert code == 1
+    assert "disk full" in one_line_error(capsys)
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("key, value", [

@@ -22,7 +22,10 @@ from wisealice.solver import (
     _SAMPLES,
     BLOCK_CELLS,
     NASH_TOLERANCE,
+    _certified_empty,
+    _circle_margin,
     _half_angle_roots,
+    _solve_block,
     best_responses,
     find_equilibria,
     find_equilibria_grid,
@@ -816,6 +819,98 @@ def test_random_instances_have_at_most_one_equilibrium(a, b, c, d, ta, tb):
     # admit points within the tolerance of equilibria that do not exist.
     h = PayoffMatrix(a, b, c, d)
     assert len(find_equilibria(h, (MeasurementFrame(ta), MeasurementFrame(tb)))) <= 1
+
+
+# --- the certificate: cells proven empty are not solved -----------------------
+
+certificate_payoffs = st.floats(min_value=-8.0, max_value=8.0).map(math.exp)
+fractions = st.floats(min_value=0.0, max_value=1.0)
+GRID_05 = np.arange(0.0, 180.0, 0.5)
+
+
+def interval_i(h) -> tuple[float, float]:
+    """I = (|sigma - tau|/2, min(sigma + tau, 360 - sigma - tau)/2) in degrees,
+    sigma = arccos s and tau = arccos t: where an indifference point lies
+    inside the circle."""
+    sigma = math.degrees(math.acos((h.a - h.c) / (h.a + h.c)))
+    tau = math.degrees(math.acos((h.b - h.d) / (h.b + h.d)))
+    return abs(sigma - tau) / 2, min(sigma + tau, 360.0 - sigma - tau) / 2
+
+
+@settings(max_examples=150, deadline=None)
+@given(certificate_payoffs, certificate_payoffs, certificate_payoffs, certificate_payoffs,
+       fractions, fractions)
+@example(1.0, 1.0, 1.0, 1.0, 0.5, 0.5)
+@example(math.exp(-8.0), math.exp(8.0), math.exp(8.0), math.exp(-8.0), 0.5, 0.5)
+def test_certificate_bounds_every_pure_gain(a, b, c, d, u_a, u_b):
+    # frames at fractions u of I, kept inside (0.05, 89.95), so most draws
+    # land in I x I and u = 0 or 1 on its edges.  Where q > 0 at both
+    # frames every pure pair gains at least (a+c)(b+d)/(4S) q_A q_B; the
+    # judge must agree at every point of a 0.5-degree grid, up to its own
+    # roundoff of 1e-14 * S (test_judge_matches_the_trigonometric_definition)
+    h = PayoffMatrix(a, b, c, d)
+    lo, hi = interval_i(h)
+    ta, tb = (min(max(lo + u * (hi - lo), 0.05), 89.95) for u in (u_a, u_b))
+    q_a, q_b = _circle_margin(h, np.array([ta, tb]))
+    certified = _certified_empty(h, np.array([ta]), np.array([tb]))[0, 0]
+    if not (q_a > 0 and q_b > 0):
+        assert not certified
+        return
+    bound = (a + c) * (b + d) / (4.0 * h.scale) * q_a * q_b
+    assert certified == (bound > NASH_TOLERANCE * h.scale)
+    residual = verify_nash_quantum(h, (ta, tb), GRID_05[:, None], GRID_05[None, :])
+    assert residual.min() >= bound - 1e-14 * h.scale
+
+
+def test_certificate_skips_nothing_outside_the_interval():
+    # (3, 3, 5, 1): I = (22.2387560930, 82.2387560930); 30/40 lies in I x I,
+    # 10 and 85 lie outside
+    h = PayoffMatrix(3, 3, 5, 1)
+    assert interval_i(h) == pytest.approx((22.2387560930, 82.2387560930), abs=1e-9)
+    thetas = np.array([10.0, 22.2, 30.0, 40.0, 82.3, 85.0])
+    assert (_circle_margin(h, thetas) > 0).tolist() == [False, False, True, True, False, False]
+    assert _certified_empty(h, thetas, thetas).sum() == 4
+
+
+def test_masked_grid_matches_the_full_solve_cell_for_cell():
+    # numpy seed 20: 30 payoff draws at e^U(-4,4) and 30 at e^U(-8,8), each
+    # on 8 x 8 frames from U(0.05, 89.95); _solve_block solves every cell
+    rng = np.random.default_rng(20)
+    for width in (4.0, 8.0):
+        skipped = 0
+        for _ in range(30):
+            h = PayoffMatrix(*np.exp(rng.uniform(-width, width, 4)))
+            ta, tb = rng.uniform(0.05, 89.95, (2, 8))
+            grid = find_equilibria_grid(h, ta, tb)
+            assert grid == _solve_block(h, np.repeat(ta, 8), np.tile(tb, 8))
+            skipped += _certified_empty(h, ta, tb).sum()
+        assert skipped > 0
+    # the cusp instances' grids hold cells on a line, where q is 0 up to
+    # roundoff: a bare q > 0 mask would skip 7 cells of (1, 1, 3, 3) that
+    # hold 8 equilibria, while the certificate skips only empty ones
+    thetas = np.array(CUSP_THETAS)
+    for payoffs, _, _ in CUSP_INSTANCES:
+        h = PayoffMatrix(*payoffs)
+        grid = find_equilibria_grid(h, thetas, thetas)
+        assert grid == _solve_block(h, np.repeat(thetas, 5), np.tile(thetas, 5))
+        assert 0 < _certified_empty(h, thetas, thetas).sum() < 25
+        if payoffs == (1, 1, 3, 3):
+            q = _circle_margin(h, thetas)
+            bare = ((q[:, None] > 0) & (q[None, :] > 0)).ravel()
+            assert sum(bool(found) for found, inside in zip(grid, bare) if inside) == 7
+
+
+def test_certified_cells_are_never_solved(unit_instance, monkeypatch):
+    def fail(*args):
+        raise AssertionError("solved a certified cell")
+
+    monkeypatch.setattr("wisealice.solver._candidates", fail)
+    h, frames = unit_instance
+    assert find_equilibria(h, frames) == []
+    # the payoffs perfbench's sweep workload draws at seed 1: every cell of
+    # its 5:85 step 2.5 grid lies in I x I
+    h = PayoffMatrix(2.255464, 4.438643, 2.772891, 4.887643)
+    assert find_equilibria_grid(h, SWEEP_THETAS, SWEEP_THETAS) == [[]] * len(SWEEP_THETAS)**2
 
 
 # --- independent grid audit --------------------------------------------------
