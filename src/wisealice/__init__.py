@@ -19,19 +19,17 @@ __version__ = "0.1.0"
 
 # exported name -> home module
 _HOME = {name: module for module, names in {
-    "game": ("PayoffMatrix", "PureSaddleAnalysis", "bob_outcome",
-             "payoff_matrix_from_rules", "pure_saddle_analysis"),
+    "game": ("PayoffMatrix", "PureSaddleAnalysis", "bob_outcome", "pure_saddle_analysis"),
     "lattice": ("FiniteOrtholattice", "LatticeStructureError", "PlaneSubspaceRep",
                 "check_representation", "disjunction_paradox",
                 "find_distributivity_violation", "join", "meet", "orthocomplement",
                 "wise_alice_lattice"),
-    "classical": ("MixedProfile", "expected_payoff", "solve_zero_sum",
-                  "verify_nash_classical"),
+    "classical": ("MixedProfile", "solve_zero_sum"),
     "quantum": ("MeasurementFrame", "OutcomeWeights", "StrategyAngle", "bilinear_form",
                 "harmonic_coefficients", "harmonic_coefficients_in_beta",
-                "outcome_weights", "payoff_surface", "quantum_payoff"),
+                "outcome_weights", "quantum_payoff"),
     "solver": ("Equilibrium", "ReactionCurve", "best_responses", "find_equilibria",
-               "find_equilibria_grid", "grid_nash_audit", "reaction_curve",
+               "find_equilibria_grid", "reaction_curve",
                "verify_nash_quantum"),
     "simulate": ("SimulationConfig", "SimulationResult", "sample_round",
                  "write_transcript"),

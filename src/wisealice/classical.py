@@ -25,10 +25,6 @@ from wisealice.game import OPPOSITE, VERTICES, PayoffMatrix
 
 # slack on probability vectors: entries >= -_SIMPLEX_TOL, sum within it of 1
 _SIMPLEX_TOL = 1e-12
-# slack of verify_nash_classical, times the total payoff a + b + c + d; over
-# 20,000 payoff sets drawn from e^-30..e^30 the closed form's worst
-# violation was 1.2e-17 of that total
-_NASH_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -58,11 +54,6 @@ def _probability_vector(name: str, vec: Sequence[float]) -> np.ndarray:
     return v
 
 
-def expected_payoff(h: PayoffMatrix, x: Sequence[float], y: Sequence[float]) -> float:
-    """Bilinear form sum_jk h[j][k] x_j y_k of two probability vectors."""
-    return float(_probability_vector("x", x) @ h.as_array() @ _probability_vector("y", y))
-
-
 def solve_zero_sum(h: PayoffMatrix) -> MixedProfile:
     """The unique equilibrium: catch probabilities x_j h_j all equal the value."""
     payoffs = (h.a, h.b, h.c, h.d)
@@ -71,22 +62,3 @@ def solve_zero_sum(h: PayoffMatrix) -> MixedProfile:
     total = math.fsum(ratios)                 # in [1, 4]
     x = tuple(r / total for r in ratios)
     return MixedProfile(x, tuple(x[OPPOSITE[k] - 1] for k in VERTICES), low / total)
-
-
-def verify_nash_classical(h: PayoffMatrix, profile: MixedProfile) -> bool:
-    """Check the equilibrium inequalities against all pure deviations.
-
-    A deviation may gain at most _NASH_TOL * (a + b + c + d), so the
-    verdict does not depend on the payoff scale.
-    """
-    arr = h.as_array()
-    x = np.asarray(profile.x)
-    y = np.asarray(profile.y)
-    value = float(x @ arr @ y)
-    alice_deviations = arr @ y          # H_A(e_j, y)
-    bob_deviations = -(x @ arr)         # H_B(x, e_k)
-    tol = _NASH_TOL * h.scale
-    return bool(
-        np.all(value >= alice_deviations - tol)
-        and np.all(-value >= bob_deviations - tol)
-    )

@@ -84,24 +84,6 @@ class PayoffMatrix:
                             self.c * factor, self.d * factor)
 
 
-def payoff_matrix_from_rules(a: float, b: float, c: float, d: float) -> PayoffMatrix:
-    """Derive the payoff matrix by playing out all 16 question/ball pairs.
-
-    Bob's move rule reads ADJACENT and the matrix reads OPPOSITE, so this
-    cross-checks two separate statements of the one rule.
-    """
-    payoffs = PayoffMatrix(a, b, c, d)
-    for question in VERTICES:
-        for ball in VERTICES:
-            no = bob_outcome(question, ball) == "no"
-            expected = payoffs.row_payoff(question) if no else 0.0
-            if payoffs.entry(question, ball) != expected:
-                raise AssertionError(
-                    f"payoff pattern mismatch at ({question}, {ball})"
-                )
-    return payoffs
-
-
 class PureSaddleAnalysis(NamedTuple):
     maxmin: float
     minmax: float

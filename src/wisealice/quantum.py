@@ -124,42 +124,6 @@ def _frame_degrees(frame: Frame) -> ArrayLike:
     return getattr(frame, "theta_deg", frame)
 
 
-def payoff_kernel(
-    h: PayoffMatrix,
-    frame_a: Frame,
-    frame_b: Frame,
-    alpha_deg: ArrayLike,
-    beta_deg: ArrayLike,
-) -> ArrayLike:
-    """F(alpha, beta) for scalar or broadcastable array angles in degrees.
-
-    Frame angle arrays broadcast with the strategy angles.
-    """
-    al = np.radians(alpha_deg)
-    be = np.radians(beta_deg)
-    ta = np.radians(_frame_degrees(frame_a))
-    tb = np.radians(_frame_degrees(frame_b))
-    return (
-        h.a * np.cos(al) ** 2 * np.sin(be) ** 2
-        + h.c * np.sin(al) ** 2 * np.cos(be) ** 2
-        + h.b * np.cos(al - ta) ** 2 * np.sin(be - tb) ** 2
-        + h.d * np.sin(al - ta) ** 2 * np.cos(be - tb) ** 2
-    )
-
-
-def payoff_surface(
-    h: PayoffMatrix,
-    frame_a: MeasurementFrame,
-    frame_b: MeasurementFrame,
-    alpha: StrategyAngle,
-    beta: StrategyAngle,
-) -> float:
-    """F(alpha, beta), by definition the composition of weights and payoff."""
-    return quantum_payoff(
-        h, outcome_weights(alpha, frame_a), outcome_weights(beta, frame_b)
-    )
-
-
 def unit_vectors(phi: ArrayLike) -> np.ndarray:
     """(cos phi, sin phi) along a new last axis; phi in radians."""
     return np.stack([np.cos(phi), np.sin(phi)], axis=-1)

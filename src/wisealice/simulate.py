@@ -22,7 +22,7 @@ from typing import Iterator, TextIO
 import numpy as np
 
 from wisealice.game import PayoffMatrix
-from wisealice.quantum import MeasurementFrame, StrategyAngle, outcome_weights, payoff_surface
+from wisealice.quantum import MeasurementFrame, StrategyAngle, outcome_weights, quantum_payoff
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -151,9 +151,8 @@ def simulate(config: SimulationConfig) -> SimulationResult:
         se = float(np.sqrt(counts @ deviations**2 / (n - 1)) / np.sqrt(n)) * scale
     else:
         se = None
-    analytic = payoff_surface(
-        config.payoffs, config.frame_a, config.frame_b, config.alpha, config.beta
-    )
+    analytic = quantum_payoff(config.payoffs, outcome_weights(config.alpha, config.frame_a),
+                              outcome_weights(config.beta, config.frame_b))
     return SimulationResult(n, mean, se, analytic)
 
 

@@ -58,7 +58,6 @@ from wisealice.quantum import (
     harmonic_coefficients,
     harmonic_coefficients_in_beta,
     outcome_weights,
-    payoff_kernel,
     quantum_payoff,
     unit_vectors,
 )
@@ -465,44 +464,3 @@ def find_equilibria_grid(
         for cell, equilibria in zip(block, _solve_block(h, cells_a[block], cells_b[block])):
             found[cell] = equilibria
     return found
-
-
-def grid_nash_audit(
-    h: PayoffMatrix,
-    frames: Frames,
-    step: float = 0.1,
-    tol: float | None = None,
-) -> list[tuple[float, float, float]]:
-    """2-D sweep: grid points whose unilateral gain is below tol.
-
-    The payoff grid, payoff_kernel, is built straight from the
-    trigonometric definition.  The per-row/per-column optima it is
-    compared against come from the two harmonic reductions, which read
-    them off bilinear_form, the form the root solve and verify_nash_quantum
-    use.  So the audit is independent of the root solve's candidates,
-    pairing and Newton steps, but not of the form.  Returns (alpha, beta,
-    deviation) for every passing grid point.
-
-    The default tol is 4 * scale * (step in radians)^2: a grid point within
-    half a step of an equilibrium leaves a gain of order curvature * step^2,
-    so a tolerance below that passes no point even where one exists.
-    """
-    if tol is None:
-        tol = 4.0 * h.scale * math.radians(step) ** 2
-    alphas = np.arange(0.0, 180.0, step)
-    betas = np.arange(0.0, 180.0, step)
-    ka, ua, va = harmonic_coefficients(h, frames[0], frames[1], betas)
-    fmax_by_beta = ka + np.hypot(ua, va)
-    kb, ub, vb = harmonic_coefficients_in_beta(h, frames[0], frames[1], alphas)
-    fmin_by_alpha = kb - np.hypot(ub, vb)
-
-    surface = payoff_kernel(
-        h, frames[0], frames[1], alphas[:, None], betas[None, :]
-    )
-    deviation = np.maximum(
-        fmax_by_beta[None, :] - surface, surface - fmin_by_alpha[:, None]
-    )
-    hits = np.argwhere(deviation <= tol)
-    return [
-        (float(alphas[i]), float(betas[j]), float(deviation[i, j])) for i, j in hits
-    ]

@@ -1,0 +1,240 @@
+"""Reference checks that no command of the package runs.
+
+Each function here only checks other code, so it lives with the tests
+rather than in the package, which ships what its commands reach.
+
+- payoff_matrix_from_rules plays out Bob's move rule to cross-check the
+  payoff matrix;
+- expected_payoff and verify_nash_classical check the classical solve
+  against every pure deviation;
+- payoff_kernel and payoff_surface compute F from its trigonometric
+  definition and from the outcome weights;
+- grid_nash_audit sweeps the strategy torus on a grid;
+- prove_saddle certifies a reported equilibrium with an interval proof.
+
+Not a test module: pytest does not collect it.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import Sequence
+
+import numpy as np
+from mpmath.ctx_iv import MPIntervalContext
+
+from wisealice.classical import MixedProfile, _probability_vector
+from wisealice.game import VERTICES, PayoffMatrix, bob_outcome
+from wisealice.quantum import (
+    ArrayLike,
+    Frame,
+    MeasurementFrame,
+    StrategyAngle,
+    _frame_degrees,
+    harmonic_coefficients,
+    harmonic_coefficients_in_beta,
+    outcome_weights,
+    quantum_payoff,
+)
+from wisealice.solver import Frames
+
+
+def payoff_matrix_from_rules(a: float, b: float, c: float, d: float) -> PayoffMatrix:
+    """Derive the payoff matrix by playing out all 16 question/ball pairs.
+
+    Bob's move rule reads ADJACENT and the matrix reads OPPOSITE, so this
+    cross-checks two separate statements of the one rule.
+    """
+    payoffs = PayoffMatrix(a, b, c, d)
+    for question in VERTICES:
+        for ball in VERTICES:
+            no = bob_outcome(question, ball) == "no"
+            expected = payoffs.row_payoff(question) if no else 0.0
+            if payoffs.entry(question, ball) != expected:
+                raise AssertionError(
+                    f"payoff pattern mismatch at ({question}, {ball})"
+                )
+    return payoffs
+
+
+# slack of verify_nash_classical, times the total payoff a + b + c + d; over
+# 20,000 payoff sets drawn from e^-30..e^30 the closed form's worst
+# violation was 1.2e-17 of that total
+_NASH_TOL = 1e-12
+
+
+def expected_payoff(h: PayoffMatrix, x: Sequence[float], y: Sequence[float]) -> float:
+    """Bilinear form sum_jk h[j][k] x_j y_k of two probability vectors."""
+    return float(_probability_vector("x", x) @ h.as_array() @ _probability_vector("y", y))
+
+
+def verify_nash_classical(h: PayoffMatrix, profile: MixedProfile) -> bool:
+    """Check the equilibrium inequalities against all pure deviations.
+
+    A deviation may gain at most _NASH_TOL * (a + b + c + d), so the
+    verdict does not depend on the payoff scale.
+    """
+    arr = h.as_array()
+    x = np.asarray(profile.x)
+    y = np.asarray(profile.y)
+    value = float(x @ arr @ y)
+    alice_deviations = arr @ y          # H_A(e_j, y)
+    bob_deviations = -(x @ arr)         # H_B(x, e_k)
+    tol = _NASH_TOL * h.scale
+    return bool(
+        np.all(value >= alice_deviations - tol)
+        and np.all(-value >= bob_deviations - tol)
+    )
+
+
+def payoff_kernel(
+    h: PayoffMatrix,
+    frame_a: Frame,
+    frame_b: Frame,
+    alpha_deg: ArrayLike,
+    beta_deg: ArrayLike,
+) -> ArrayLike:
+    """F(alpha, beta) for scalar or broadcastable array angles in degrees.
+
+    Frame angle arrays broadcast with the strategy angles.
+    """
+    al = np.radians(alpha_deg)
+    be = np.radians(beta_deg)
+    ta = np.radians(_frame_degrees(frame_a))
+    tb = np.radians(_frame_degrees(frame_b))
+    return (
+        h.a * np.cos(al) ** 2 * np.sin(be) ** 2
+        + h.c * np.sin(al) ** 2 * np.cos(be) ** 2
+        + h.b * np.cos(al - ta) ** 2 * np.sin(be - tb) ** 2
+        + h.d * np.sin(al - ta) ** 2 * np.cos(be - tb) ** 2
+    )
+
+
+def payoff_surface(
+    h: PayoffMatrix,
+    frame_a: MeasurementFrame,
+    frame_b: MeasurementFrame,
+    alpha: StrategyAngle,
+    beta: StrategyAngle,
+) -> float:
+    """F(alpha, beta), by definition the composition of weights and payoff."""
+    return quantum_payoff(
+        h, outcome_weights(alpha, frame_a), outcome_weights(beta, frame_b)
+    )
+
+
+def grid_nash_audit(
+    h: PayoffMatrix,
+    frames: Frames,
+    step: float = 0.1,
+    tol: float | None = None,
+) -> list[tuple[float, float, float]]:
+    """2-D sweep: grid points whose unilateral gain is below tol.
+
+    The payoff grid, payoff_kernel, is built straight from the
+    trigonometric definition.  The per-row/per-column optima it is
+    compared against come from the two harmonic reductions, which read
+    them off bilinear_form, the form the root solve and verify_nash_quantum
+    use.  So the audit is independent of the root solve's candidates,
+    pairing and Newton steps, but not of the form.  Returns (alpha, beta,
+    deviation) for every passing grid point.
+
+    The default tol is 4 * scale * (step in radians)^2: a grid point within
+    half a step of an equilibrium leaves a gain of order curvature * step^2,
+    so a tolerance below that passes no point even where one exists.
+    """
+    if tol is None:
+        tol = 4.0 * h.scale * math.radians(step) ** 2
+    alphas = np.arange(0.0, 180.0, step)
+    betas = np.arange(0.0, 180.0, step)
+    ka, ua, va = harmonic_coefficients(h, frames[0], frames[1], betas)
+    fmax_by_beta = ka + np.hypot(ua, va)
+    kb, ub, vb = harmonic_coefficients_in_beta(h, frames[0], frames[1], alphas)
+    fmin_by_alpha = kb - np.hypot(ub, vb)
+
+    surface = payoff_kernel(
+        h, frames[0], frames[1], alphas[:, None], betas[None, :]
+    )
+    deviation = np.maximum(
+        fmax_by_beta[None, :] - surface, surface - fmin_by_alpha[:, None]
+    )
+    hits = np.argwhere(deviation <= tol)
+    return [
+        (float(alphas[i]), float(betas[j]), float(deviation[i, j])) for i, j in hits
+    ]
+
+
+# the interval proof's own context at 40 digits, leaving mpmath.iv as it is
+iv = MPIntervalContext()
+iv.dps = 40
+# box radii in radians, smallest first: a point Newton left short of the
+# saddle needs a wider box, a nearly flat payoff (F_aa ~ -1.6e-8 at
+# theta_A = 0.1 degrees) a narrower one
+PROOF_RADII = tuple(10.0 ** -k for k in range(12, 5, -1))
+
+
+def _squares_and_doubles(x):
+    """(cos^2 x, sin^2 x, sin 2x, cos 2x) of an interval x."""
+    return iv.cos(x) ** 2, iv.sin(x) ** 2, iv.sin(2 * x), iv.cos(2 * x)
+
+
+def _payoff_derivatives(h: PayoffMatrix, theta_a, theta_b, alpha, beta):
+    """(F_a, F_b, F_aa, F_ab, F_bb) from the trigonometric definition.
+
+    F = a cos^2 al sin^2 be + c sin^2 al cos^2 be + b cos^2 A sin^2 B
+    + d sin^2 A cos^2 B with A = al - theta_a and B = be - theta_b; every
+    argument is an interval in radians, and so is every derivative.
+    """
+    a, b, c, d = (iv.mpf(p) for p in (h.a, h.b, h.c, h.d))
+    cos_al, sin_al, sin_2al, cos_2al = _squares_and_doubles(alpha)
+    cos_be, sin_be, sin_2be, cos_2be = _squares_and_doubles(beta)
+    cos_a, sin_a, sin_2a, cos_2a = _squares_and_doubles(alpha - theta_a)
+    cos_b, sin_b, sin_2b, cos_2b = _squares_and_doubles(beta - theta_b)
+    return (
+        -a * sin_2al * sin_be + c * sin_2al * cos_be - b * sin_2a * sin_b + d * sin_2a * cos_b,
+        a * cos_al * sin_2be - c * sin_al * sin_2be + b * cos_a * sin_2b - d * sin_a * sin_2b,
+        2 * (-a * cos_2al * sin_be + c * cos_2al * cos_be
+             - b * cos_2a * sin_b + d * cos_2a * cos_b),
+        -(a + c) * sin_2al * sin_2be - (b + d) * sin_2a * sin_2b,
+        2 * (a * cos_al * cos_2be - c * sin_al * cos_2be
+             + b * cos_a * cos_2b - d * sin_a * cos_2b),
+    )
+
+
+def prove_saddle(h: PayoffMatrix, frames: Frames, alpha_deg: float,
+                 beta_deg: float) -> float | None:
+    """The first radius of PROOF_RADII that proves a Nash equilibrium near
+    (alpha_deg, beta_deg), or None where none does.
+
+    Krawczyk (1969): take the box X of radius rho around the point x~, the
+    Hessian J of F and Y, the inverse of J at X's midpoint.  If
+    K(X) = x~ - Y grad F(x~) + (I - Y J(X)) (X - x~) lies inside X, then X
+    holds exactly one zero of grad F.  If also F_aa < 0 < F_bb on X, that
+    zero is a strict local maximum of F in alpha and minimum in beta.  F is
+    a single harmonic in each angle, so both are global, and the zero is a
+    Nash equilibrium.  Evaluated in intervals at 40 digits, every roundoff
+    lies inside them.
+    """
+    theta_a, theta_b = (iv.mpf(f.theta_deg) * iv.pi / 180 for f in frames)
+    centre = [(iv.mpf(x) * iv.pi / 180).mid for x in (alpha_deg, beta_deg)]
+    grad = _payoff_derivatives(h, theta_a, theta_b, *centre)[:2]
+    for rho in PROOF_RADII:
+        box = [x + iv.mpf([-rho, rho]) for x in centre]
+        _, _, f_aa, f_ab, f_bb = _payoff_derivatives(h, theta_a, theta_b, *box)
+        if not (f_aa < 0 and f_bb > 0):
+            continue
+        det = f_aa.mid * f_bb.mid - f_ab.mid ** 2
+        y = [[(f_bb.mid / det).mid, (-f_ab.mid / det).mid],
+             [(-f_ab.mid / det).mid, (f_aa.mid / det).mid]]
+        hessian = [[f_aa, f_ab], [f_ab, f_bb]]
+        step = [x - x0 for x, x0 in zip(box, centre)]
+        inside = True
+        for i in range(2):
+            k = centre[i] - (y[i][0] * grad[0] + y[i][1] * grad[1])
+            for j in range(2):
+                slope = float(i == j) - (y[i][0] * hessian[0][j] + y[i][1] * hessian[1][j])
+                k += slope * step[j]
+            inside = inside and k.a > box[i].a and k.b < box[i].b
+        if inside:
+            return rho
+    return None

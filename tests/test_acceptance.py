@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from wisealice.classical import solve_zero_sum, verify_nash_classical
+from wisealice.classical import solve_zero_sum
 from wisealice.game import PayoffMatrix, pure_saddle_analysis
 from wisealice.lattice import (
     PlaneSubspaceRep,
@@ -36,16 +36,15 @@ from wisealice.quantum import (
     harmonic_coefficients,
     harmonic_coefficients_in_beta,
     outcome_weights,
-    payoff_kernel,
-    payoff_surface,
 )
 from wisealice.simulate import SimulationConfig, simulate
 from wisealice.solver import (
     find_equilibria,
-    grid_nash_audit,
     reaction_curve,
     verify_nash_quantum,
 )
+
+from oracles import grid_nash_audit, payoff_kernel, payoff_surface, verify_nash_classical
 
 H_ASYM = PayoffMatrix(3, 3, 5, 1)
 H_UNIT = PayoffMatrix(1, 1, 1, 1)

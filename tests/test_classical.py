@@ -6,13 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wisealice.classical import (
-    MixedProfile,
-    expected_payoff,
-    solve_zero_sum,
-    verify_nash_classical,
-)
+from wisealice.classical import MixedProfile, solve_zero_sum
 from wisealice.game import PayoffMatrix, pure_saddle_analysis
+
+from oracles import expected_payoff, verify_nash_classical
 
 E = [tuple(1.0 if i == j else 0.0 for i in range(4)) for j in range(4)]
 UNIFORM = (0.25, 0.25, 0.25, 0.25)

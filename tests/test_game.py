@@ -10,9 +10,10 @@ from wisealice.game import (
     VERTICES,
     PayoffMatrix,
     bob_outcome,
-    payoff_matrix_from_rules,
     pure_saddle_analysis,
 )
+
+from oracles import payoff_matrix_from_rules
 
 positive_payoff = st.floats(min_value=0.01, max_value=100.0,
                             allow_nan=False, allow_infinity=False)

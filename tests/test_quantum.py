@@ -14,10 +14,10 @@ from wisealice.quantum import (
     harmonic_coefficients,
     harmonic_coefficients_in_beta,
     outcome_weights,
-    payoff_kernel,
-    payoff_surface,
     quantum_payoff,
 )
+
+from oracles import payoff_kernel, payoff_surface
 
 angles = st.floats(min_value=-720.0, max_value=720.0,
                    allow_nan=False, allow_infinity=False)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from wisealice.game import PayoffMatrix
-from wisealice.quantum import MeasurementFrame, StrategyAngle, payoff_surface
+from wisealice.quantum import MeasurementFrame, StrategyAngle
 from wisealice.simulate import (
     SimulationConfig,
     _codes,
@@ -22,6 +22,7 @@ from wisealice.simulate import (
 )
 
 import simulate_reference as reference
+from oracles import payoff_surface
 
 
 def make_config(rounds=1000, seed=42, payoffs=(1, 1, 1, 1),
