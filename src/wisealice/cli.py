@@ -282,6 +282,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         alpha=StrategyAngle(args.alpha),
         beta=StrategyAngle(args.beta),
     )
+    # two handles on one file would interleave the report and the transcript
+    if args.out and args.transcript and (
+            Path(args.out).resolve() == Path(args.transcript).resolve()):
+        raise ScenarioError(f"--out and --transcript name the same file: {args.out}")
     # --out first: an unwritable --out must not leave a transcript behind
     with _output(args.out) as write, (_created(args.transcript, newline="")
                                       if args.transcript else contextlib.nullcontext()) as fh:

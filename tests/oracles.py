@@ -9,8 +9,15 @@ rather than in the package, which ships what its commands reach.
   against every pure deviation;
 - payoff_kernel and payoff_surface compute F from its trigonometric
   definition and from the outcome weights;
+- half_angle_coefficients and half_angle_coefficients_in_beta give F's
+  harmonic in one angle from the half-angle formulas;
 - grid_nash_audit sweeps the strategy torus on a grid;
+- interval_i and pure_equilibrium_count state in closed form which frame
+  cells hold a pure equilibrium;
 - prove_saddle certifies a reported equilibrium with an interval proof.
+
+None of them reads quantum.bilinear_form, the form the solver and its
+judge use.
 
 Not a test module: pytest does not collect it.
 """
@@ -31,8 +38,6 @@ from wisealice.quantum import (
     MeasurementFrame,
     StrategyAngle,
     _frame_degrees,
-    harmonic_coefficients,
-    harmonic_coefficients_in_beta,
     outcome_weights,
     quantum_payoff,
 )
@@ -123,6 +128,36 @@ def payoff_surface(
     )
 
 
+def half_angle_coefficients(h: PayoffMatrix, frames: Frames, beta_deg):
+    """(K, U, V) with F = K + U cos 2alpha + V sin 2alpha, from half angles."""
+    be = np.radians(beta_deg)
+    tb = math.radians(frames[1].theta_deg)
+    s1 = h.a * np.sin(be) ** 2
+    c1 = h.c * np.cos(be) ** 2
+    s2 = h.b * np.sin(be - tb) ** 2
+    c2 = h.d * np.cos(be - tb) ** 2
+    two_ta = 2.0 * math.radians(frames[0].theta_deg)
+    k = (s1 + c1 + s2 + c2) / 2.0
+    u = (s1 - c1) / 2.0 + (s2 - c2) / 2.0 * math.cos(two_ta)
+    v = (s2 - c2) / 2.0 * math.sin(two_ta)
+    return k, u, v
+
+
+def half_angle_coefficients_in_beta(h: PayoffMatrix, frames: Frames, alpha_deg):
+    """(K, U, V) with F = K + U cos 2beta + V sin 2beta, from half angles."""
+    al = np.radians(alpha_deg)
+    ta = math.radians(frames[0].theta_deg)
+    s1 = h.a * np.cos(al) ** 2
+    c1 = h.c * np.sin(al) ** 2
+    s2 = h.b * np.cos(al - ta) ** 2
+    c2 = h.d * np.sin(al - ta) ** 2
+    two_tb = 2.0 * math.radians(frames[1].theta_deg)
+    k = (s1 + c1 + s2 + c2) / 2.0
+    u = (c1 - s1) / 2.0 + (c2 - s2) / 2.0 * math.cos(two_tb)
+    v = (c2 - s2) / 2.0 * math.sin(two_tb)
+    return k, u, v
+
+
 def grid_nash_audit(
     h: PayoffMatrix,
     frames: Frames,
@@ -132,12 +167,11 @@ def grid_nash_audit(
     """2-D sweep: grid points whose unilateral gain is below tol.
 
     The payoff grid, payoff_kernel, is built straight from the
-    trigonometric definition.  The per-row/per-column optima it is
-    compared against come from the two harmonic reductions, which read
-    them off bilinear_form, the form the root solve and verify_nash_quantum
-    use.  So the audit is independent of the root solve's candidates,
-    pairing and Newton steps, but not of the form.  Returns (alpha, beta,
-    deviation) for every passing grid point.
+    trigonometric definition, and the per-row/per-column optima
+    K -+ |(U, V)| it is compared against come from the half-angle
+    formulas.  So the audit shares neither the root solve nor the
+    bilinear form with the solver.  Returns (alpha, beta, deviation) for
+    every passing grid point.
 
     The default tol is 4 * scale * (step in radians)^2: a grid point within
     half a step of an equilibrium leaves a gain of order curvature * step^2,
@@ -147,9 +181,9 @@ def grid_nash_audit(
         tol = 4.0 * h.scale * math.radians(step) ** 2
     alphas = np.arange(0.0, 180.0, step)
     betas = np.arange(0.0, 180.0, step)
-    ka, ua, va = harmonic_coefficients(h, frames[0], frames[1], betas)
+    ka, ua, va = half_angle_coefficients(h, frames, betas)
     fmax_by_beta = ka + np.hypot(ua, va)
-    kb, ub, vb = harmonic_coefficients_in_beta(h, frames[0], frames[1], alphas)
+    kb, ub, vb = half_angle_coefficients_in_beta(h, frames, alphas)
     fmin_by_alpha = kb - np.hypot(ub, vb)
 
     surface = payoff_kernel(
@@ -162,6 +196,30 @@ def grid_nash_audit(
     return [
         (float(alphas[i]), float(betas[j]), float(deviation[i, j])) for i, j in hits
     ]
+
+
+def interval_i(h: PayoffMatrix) -> tuple[float, float]:
+    """I = (|sigma - tau|/2, min(sigma + tau, 360 - sigma - tau)/2) in degrees,
+    sigma = arccos s and tau = arccos t with s = (a-c)/(a+c), t = (b-d)/(b+d):
+    the frames at which an indifference point lies inside the circle."""
+    sigma = math.degrees(math.acos((h.a - h.c) / (h.a + h.c)))
+    tau = math.degrees(math.acos((h.b - h.d) / (h.b + h.d)))
+    return abs(sigma - tau) / 2, min(sigma + tau, 360.0 - sigma - tau) / 2
+
+
+def pure_equilibrium_count(h: PayoffMatrix, theta_a: float, theta_b: float) -> int:
+    """How many pure equilibria the cell at frames theta_a, theta_b (degrees) holds.
+
+    F is bilinear in the unit vectors, so the game extended to the disks has
+    a saddle (Sion 1958), and the pure equilibria are where its saddle set
+    meets the circles.  With both frames in I, both indifference points lie
+    inside the circles, the disk game's one saddle is theirs, and no pure
+    equilibrium exists.  With either frame outside I's closure the saddle
+    set is one point of the torus.  This holds only off I's ends: on a line
+    theta = lo or hi, a cell can hold two equilibria.
+    """
+    lo, hi = interval_i(h)
+    return 0 if lo < theta_a < hi and lo < theta_b < hi else 1
 
 
 # the interval proof's own context at 40 digits, leaving mpmath.iv as it is

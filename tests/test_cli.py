@@ -82,6 +82,15 @@ def test_scenario_rejects_a_repeated_key(tmp_path, capsys):
     assert one_line_error(capsys) == f"error: {path}:7: duplicate field 'a'\n"
 
 
+def test_scenario_that_is_not_utf8_names_its_file(tmp_path, capsys):
+    path = tmp_path / "case.txt"
+    path.write_bytes(b"a = 3\n\xff = 1\n")
+    with pytest.raises(ScenarioError, match="can't decode byte 0xff"):
+        load_scenario(path)
+    assert main(["analyze", "--scenario", str(path)]) == 1
+    assert one_line_error(capsys).startswith(f"error: {path}: 'utf-8' codec can't decode")
+
+
 def test_scenario_keys_are_the_scenario_fields(tmp_path, capsys):
     # no value is a default, so a field the parser skipped would show
     values = {"a": 1.5, "b": 2.0, "c": 3.0, "d": 4.0, "theta_a_deg": 10.0,
@@ -491,6 +500,21 @@ def test_simulate_that_fails_while_writing_leaves_no_file(scenario_dir, tmp_path
                  "--out", str(tmp_path / "o.txt"), "--transcript", str(tmp_path / "t.csv")])
     assert code == 1
     assert "disk full" in one_line_error(capsys)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("out, transcript", [("o.txt", "{tmp}/o.txt"), ("{tmp}/o.txt", "./o.txt")],
+                         ids=["relative-absolute", "absolute-relative"])
+def test_simulate_rejects_one_file_for_out_and_transcript(scenario_dir, tmp_path, monkeypatch,
+                                                          out, transcript, no_draws, capsys):
+    # two handles on one file left the report and the tail of the transcript
+    monkeypatch.chdir(tmp_path)
+    code = main(["simulate", "--scenario", str(scenario_dir / "unit_payoffs.txt"),
+                 "--alpha", "0", "--beta", "0", "--rounds", "5",
+                 "--out", out.format(tmp=tmp_path),
+                 "--transcript", transcript.format(tmp=tmp_path)])
+    assert code == 1
+    assert "name the same file" in one_line_error(capsys)
     assert list(tmp_path.iterdir()) == []
 
 

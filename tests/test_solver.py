@@ -32,11 +32,15 @@ from wisealice.solver import (
     verify_nash_quantum,
 )
 
-from oracles import _payoff_derivatives, grid_nash_audit, payoff_kernel, prove_saddle
-from scan_reference import (
+from oracles import (
+    _payoff_derivatives,
+    grid_nash_audit,
     half_angle_coefficients,
     half_angle_coefficients_in_beta,
-    scan_equilibria,
+    interval_i,
+    payoff_kernel,
+    prove_saddle,
+    pure_equilibrium_count,
 )
 
 frame_angles = st.floats(min_value=1.0, max_value=89.0,
@@ -518,7 +522,7 @@ def test_cusp_candidate_is_the_only_one_to_find_this_equilibrium():
         NASH_TOLERANCE * h.scale)
 
 
-# --- differential check against the sampled scan ------------------------------
+# --- the count rule: which cells hold an equilibrium ---------------------------
 
 wide_payoffs = st.floats(min_value=-4.0, max_value=4.0).map(math.exp)
 wide_frames = st.floats(min_value=0.01, max_value=89.99)
@@ -554,37 +558,15 @@ def duality_gap(h, frames) -> tuple[float, float, float]:
     return -minus_minmax - maxmin, alpha, beta
 
 
-def assert_same_equilibria(h, frames):
-    """Root solve and scan agree up to equilibria at the tolerance's edge.
-
-    Equilibria match when both angles agree to 1e-3 degrees.  One that only
-    one solver returns must have a residual within a factor 2 of the
-    tolerance, where verification cannot tell it from a miss, or else:
-    - if only the scan returns it, the game has a positive duality gap, so
-      it is a point within the tolerance of an equilibrium that does not
-      exist, not a fixed point the root solve lost;
-    - if only the root solve returns it, a brute-force deviation search
-      confirms it: the scan misses crossings steeper than its sampling.
-    """
-    tol = NASH_TOLERANCE * h.scale
-    roots, scanned = find_equilibria(h, frames), scan_equilibria(h, frames)
-
-    def unmatched(ours, theirs):
-        return [
-            eq for eq in ours
-            if eq.residual < tol / 2.0 and not any(
-                circle_dist(eq.alpha.degrees, other.alpha.degrees) <= 1e-3
-                and circle_dist(eq.beta.degrees, other.beta.degrees) <= 1e-3
-                for other in theirs
-            )
-        ]
-
-    if unmatched(scanned, roots):
-        assert duality_gap(h, frames)[0] > 1e-12 * h.scale, (scanned, roots)
-    for eq in unmatched(roots, scanned):
-        assert brute_force_gain(h, frames, eq.alpha.degrees, eq.beta.degrees) <= tol, (
-            eq, scanned)
-    return roots
+def assert_count_is_the_rule(h, frames):
+    """The points at roundoff, residual <= 1e-15 * S, are as many as the rule
+    gives.  The solver's tolerance also passes points up to 1e-8 * S that
+    are no equilibrium (ROADMAP item 2), so only the roundoff class counts."""
+    found = find_equilibria(h, frames)
+    at_roundoff = [eq for eq in found if eq.residual <= 1e-15 * h.scale]
+    rule = pure_equilibrium_count(h, frames[0].theta_deg, frames[1].theta_deg)
+    assert len(at_roundoff) == rule, (h, frames, found)
+    return found
 
 
 @settings(max_examples=150, deadline=None)
@@ -598,29 +580,47 @@ def assert_same_equilibria(h, frames):
          89.97966635944748, 89.90699606634448)
 @example(48.182698291098816, 33.11545195869231, 0.042528085166786085, 0.028332142798731294,
          0.011536394184157093, 0.024679625850786854)
-def test_root_solve_matches_scan(a, b, c, d, ta, tb):
+# the shipped scenarios: one equilibrium at 10/70, 30/20 and 15/35, none
+# on the unit payoffs
+@example(3.0, 3.0, 5.0, 1.0, 10.0, 70.0)
+@example(1.0, 1.0, 1.0, 1.0, 45.0, 45.0)
+@example(3.0, 3.0, 5.0, 1.0, 30.0, 20.0)
+@example(3.0, 3.0, 5.0, 1.0, 15.0, 35.0)
+def test_root_solve_count_is_the_rule(a, b, c, d, ta, tb):
+    # the rule holds off I's ends only: on them a cell may hold two
+    # equilibria, and a frame within roundoff of one may lie on either side
     h = PayoffMatrix(a, b, c, d)
-    assert_same_equilibria(h, (MeasurementFrame(ta), MeasurementFrame(tb)))
+    assume(min(abs(t - end) for t in (ta, tb) for end in interval_i(h)) > 1e-9)
+    assert_count_is_the_rule(h, (MeasurementFrame(ta), MeasurementFrame(tb)))
 
 
-def test_root_solve_matches_scan_on_shipped_instances(two_eq_instance, unit_instance,
-                                                      close_frames_instance,
-                                                      interior_instance):
-    for h, frames in (two_eq_instance, unit_instance, close_frames_instance,
-                      interior_instance):
-        assert_same_equilibria(h, frames)
+# where the rule says one equilibrium and the solver stops short: ROADMAP
+# item 2 fixes the solver there before it sets one tolerance
+@pytest.mark.parametrize("payoffs, thetas", [
+    pytest.param((0.0005859766306065266, 1412.714583118388, 0.055246477694773664,
+                  0.005087920384938334), (89.21701484019307, 89.89337087656244),
+                 id="missed", marks=pytest.mark.xfail(strict=True, reason=(
+                     "no candidate reaches (179.34066, 89.82577) at 9.6e-20 * S"))),
+    pytest.param((0.0005290755669106352, 1873.584314388169, 0.11572485695187998,
+                  0.003049614304498293), (89.33922842917872, 89.11813051198726),
+                 id="off", marks=pytest.mark.xfail(strict=True, reason=(
+                     "reported 0.01 degrees off, at 1.3e-12 * S"))),
+])
+def test_rule_names_the_cells_the_solver_misses(payoffs, thetas):
+    assert_count_is_the_rule(PayoffMatrix(*payoffs), tuple(map(MeasurementFrame, thetas)))
 
 
-# (3,3,5,1) at theta_A = 30: the equilibrium of theta_B = 20 leaves the
-# verified set near theta_B = 22.2387592, where its residual crosses the
-# tolerance
+# (3,3,5,1) at theta_A = 30: the equilibrium of theta_B = 20 exists up to
+# I's left end, 22.2387560930; past it the solver's tolerance still passes
+# a point near the vanished one until its residual crosses 1e-8 * S near
+# theta_B = 22.2387592
 @pytest.mark.parametrize("theta_b, count", [
     (22.2387, 1), (22.238756, 1), (22.2387590, 1), (22.23875917, None),
     (22.2387592, 0), (22.2388, 0),
 ])
 def test_bifurcation_frames(theta_b, count):
     h = PayoffMatrix(3, 3, 5, 1)
-    eqs = assert_same_equilibria(h, (MeasurementFrame(30), MeasurementFrame(theta_b)))
+    eqs = assert_count_is_the_rule(h, (MeasurementFrame(30), MeasurementFrame(theta_b)))
     if count is not None:
         assert len(eqs) == count
 
@@ -785,10 +785,10 @@ SWEEP_THETAS = [5.0 + 2.5 * k for k in range(33)]
     ("interior_equilibrium", 513),
 ])
 def test_sweep_grid_cells_have_at_most_one_equilibrium(scenario_dir, name, cells_with_one):
-    scenario = load_scenario(scenario_dir / f"{name}.txt")
-    counts = [len(eqs) for eqs in find_equilibria_grid(
-        scenario.payoff_matrix(), SWEEP_THETAS, SWEEP_THETAS)]
-    assert max(counts) <= 1
+    h = load_scenario(scenario_dir / f"{name}.txt").payoff_matrix()
+    counts = [len(eqs) for eqs in find_equilibria_grid(h, SWEEP_THETAS, SWEEP_THETAS)]
+    assert counts == [pure_equilibrium_count(h, ta, tb)
+                      for ta in SWEEP_THETAS for tb in SWEEP_THETAS]
     assert counts.count(1) == cells_with_one
 
 
@@ -831,16 +831,29 @@ AT_MOST_ONE_EXAMPLES = [
     (0.27389357093257377, 0.07567227636498573, 1.035501233998605, 35.037844417659976,
      31.47012855935395, 24.53836514601862),
 ]
+# the @examples of test_root_solve_count_is_the_rule where both frames lie
+# near 90 or near 0, and two bifurcation frames: 9.3e-8 degrees outside I
+# and 2.9e-6 inside
+HARD_CELLS = [
+    (math.exp(-4.0), math.exp(3.5), math.exp(4.0), math.exp(-4.0), 89.875, 89.984375),
+    (math.exp(-4.0), math.exp(3.5), math.exp(4.0), math.exp(-3.625), 89.875, 89.984375),
+    (48.182698291098816, 0.018948344087971147, 0.01831563888873418, 44.36807025768936,
+     89.97966635944748, 89.90699606634448),
+    (48.182698291098816, 33.11545195869231, 0.042528085166786085, 0.028332142798731294,
+     0.011536394184157093, 0.024679625850786854),
+    (3, 3, 5, 1, 30, 22.238756), (3, 3, 5, 1, 30, 22.2387590),
+]
 
 
 def test_interval_proof_certifies_every_equilibrium_at_roundoff(scenario_dir):
-    # the four shipped scenarios, the xfail's examples and 300 seeded cells;
-    # no cusp (CUSP_INSTANCES), where F_bb = 0 and no box proves a saddle
+    # the four shipped scenarios, the xfail's examples, the hard cells and
+    # 300 seeded cells; no cusp (CUSP_INSTANCES), where F_bb = 0 and no box
+    # proves a saddle
     scenarios = (load_scenario(scenario_dir / f"{name}.txt") for name in (
         "two_equilibria", "unit_payoffs", "no_equilibrium", "interior_equilibrium"))
     cells = [(s.payoff_matrix(), s.frames()) for s in scenarios]
     cells += [(PayoffMatrix(*payoffs), (MeasurementFrame(ta), MeasurementFrame(tb)))
-              for *payoffs, ta, tb in AT_MOST_ONE_EXAMPLES]
+              for *payoffs, ta, tb in AT_MOST_ONE_EXAMPLES + HARD_CELLS]
     rng = np.random.default_rng(7)
     for _ in range(300):
         h = PayoffMatrix(*np.exp(rng.uniform(-4.0, 4.0, size=4)))
@@ -858,9 +871,10 @@ def test_interval_proof_certifies_every_equilibrium_at_roundoff(scenario_dir):
                 # the tolerance-edge points: no saddle within 1e-6 rad
                 assert radius is None, (h, frames, eq)
                 rejected += 1
-    # 3 shipped, 3 at the examples and 268 seeded; the first two examples
-    # also report a point at 7.1e-9 and 6.0e-10 * scale
-    assert (proved, rejected) == (274, 2)
+    # 3 shipped, 3 at the examples, 5 at the hard cells and 268 seeded; the
+    # first two examples also report a point at 7.1e-9 and 6.0e-10 * scale,
+    # and the hard cells one at 2.7e-9 and one at 9.9e-9 * scale
+    assert (proved, rejected) == (279, 4)
 
 
 def test_proof_derivatives_are_those_of_the_payoff():
@@ -895,15 +909,6 @@ def test_proof_derivatives_are_those_of_the_payoff():
 certificate_payoffs = st.floats(min_value=-8.0, max_value=8.0).map(math.exp)
 fractions = st.floats(min_value=0.0, max_value=1.0)
 GRID_05 = np.arange(0.0, 180.0, 0.5)
-
-
-def interval_i(h) -> tuple[float, float]:
-    """I = (|sigma - tau|/2, min(sigma + tau, 360 - sigma - tau)/2) in degrees,
-    sigma = arccos s and tau = arccos t: where an indifference point lies
-    inside the circle."""
-    sigma = math.degrees(math.acos((h.a - h.c) / (h.a + h.c)))
-    tau = math.degrees(math.acos((h.b - h.d) / (h.b + h.d)))
-    return abs(sigma - tau) / 2, min(sigma + tau, 360.0 - sigma - tau) / 2
 
 
 @settings(max_examples=150, deadline=None)
