@@ -580,18 +580,23 @@ def assert_count_is_the_rule(h, frames):
          89.97966635944748, 89.90699606634448)
 @example(48.182698291098816, 33.11545195869231, 0.042528085166786085, 0.028332142798731294,
          0.011536394184157093, 0.024679625850786854)
-# the shipped scenarios: one equilibrium at 10/70, 30/20 and 15/35, none
-# on the unit payoffs
-@example(3.0, 3.0, 5.0, 1.0, 10.0, 70.0)
-@example(1.0, 1.0, 1.0, 1.0, 45.0, 45.0)
-@example(3.0, 3.0, 5.0, 1.0, 30.0, 20.0)
-@example(3.0, 3.0, 5.0, 1.0, 15.0, 35.0)
-def test_root_solve_count_is_the_rule(a, b, c, d, ta, tb):
-    # the rule holds off I's ends only: on them a cell may hold two
-    # equilibria, and a frame within roundoff of one may lie on either side
+def test_root_solve_matches_scan(a, b, c, d, ta, tb):
+    # the name is kept from when a sampled scan was the oracle; the count
+    # rule replaces it.  The rule holds off I's ends only: on them a cell may
+    # hold two equilibria, and a frame within roundoff of one may lie on
+    # either side
     h = PayoffMatrix(a, b, c, d)
     assume(min(abs(t - end) for t in (ta, tb) for end in interval_i(h)) > 1e-9)
     assert_count_is_the_rule(h, (MeasurementFrame(ta), MeasurementFrame(tb)))
+
+
+def test_root_solve_matches_scan_on_shipped_instances(two_eq_instance, unit_instance,
+                                                      close_frames_instance,
+                                                      interior_instance):
+    # one equilibrium at 10/70, 30/20 and 15/35, none on the unit payoffs
+    for h, frames in (two_eq_instance, unit_instance, close_frames_instance,
+                      interior_instance):
+        assert_count_is_the_rule(h, frames)
 
 
 # where the rule says one equilibrium and the solver stops short: ROADMAP
@@ -831,7 +836,7 @@ AT_MOST_ONE_EXAMPLES = [
     (0.27389357093257377, 0.07567227636498573, 1.035501233998605, 35.037844417659976,
      31.47012855935395, 24.53836514601862),
 ]
-# the @examples of test_root_solve_count_is_the_rule where both frames lie
+# the @examples of test_root_solve_matches_scan where both frames lie
 # near 90 or near 0, and two bifurcation frames: 9.3e-8 degrees outside I
 # and 2.9e-6 inside
 HARD_CELLS = [
