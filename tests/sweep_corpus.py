@@ -8,10 +8,13 @@ runs wisealice.cli.main in this process and writes into OUTDIR
   as perfbench/workloads.py draws its sweep scenario, each at frames
   5:85 step 2.5 and at 0.5:89.5 step 1;
 - for each shipped scenario, analyze and equilibria as text and as JSON,
-  curves (CSV and SVG) at resolutions of 0.25 and 0.05 degrees, the finer
-  in NAME_curves_0.05.*, so the flags are pinned at two resolutions, and
-  simulate as text and as JSON at one fixed strategy pair, seed and round
-  count; the first scenario's simulate also writes its per-round transcript;
+  curves (CSV and SVG) at resolutions of 0.25, 0.05 and 89 degrees, the
+  last two in NAME_curves_0.05.* and NAME_curves_89.*, and simulate as text
+  and as JSON at one fixed strategy pair, seed and round count; the first
+  scenario's simulate also writes its per-round transcript.  The two finer
+  resolutions pin the flags at two samplings; the three samples of the 89
+  degree curves pin the SVG's short runs, where a flag follows a one-sample
+  run or falls on the last sample;
 - lattice-check at theta = 0.5, 1.0, ..., 89.5 degrees, 179 reports.
 
 Point PYTHONPATH at another checkout's src to write its corpus with the same
@@ -66,7 +69,7 @@ def write_shipped(out: Path) -> None:
             for fmt in ("text", "json"):
                 run(command, "--scenario", str(scenario), *extra, "--format", fmt,
                     "--out", str(out / f"{scenario.stem}_{command}.{fmt}"))
-        for resolution, suffix in (("0.25", ""), ("0.05", "_0.05")):
+        for resolution, suffix in (("0.25", ""), ("0.05", "_0.05"), ("89", "_89")):
             run("curves", "--scenario", str(scenario), "--resolution", resolution,
                 "--out", str(out / f"{scenario.stem}_curves{suffix}"))
     run("simulate", "--scenario", str(scenarios[0]), *SIMULATE,
