@@ -31,13 +31,7 @@ from wisealice.lattice import (
 from wisealice.quantum import StrategyAngle
 from wisealice.scenario import Scenario, ScenarioError, load_scenario
 from wisealice.simulate import SimulationConfig, simulate, write_transcript
-from wisealice.solver import (
-    CurveSample,
-    Equilibrium,
-    find_equilibria,
-    find_equilibria_grid,
-    reaction_curve,
-)
+from wisealice.solver import Equilibrium, find_equilibria, find_equilibria_grid, reaction_curve
 from wisealice.svg import render_curves_svg
 
 
@@ -46,7 +40,7 @@ from wisealice.svg import render_curves_svg
 # the solver certifies empty is not solved, at about 0.4 us of solver time.  So
 # the cap holds one sweep below 70 s and 0.6 GiB whatever the payoffs.
 # `curves` caps its samples per curve at the same number (1e5 per curve took
-# 1.5 s and 92 MiB there).
+# 0.9 s and 61 MiB peak RSS there, the cap 9.0 s and 330 MiB).
 MAX_SWEEP_CELLS = 1_000_000
 # decimals `sweep` rounds its frame angles to
 _AXIS_DIGITS = 10
@@ -193,10 +187,13 @@ def cmd_curves(args: argparse.Namespace) -> int:
     with _output(csv_path) as write, _created(svg_path) as svg:
         alice = reaction_curve("alice", h, frames, resolution)
         bob = reaction_curve("bob", h, frames, resolution)
-        write([",".join(("player", *CurveSample._fields, "discontinuity_flag"))])
-        write(f"{curve.player},{s.input_deg:.6f},{s.response_deg:.6f},{s.amplitude:.6g},"
-              f"{s.degenerate:d},{i in curve.jumps:d}"
-              for curve in (alice, bob) for i, s in enumerate(curve.samples))
+        write(["player,input_deg,response_deg,amplitude,degenerate,discontinuity_flag"])
+        for curve in (alice, bob):
+            jumps = set(curve.jumps.tolist())
+            write(f"{curve.player},{t:.6f},{r:.6f},{a:.6g},{g:d},{i in jumps:d}"
+                  for i, (t, r, a, g) in enumerate(zip(
+                      curve.input_deg.tolist(), curve.response_deg.tolist(),
+                      curve.amplitude.tolist(), curve.degenerate.tolist())))
         title = (f"{_fmt_payoffs(h)}, theta_a={_fmt_angle(scenario.theta_a_deg)}, "
                  f"theta_b={_fmt_angle(scenario.theta_b_deg)}")
         svg.write(render_curves_svg(alice, bob, find_equilibria(h, frames), title))

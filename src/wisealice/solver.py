@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Literal, NamedTuple
+from typing import Iterable, Literal
 
 import numpy as np
 
@@ -81,35 +81,30 @@ MERGE_DISTANCE_DEG = 0.2
 BLOCK_CELLS = 256
 
 
-class CurveSample(NamedTuple):
-    input_deg: float
-    response_deg: float
-    amplitude: float
-    degenerate: bool
-
-
 @dataclass(frozen=True)
 class ReactionCurve:
     """Sampled best-response map of one player over [0, 180).
 
-    jumps holds the index of each sample where the reply crosses the
-    0/180 edge, so the flags count the curve's wraps.  The curve is open
+    The arrays are best_responses' at the inputs input_deg, one entry per
+    sample.  jumps holds the index of each sample where the reply crosses
+    the 0/180 edge, so the flags count the curve's wraps.  The curve is open
     at 180: the step from the last sample back to the first is not
     flagged, so the unit instance's Bob reply, which wraps exactly there,
     carries no flag.
     """
 
     player: Literal["alice", "bob"]
-    samples: tuple[CurveSample, ...]
-    jumps: tuple[int, ...]
+    input_deg: np.ndarray
+    response_deg: np.ndarray
+    amplitude: np.ndarray
+    degenerate: np.ndarray
+    jumps: np.ndarray
 
     @property
     def discontinuities(self) -> tuple[float, ...]:
         """Input angles midway across each wrap."""
-        return tuple(
-            (self.samples[i - 1].input_deg + self.samples[i].input_deg) / 2.0
-            for i in self.jumps
-        )
+        midpoints = (self.input_deg[self.jumps - 1] + self.input_deg[self.jumps]) / 2.0
+        return tuple(midpoints.tolist())
 
 
 @dataclass(frozen=True)
@@ -172,12 +167,8 @@ def reaction_curve(
         raise ValueError(f"resolution must be positive and finite, got {resolution}")
     inputs = np.arange(0.0, 180.0, resolution)
     responses, amplitudes, degenerate = best_responses(player, h, frames, inputs)
-    samples = tuple(
-        CurveSample(float(t), float(r), float(a), bool(g))
-        for t, r, a, g in zip(inputs, responses, amplitudes, degenerate)
-    )
     jumps = np.flatnonzero(np.abs(np.diff(responses)) > 180.0 / 2) + 1
-    return ReactionCurve(player, samples, tuple(int(i) for i in jumps))
+    return ReactionCurve(player, inputs, responses, amplitudes, degenerate, jumps)
 
 
 def _gain(g, k, m, x, y):

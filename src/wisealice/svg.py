@@ -46,26 +46,21 @@ def _polyline(points: Sequence[tuple[float, float]], css: str) -> str:
 
 
 def _curve_paths(curve: ReactionCurve) -> list[str]:
-    """Solid runs between wraps plus thin segments across each wrap."""
+    """Solid runs between wraps plus thin segments across each wrap.
 
-    def to_xy(sample) -> tuple[float, float]:
-        if curve.player == "alice":
-            return _sx(sample.response_deg), _sy(sample.input_deg)
-        return _sx(sample.input_deg), _sy(sample.response_deg)
-
+    The jumps cut the points into runs; a run of one point draws nothing.
+    """
+    x, y = ((curve.response_deg, curve.input_deg) if curve.player == "alice"
+            else (curve.input_deg, curve.response_deg))
+    points = list(zip(_sx(x).tolist(), _sy(y).tolist()))
     css = curve.player
     paths: list[str] = []
-    run: list[tuple[float, float]] = []
-    for i, sample in enumerate(curve.samples):
-        if i in curve.jumps:
-            if len(run) >= 2:
-                paths.append(_polyline(run, css))
-            paths.append(_polyline([to_xy(curve.samples[i - 1]), to_xy(sample)],
-                                   f"{css}-jump"))
-            run = []
-        run.append(to_xy(sample))
-    if len(run) >= 2:
-        paths.append(_polyline(run, css))
+    cuts = [0, *curve.jumps.tolist(), len(points)]
+    for start, end in zip(cuts, cuts[1:]):
+        if end - start >= 2:
+            paths.append(_polyline(points[start:end], css))
+        if end < len(points):
+            paths.append(_polyline(points[end - 1:end + 1], f"{css}-jump"))
     return paths
 
 

@@ -8,7 +8,7 @@ from wisealice.cli import MAX_SWEEP_CELLS, main
 from wisealice.game import PayoffMatrix
 from wisealice.quantum import MeasurementFrame, StrategyAngle
 from wisealice.scenario import Scenario, ScenarioError, load_scenario
-from wisealice.solver import CurveSample, find_equilibria, reaction_curve, verify_nash_quantum
+from wisealice.solver import find_equilibria, reaction_curve, verify_nash_quantum
 
 
 def write_scenario(tmp_path, text, name="case.txt"):
@@ -299,7 +299,7 @@ def test_curves_csv_header_names_the_sample_fields(scenario_dir, tmp_path):
     assert main(["curves", "--scenario", str(scenario_dir / "unit_payoffs.txt"),
                  "--out", str(base), "--resolution", "1"]) == 0
     header = (tmp_path / "curves.csv").read_text().splitlines()[0]
-    assert header.split(",") == ["player", *CurveSample._fields, "discontinuity_flag"]
+    assert header == "player,input_deg,response_deg,amplitude,degenerate,discontinuity_flag"
 
 
 def test_curves_marks_equilibria(scenario_dir, tmp_path):
@@ -565,7 +565,7 @@ def test_lattice_check_accepts_and_prints_every_frame_near_the_ends(capsys, thet
 
 
 @pytest.mark.parametrize("name", ["two_equilibria", "interior_equilibrium",
-                                  "no_equilibrium", "unit_payoffs"])
+                                  "no_equilibrium", "unit_payoffs", "line_two_equilibria"])
 def test_curve_jump_flags_agree_with_reaction_curve(scenario_dir, tmp_path, name):
     base = tmp_path / name
     assert main(["curves", "--scenario", str(scenario_dir / f"{name}.txt"),
@@ -582,7 +582,7 @@ def test_curve_jump_flags_agree_with_reaction_curve(scenario_dir, tmp_path, name
 
 def test_shipped_scenario_equilibrium_counts(scenario_dir):
     counts = {"two_equilibria": 1, "interior_equilibrium": 1,
-              "no_equilibrium": 1, "unit_payoffs": 0}
+              "no_equilibrium": 1, "unit_payoffs": 0, "line_two_equilibria": 2}
     for name, count in counts.items():
         scenario = load_scenario(scenario_dir / f"{name}.txt")
         assert len(find_equilibria(scenario.payoff_matrix(), scenario.frames())) == count

@@ -211,8 +211,8 @@ def test_unit_instance_curves_are_half_period_shifts(unit_instance):
     h, frames = unit_instance
     alice = reaction_curve("alice", h, frames, resolution=0.5)
     bob = reaction_curve("bob", h, frames, resolution=0.5)
-    for sa, sb in zip(alice.samples, bob.samples):
-        assert circle_dist(sa.response_deg, sb.response_deg + 90.0) <= 1e-9
+    for ra, rb in zip(alice.response_deg, bob.response_deg):
+        assert circle_dist(ra, rb + 90.0) <= 1e-9
 
 
 def test_two_eq_instance_alice_curve_is_discontinuous(two_eq_instance):
@@ -256,7 +256,7 @@ def test_curve_wraps_count_the_winding():
             if abs(r - 1.0) < 1e-3:
                 continue
             curve = reaction_curve(player, h, frames, resolution=0.5)
-            closing = abs(curve.samples[-1].response_deg - curve.samples[0].response_deg) > 90.0
+            closing = abs(curve.response_deg[-1] - curve.response_deg[0]) > 90.0
             assert (len(curve.jumps) + closing) % 2 == (r < 1.0), \
                 (a, b, c, d, theta_a, theta_b, player, r, curve.discontinuities)
             checked += 1
@@ -266,7 +266,7 @@ def test_curve_wraps_count_the_winding():
 def test_reaction_curve_inputs_strictly_increasing(two_eq_instance):
     h, frames = two_eq_instance
     curve = reaction_curve("bob", h, frames, resolution=0.5)
-    inputs = [s.input_deg for s in curve.samples]
+    inputs = curve.input_deg.tolist()
     assert inputs == sorted(inputs)
     assert len(set(inputs)) == len(inputs)
     assert inputs[0] == 0.0 and inputs[-1] < 180.0
@@ -276,14 +276,12 @@ def test_reaction_curve_samples_satisfy_optimality(two_eq_instance):
     h, frames = two_eq_instance
     curve = reaction_curve("alice", h, frames, resolution=11.0)
     rng = np.random.default_rng(5)
-    for s in curve.samples:
-        if s.degenerate:
+    for t, r, degenerate in zip(curve.input_deg, curve.response_deg, curve.degenerate):
+        if degenerate:
             continue
-        f_best = payoff_kernel(h, frames[0], frames[1], s.response_deg, s.input_deg)
+        f_best = payoff_kernel(h, frames[0], frames[1], r, t)
         probes = rng.uniform(0.0, 180.0, size=10)
-        assert np.all(
-            f_best >= payoff_kernel(h, frames[0], frames[1], probes, s.input_deg) - 1e-12
-        )
+        assert np.all(f_best >= payoff_kernel(h, frames[0], frames[1], probes, t) - 1e-12)
 
 
 def test_responses_are_half_turn_periodic(two_eq_instance):
@@ -599,6 +597,40 @@ def test_root_solve_matches_scan_on_shipped_instances(two_eq_instance, unit_inst
         assert_count_is_the_rule(h, frames)
 
 
+def test_line_cells_with_theta_a_in_i_or_two_points_sit_at_alices_indifference():
+    """With theta_B on an end of I, Alice's indifference point y_c lies on the
+    circle.  Every point of a cell with theta_A in I, where there is exactly
+    one, and of a cell with two points, has beta at y_c: there Alice's
+    amplitude vanishes and the value is ac/(a+c) + bd/(b+d).  A cell with
+    theta_A outside I and one point need not.  Of these 300 cells 143 have
+    theta_A in I, 102 two points and 55 one point outside I; at the last
+    the amplitude is 1.9e-5 * S and more, and the value off by up to 34%.
+    """
+    rng = np.random.default_rng(5)
+    cells = {"in": 0, "two": 0, "one": 0}
+    for _ in range(300):
+        a, b, c, d = np.exp(rng.uniform(-2.0, 2.0, size=4))
+        h = PayoffMatrix(a, b, c, d)
+        lo, hi = interval_i(h)
+        frames = (MeasurementFrame(rng.uniform(0.5, 89.5)),
+                  MeasurementFrame((lo, hi)[rng.integers(2)]))
+        found = find_equilibria(h, frames)
+        if lo < frames[0].theta_deg < hi:
+            assert len(found) == 1, (h, frames, found)
+            cells["in"] += 1
+        else:
+            assert len(found) in (1, 2), (h, frames, found)
+            cells["two" if len(found) == 2 else "one"] += 1
+            if len(found) == 1:
+                continue
+        value = a * c / (a + c) + b * d / (b + d)
+        for eq in found:
+            _, u, v = half_angle_coefficients(h, frames, eq.beta.degrees)
+            assert math.hypot(u, v) <= 1e-13 * h.scale, (h, frames, eq)
+            assert eq.value == pytest.approx(value, rel=1e-12, abs=0.0), (h, frames, eq)
+    assert min(cells.values()) > 0, cells
+
+
 # where the rule says one equilibrium and the solver stops short: ROADMAP
 # item 2 fixes the solver there before it sets one tolerance
 @pytest.mark.parametrize("payoffs, thetas", [
@@ -717,19 +749,29 @@ def test_half_angle_map_recovers_the_roots_of_a_trigonometric_quartic():
     # the product of sin(phi - phi_j) over four phi_j is of degree 4 in phi
     # and vanishes at phi_j and phi_j + pi.  phi_j = pi is a root at
     # alpha = 90, and pi +- 2e-9 one 1e-9 rad to either side of it: each
-    # row's own origin keeps those roots as accurate as the others.  The
-    # rows are solved in one call; an all-zero row has no roots
+    # row's own origin keeps those roots as accurate as the others.  Such a
+    # row has period pi, so its sample a half turn past the largest is the
+    # largest again.  The product of sin((phi - phi_j) / 2) over eight phi_j
+    # is a general quartic: the last row has a root on the sample 8 places
+    # past its largest, so only the origin a quarter turn before the largest
+    # keeps its leading coefficient nonzero.  The rows are solved in one
+    # call; an all-zero row has no roots
     cases = ([0.3, 1.1, 2.0, 2.9], [math.pi, 0.4, 1.7, 2.5],
              [math.pi + 2e-9, 0.4, 1.7, 2.5], [math.pi - 2e-9, 0.9, 1.3, 2.2])
+    general = [*np.random.default_rng(0).uniform(0.0, 2.0 * math.pi, size=7), _SAMPLES[15]]
+    general_row = np.prod(np.sin((_SAMPLES[:, None] - np.array(general)) / 2), axis=-1)
+    assert np.argmax(np.abs(general_row)) == 7
     samples = np.array([np.prod(np.sin(_SAMPLES[:, None] - np.array(phis)), axis=-1)
-                        for phis in cases] + [np.zeros(16)])
+                        for phis in cases] + [np.zeros(16), general_row])
     found = np.degrees(_half_angle_roots(samples)) / 2
-    assert found.shape == (5, 8)
+    assert found.shape == (6, 8)
     for phis, roots in zip(cases, found):
         for phi in phis:
             for alpha in (math.degrees(phi) / 2, math.degrees(phi) / 2 + 90.0):
                 assert min(circle_dist(alpha, a) for a in roots) <= 1e-9
-    assert np.isnan(found[-1]).all()
+    assert np.isnan(found[4]).all()
+    for phi in general:
+        assert min(circle_dist(math.degrees(phi) / 2, a) for a in found[5]) <= 1e-9
 
 
 GRID_SHAPES = {1: (1, 1), 255: (15, 17), 256: (16, 16), 257: (1, 257), 600: (24, 25)}
