@@ -19,13 +19,14 @@ __version__ = "0.1.0"
 
 # exported name -> home module
 _HOME = {name: module for module, names in {
-    "game": ("PayoffMatrix", "PureSaddleAnalysis", "bob_outcome", "pure_saddle_analysis"),
+    "game": ("MeasurementFrame", "PayoffMatrix", "PureSaddleAnalysis", "bob_outcome",
+             "pure_saddle_analysis"),
     "lattice": ("FiniteOrtholattice", "LatticeStructureError", "PlaneSubspaceRep",
                 "check_representation", "disjunction_paradox",
                 "find_distributivity_violation", "join", "meet", "orthocomplement",
                 "wise_alice_lattice"),
     "classical": ("MixedProfile", "solve_zero_sum"),
-    "quantum": ("MeasurementFrame", "OutcomeWeights", "StrategyAngle", "bilinear_form",
+    "quantum": ("OutcomeWeights", "StrategyAngle", "bilinear_form",
                 "harmonic_coefficients", "harmonic_coefficients_in_beta",
                 "outcome_weights", "quantum_payoff"),
     "solver": ("Equilibrium", "ReactionCurve", "best_responses", "find_equilibria",

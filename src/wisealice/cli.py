@@ -5,34 +5,42 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import importlib.util
 import itertools
 import json
 import math
 import os
+import re
 import sys
+import types
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, TextIO
+
+import wisealice
 
 # set before numpy loads: an idle OpenBLAS pool spins a core for the whole process
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from wisealice.classical import solve_zero_sum
-from wisealice.game import PayoffMatrix, pure_saddle_analysis
-from wisealice.lattice import (
-    PlaneSubspaceRep,
-    check_representation,
-    disjunction_paradox,
-    find_distributivity_violation,
-    join,
-    meet,
-    ortholattice_law_report,
-    wise_alice_lattice,
-)
-from wisealice.quantum import StrategyAngle
-from wisealice.scenario import Scenario, ScenarioError, load_scenario
-from wisealice.simulate import SimulationConfig, simulate, write_transcript
-from wisealice.solver import Equilibrium, find_equilibria, find_equilibria_grid, reaction_curve
-from wisealice.svg import render_curves_svg
+
+def _register(layer: str) -> types.ModuleType:
+    """The layer's module, in sys.modules and on the package, run on first use.
+
+    A LazyLoader module executes its code at its first attribute access, so a
+    command runs only the layers it touches (lattice-check loads no numpy),
+    while everything that walks sys.modules still finds every layer.
+    """
+    name = f"wisealice.{layer}"
+    if name not in sys.modules:
+        spec = importlib.util.find_spec(name)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        sys.modules[name] = module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        setattr(wisealice, layer, module)
+    return sys.modules[name]
+
+
+classical, game, lattice, quantum, scenario, simulate, solver, svg = map(_register, (
+    "classical", "game", "lattice", "quantum", "scenario", "simulate", "solver", "svg"))
 
 
 # Largest frame grid `sweep` will solve.  A cell that is solved costs about
@@ -54,7 +62,7 @@ def _fmt_angle(value: float) -> str:
     return f"{value:.6f}".rstrip("0").rstrip(".")
 
 
-def _fmt_payoffs(h: PayoffMatrix) -> str:
+def _fmt_payoffs(h: game.PayoffMatrix) -> str:
     return f"a={_fmt(h.a)} b={_fmt(h.b)} c={_fmt(h.c)} d={_fmt(h.d)}"
 
 
@@ -94,7 +102,7 @@ def _formatted(args: argparse.Namespace, report: dict, lines: list[str]) -> list
     return [json.dumps(report, indent=2)] if args.format == "json" else lines
 
 
-def _equilibrium_dict(eq: Equilibrium) -> dict:
+def _equilibrium_dict(eq: solver.Equilibrium) -> dict:
     return {
         "alpha_deg": eq.alpha.degrees,
         "beta_deg": eq.beta.degrees,
@@ -105,7 +113,7 @@ def _equilibrium_dict(eq: Equilibrium) -> dict:
     }
 
 
-def _quantum_report(equilibria: list[Equilibrium]) -> dict:
+def _quantum_report(equilibria: list[solver.Equilibrium]) -> dict:
     return {
         "quantum": [_equilibrium_dict(eq) for eq in equilibria],
         "equilibrium_count": len(equilibria),
@@ -114,14 +122,14 @@ def _quantum_report(equilibria: list[Equilibrium]) -> dict:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    scenario = _load(args)
+    sc = _load(args)
     with _output(args.out) as write:
-        h = scenario.payoff_matrix()
-        pure = pure_saddle_analysis(h)
-        mixed = solve_zero_sum(h)
-        equilibria = find_equilibria(h, scenario.frames())
+        h = sc.payoff_matrix()
+        pure = game.pure_saddle_analysis(h)
+        mixed = classical.solve_zero_sum(h)
+        equilibria = solver.find_equilibria(h, sc.frames())
         report = {
-            "scenario": dataclasses.asdict(scenario),
+            "scenario": dataclasses.asdict(sc),
             "classical": {
                 **pure._asdict(),
                 "mixed_value": mixed.value,
@@ -132,8 +140,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         }
         lines = [
             f"payoffs: {_fmt_payoffs(h)}",
-            f"frames: theta_a={_fmt_angle(scenario.theta_a_deg)} "
-            f"theta_b={_fmt_angle(scenario.theta_b_deg)}",
+            f"frames: theta_a={_fmt_angle(sc.theta_a_deg)} "
+            f"theta_b={_fmt_angle(sc.theta_b_deg)}",
             "",
             "classical (pure):",
             f"  maxmin={_fmt(pure.maxmin)} minmax={_fmt(pure.minmax)} "
@@ -159,10 +167,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_equilibria(args: argparse.Namespace) -> int:
-    scenario = _load(args)
+    sc = _load(args)
     with _output(args.out) as write:
-        equilibria = find_equilibria(scenario.payoff_matrix(), scenario.frames())
-        report = {"scenario": dataclasses.asdict(scenario), **_quantum_report(equilibria)}
+        equilibria = solver.find_equilibria(sc.payoff_matrix(), sc.frames())
+        report = {"scenario": dataclasses.asdict(sc), **_quantum_report(equilibria)}
         lines = [f"alpha={_fmt_angle(eq.alpha.degrees)} beta={_fmt_angle(eq.beta.degrees)} "
                  f"value={_fmt(eq.value)} residual={eq.residual:.3e}" for eq in equilibria]
         write(_formatted(args, report, lines or ["no equilibrium"]))
@@ -170,12 +178,13 @@ def cmd_equilibria(args: argparse.Namespace) -> int:
 
 
 def cmd_curves(args: argparse.Namespace) -> int:
-    scenario = _load(args)
+    sc = _load(args)
     resolution = args.resolution
     if not (math.isfinite(resolution) and resolution > 0
             and 180.0 / resolution <= MAX_SWEEP_CELLS):
-        raise ScenarioError(f"--resolution must be positive and finite and give at most "
-                            f"{MAX_SWEEP_CELLS} samples per curve, got {resolution}")
+        raise scenario.ScenarioError(
+            f"--resolution must be positive and finite and give at most "
+            f"{MAX_SWEEP_CELLS} samples per curve, got {resolution}")
 
     # a dotted base such as curves_0.25 keeps its dot: only .csv or .svg is cut
     base = args.out or "curves"
@@ -183,10 +192,10 @@ def cmd_curves(args: argparse.Namespace) -> int:
         base = base[:-4]
     csv_path, svg_path = Path(base + ".csv"), Path(base + ".svg")
 
-    h, frames = scenario.payoff_matrix(), scenario.frames()
-    with _output(csv_path) as write, _created(svg_path) as svg:
-        alice = reaction_curve("alice", h, frames, resolution)
-        bob = reaction_curve("bob", h, frames, resolution)
+    h, frames = sc.payoff_matrix(), sc.frames()
+    with _output(csv_path) as write, _created(svg_path) as svg_file:
+        alice = solver.reaction_curve("alice", h, frames, resolution)
+        bob = solver.reaction_curve("bob", h, frames, resolution)
         write(["player,input_deg,response_deg,amplitude,degenerate,discontinuity_flag"])
         for curve in (alice, bob):
             jumps = set(curve.jumps.tolist())
@@ -194,9 +203,9 @@ def cmd_curves(args: argparse.Namespace) -> int:
                   for i, (t, r, a, g) in enumerate(zip(
                       curve.input_deg.tolist(), curve.response_deg.tolist(),
                       curve.amplitude.tolist(), curve.degenerate.tolist())))
-        title = (f"{_fmt_payoffs(h)}, theta_a={_fmt_angle(scenario.theta_a_deg)}, "
-                 f"theta_b={_fmt_angle(scenario.theta_b_deg)}")
-        svg.write(render_curves_svg(alice, bob, find_equilibria(h, frames), title))
+        title = (f"{_fmt_payoffs(h)}, theta_a={_fmt_angle(sc.theta_a_deg)}, "
+                 f"theta_b={_fmt_angle(sc.theta_b_deg)}")
+        svg_file.write(svg.render_curves_svg(alice, bob, solver.find_equilibria(h, frames), title))
     with _output(None) as write:
         write([f"wrote {csv_path} and {svg_path}"])
     return 0
@@ -205,16 +214,16 @@ def cmd_curves(args: argparse.Namespace) -> int:
 def _parse_range(spec: str, name: str) -> tuple[float, float]:
     parts = spec.split(":")
     if len(parts) != 2:
-        raise ScenarioError(f"{name} must look like LO:HI, got {spec!r}")
+        raise scenario.ScenarioError(f"{name} must look like LO:HI, got {spec!r}")
     try:
         # rounded as the axis values are, so every cell lies strictly inside (0, 90)
         lo, hi = (round(float(part), _AXIS_DIGITS) for part in parts)
     except ValueError:
-        raise ScenarioError(f"{name} must look like LO:HI with two numbers, "
-                            f"got {spec!r}") from None
+        raise scenario.ScenarioError(f"{name} must look like LO:HI with two numbers, "
+                                     f"got {spec!r}") from None
     if not (0.0 < lo <= hi < 90.0):
-        raise ScenarioError(f"{name} must satisfy 0 < LO <= HI < 90 after rounding "
-                            f"to {_AXIS_DIGITS} decimals, got {spec!r}")
+        raise scenario.ScenarioError(f"{name} must satisfy 0 < LO <= HI < 90 after rounding "
+                                     f"to {_AXIS_DIGITS} decimals, got {spec!r}")
     return lo, hi
 
 
@@ -238,27 +247,27 @@ def _axis_length(lo: float, hi: float, step: float) -> int | float:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    scenario = _load(args)
-    h = scenario.payoff_matrix()
+    sc = _load(args)
+    h = sc.payoff_matrix()
     lo_a, hi_a = _parse_range(args.theta_a, "--theta-a")
     lo_b, hi_b = _parse_range(args.theta_b, "--theta-b")
     step = args.step
     if not (math.isfinite(step) and step > 0):
-        raise ScenarioError(f"--step must be positive and finite, got {step}")
+        raise scenario.ScenarioError(f"--step must be positive and finite, got {step}")
 
     n_a, n_b = _axis_length(lo_a, hi_a, step), _axis_length(lo_b, hi_b, step)
     if n_a * n_b > MAX_SWEEP_CELLS:
-        raise ScenarioError(
+        raise scenario.ScenarioError(
             f"--step {step} gives too many grid cells ({n_a * n_b:.4g}); "
             f"at most {MAX_SWEEP_CELLS} are allowed"
         )
     thetas_a = [round(lo_a + k * step, _AXIS_DIGITS) for k in range(n_a)]
     thetas_b = [round(lo_b + k * step, _AXIS_DIGITS) for k in range(n_b)]
     if len(set(thetas_a)) < n_a or len(set(thetas_b)) < n_b:
-        raise ScenarioError(f"--step {step} rounds two grid angles to one at "
-                            f"{_AXIS_DIGITS} decimals")
+        raise scenario.ScenarioError(f"--step {step} rounds two grid angles to one at "
+                                     f"{_AXIS_DIGITS} decimals")
     with _output(args.out) as write:
-        cells = find_equilibria_grid(h, thetas_a, thetas_b)
+        cells = solver.find_equilibria_grid(h, thetas_a, thetas_b)
         write(["theta_a,theta_b,equilibrium_count,best_value_for_alice"])
         # 12 significant digits print every 10-decimal angle below 90 exactly
         write(f"{ta:.12g},{tb:.12g},{len(eqs)},"
@@ -268,27 +277,27 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    scenario = _load(args)
-    frame_a, frame_b = scenario.frames()
-    config = SimulationConfig(
-        rounds=scenario.rounds,
-        seed=scenario.seed,
-        payoffs=scenario.payoff_matrix(),
+    sc = _load(args)
+    frame_a, frame_b = sc.frames()
+    config = simulate.SimulationConfig(
+        rounds=sc.rounds,
+        seed=sc.seed,
+        payoffs=sc.payoff_matrix(),
         frame_a=frame_a,
         frame_b=frame_b,
-        alpha=StrategyAngle(args.alpha),
-        beta=StrategyAngle(args.beta),
+        alpha=quantum.StrategyAngle(args.alpha),
+        beta=quantum.StrategyAngle(args.beta),
     )
     # two handles on one file would interleave the report and the transcript
     if args.out and args.transcript and (
             Path(args.out).resolve() == Path(args.transcript).resolve()):
-        raise ScenarioError(f"--out and --transcript name the same file: {args.out}")
+        raise scenario.ScenarioError(f"--out and --transcript name the same file: {args.out}")
     # --out first: an unwritable --out must not leave a transcript behind
     with _output(args.out) as write, (_created(args.transcript, newline="")
                                       if args.transcript else contextlib.nullcontext()) as fh:
-        result = simulate(config)
+        result = simulate.simulate(config)
         if fh:
-            write_transcript(config, fh)
+            simulate.write_transcript(config, fh)
         z = result.z_score()
         report = {**dataclasses.asdict(result), "z_score": z,
                   "std_error_defined": result.std_error is not None}
@@ -304,21 +313,21 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_lattice_check(args: argparse.Namespace) -> int:
     try:
-        rep = PlaneSubspaceRep(args.theta)
+        rep = lattice.PlaneSubspaceRep(args.theta)
     except ValueError as exc:
         raise ValueError(f"--theta: {exc}") from None
     with _output(args.out) as write:
-        lattice = wise_alice_lattice()
-        report = ortholattice_law_report(lattice)
+        logic = lattice.wise_alice_lattice()
+        report = lattice.ortholattice_law_report(logic)
         lines = ["ortholattice laws:"]
         for law, ok in report.items():
             lines.append(f"  {law}: {'pass' if ok else 'FAIL'}")
 
-        witness = find_distributivity_violation(lattice)
+        witness = lattice.find_distributivity_violation(logic)
         if witness:
             x, y, z = witness
-            left = meet(lattice, x, join(lattice, y, z))
-            right = join(lattice, meet(lattice, x, y), meet(lattice, x, z))
+            left = lattice.meet(logic, x, lattice.join(logic, y, z))
+            right = lattice.join(logic, lattice.meet(logic, x, y), lattice.meet(logic, x, z))
             lines.append(
                 f"distributivity violated at (x, y, z) = ({x}, {y}, {z}): "
                 f"x^(yvz) = {left} but (x^y)v(x^z) = {right}"
@@ -326,8 +335,8 @@ def cmd_lattice_check(args: argparse.Namespace) -> int:
         else:
             lines.append("distributivity holds (no witness)")
 
-        paradox = disjunction_paradox(lattice)
-        lines.append(f"disjunction paradox (uniform weights 1/{len(lattice.atoms())}):")
+        paradox = lattice.disjunction_paradox(logic)
+        lines.append(f"disjunction paradox (uniform weights 1/{len(logic.atoms())}):")
         lines.append("  pair  weight_sum  join")
         for entry in paradox.entries:
             lines.append(
@@ -340,7 +349,7 @@ def cmd_lattice_check(args: argparse.Namespace) -> int:
                "impossible: sure events carry total weight below 1")
         )
 
-        ok = check_representation(lattice, rep)
+        ok = lattice.check_representation(logic, rep)
         lines.append(
             f"plane realization at theta={rep.theta_deg:.12g}: "
             + ("isomorphic" if ok else "NOT isomorphic")
@@ -349,8 +358,8 @@ def cmd_lattice_check(args: argparse.Namespace) -> int:
     return 0 if all(report.values()) and ok else 1
 
 
-def _load(args: argparse.Namespace) -> Scenario:
-    return load_scenario(args.scenario).with_overrides(
+def _load(args: argparse.Namespace) -> scenario.Scenario:
+    return scenario.load_scenario(args.scenario).with_overrides(
         seed=getattr(args, "seed", None), rounds=getattr(args, "rounds", None)
     )
 
@@ -411,6 +420,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="angle between the line pairs (deg)")
     p.set_defaults(func=cmd_lattice_check)
 
+    # argparse up to Python 3.13.0 takes a value such as -1e-3 for an option:
+    # here a minus sign before a digit, or before a dot and a digit, starts a number
+    number = re.compile(r"-\.?\d")
+    for p in (parser, *sub.choices.values()):
+        p._negative_number_matcher = number
     return parser
 
 

@@ -1,9 +1,10 @@
-"""The ball-in-a-box game: the square's corners, Bob's move rule, payoffs.
+"""The ball-in-a-box game: the square's corners, Bob's move rule, payoffs, frames.
 
 Bob hides a ball in a corner of a square box; Alice asks whether it sits
 in a particular corner.  Before answering, Bob may slide the ball to an
 adjacent corner, so he escapes every question except the one about the
-corner opposite to the ball.  Alice is paid only on a "no".
+corner opposite to the ball.  Alice is paid only on a "no".  Each player
+measures in two bases at a frame angle theta apart.
 """
 
 from __future__ import annotations
@@ -11,8 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
-
-import numpy as np
 
 # corners 1..4 in cyclic order, the corners adjacent to each, and the opposite one
 VERTICES = (1, 2, 3, 4)
@@ -35,6 +34,19 @@ def bob_outcome(question: int, ball: int) -> str:
     require_vertex(question)
     require_vertex(ball)
     return "yes" if ball == question or ball in ADJACENT[question] else "no"
+
+
+@dataclass(frozen=True)
+class MeasurementFrame:
+    """Angle between a player's two measurement bases, in (0, 90) degrees."""
+
+    theta_deg: float
+
+    def __post_init__(self) -> None:
+        if not 0.0 < self.theta_deg < 90.0:
+            raise ValueError(
+                f"theta_deg must lie strictly inside (0, 90), got {self.theta_deg}"
+            )
 
 
 @dataclass(frozen=True)
@@ -72,13 +84,6 @@ class PayoffMatrix:
             raise ValueError(f"invalid matrix cell ({j}, {k})")
         return self.row_payoff(j) if k == OPPOSITE[j] else 0.0
 
-    def as_array(self) -> np.ndarray:
-        h = np.zeros((4, 4))
-        for j in VERTICES:
-            for k in VERTICES:
-                h[j - 1, k - 1] = self.entry(j, k)
-        return h
-
     def scaled(self, factor: float) -> "PayoffMatrix":
         return PayoffMatrix(self.a * factor, self.b * factor,
                             self.c * factor, self.d * factor)
@@ -97,7 +102,8 @@ def pure_saddle_analysis(h: PayoffMatrix) -> PureSaddleAnalysis:
     payoffs, so maxmin = 0 < min(a,b,c,d) = minmax: the game never has a
     pure saddle point.
     """
-    arr = h.as_array()
-    maxmin = float(arr.min(axis=1).max())
-    minmax = float(arr.max(axis=0).min())
+    rows = [[h.entry(j, k) for k in VERTICES] for j in VERTICES]
+    # float(): a PayoffMatrix built from ints would otherwise report an int
+    maxmin = float(max(map(min, rows)))
+    minmax = float(min(map(max, zip(*rows))))
     return PureSaddleAnalysis(maxmin, minmax, maxmin == minmax)

@@ -16,8 +16,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from fractions import Fraction
 from numbers import Rational
 from typing import Mapping
+
+from wisealice.game import MeasurementFrame
 
 BOTTOM = "O"
 TOP = "I"
@@ -201,12 +204,6 @@ class PlaneSubspaceRep:
     line_angles: Mapping[str, Rational] = field(init=False)
 
     def __post_init__(self) -> None:
-        # imported here: at module level fractions would add 2-3 ms to every CLI
-        # process, and quantum would load numpy with the lattice
-        from fractions import Fraction
-
-        from wisealice.quantum import MeasurementFrame
-
         MeasurementFrame(self.theta_deg)
         theta = Fraction(self.theta_deg)
         object.__setattr__(self, "line_angles",

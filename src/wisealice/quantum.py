@@ -32,24 +32,11 @@ from typing import Union
 
 import numpy as np
 
-from wisealice.game import PayoffMatrix
+from wisealice.game import MeasurementFrame, PayoffMatrix
 
 _PAIR_TOL = 1e-12
 
 ArrayLike = Union[float, np.ndarray]
-
-
-@dataclass(frozen=True)
-class MeasurementFrame:
-    """Angle between a player's two measurement bases, in (0, 90) degrees."""
-
-    theta_deg: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.theta_deg < 90.0:
-            raise ValueError(
-                f"theta_deg must lie strictly inside (0, 90), got {self.theta_deg}"
-            )
 
 
 @dataclass(frozen=True)

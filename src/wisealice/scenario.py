@@ -13,12 +13,20 @@ solver.NASH_TOLERANCE and cannot be set here.
 from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 
-from wisealice.game import PayoffMatrix
-from wisealice.quantum import MeasurementFrame
-from wisealice.simulate import _check_stream
+from wisealice.game import MeasurementFrame, PayoffMatrix
 
 DEFAULT_ROUNDS = 100_000
 DEFAULT_SEED = 1
+# the domain of simulate's counter stream, kept here so a scenario loads no numpy
+MAX_ROUNDS = 1 << 62   # the counters 4i..4i+3 of every round fit in uint64
+
+
+def _check_stream(rounds: int, seed: int) -> None:
+    """Reject a round count or seed outside the counter stream's domain."""
+    if not 1 <= rounds <= MAX_ROUNDS:
+        raise ValueError(f"rounds must lie in [1, 2**62], got {rounds}")
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
 
 
 class ScenarioError(ValueError):

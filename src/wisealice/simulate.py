@@ -21,22 +21,14 @@ from typing import Iterator, TextIO
 
 import numpy as np
 
-from wisealice.game import PayoffMatrix
-from wisealice.quantum import MeasurementFrame, StrategyAngle, outcome_weights, quantum_payoff
+from wisealice.game import MeasurementFrame, PayoffMatrix
+from wisealice.quantum import StrategyAngle, outcome_weights, quantum_payoff
+from wisealice.scenario import _check_stream
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _U53 = float(1 << 53)
-MAX_ROUNDS = 1 << 62   # the counters 4i..4i+3 of every round fit in uint64
-
-
-def _check_stream(rounds: int, seed: int) -> None:
-    """Reject a round count or seed outside the counter stream's domain."""
-    if not 1 <= rounds <= MAX_ROUNDS:
-        raise ValueError(f"rounds must lie in [1, 2**62], got {rounds}")
-    if not 0 <= seed < 1 << 64:
-        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
 
 
 def _mix64(x: np.ndarray) -> np.ndarray:

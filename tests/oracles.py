@@ -4,7 +4,7 @@ Each function here only checks other code, so it lives with the tests
 rather than in the package, which ships what its commands reach.
 
 - payoff_matrix_from_rules plays out Bob's move rule to cross-check the
-  payoff matrix;
+  payoff matrix, and as_array writes the matrix out as a 4x4 array;
 - expected_payoff and verify_nash_classical check the classical solve
   against every pure deviation;
 - payoff_kernel and payoff_surface compute F from its trigonometric
@@ -31,11 +31,10 @@ import numpy as np
 from mpmath.ctx_iv import MPIntervalContext
 
 from wisealice.classical import MixedProfile, _probability_vector
-from wisealice.game import VERTICES, PayoffMatrix, bob_outcome
+from wisealice.game import VERTICES, MeasurementFrame, PayoffMatrix, bob_outcome
 from wisealice.quantum import (
     ArrayLike,
     Frame,
-    MeasurementFrame,
     StrategyAngle,
     _frame_degrees,
     outcome_weights,
@@ -62,6 +61,15 @@ def payoff_matrix_from_rules(a: float, b: float, c: float, d: float) -> PayoffMa
     return payoffs
 
 
+def as_array(h: PayoffMatrix) -> np.ndarray:
+    """The 4x4 matrix h[j][k] of Alice's payoffs, read entry by entry."""
+    arr = np.zeros((4, 4))
+    for j in VERTICES:
+        for k in VERTICES:
+            arr[j - 1, k - 1] = h.entry(j, k)
+    return arr
+
+
 # slack of verify_nash_classical, times the total payoff a + b + c + d; over
 # 20,000 payoff sets drawn from e^-30..e^30 the closed form's worst
 # violation was 1.2e-17 of that total
@@ -70,7 +78,7 @@ _NASH_TOL = 1e-12
 
 def expected_payoff(h: PayoffMatrix, x: Sequence[float], y: Sequence[float]) -> float:
     """Bilinear form sum_jk h[j][k] x_j y_k of two probability vectors."""
-    return float(_probability_vector("x", x) @ h.as_array() @ _probability_vector("y", y))
+    return float(_probability_vector("x", x) @ as_array(h) @ _probability_vector("y", y))
 
 
 def verify_nash_classical(h: PayoffMatrix, profile: MixedProfile) -> bool:
@@ -79,7 +87,7 @@ def verify_nash_classical(h: PayoffMatrix, profile: MixedProfile) -> bool:
     A deviation may gain at most _NASH_TOL * (a + b + c + d), so the
     verdict does not depend on the payoff scale.
     """
-    arr = h.as_array()
+    arr = as_array(h)
     x = np.asarray(profile.x)
     y = np.asarray(profile.y)
     value = float(x @ arr @ y)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from wisealice.classical import MixedProfile, solve_zero_sum
 from wisealice.game import PayoffMatrix, pure_saddle_analysis
 
-from oracles import expected_payoff, verify_nash_classical
+from oracles import as_array, expected_payoff, verify_nash_classical
 
 E = [tuple(1.0 if i == j else 0.0 for i in range(4)) for j in range(4)]
 UNIFORM = (0.25, 0.25, 0.25, 0.25)
@@ -59,7 +59,7 @@ def lp_oracle_value(h: PayoffMatrix) -> float:
     """
     from scipy.optimize import linprog
 
-    arr = h.as_array()
+    arr = as_array(h)
     # variables: x1..x4, v ; minimize -v
     c = np.array([0, 0, 0, 0, -1.0])
     a_ub = np.hstack([-arr.T, np.ones((4, 1))])   # v - x @ h[:, k] <= 0
@@ -211,7 +211,7 @@ def test_solver_output_always_verifies(a, b, c, d):
 @given(positive_payoff, positive_payoff, positive_payoff, positive_payoff)
 def test_minimax_duality(a, b, c, d):
     h = PayoffMatrix(a, b, c, d)
-    arr = h.as_array()
+    arr = as_array(h)
     profile = solve_zero_sum(h)
     x = np.asarray(profile.x)
     y = np.asarray(profile.y)

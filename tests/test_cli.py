@@ -209,7 +209,7 @@ def test_an_unwritable_out_fails_before_the_work(scenario_dir, tmp_path, monkeyp
     def fail(*args):
         raise AssertionError(f"called {work}")
 
-    monkeypatch.setattr(f"wisealice.cli.{work}", fail)
+    monkeypatch.setattr(f"wisealice.solver.{work}", fail)
     code = main(argv + ["--scenario", str(scenario_dir / "two_equilibria.txt"),
                         "--out", str(tmp_path / "missing" / "out.csv")])
     assert code == 1
@@ -272,6 +272,23 @@ def test_non_finite_angle_is_an_error(scenario_dir, alpha, capsys):
                  f"--alpha={alpha}", "--beta", "0", "--rounds", "10"])
     assert code == 1
     assert "finite" in one_line_error(capsys)
+
+
+@pytest.mark.parametrize("angles", [
+    ("--alpha", "-1e-3", "--beta", "0"),
+    ("--alpha=-1e-3", "--beta", "0"),
+    ("--alpha", "-0.5", "--beta", "0"),
+    ("--alpha", "0", "--beta", "-2.5E+1"),
+])
+def test_a_negative_angle_is_read_as_a_value(scenario_dir, angles, capsys):
+    # argparse up to Python 3.13.0 took -1e-3 for an option and exited 2; each
+    # spelling must report what its --flag=value spelling, always a value, reports
+    argv = ["simulate", "--scenario", str(scenario_dir / "unit_payoffs.txt"), "--rounds", "5"]
+    assert main(argv + list(angles)) == 0
+    report = capsys.readouterr().out
+    joined = " ".join(angles).replace("--alpha ", "--alpha=").replace("--beta ", "--beta=")
+    assert main(argv + joined.split()) == 0
+    assert report == capsys.readouterr().out
 
 
 # --- curves ------------------------------------------------------------------
@@ -494,7 +511,7 @@ def test_simulate_that_fails_while_writing_leaves_no_file(scenario_dir, tmp_path
         fh.write("round,pair\n")
         raise OSError("disk full")
 
-    monkeypatch.setattr("wisealice.cli.write_transcript", fail)
+    monkeypatch.setattr("wisealice.simulate.write_transcript", fail)
     code = main(["simulate", "--scenario", str(scenario_dir / "unit_payoffs.txt"),
                  "--alpha", "0", "--beta", "0", "--rounds", "10",
                  "--out", str(tmp_path / "o.txt"), "--transcript", str(tmp_path / "t.csv")])

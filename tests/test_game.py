@@ -13,7 +13,7 @@ from wisealice.game import (
     pure_saddle_analysis,
 )
 
-from oracles import payoff_matrix_from_rules
+from oracles import as_array, payoff_matrix_from_rules
 
 positive_payoff = st.floats(min_value=0.01, max_value=100.0,
                             allow_nan=False, allow_infinity=False)
@@ -56,18 +56,18 @@ def test_payoff_matrix_matches_game_rules():
         [5, 0, 0, 0],
         [0, 1, 0, 0],
     ], dtype=float)
-    assert np.array_equal(h.as_array(), expected)
+    assert np.array_equal(as_array(h), expected)
 
 
 def test_all_ones_matrix():
     h = payoff_matrix_from_rules(1, 1, 1, 1)
-    arr = h.as_array()
+    arr = as_array(h)
     assert np.count_nonzero(arr) == 4
     assert set(arr[arr != 0]) == {1.0}
 
 
 def test_matrix_has_exactly_four_nonzero_entries():
-    arr = PayoffMatrix(2.5, 0.7, 9.1, 4.0).as_array()
+    arr = as_array(PayoffMatrix(2.5, 0.7, 9.1, 4.0))
     assert np.count_nonzero(arr) == 4
 
 

@@ -13,6 +13,7 @@ import pytest
 import wisealice
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+TWO_EQUILIBRIA = SRC.parent / "scenarios" / "two_equilibria.txt"
 LAYERS = ("classical", "cli", "game", "lattice", "quantum", "scenario", "simulate",
           "solver", "svg")
 
@@ -77,12 +78,15 @@ def test_cli_runs_openblas_on_one_thread_unless_told_otherwise(setting, expected
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs Linux's task list")
 def test_cli_process_starts_no_blas_thread():
-    out = fresh_python("import os, wisealice.cli; print(len(os.listdir('/proc/self/task')))")
-    assert out == "1\n"
+    # `import wisealice.cli` loads no numpy, so run a command that does
+    argv = ["equilibria", "--scenario", str(TWO_EQUILIBRIA)]
+    out = fresh_python(f"import os, sys, wisealice.cli; wisealice.cli.main({argv!r}); "
+                       "print(len(os.listdir('/proc/self/task')), 'numpy' in sys.modules)")
+    assert out.splitlines()[-1] == "1 True"
 
 
 def test_cli_import_loads_every_layer():
-    """`import wisealice.cli` loads all nine layer modules.
+    """`import wisealice.cli` registers all nine layer modules.
 
     perfbench's traced replay imports wisealice.cli and then wraps the layer
     modules it finds in sys.modules.  A layer first imported inside a
@@ -98,3 +102,40 @@ def test_cli_import_loads_no_fractions():
     """fractions loads when a plane realization is built, not with the CLI."""
     out = fresh_python("import sys, wisealice.cli; print('fractions' in sys.modules)")
     assert out == "False\n"
+
+
+# the layers each command executes, and its arguments besides --scenario
+COMMAND_LAYERS = {
+    "lattice-check": ({"cli", "game", "lattice"}, ["--theta", "30"]),
+    "analyze": ({"classical", "cli", "game", "quantum", "scenario", "solver"}, []),
+    "equilibria": ({"cli", "game", "quantum", "scenario", "solver"}, []),
+    "curves": ({"cli", "game", "quantum", "scenario", "solver", "svg"}, ["--out", "{tmp}/c"]),
+    "sweep": ({"cli", "game", "quantum", "scenario", "solver"},
+              ["--theta-a", "10:20", "--theta-b", "10:20"]),
+    "simulate": ({"cli", "game", "quantum", "scenario", "simulate"},
+                 ["--alpha", "10", "--beta", "20", "--rounds", "10"]),
+}
+
+
+@pytest.mark.parametrize("command", COMMAND_LAYERS)
+def test_each_command_executes_only_its_layers(command, tmp_path):
+    """A command runs the layers it uses and no other; lattice-check loads no numpy.
+
+    A layer that is registered but not yet used is a LazyLoader subclass of
+    ModuleType, so `type(m) is ModuleType` marks the executed ones.
+    """
+    layers, args = COMMAND_LAYERS[command]
+    argv = [command, *(arg.format(tmp=tmp_path) for arg in args)]
+    if command != "lattice-check":
+        argv += ["--scenario", str(TWO_EQUILIBRIA)]
+    out = fresh_python(
+        "import contextlib, io, sys, types, wisealice.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = wisealice.cli.main({argv!r})\n"
+        "print(code, 'numpy' in sys.modules, ' '.join(sorted(\n"
+        "    name for name, m in sys.modules.items()\n"
+        "    if name.startswith('wisealice.') and type(m) is types.ModuleType)))")
+    code, numpy_loaded, *executed = out.split()
+    assert code == "0"
+    assert executed == sorted(f"wisealice.{layer}" for layer in layers)
+    assert numpy_loaded == str(command != "lattice-check")
