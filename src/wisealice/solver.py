@@ -17,16 +17,18 @@ takes its own origin alpha_0, a quarter turn before its largest sample of
 the quartic, so the leading coefficient is that sample and no root lies at
 t = inf.  Squaring admits spurious roots, so each root is only a
 candidate.  Where Bob is indifferent, w = 0, the quartic's root may be
-lost in roundoff, so the cusp x_c = -M^-T k joins the eight roots as a
-ninth.  Each of the nine is completed by Bob's reply, or where that fits
-worse by a y to which Alice replies with it, polished by Newton steps on
+lost in roundoff, so the cusp x_c joins the eight roots as a ninth.
+Each of the nine is completed by Bob's reply, or where that fits worse
+by a y to which Alice replies with it, polished by Newton steps on
 grad F = 0, and judged as Newton leaves it (a failed step leaves NaN,
 which fails).  A grid of frame pairs goes through in blocks, each step
 one array operation over the block: one stacked eigenvalue call for the
-roots and one broadcast verification.  Cells where both indifference
-points x_c and y_c = -M^-1 g lie far enough inside the circle are not
-solved: there every pure pair gains more than the judge's tolerance, a
-bound read off the payoffs and the two frame angles (_certified_empty).
+roots and one broadcast verification.  Both indifference points, x_c
+of Bob and y_c of Alice, have one closed form in the payoff ratios and
+the frame angle, and _indifference is its one owner.  Cells where both
+lie far enough inside the circle are not solved: there every pure pair
+gains more than the judge's tolerance, a bound read off the payoffs and
+the two frame angles (_certified_empty).
 Every returned equilibrium carries its residual, the larger unilateral gain
 
     max( |v| - x.v,  |w| + y.w ),   v = g + M y,  w = k + M^T x
@@ -158,7 +160,8 @@ def reaction_curve(
     flagged.  With that step the crossings count the curve's winding mod 2.
     The reply is parallel to g + M y for Alice and to -(k + M^T x) for Bob,
     so the curve winds once exactly when the opponent vector at which the
-    player is indifferent, -M^-1 g or -M^-T k, lies inside the unit circle.
+    player is indifferent, y_c or x_c from _indifference, lies inside the
+    unit circle.
     No sampled rule resolves two crossings within one step, or a reply that
     turns more than 90 within one step, as it does where that vector lies
     next to the circle.
@@ -248,18 +251,20 @@ def _saddle_newton(g, k, m, phi, psi):
     return phi, psi
 
 
-def _cusp(k, m) -> np.ndarray:
-    """phi = 2 alpha, (n, 1), of x_c = -M^-T k, where Bob is indifferent.
+def _indifference(h: PayoffMatrix, theta_deg: np.ndarray) -> np.ndarray:
+    """sin 2theta p(theta) = (-s sin 2theta, s cos 2theta - t), (..., 2).
 
-    There k + M^T x = 0, so the quartic's root at x_c, if roundoff leaves
-    one, has no reply -w/|w|; _partner pairs x_c like a root.  Off the
-    circle, or for a singular M, it is one more candidate for the judge.
+    The one owner of where a player is indifferent, with s = (a-c)/(a+c)
+    and t = (b-d)/(b+d).  Bob is indifferent, k + M^T x = 0, exactly where
+    e_1.x = -s and e(2theta_A).x = -t, at x_c = p(theta_A); Alice,
+    g + M y = 0, where e_1.y = s and e(2theta_B).y = t, at y_c = -p(theta_B).
+    Times sin 2theta > 0 the form never divides, and as s and t are ratios
+    it cannot overflow.
     """
-    k0, k1 = k[..., 0], k[..., 1]
-    m00, m01, m10, m11 = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
-    with np.errstate(all="ignore"):
-        det = m00 * m11 - m01 * m10
-        return np.arctan2((k0 * m01 - k1 * m00) / det, (k1 * m10 - k0 * m11) / det)
+    s = (h.a - h.c) / (h.a + h.c)
+    t = (h.b - h.d) / (h.b + h.d)
+    two_theta = 2.0 * np.radians(theta_deg)
+    return np.stack([-s * np.sin(two_theta), s * np.cos(two_theta) - t], axis=-1)
 
 
 def _cayley(a: int, b: int) -> list[complex]:
@@ -341,7 +346,12 @@ def _candidates(
     w = k + _vec_mat(x, m)
     x_cross_mw = _dot(x_turn, _mat_vec(m, w))
     samples = _dot(w, w) * _dot(x_turn, g) ** 2 - x_cross_mw**2
-    phi = np.concatenate([_half_angle_roots(samples), _cusp(k, m)], axis=1)
+    # the cusp x_c, where Bob is indifferent: k + M^T x = 0, so the quartic's
+    # root there, if roundoff leaves one, has no reply -w/|w|; _partner
+    # pairs it like a root, and off the circle it is one more candidate
+    cusp = _indifference(h, theta_a[:, None])
+    phi = np.concatenate([_half_angle_roots(samples),
+                          np.arctan2(cusp[..., 1], cusp[..., 0])], axis=1)
     # a root shared with the spurious factor |w| (x cross g) + x cross M w
     # keeps only half the digits, and a nearly indifferent Bob turns that
     # error into a wrong beta, which _partner can only shrink; Newton steps
@@ -398,17 +408,15 @@ def find_equilibria(h: PayoffMatrix, frames: Frames) -> list[Equilibrium]:
 
 
 def _circle_margin(h: PayoffMatrix, theta_deg: np.ndarray) -> np.ndarray:
-    """q(theta) = sin 2theta - |s e_1 - t e(2theta)|, s = (a-c)/(a+c), t = (b-d)/(b+d).
+    """q(theta) = sin 2theta - |sin 2theta p(theta)| from _indifference.
 
-    That is sin 2theta (1 - r(theta)), where r(theta_A) = |x_c| is the length
-    of Bob's indifference point -M^-T k and r(theta_B) = |y_c| that of
-    Alice's, -M^-1 g; q > 0 exactly where the point lies inside the circle.
-    It reads the payoffs and the frame alone, not the bilinear form.
+    That is sin 2theta (1 - |p(theta)|), where |p(theta_A)| = |x_c| and
+    |p(theta_B)| = |y_c|; q > 0 exactly where the indifference point lies
+    inside the circle.  It reads the payoffs and the frame alone, not the
+    bilinear form.
     """
-    s = (h.a - h.c) / (h.a + h.c)
-    t = (h.b - h.d) / (h.b + h.d)
-    two_theta = 2.0 * np.radians(theta_deg)
-    return np.sin(two_theta) - np.hypot(s - t * np.cos(two_theta), t * np.sin(two_theta))
+    point = _indifference(h, theta_deg)
+    return np.sin(2.0 * np.radians(theta_deg)) - np.hypot(point[..., 0], point[..., 1])
 
 
 def _certified_empty(h: PayoffMatrix, theta_a: np.ndarray, theta_b: np.ndarray) -> np.ndarray:

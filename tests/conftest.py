@@ -38,4 +38,4 @@ def no_draws(monkeypatch):
     def draw(*args):
         raise AssertionError("drew from the stream")
 
-    monkeypatch.setattr("wisealice.simulate._uniforms", draw)
+    monkeypatch.setattr("wisealice.simulate._draws", draw)

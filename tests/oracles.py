@@ -224,7 +224,13 @@ def pure_equilibrium_count(h: PayoffMatrix, theta_a: float, theta_b: float) -> i
     inside the circles, the disk game's one saddle is theirs, and no pure
     equilibrium exists.  With either frame outside I's closure the saddle
     set is one point of the torus.  This holds only off I's ends: on a line
-    theta = lo or hi, a cell can hold two equilibria.
+    theta = lo or hi, a cell can hold two equilibria.  It also holds only
+    for frames farther than roundoff from I's ends, where a float frame
+    cannot say which side it lies on: unit payoffs at theta_a = 1e-300 and
+    theta_b = 89.99999999999999 give q = 3.5e-302 and 5.7e-16, so the
+    certificate cannot skip that cell, and the judge passes 5 points at
+    <= 1.4e-16 * (a+b+c+d) where this rule says 0.  ROADMAP item 2 owns
+    classifying such points.
     """
     lo, hi = interval_i(h)
     return 0 if lo < theta_a < hi and lo < theta_b < hi else 1

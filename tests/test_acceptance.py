@@ -33,12 +33,11 @@ from wisealice.lattice import (
 from wisealice.quantum import (
     MeasurementFrame,
     StrategyAngle,
-    harmonic_coefficients,
-    harmonic_coefficients_in_beta,
     outcome_weights,
 )
 from wisealice.simulate import SimulationConfig, simulate
 from wisealice.solver import (
+    best_responses,
     find_equilibria,
     reaction_curve,
     verify_nash_quantum,
@@ -384,11 +383,9 @@ def test_criterion_6_oracle_equivalence():
         fb = MeasurementFrame(rng.uniform(1e-6, 90.0 - 1e-6))
         opponent = rng.uniform(0.0, 180.0)
 
-        ka, ua, va = harmonic_coefficients(h, fa, fb, opponent)
-        alice = (0.5 * math.degrees(math.atan2(va, ua))) % 180.0
+        alice = float(best_responses("alice", h, (fa, fb), opponent)[0])
         brute_a = grid[np.argmax(payoff_kernel(h, fa, fb, grid, opponent))]
-        kb, ub, vb = harmonic_coefficients_in_beta(h, fa, fb, opponent)
-        bob = (0.5 * math.degrees(math.atan2(vb, ub)) + 90.0) % 180.0
+        bob = float(best_responses("bob", h, (fa, fb), opponent)[0])
         brute_b = grid[np.argmin(payoff_kernel(h, fa, fb, opponent, grid))]
 
         worst = max(worst, circle_dist(alice, brute_a), circle_dist(bob, brute_b))

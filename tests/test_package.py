@@ -50,7 +50,7 @@ def test_the_simulate_module_is_reached_by_its_dotted_name(unit_instance):
     h, (frame_a, frame_b) = unit_instance
     config = m.SimulationConfig(10, 1, h, frame_a, frame_b, wisealice.StrategyAngle(0),
                                 wisealice.StrategyAngle(0))
-    with unittest.mock.patch("wisealice.simulate._uniforms",
+    with unittest.mock.patch("wisealice.simulate._draws",
                              side_effect=RuntimeError("patched draw")):
         with pytest.raises(RuntimeError, match="patched draw"):
             m.simulate(config)

@@ -24,6 +24,7 @@ from wisealice.solver import (
     _certified_empty,
     _circle_margin,
     _half_angle_roots,
+    _indifference,
     _solve_block,
     best_responses,
     find_equilibria,
@@ -518,6 +519,49 @@ def test_cusp_candidate_is_the_only_one_to_find_this_equilibrium():
     assert eq.residual <= 1e-15 * h.scale
     assert brute_force_gain(h, frames, eq.alpha.degrees, eq.beta.degrees) <= (
         NASH_TOLERANCE * h.scale)
+
+
+def solve_2x2(m, rhs):
+    """Cramer's rule for the 2x2 system m z = rhs, in the numbers' own precision."""
+    (p, q), (r, s) = m
+    det = p * s - q * r
+    return (rhs[0] * s - q * rhs[1]) / det, (p * rhs[1] - r * rhs[0]) / det
+
+
+def test_indifference_points_match_a_40_digit_solve():
+    # numpy seed 26: 1,000 cells at payoffs e^U(-8,8), frames U(0.01, 89.99).
+    # M, g and k are built at 40 digits from e_1, e(2 theta_A) and e(2 theta_B)
+    # here, not from bilinear_form, and x_c and y_c solve M^T x = -k and
+    # M y = -g.  _indifference gives sin 2theta_A x_c at theta_A and
+    # -sin 2theta_B y_c at theta_B; the cusp candidate is its angle at theta_A
+    # (a quotient by det M, the formula it replaced, was off by 3.4e-10 rad)
+    rng = np.random.default_rng(26)
+    worst_angle = worst_point = 0.0
+    with mpmath.workdps(40):
+        for _ in range(1000):
+            payoffs = np.exp(rng.uniform(-8.0, 8.0, 4))
+            thetas = rng.uniform(0.01, 89.99, 2)
+            a, b, c, d = (mpmath.mpf(float(v)) for v in payoffs)
+            two_a, two_b = (2 * mpmath.radians(mpmath.mpf(float(t))) for t in thetas)
+            e1 = (mpmath.mpf(1), mpmath.mpf(0))
+            ea = (mpmath.cos(two_a), mpmath.sin(two_a))
+            eb = (mpmath.cos(two_b), mpmath.sin(two_b))
+            m = [[-(a + c) / 4 * e1[i] * e1[j] - (b + d) / 4 * ea[i] * eb[j] for j in (0, 1)]
+                 for i in (0, 1)]
+            g = [(a - c) / 4 * e1[i] + (b - d) / 4 * ea[i] for i in (0, 1)]
+            k = [(c - a) / 4 * e1[i] + (d - b) / 4 * eb[i] for i in (0, 1)]
+            x_c = solve_2x2([[m[0][0], m[1][0]], [m[0][1], m[1][1]]], [-k[0], -k[1]])
+            y_c = solve_2x2(m, [-g[0], -g[1]])
+            owner = _indifference(PayoffMatrix(*payoffs), thetas)
+            for got, point, two in ((owner[0], x_c, two_a), (-owner[1], y_c, two_b)):
+                exact = [mpmath.sin(two) * z for z in point]
+                worst_point = max(worst_point, float(
+                    mpmath.hypot(got[0] - exact[0], got[1] - exact[1]) / mpmath.hypot(*exact)))
+            cusp = math.atan2(owner[0][1], owner[0][0])
+            worst_angle = max(worst_angle, abs(math.remainder(
+                cusp - float(mpmath.atan2(x_c[1], x_c[0])), 2.0 * math.pi)))
+    assert worst_angle <= 1e-12
+    assert worst_point <= 1e-12
 
 
 # --- the count rule: which cells hold an equilibrium ---------------------------
