@@ -14,7 +14,7 @@ import re
 import sys
 import types
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, TextIO
+from typing import Callable, Iterable, Iterator, TextIO, TypeVar
 
 import wisealice
 
@@ -276,6 +276,17 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
+T = TypeVar("T")
+
+
+def _flagged(flag: str, make: Callable[[float], T], value: float) -> T:
+    """make(value), its ValueError prefixed with the flag that gave the value."""
+    try:
+        return make(value)
+    except ValueError as exc:
+        raise ValueError(f"{flag}: {exc}") from None
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
     sc = _load(args)
     frame_a, frame_b = sc.frames()
@@ -285,8 +296,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         payoffs=sc.payoff_matrix(),
         frame_a=frame_a,
         frame_b=frame_b,
-        alpha=quantum.StrategyAngle(args.alpha),
-        beta=quantum.StrategyAngle(args.beta),
+        alpha=_flagged("--alpha", quantum.StrategyAngle, args.alpha),
+        beta=_flagged("--beta", quantum.StrategyAngle, args.beta),
     )
     # two handles on one file would interleave the report and the transcript
     if args.out and args.transcript and (
@@ -312,10 +323,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_lattice_check(args: argparse.Namespace) -> int:
-    try:
-        rep = lattice.PlaneSubspaceRep(args.theta)
-    except ValueError as exc:
-        raise ValueError(f"--theta: {exc}") from None
+    rep = _flagged("--theta", lattice.PlaneSubspaceRep, args.theta)
     with _output(args.out) as write:
         logic = lattice.wise_alice_lattice()
         report = lattice.ortholattice_law_report(logic)

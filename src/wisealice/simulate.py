@@ -7,15 +7,21 @@ payoff cell is scored, and the {2,4} pair is drawn independently with
 expectation equal the quantum payoff exactly, with no extra factor.
 
 Randomness is counter-based: round i consumes the four SplitMix64 outputs
-at counters 4i..4i+3 under the run's seed, so any block of rounds can be
-drawn independently with identical results.  One block kernel, `_draws`,
-turns a block's counters into per-pair outcome codes, and one table,
-`_scoring_table`, scores them; `simulate`, `write_transcript` and
-`sample_round` are views of the two.
+(Steele, Lea & Flood, OOPSLA 2014) at counters 4i..4i+3 under the run's
+seed, so any block of rounds can be drawn independently with identical
+results.  Each output's top 53 bits are a word in [0, 2^53), standing for
+the uniform u = word / 2^53, and an outcome is the first of its pair when
+u < w for its weight w.  The kernel compares words, never doubles:
+w·2^53 is exact in floating point, and an integer word lies below it
+exactly when it lies below ceil(w·2^53), so u < w holds exactly when
+word < ceil(w·2^53).  One block kernel, `_draws`, turns a block's
+counters into per-pair outcome codes, and one table, `_scoring_table`,
+scores them; `simulate` and `write_transcript` are views of the two.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator, TextIO
 
@@ -28,23 +34,6 @@ from wisealice.scenario import _check_stream
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
-_U53 = float(1 << 53)
-
-
-def _mix64(x: np.ndarray) -> np.ndarray:
-    """SplitMix64 finalizer; a bijection on 64-bit words."""
-    z = x
-    z = (z ^ (z >> np.uint64(30))) * _MIX1
-    z = (z ^ (z >> np.uint64(27))) * _MIX2
-    return z ^ (z >> np.uint64(31))
-
-
-def _uniforms(seed: int, counters: np.ndarray) -> np.ndarray:
-    """Uniform [0, 1) doubles at the given stream counters."""
-    key = np.uint64(seed)
-    counters = np.asarray(counters, dtype=np.uint64)
-    words = _mix64((counters + np.uint64(1)) * _GAMMA + key)
-    return (words >> np.uint64(11)).astype(np.float64) / _U53
 
 
 @dataclass(frozen=True)
@@ -77,18 +66,30 @@ def _scoring_table(h: PayoffMatrix) -> tuple[tuple[tuple[int, int, float], ...],
                  for pair in _PAIRS.values())
 
 
-def _codes(config: SimulationConfig, uniforms: np.ndarray) -> np.ndarray:
-    """Per-pair outcome codes (n, 2) of the rounds whose uniforms are (n, 4)."""
+def _draws(config: SimulationConfig, start: int, stop: int) -> np.ndarray:
+    """Per-pair outcome codes (n, 2) of rounds [start, stop).
+
+    Round i's columns are counters 4i..4i+3, drawn for Alice and Bob on
+    {1,3}, then Alice and Bob on {2,4}; SplitMix64 runs in place on the
+    one array of counters.
+    """
+    z = np.arange(4 * start, 4 * stop, dtype=np.uint64)
+    z += np.uint64(1)   # wraps at the stream's last counter, 2^64 - 1
+    z *= _GAMMA
+    z += np.uint64(config.seed)
+    z ^= z >> np.uint64(30)
+    z *= _MIX1
+    z ^= z >> np.uint64(27)
+    z *= _MIX2
+    z ^= z >> np.uint64(31)
+    z >>= np.uint64(11)
     p = outcome_weights(config.alpha, config.frame_a)
     q = outcome_weights(config.beta, config.frame_b)
-    second = ~(uniforms < np.array([p.p1, q.p1, p.p2, q.p2]))
+    # w in [0, 1], so each threshold lies in [0, 2^53]
+    thresholds = np.array([math.ceil(w * 2.0**53) for w in (p.p1, q.p1, p.p2, q.p2)],
+                          dtype=np.uint64)
+    second = z.reshape(-1, 4) >= thresholds
     return 2 * second[:, 0::2] + second[:, 1::2]
-
-
-def _draws(config: SimulationConfig, start: int, stop: int) -> np.ndarray:
-    """Outcome codes of rounds [start, stop), from counters 4i..4i+3 of round i."""
-    counters = np.arange(4 * start, 4 * stop, dtype=np.uint64).reshape(-1, 4)
-    return _codes(config, _uniforms(config.seed, counters))
 
 
 def _blocks(config: SimulationConfig) -> Iterator[tuple[range, np.ndarray]]:
@@ -96,15 +97,6 @@ def _blocks(config: SimulationConfig) -> Iterator[tuple[range, np.ndarray]]:
     for start in range(0, config.rounds, BLOCK_ROUNDS):
         stop = min(start + BLOCK_ROUNDS, config.rounds)
         yield range(start, stop), _draws(config, start, stop)
-
-
-def sample_round(config: SimulationConfig, round_index: int) -> float:
-    """Payoff of one round: both question pairs drawn and scored."""
-    if not 0 <= round_index < config.rounds:
-        raise ValueError(f"round_index out of range: {round_index}")
-    code13, code24 = _draws(config, round_index, round_index + 1)[0]
-    table = _scoring_table(config.payoffs)
-    return table[0][code13][2] + table[1][code24][2]
 
 
 @dataclass(frozen=True)

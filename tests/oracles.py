@@ -30,13 +30,12 @@ from typing import Sequence
 import numpy as np
 from mpmath.ctx_iv import MPIntervalContext
 
-from wisealice.classical import MixedProfile, _probability_vector
+from wisealice.classical import MixedProfile
 from wisealice.game import VERTICES, MeasurementFrame, PayoffMatrix, bob_outcome
 from wisealice.quantum import (
     ArrayLike,
     Frame,
     StrategyAngle,
-    _frame_degrees,
     outcome_weights,
     quantum_payoff,
 )
@@ -76,9 +75,25 @@ def as_array(h: PayoffMatrix) -> np.ndarray:
 _NASH_TOL = 1e-12
 
 
+# how far expected_payoff lets an entry fall below 0, and the sum miss 1
+_SIMPLEX_TOL = 1e-12
+
+
+def _simplex_point(name: str, vec: Sequence[float]) -> np.ndarray:
+    """vec as an array, or ValueError unless it is a finite point of the simplex."""
+    v = np.array([float(z) for z in vec])
+    if len(v) != 4:
+        raise ValueError(f"{name} must have 4 entries, got {vec}")
+    if not all(math.isfinite(z) for z in v):
+        raise ValueError(f"{name} must have finite entries, got {vec}")
+    if min(v) < -_SIMPLEX_TOL or abs(math.fsum(v) - 1.0) > _SIMPLEX_TOL:
+        raise ValueError(f"{name} is not a point of the probability simplex, got {vec}")
+    return v
+
+
 def expected_payoff(h: PayoffMatrix, x: Sequence[float], y: Sequence[float]) -> float:
     """Bilinear form sum_jk h[j][k] x_j y_k of two probability vectors."""
-    return float(_probability_vector("x", x) @ as_array(h) @ _probability_vector("y", y))
+    return float(_simplex_point("x", x) @ as_array(h) @ _simplex_point("y", y))
 
 
 def verify_nash_classical(h: PayoffMatrix, profile: MixedProfile) -> bool:
@@ -113,8 +128,8 @@ def payoff_kernel(
     """
     al = np.radians(alpha_deg)
     be = np.radians(beta_deg)
-    ta = np.radians(_frame_degrees(frame_a))
-    tb = np.radians(_frame_degrees(frame_b))
+    ta, tb = (np.radians(frame.theta_deg if isinstance(frame, MeasurementFrame) else frame)
+              for frame in (frame_a, frame_b))
     return (
         h.a * np.cos(al) ** 2 * np.sin(be) ** 2
         + h.c * np.sin(al) ** 2 * np.cos(be) ** 2

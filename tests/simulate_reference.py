@@ -1,11 +1,14 @@
-"""The per-round Monte Carlo path that simulate.py used before the block kernel.
+"""A per-round Monte Carlo path, the differential reference of simulate.py.
 
-Kept as a differential reference: it draws one round at a time from the
-same counter-based uniforms, scores it with its own copy of the scoring
-rule and writes the transcript through csv.writer, so the block kernel,
-the scoring table and the string-built CSV share only the random stream
-with it.  Rounds are drawn by counter, so the draws of a shorter run are
-a prefix of a longer run's and tests derive every run from one list.
+It draws one round at a time from its own SplitMix64 (Steele, Lea & Flood,
+OOPSLA 2014) in plain Python integers masked to 64 bits, turns each word
+into a double u in [0, 1) and tests u < w, scores the round with its own
+copy of the scoring rule and writes the transcript through csv.writer.
+So the block kernel, its integer thresholds, the scoring table and the
+string-built CSV share no code with it; only the stream's definition is
+common: round i reads the outputs at counters 4i..4i+3 under the run's
+seed.  Rounds are drawn by counter, so the draws of a shorter run are a
+prefix of a longer run's and tests derive every run from one list.
 """
 
 from __future__ import annotations
@@ -13,10 +16,11 @@ from __future__ import annotations
 import csv
 from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
 
-import numpy as np
-
 from wisealice.quantum import outcome_weights
-from wisealice.simulate import SimulationConfig, _uniforms
+from wisealice.simulate import SimulationConfig
+
+MASK64 = (1 << 64) - 1
+GAMMA = 0x9E3779B97F4A7C15
 
 
 class TranscriptRow(NamedTuple):
@@ -36,6 +40,23 @@ class RoundDraw(NamedTuple):
     payoff_24: float
 
 
+def splitmix64(seed: int, counter: int) -> int:
+    """Output at `counter` of the stream under `seed`.
+
+    splitmix64.c's state starts at the seed and each next() adds GAMMA
+    before mixing, so counter c is its (c+1)-th output.
+    """
+    z = (seed + (counter + 1) * GAMMA) & MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+    return z ^ (z >> 31)
+
+
+def uniform(seed: int, counter: int) -> float:
+    """The top 53 bits of the word at `counter`, as a double in [0, 1)."""
+    return (splitmix64(seed, counter) >> 11) / 2**53
+
+
 def draw_round(config: SimulationConfig, uniforms: Sequence[float]) -> RoundDraw:
     h = config.payoffs
     p = outcome_weights(config.alpha, config.frame_a)
@@ -49,13 +70,14 @@ def draw_round(config: SimulationConfig, uniforms: Sequence[float]) -> RoundDraw
     return RoundDraw(a13, b13, a24, b24, pay13, pay24)
 
 
+def round_draw(config: SimulationConfig, round_index: int) -> RoundDraw:
+    """Round `round_index`, drawn from counters 4i..4i+3."""
+    return draw_round(config, [uniform(config.seed, 4 * round_index + j) for j in range(4)])
+
+
 def round_draws(config: SimulationConfig) -> list[RoundDraw]:
-    """Every round of the run, one _uniforms call and one draw_round each."""
-    draws = []
-    for i in range(config.rounds):
-        us = _uniforms(config.seed, 4 * i + np.arange(4))
-        draws.append(draw_round(config, us))
-    return draws
+    """Every round of the run, one round_draw each."""
+    return [round_draw(config, i) for i in range(config.rounds)]
 
 
 def transcript_rows(draws: Sequence[RoundDraw]) -> Iterator[TranscriptRow]:

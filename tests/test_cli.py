@@ -266,12 +266,15 @@ def test_infinite_payoff_is_an_error(tmp_path, capsys):
     assert "finite" in one_line_error(capsys)
 
 
-@pytest.mark.parametrize("alpha", ["nan", "inf", "-inf"])
-def test_non_finite_angle_is_an_error(scenario_dir, alpha, capsys):
-    code = main(["simulate", "--scenario", str(scenario_dir / "unit_payoffs.txt"),
-                 f"--alpha={alpha}", "--beta", "0", "--rounds", "10"])
-    assert code == 1
-    assert "finite" in one_line_error(capsys)
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_angle_is_an_error(scenario_dir, value, capsys):
+    # the error names the flag that gave the angle, as lattice-check's --theta does
+    for bad, good in (("--alpha", "--beta"), ("--beta", "--alpha")):
+        code = main(["simulate", "--scenario", str(scenario_dir / "unit_payoffs.txt"),
+                     f"{bad}={value}", good, "0", "--rounds", "10"])
+        assert code == 1
+        err = one_line_error(capsys)
+        assert err.startswith(f"error: {bad}: ") and "finite" in err
 
 
 @pytest.mark.parametrize("angles", [

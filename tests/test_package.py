@@ -1,5 +1,7 @@
-"""The lazy package, and the process policy of the CLI module."""
+"""The lazy package, the process policy of the CLI module, and what the test
+references import from the package."""
 
+import ast
 import importlib
 import os
 import subprocess
@@ -139,3 +141,14 @@ def test_each_command_executes_only_its_layers(command, tmp_path):
     assert code == "0"
     assert executed == sorted(f"wisealice.{layer}" for layer in layers)
     assert numpy_loaded == str(command != "lattice-check")
+
+
+@pytest.mark.parametrize("module", ["oracles.py", "simulate_reference.py"])
+def test_oracles_import_no_private_name_of_the_package(module):
+    """An oracle checks the package with code of its own, not the package's helpers."""
+    tree = ast.parse((Path(__file__).resolve().parent / module).read_text())
+    private = [f"{node.module}.{alias.name}" for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module
+               and node.module.split(".")[0] == "wisealice"
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []

@@ -12,11 +12,10 @@ import pytest
 from wisealice.game import PayoffMatrix
 from wisealice.quantum import MeasurementFrame, StrategyAngle
 from wisealice.simulate import (
+    BLOCK_ROUNDS,
     SimulationConfig,
-    _codes,
+    _draws,
     _scoring_table,
-    _uniforms,
-    sample_round,
     simulate,
     write_transcript,
 )
@@ -36,6 +35,14 @@ def make_config(rounds=1000, seed=42, payoffs=(1, 1, 1, 1),
         alpha=StrategyAngle(alpha),
         beta=StrategyAngle(beta),
     )
+
+
+def kernel_draws(config, start, stop):
+    """Rounds [start, stop) of the block kernel, read as the reference's RoundDraw."""
+    table13, table24 = _scoring_table(config.payoffs)
+    return [reference.RoundDraw(*table13[c13][:2], *table24[c24][:2],
+                                table13[c13][2], table24[c24][2])
+            for c13, c24 in _draws(config, start, stop).tolist()]
 
 
 def transcript_rows(config):
@@ -65,26 +72,44 @@ def test_config_rejects_what_the_stream_cannot_draw(no_draws, field, value):
         make_config(**{field: value})
 
 
+# splitmix64.c's first five outputs from state 1234567, as published with it
+PUBLISHED_SEED = 1234567
+PUBLISHED_OUTPUTS = (6457827717110365317, 3203168211198807973, 9817491932198370423,
+                     4593380528125082431, 16408922859458223821)
+
+
+def test_reference_stream_is_the_published_splitmix64():
+    assert tuple(reference.splitmix64(PUBLISHED_SEED, c) for c in range(5)) == PUBLISHED_OUTPUTS
+
+
+def test_draws_match_the_reference_from_the_published_state():
+    # rounds 0 and 1 read counters 0..7, the published outputs among them
+    config = differential_config(BLOCK_ROUNDS, PUBLISHED_SEED, (3, 3, 5, 1))
+    assert kernel_draws(config, 0, config.rounds) == reference.round_draws(config)
+
+
 def test_last_round_of_the_stream_draws_the_last_counters():
-    config = make_config(rounds=2**62, seed=2**64 - 1)
-    counters = 4 * (config.rounds - 1) + np.arange(4, dtype=np.uint64)
-    draw = reference.draw_round(config, _uniforms(config.seed, counters))
-    assert counters[-1] == np.uint64(2**64 - 1)
-    assert sample_round(config, config.rounds - 1) == draw.payoff_13 + draw.payoff_24
+    # the last round reads counter 2**64 - 1, whose +1 wraps to 0 before mixing
+    config = differential_config(2**62, 2**64 - 1, (3, 3, 5, 1))
+    start = config.rounds - BLOCK_ROUNDS
+    assert 4 * config.rounds - 1 == 2**64 - 1
+    assert kernel_draws(config, start, config.rounds) == [
+        reference.round_draw(config, i) for i in range(start, config.rounds)]
 
 
-def test_sample_round_deterministic():
+def test_draws_deterministic():
     config = make_config()
-    first = [sample_round(config, i) for i in range(50)]
-    second = [sample_round(config, i) for i in range(50)]
-    assert first == second
+    first = _draws(config, 0, 50)
+    assert np.array_equal(first, _draws(config, 0, 50))
+    # a block of rounds draws what the same rounds draw inside a longer block
+    assert np.array_equal(first[20:], _draws(config, 20, 50))
 
 
 def test_vectorized_run_matches_per_round_sampling():
     config = make_config(rounds=200, seed=7, payoffs=(3, 3, 5, 1),
                          thetas=(10, 70), alpha=145.44, beta=59.38)
     result = simulate(config)
-    by_hand = [sample_round(config, i) for i in range(config.rounds)]
+    by_hand = [draw.payoff_13 + draw.payoff_24 for draw in reference.round_draws(config)]
     assert result.mean == pytest.approx(float(np.mean(by_hand)), abs=1e-15)
 
 
@@ -95,15 +120,13 @@ def test_different_seeds_differ():
 
 
 def test_zero_cells_score_nothing():
-    # forced outcomes (1,1) and (2,2) land on zero payoff cells
+    # forced outcomes (1,1) and (2,2), code 0 of each pair, land on zero
+    # payoff cells, in the scoring table and in the reference's own rule
     config = make_config()
-    [(code13, code24)] = _codes(config, np.zeros((1, 4)))
-    table = _scoring_table(config.payoffs)
-    alice_13, bob_13, payoff_13 = table[0][code13]
-    alice_24, bob_24, payoff_24 = table[1][code24]
-    assert alice_13 == 1 and bob_13 == 1
-    assert alice_24 == 2 and bob_24 == 2
-    assert payoff_13 == 0.0 and payoff_24 == 0.0
+    table13, table24 = _scoring_table(config.payoffs)
+    assert table13[0] == (1, 1, 0.0)
+    assert table24[0] == (2, 2, 0.0)
+    assert reference.draw_round(config, (0.0,) * 4) == (1, 1, 2, 2, 0.0, 0.0)
 
 
 def test_unit_instance_origin_mean():
@@ -150,8 +173,8 @@ def test_transcript_shape_and_determinism():
     assert rows_a == rows_b
     assert len(rows_a) == 2 * config.rounds
     assert [r.pair for r in rows_a[:4]] == ["13", "24", "13", "24"]
-    per_round = rows_a[0].payoff + rows_a[1].payoff
-    assert per_round == sample_round(config, 0)
+    draw = reference.round_draw(config, 0)
+    assert rows_a[0].payoff + rows_a[1].payoff == draw.payoff_13 + draw.payoff_24
 
 
 def test_single_round_has_undefined_std_error():
@@ -192,9 +215,9 @@ def test_block_kernel_matches_per_round_reference(rounds, seed, payoffs):
     write_transcript(config, written)
     assert written.getvalue() == expected.getvalue()
 
+    assert kernel_draws(config, 0, rounds) == draws
+
     vector = np.array([draw.payoff_13 + draw.payoff_24 for draw in draws])
-    for i in sorted({0, rounds // 2, rounds - 1}):
-        assert sample_round(config, i) == vector[i]
 
     result = simulate(config)
     # numpy's std of the payoffs in units of their total, scaled back: the

@@ -528,6 +528,28 @@ def solve_2x2(m, rhs):
     return (rhs[0] * s - q * rhs[1]) / det, (p * rhs[1] - r * rhs[0]) / det
 
 
+def transposed(m):
+    return [[m[0][0], m[1][0]], [m[0][1], m[1][1]]]
+
+
+def form_in_working_precision(payoffs, thetas):
+    """M, g and k of F = c0 + g.x + k.y + x^T M y, in mpmath's working precision.
+
+    They are built from e_1, e(2 theta_A) and e(2 theta_B), not from
+    bilinear_form.
+    """
+    a, b, c, d = (mpmath.mpf(float(v)) for v in payoffs)
+    two_a, two_b = (2 * mpmath.radians(mpmath.mpf(float(t))) for t in thetas)
+    e1 = (mpmath.mpf(1), mpmath.mpf(0))
+    ea = (mpmath.cos(two_a), mpmath.sin(two_a))
+    eb = (mpmath.cos(two_b), mpmath.sin(two_b))
+    m = [[-(a + c) / 4 * e1[i] * e1[j] - (b + d) / 4 * ea[i] * eb[j] for j in (0, 1)]
+         for i in (0, 1)]
+    g = [(a - c) / 4 * e1[i] + (b - d) / 4 * ea[i] for i in (0, 1)]
+    k = [(c - a) / 4 * e1[i] + (d - b) / 4 * eb[i] for i in (0, 1)]
+    return m, g, k
+
+
 def test_indifference_points_match_a_40_digit_solve():
     # numpy seed 26: 1,000 cells at payoffs e^U(-8,8), frames U(0.01, 89.99).
     # M, g and k are built at 40 digits from e_1, e(2 theta_A) and e(2 theta_B)
@@ -541,16 +563,9 @@ def test_indifference_points_match_a_40_digit_solve():
         for _ in range(1000):
             payoffs = np.exp(rng.uniform(-8.0, 8.0, 4))
             thetas = rng.uniform(0.01, 89.99, 2)
-            a, b, c, d = (mpmath.mpf(float(v)) for v in payoffs)
+            m, g, k = form_in_working_precision(payoffs, thetas)
             two_a, two_b = (2 * mpmath.radians(mpmath.mpf(float(t))) for t in thetas)
-            e1 = (mpmath.mpf(1), mpmath.mpf(0))
-            ea = (mpmath.cos(two_a), mpmath.sin(two_a))
-            eb = (mpmath.cos(two_b), mpmath.sin(two_b))
-            m = [[-(a + c) / 4 * e1[i] * e1[j] - (b + d) / 4 * ea[i] * eb[j] for j in (0, 1)]
-                 for i in (0, 1)]
-            g = [(a - c) / 4 * e1[i] + (b - d) / 4 * ea[i] for i in (0, 1)]
-            k = [(c - a) / 4 * e1[i] + (d - b) / 4 * eb[i] for i in (0, 1)]
-            x_c = solve_2x2([[m[0][0], m[1][0]], [m[0][1], m[1][1]]], [-k[0], -k[1]])
+            x_c = solve_2x2(transposed(m), [-k[0], -k[1]])
             y_c = solve_2x2(m, [-g[0], -g[1]])
             owner = _indifference(PayoffMatrix(*payoffs), thetas)
             for got, point, two in ((owner[0], x_c, two_a), (-owner[1], y_c, two_b)):
@@ -562,6 +577,42 @@ def test_indifference_points_match_a_40_digit_solve():
                 cusp - float(mpmath.atan2(x_c[1], x_c[0])), 2.0 * math.pi)))
     assert worst_angle <= 1e-12
     assert worst_point <= 1e-12
+
+
+def test_line_equilibria_are_the_chord_ends(scenario_dir):
+    # Bob's frame sits on I's left end, so |y_c| = 1 and Alice is indifferent
+    # at y_c, while |x_c| > 1.  Her optimal set is the part of the ray
+    # x_c - lam M^-T y_c (lam >= 0) inside the disk, a chord whose two ends
+    # are the pure equilibria, both at y_c's beta.  Measured: alpha
+    # 47.5440984163 and 138.6027975434, beta 52.2387560930; find_equilibria
+    # reports the first 9.3e-8 degrees off (ROADMAP item 3), the rest
+    # within 1e-13 degrees
+    sc = load_scenario(scenario_dir / "line_two_equilibria.txt")
+    h, frames = sc.payoff_matrix(), sc.frames()
+    thetas = [frame.theta_deg for frame in frames]
+    with mpmath.workdps(40):
+        m, g, k = form_in_working_precision((h.a, h.b, h.c, h.d), thetas)
+        x_c = solve_2x2(transposed(m), [-k[0], -k[1]])
+        y_c = solve_2x2(m, [-g[0], -g[1]])
+        ray = solve_2x2(transposed(m), y_c)   # M^-T y_c
+        assert abs(mpmath.hypot(*y_c) - 1) <= 1e-12
+        assert mpmath.hypot(*x_c) > 1
+        # |x_c - lam ray|^2 = 1: lam^2 |ray|^2 - 2 lam x_c.ray + |x_c|^2 - 1 = 0
+        qa = ray[0] ** 2 + ray[1] ** 2
+        qb = x_c[0] * ray[0] + x_c[1] * ray[1]
+        qc = x_c[0] ** 2 + x_c[1] ** 2 - 1
+        root = mpmath.sqrt(qb * qb - qa * qc)
+        lams = ((qb - root) / qa, (qb + root) / qa)
+        assert min(lams) >= 0
+        alphas = sorted(float(mpmath.degrees(mpmath.atan2(x_c[1] - lam * ray[1],
+                                                          x_c[0] - lam * ray[0])) / 2 % 180)
+                        for lam in lams)
+        beta = float(mpmath.degrees(mpmath.atan2(y_c[1], y_c[0])) / 2 % 180)
+    found = find_equilibria(h, frames)
+    assert len(found) == 2
+    for eq, alpha in zip(found, alphas):
+        assert circle_dist(eq.alpha.degrees, alpha) <= 1e-6
+        assert circle_dist(eq.beta.degrees, beta) <= 1e-6
 
 
 # --- the count rule: which cells hold an equilibrium ---------------------------
