@@ -1,5 +1,5 @@
-"""The lazy package, the process policy of the CLI module, and what the test
-references import from the package."""
+"""The lazy package, the process policy of the CLI module, how a CLI process
+ends, and what the test references import from the package."""
 
 import ast
 import importlib
@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import wisealice
+from wisealice import cli
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 TWO_EQUILIBRIA = SRC.parent / "scenarios" / "two_equilibria.txt"
@@ -141,6 +142,141 @@ def test_each_command_executes_only_its_layers(command, tmp_path):
     assert code == "0"
     assert executed == sorted(f"wisealice.{layer}" for layer in layers)
     assert numpy_loaded == str(command != "lattice-check")
+
+
+def fresh_cli(argv: list[str], cwd: Path | None = None,
+              stdout: int = subprocess.PIPE) -> subprocess.CompletedProcess:
+    """`python -m wisealice.cli argv` in a new process, with stdout buffered."""
+    environ = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    environ["PYTHONPATH"] = str(SRC)
+    return subprocess.run([sys.executable, "-m", "wisealice.cli", *argv], cwd=cwd,
+                          env=environ, stdout=stdout, stderr=subprocess.PIPE)
+
+
+def files(root: Path) -> dict[str, bytes]:
+    return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+SCENARIOS = SRC.parent / "scenarios"
+SAME_RESULT = {
+    "analyze": ["analyze", "--scenario", str(TWO_EQUILIBRIA), "--format", "json"],
+    "equilibria": ["equilibria", "--scenario", str(SCENARIOS / "interior_equilibrium.txt")],
+    "curves": ["curves", "--scenario", str(TWO_EQUILIBRIA), "--out", "c"],
+    # 1089 rows, several times stdout's 8 KiB buffer
+    "sweep": ["sweep", "--scenario", str(TWO_EQUILIBRIA), "--theta-a", "5:85",
+              "--theta-b", "5:85", "--step", "2.5"],
+    "simulate": ["simulate", "--scenario", str(SCENARIOS / "unit_payoffs.txt"), "--alpha", "10",
+                 "--beta", "20", "--rounds", "5000", "--transcript", "t.csv"],
+    "lattice-check": ["lattice-check", "--theta", "30"],
+    "missing-scenario": ["equilibria", "--scenario", "no_such_file.txt"],
+    "usage-error": ["sweep", "--scenario", str(TWO_EQUILIBRIA)],
+    "help": ["--help"],
+}
+
+
+@pytest.mark.parametrize("case", SAME_RESULT)
+def test_a_fresh_process_gives_what_main_gives(case, tmp_path, monkeypatch, capsysbinary):
+    """stdout, stderr, output files and exit code of `python -m wisealice.cli`
+    are those of main(argv) in this process."""
+    argv = SAME_RESULT[case]
+    fresh, here = tmp_path / "fresh", tmp_path / "here"
+    fresh.mkdir()
+    here.mkdir()
+    proc = fresh_cli(argv, cwd=fresh)
+    monkeypatch.chdir(here)
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsysbinary.readouterr()
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+    assert files(fresh) == files(here)
+    assert code == {"missing-scenario": 1, "usage-error": 2}.get(case, 0)
+    if case == "missing-scenario":
+        assert err.startswith(b"error: ") and err.count(b"\n") == 1
+    elif case == "usage-error":
+        assert err.startswith(b"usage: wisealice sweep")
+    else:
+        assert out and not err
+
+
+def test_main_returns_its_code_and_never_ends_the_process(monkeypatch, capsys):
+    def exit_(code):
+        raise AssertionError(f"os._exit({code})")
+
+    monkeypatch.setattr(os, "_exit", exit_)
+    assert cli.main(["lattice-check", "--theta", "30"]) == 0
+    assert cli.main(["equilibria", "--scenario", "no_such_file.txt"]) == 1
+    out, err = capsys.readouterr()
+    assert "plane realization" in out and err.startswith("error: ")
+
+
+def closed_stdout(argv: list[str], cwd: Path) -> subprocess.CompletedProcess:
+    """The CLI run by sh with its stdout closed, so sys.stdout is None."""
+    return subprocess.run(["sh", "-c", 'exec "$@" >&-', "sh",
+                           sys.executable, "-m", "wisealice.cli", *argv],
+                          cwd=cwd, env={**os.environ, "PYTHONPATH": str(SRC)},
+                          capture_output=True, text=True)
+
+
+@pytest.mark.skipif(not os.path.exists("/bin/sh"), reason="needs a POSIX shell")
+@pytest.mark.parametrize("argv", [["lattice-check", "--theta", "45"],
+                                  ["curves", "--scenario", str(TWO_EQUILIBRIA), "--out", "c"]])
+def test_a_closed_stdout_is_one_error_line_before_any_work(argv, tmp_path):
+    proc = closed_stdout(argv, tmp_path)
+    assert (proc.returncode, proc.stderr) == (1, "error: stdout is closed\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.skipif(not os.path.exists("/bin/sh"), reason="needs a POSIX shell")
+def test_out_works_with_stdout_closed(tmp_path):
+    proc = closed_stdout(["lattice-check", "--theta", "45", "--out", "l.txt"], tmp_path)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert (tmp_path / "l.txt").read_bytes() == fresh_cli(
+        ["lattice-check", "--theta", "45"]).stdout
+
+
+def broken_pipe() -> int:
+    """The write end of a pipe whose read end is already closed."""
+    read, write = os.pipe()
+    os.close(read)
+    return write
+
+
+def dev_full() -> int:
+    return os.open("/dev/full", os.O_WRONLY)
+
+
+@pytest.mark.parametrize("sink, message", [
+    (broken_pipe, "[Errno 32] Broken pipe"),
+    pytest.param(dev_full, "[Errno 28] No space left on device", marks=pytest.mark.skipif(
+        not os.path.exists("/dev/full"), reason="no /dev/full")),
+])
+@pytest.mark.parametrize("command", ["analyze", "sweep"])
+def test_a_failed_write_to_stdout_is_one_error_line(sink, message, command):
+    """analyze's report sits in stdout's buffer until the process ends, so it
+    fails in run()'s flush; sweep's rows overflow the buffer inside main."""
+    fd = sink()
+    try:
+        proc = fresh_cli(SAME_RESULT[command], stdout=fd)
+    finally:
+        os.close(fd)
+    assert (proc.returncode, proc.stderr.decode()) == (1, f"error: {message}\n")
+
+
+def test_the_console_script_is_the_entry_the_main_block_calls():
+    """pyproject.toml is read as text: Python 3.10 has no tomllib."""
+    text = (SRC.parent / "pyproject.toml").read_text()
+    scripts = text.split("[project.scripts]", 1)[1].split("\n[", 1)[0]
+    entries = dict(line.replace(" ", "").split("=", 1)
+                   for line in scripts.splitlines() if "=" in line)
+    module = ast.parse(Path(cli.__file__).read_text())
+    [block] = [node for node in module.body if isinstance(node, ast.If)
+               and ast.unparse(node.test) == "__name__ == '__main__'"]
+    called = [node.func.id for node in ast.walk(block)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)]
+    assert entries["wisealice"] == f'"wisealice.cli:{called[0]}"'
+    assert called == ["run"]
 
 
 @pytest.mark.parametrize("module", ["oracles.py", "simulate_reference.py"])
