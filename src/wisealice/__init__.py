@@ -26,9 +26,8 @@ _HOME = {name: module for module, names in {
                 "find_distributivity_violation", "join", "meet", "orthocomplement",
                 "wise_alice_lattice"),
     "classical": ("MixedProfile", "solve_zero_sum"),
-    "quantum": ("OutcomeWeights", "StrategyAngle", "bilinear_form",
-                "harmonic_coefficients", "harmonic_coefficients_in_beta",
-                "outcome_weights", "quantum_payoff"),
+    "quantum": ("OutcomeWeights", "StrategyAngle", "bilinear_form", "outcome_weights",
+                "quantum_payoff"),
     "solver": ("Equilibrium", "ReactionCurve", "best_responses", "find_equilibria",
                "find_equilibria_grid", "reaction_curve",
                "verify_nash_quantum"),

@@ -15,8 +15,8 @@ Alice's expected payoff against Bob's weights q is
 
 which, in the unit vectors x = (cos 2alpha, sin 2alpha) and
 y = (cos 2beta, sin 2beta), is the bilinear form F = c0 + g.x + k.y + x^T M y.
-The single-harmonic reductions K + U cos 2a + V sin 2a in either angle, the
-analytic best responses and the solver's root solve all derive from it.
+The analytic best responses, the judge and the solver's root solve all
+read it (see solver).
 
 Angles are degrees at every interface and radians only inside the
 trigonometric kernels.  The kernels broadcast over numpy arrays, of
@@ -157,36 +157,3 @@ def bilinear_form(
          - (h.b + h.d) / 4.0 * ea[..., :, None] * eb[..., None, :])
     return c0, g, k, m
 
-
-def harmonic_coefficients(
-    h: PayoffMatrix,
-    frame_a: Frame,
-    frame_b: Frame,
-    beta: Union[StrategyAngle, ArrayLike],
-) -> tuple[ArrayLike, ArrayLike, ArrayLike]:
-    """(K, U, V) with F(alpha, beta) = K + U cos 2alpha + V sin 2alpha.
-
-    The view (c0 + k.y, g + M y) of the bilinear form; exact for every
-    alpha.  Accepts a scalar or an array of beta angles in degrees, which
-    broadcasts with arrays of frame angles.
-    """
-    c0, g, k, m = bilinear_form(h, frame_a, frame_b)
-    y = unit_vectors(2.0 * np.radians(_degrees(beta)))
-    u, v = np.moveaxis(g + _mat_vec(m, y), -1, 0)
-    return c0 + _dot(y, k), u, v
-
-
-def harmonic_coefficients_in_beta(
-    h: PayoffMatrix,
-    frame_a: Frame,
-    frame_b: Frame,
-    alpha: Union[StrategyAngle, ArrayLike],
-) -> tuple[ArrayLike, ArrayLike, ArrayLike]:
-    """(K, U, V) with F(alpha, beta) = K + U cos 2beta + V sin 2beta.
-
-    The view (c0 + g.x, k + M^T x) of the bilinear form.
-    """
-    c0, g, k, m = bilinear_form(h, frame_a, frame_b)
-    x = unit_vectors(2.0 * np.radians(_degrees(alpha)))
-    u, v = np.moveaxis(k + _vec_mat(x, m), -1, 0)
-    return c0 + _dot(x, g), u, v

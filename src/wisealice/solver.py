@@ -1,12 +1,11 @@
 """Best responses, reaction curves, and Nash equilibria on the strategy torus.
 
-For a fixed opponent angle the payoff is a single-harmonic sinusoid, so
-both best-response maps are analytic: Alice's maximizer satisfies
-2*alpha = atan2(V, U) and Bob's minimizer is the antipode.
-
-In the bilinear form F = c0 + g.x + k.y + x^T M y (see quantum), Bob's
-reply to x is y = -w/|w| with w = k + M^T x and Alice's reply to y is
-parallel to g + M y, so every equilibrium satisfies
+In the bilinear form F = c0 + g.x + k.y + x^T M y (see quantum), F is
+c0 + k.y + x.v in x with v = g + M y and c0 + g.x + y.w in y with
+w = k + M^T x, a single harmonic (U, V) in each player's doubled angle.
+best_responses reads both off the form: Alice's reply to y is parallel to
+v, 2*alpha = atan2(v1, v0), and Bob's reply to x is y = -w/|w|, so every
+equilibrium satisfies
 
     |w|^2 (x cross g)^2 = (x cross M w)^2
 
@@ -35,7 +34,8 @@ Every returned equilibrium carries its residual, the larger unilateral gain
 
 which is max_l F(l, beta) - F(alpha, beta) and F(alpha, beta) - min_m F(alpha, m)
 read off the bilinear form, so callers never need to trust the fixed-point
-argument itself.
+argument itself.  Payoffs whose total is below 1 are solved and judged
+lifted by a power of two (_lift), so a subnormal total keeps its digits.
 """
 
 from __future__ import annotations
@@ -57,8 +57,6 @@ from wisealice.quantum import (
     _mat_vec,
     _vec_mat,
     bilinear_form,
-    harmonic_coefficients,
-    harmonic_coefficients_in_beta,
     outcome_weights,
     quantum_payoff,
     unit_vectors,
@@ -119,6 +117,22 @@ class Equilibrium:
     residual: float
 
 
+def _lift(h: PayoffMatrix) -> tuple[PayoffMatrix, int]:
+    """(h times 2^shift, shift), the power of two lifting a total below 1 into [1, 2).
+
+    A total of 1 or more gives (h, 0).  Below about 2^-1018 the form's /4
+    and its products lose digits, and NASH_TOLERANCE and DEGENERACY_RATIO
+    times the total underflow to 0.  Scaling up by a power of two is exact,
+    and no payoff exceeds the total, so the lifted game has the caller's
+    equilibria and replies; its residuals and amplitudes are 2^shift times
+    the caller's.
+    """
+    if h.scale >= 1.0:
+        return h, 0
+    shift = 1 - math.frexp(h.scale)[1]
+    return PayoffMatrix(*(math.ldexp(p, shift) for p in (h.a, h.b, h.c, h.d))), shift
+
+
 def best_responses(
     player: Literal["alice", "bob"], h: PayoffMatrix, frames: Frames, opponent_deg
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -127,20 +141,26 @@ def best_responses(
     Returns (angle_deg, amplitude, degenerate): Alice's maximizer or Bob's
     minimizer mod 180, the amplitude sqrt(U^2 + V^2) of the payoff's
     harmonic in the player's angle, and whether that amplitude is below
-    DEGENERACY_RATIO * (a + b + c + d).  A degenerate reply, where the
+    DEGENERACY_RATIO * (a + b + c + d).  (U, V) is read off the bilinear
+    form: g + M y for Alice, k + M^T x for Bob, whose minimizer is the
+    antipode of that vector's direction.  A degenerate reply, where the
     payoff is flat up to roundoff, is reported at angle 0.
     """
-    if player == "alice":
-        _, u, v = harmonic_coefficients(h, frames[0], frames[1], opponent_deg)
-        phase = 0.0
-    elif player == "bob":
-        _, u, v = harmonic_coefficients_in_beta(h, frames[0], frames[1], opponent_deg)
-        phase = 90.0
-    else:
+    if player not in ("alice", "bob"):
         raise ValueError(f"unknown player: {player!r}")
+    lifted, shift = _lift(h)
+    _, g, k, m = bilinear_form(lifted, *frames)
+    # g + M y for Alice, k + M^T x for Bob; the opponent's vectors are not
+    # kept, as curves of a million samples hold several such arrays at once
+    offset, matrix, phase = ((g, m, 0.0) if player == "alice"
+                             else (k, np.swapaxes(m, -1, -2), 90.0))
+    uv = offset + _mat_vec(matrix, unit_vectors(2.0 * np.radians(_degrees(opponent_deg))))
+    u, v = uv[..., 0], uv[..., 1]
     amplitude = np.hypot(u, v)
-    degenerate = amplitude < DEGENERACY_RATIO * h.scale
+    degenerate = amplitude < DEGENERACY_RATIO * lifted.scale
     angle = (0.5 * np.degrees(np.arctan2(v, u)) + phase) % 180.0
+    if shift:
+        amplitude = np.ldexp(amplitude, -shift)
     return np.where(degenerate, 0.0, angle), amplitude, degenerate
 
 
@@ -199,7 +219,10 @@ def verify_nash_quantum(
     Zero (up to roundoff) exactly at Nash points; invariant under
     180-degree shifts of either angle.  The angles may also be arrays in
     degrees and the frames arrays of frame angles in degrees, all
-    broadcasting together; a NaN angle gives a NaN residual.
+    broadcasting together; a NaN angle gives a NaN residual.  Called
+    directly on payoffs whose total is below about 2^-1018, it rounds its
+    residual in their units, to multiples of 2^-1074; find_equilibria
+    judges such payoffs lifted by a power of two.
     """
     _, g, k, m = bilinear_form(h, frames[0], frames[1])
     x = unit_vectors(2.0 * np.radians(_degrees(alpha)))
@@ -368,10 +391,14 @@ def _solve_block(
     theta_a: np.ndarray,
     theta_b: np.ndarray,
 ) -> list[list[Equilibrium]]:
-    """find_equilibria at the frame pairs (theta_a[i], theta_b[i]), in degrees."""
-    alpha, beta = _candidates(h, theta_a, theta_b)
-    residual = verify_nash_quantum(h, (theta_a[:, None], theta_b[:, None]), alpha, beta)
-    passed = residual <= NASH_TOLERANCE * h.scale
+    """find_equilibria at the frame pairs (theta_a[i], theta_b[i]), in degrees.
+
+    Solved and judged on _lift(h); values come from h itself.
+    """
+    lifted, shift = _lift(h)
+    alpha, beta = _candidates(lifted, theta_a, theta_b)
+    residual = verify_nash_quantum(lifted, (theta_a[:, None], theta_b[:, None]), alpha, beta)
+    passed = residual <= NASH_TOLERANCE * lifted.scale
     found: list[list[Equilibrium]] = [[] for _ in theta_a]
     for cell in np.flatnonzero(passed.any(axis=1)):
         kept: list[int] = []
@@ -385,7 +412,7 @@ def _solve_block(
         frames = (MeasurementFrame(theta_a[cell]), MeasurementFrame(theta_b[cell]))
         found[cell] = sorted(
             (_make_equilibrium(h, frames, float(alpha[cell, s]), float(beta[cell, s]),
-                               float(residual[cell, s])) for s in kept),
+                               math.ldexp(residual[cell, s], -shift)) for s in kept),
             key=lambda e: e.alpha.degrees)
     return found
 

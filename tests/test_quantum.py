@@ -11,8 +11,6 @@ from wisealice.quantum import (
     OutcomeWeights,
     StrategyAngle,
     bilinear_form,
-    harmonic_coefficients,
-    harmonic_coefficients_in_beta,
     outcome_weights,
     quantum_payoff,
 )
@@ -145,36 +143,6 @@ def test_surface_bounds(a, b, c, d, ta, tb, alpha, beta):
 
 @settings(max_examples=50)
 @given(positive_payoff, positive_payoff, positive_payoff, positive_payoff,
-       frame_angles, frame_angles, angles)
-def test_harmonic_reconstruction(a, b, c, d, ta, tb, beta):
-    h = PayoffMatrix(a, b, c, d)
-    fa, fb = MeasurementFrame(ta), MeasurementFrame(tb)
-    k, u, v = harmonic_coefficients(h, fa, fb, StrategyAngle(beta))
-    rng = np.random.default_rng(7)
-    for alpha in rng.uniform(0.0, 180.0, size=100):
-        rebuilt = k + u * math.cos(2 * math.radians(alpha)) \
-            + v * math.sin(2 * math.radians(alpha))
-        direct = payoff_kernel(h, fa, fb, alpha, beta)
-        assert rebuilt == pytest.approx(direct, abs=1e-12)
-
-
-@settings(max_examples=50)
-@given(positive_payoff, positive_payoff, positive_payoff, positive_payoff,
-       frame_angles, frame_angles, angles)
-def test_harmonic_reconstruction_in_beta(a, b, c, d, ta, tb, alpha):
-    h = PayoffMatrix(a, b, c, d)
-    fa, fb = MeasurementFrame(ta), MeasurementFrame(tb)
-    k, u, v = harmonic_coefficients_in_beta(h, fa, fb, StrategyAngle(alpha))
-    rng = np.random.default_rng(11)
-    for beta in rng.uniform(0.0, 180.0, size=100):
-        rebuilt = k + u * math.cos(2 * math.radians(beta)) \
-            + v * math.sin(2 * math.radians(beta))
-        direct = payoff_kernel(h, fa, fb, alpha, beta)
-        assert rebuilt == pytest.approx(direct, abs=1e-12)
-
-
-@settings(max_examples=50)
-@given(positive_payoff, positive_payoff, positive_payoff, positive_payoff,
        frame_angles, frame_angles, angles, angles)
 def test_bilinear_form_reconstruction(a, b, c, d, ta, tb, alpha, beta):
     h = PayoffMatrix(a, b, c, d)
@@ -190,29 +158,6 @@ def test_non_finite_angle_rejected():
     for value in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="finite"):
             StrategyAngle(value)
-
-
-def test_unit_instance_harmonic_maximizer():
-    # F(alpha, 0) = sin^2(alpha) + 1/2 for unit payoffs in 45-degree frames
-    h = PayoffMatrix(1, 1, 1, 1)
-    f45 = MeasurementFrame(45)
-    k, u, v = harmonic_coefficients(h, f45, f45, StrategyAngle(0))
-    maximizer = (0.5 * math.degrees(math.atan2(v, u))) % 180.0
-    assert maximizer == pytest.approx(90.0)
-    assert k + math.hypot(u, v) == pytest.approx(1.5)
-
-
-def test_degenerate_harmonic_case_constructible():
-    # balance both pair-terms: a/c and b/d tuned so U = V = 0 at beta = 30
-    theta_b = 70.0
-    beta = math.radians(30.0)
-    q1, q3 = math.cos(beta) ** 2, math.sin(beta) ** 2
-    q2 = math.cos(beta - math.radians(theta_b)) ** 2
-    q4 = math.sin(beta - math.radians(theta_b)) ** 2
-    h = PayoffMatrix(q1 / q3, q2 / q4, 1.0, 1.0)
-    fa, fb = MeasurementFrame(25), MeasurementFrame(theta_b)
-    k, u, v = harmonic_coefficients(h, fa, fb, StrategyAngle(30.0))
-    assert math.hypot(u, v) < 1e-15 * h.scale
 
 
 @settings(max_examples=50)

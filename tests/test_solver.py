@@ -10,12 +10,7 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 from wisealice.game import PayoffMatrix
-from wisealice.quantum import (
-    MeasurementFrame,
-    StrategyAngle,
-    harmonic_coefficients,
-    harmonic_coefficients_in_beta,
-)
+from wisealice.quantum import MeasurementFrame, StrategyAngle
 from wisealice.scenario import load_scenario
 from wisealice.solver import (
     _SAMPLES,
@@ -80,10 +75,13 @@ def brute_force_gain(h, frames, alpha: float, beta: float) -> float:
 # --- best responses ----------------------------------------------------------
 
 def test_alice_best_response_unit_instance(unit_instance):
+    # F(alpha, 0) = sin^2(alpha) + 1/2 for unit payoffs in 45-degree frames
     h, frames = unit_instance
-    angle, _, degenerate = best_responses("alice", h, frames, StrategyAngle(0).degrees)
+    angle, amplitude, degenerate = best_responses("alice", h, frames, StrategyAngle(0).degrees)
     assert angle == pytest.approx(90.0)
+    assert amplitude == pytest.approx(0.5)
     assert not degenerate
+    assert payoff_kernel(h, frames[0], frames[1], angle, 0.0) == pytest.approx(1.5)
 
 
 def test_bob_best_response_matches_grid_unit_instance(unit_instance):
@@ -157,7 +155,9 @@ def exact_alice_reply(h, theta_a: float, theta_b: float, beta: float) -> float:
 
 def test_degenerate_response_flagged():
     h, frames = flat_for_alice()
-    angle, _, degenerate = best_responses("alice", h, frames, StrategyAngle(30.0).degrees)
+    angle, amplitude, degenerate = best_responses("alice", h, frames,
+                                                  StrategyAngle(30.0).degrees)
+    assert amplitude < 1e-15 * h.scale
     assert degenerate
     assert angle == 0.0
 
@@ -799,19 +799,48 @@ def test_equilibria_invariant_under_power_of_two_scaling(a, b, c, d, ta, tb, k):
         assert eq_s.value == pytest.approx(lam * eq_b.value, rel=1e-12)
 
 
+def test_tiny_totals_keep_the_equilibria_and_replies():
+    # (3, 3, 5, 1) 2^k is exact at every k here, but below a total of about
+    # 2^-1018 the form loses digits and NASH_TOLERANCE * S underflows; the
+    # solve on payoffs lifted by a power of two keeps the k = 0 answers.
+    # A value sums four products of subnormals, each rounded to 2^-1074
+    frames = (MeasurementFrame(10), MeasurementFrame(70))
+    base_h = PayoffMatrix(3, 3, 5, 1)
+    base = find_equilibria(base_h, frames)
+    replies = {player: best_responses(player, base_h, frames, 60.0)
+               for player in ("alice", "bob")}
+    for k in range(-1072, 1):
+        h = PayoffMatrix(*(math.ldexp(p, k) for p in (3, 3, 5, 1)))
+        found = find_equilibria(h, frames)
+        assert len(found) == len(base), k
+        for eq_s, eq_b in zip(found, base):
+            assert circle_dist(eq_s.alpha.degrees, eq_b.alpha.degrees) <= 1e-9, k
+            assert circle_dist(eq_s.beta.degrees, eq_b.beta.degrees) <= 1e-9, k
+            assert abs(eq_s.value - math.ldexp(eq_b.value, k)) <= 4 * 2.0**-1074, k
+        for player, (angle, amplitude, degenerate) in replies.items():
+            reply = best_responses(player, h, frames, 60.0)
+            assert reply == (angle, math.ldexp(amplitude, k), degenerate), (player, k)
+
+
 @settings(max_examples=100, deadline=None)
 @given(wide_payoffs, wide_payoffs, wide_payoffs, wide_payoffs, wide_frames, wide_frames,
        angles)
 def test_harmonic_views_match_half_angle_formulas(a, b, c, d, ta, tb, angle):
+    # best_responses reads each player's harmonic (U, V) off the bilinear
+    # form; the half-angle formulas give it from the trigonometric definition.
+    # Alice's reply points along (U, V) and Bob's against it
     h = PayoffMatrix(a, b, c, d)
     frames = (MeasurementFrame(ta), MeasurementFrame(tb))
-    for view, reference in (
-        (harmonic_coefficients(h, *frames, angle),
-         half_angle_coefficients(h, frames, angle)),
-        (harmonic_coefficients_in_beta(h, *frames, angle),
-         half_angle_coefficients_in_beta(h, frames, angle)),
+    for player, sign, (_, u, v) in (
+        ("alice", 1.0, half_angle_coefficients(h, frames, angle)),
+        ("bob", -1.0, half_angle_coefficients_in_beta(h, frames, angle)),
     ):
-        assert np.allclose(view, reference, rtol=0.0, atol=1e-14 * h.scale)
+        reply, amplitude, degenerate = best_responses(player, h, frames, angle)
+        assert abs(amplitude - math.hypot(u, v)) <= 1e-14 * h.scale
+        if not degenerate:
+            two_r = 2.0 * math.radians(reply)
+            assert abs(amplitude * math.cos(two_r) - sign * u) <= 1e-14 * h.scale
+            assert abs(amplitude * math.sin(two_r) - sign * v) <= 1e-14 * h.scale
 
 
 @settings(max_examples=100, deadline=None)
