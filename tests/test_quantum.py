@@ -154,6 +154,37 @@ def test_bilinear_form_reconstruction(a, b, c, d, ta, tb, alpha, beta):
         payoff_kernel(h, fa, fb, alpha, beta), abs=1e-12)
 
 
+def alice_harmonic(h, fa, fb, beta):
+    # F(alpha) = K + U cos 2alpha + V sin 2alpha at fixed beta, read off the bilinear form
+    c0, g, k, m = bilinear_form(h, fa, fb)
+    y = np.array([math.cos(2 * math.radians(beta)), math.sin(2 * math.radians(beta))])
+    u, v = g + m @ y
+    return c0 + k @ y, u, v
+
+
+def test_unit_instance_harmonic_maximizer():
+    # F(alpha, 0) = sin^2(alpha) + 1/2 for unit payoffs in 45-degree frames
+    h = PayoffMatrix(1, 1, 1, 1)
+    f45 = MeasurementFrame(45)
+    k, u, v = alice_harmonic(h, f45, f45, StrategyAngle(0).degrees)
+    maximizer = (0.5 * math.degrees(math.atan2(v, u))) % 180.0
+    assert maximizer == pytest.approx(90.0)
+    assert k + math.hypot(u, v) == pytest.approx(1.5)
+
+
+def test_degenerate_harmonic_case_constructible():
+    # balance both pair-terms: a/c and b/d tuned so U = V = 0 at beta = 30
+    theta_b = 70.0
+    beta = math.radians(30.0)
+    q1, q3 = math.cos(beta) ** 2, math.sin(beta) ** 2
+    q2 = math.cos(beta - math.radians(theta_b)) ** 2
+    q4 = math.sin(beta - math.radians(theta_b)) ** 2
+    h = PayoffMatrix(q1 / q3, q2 / q4, 1.0, 1.0)
+    fa, fb = MeasurementFrame(25), MeasurementFrame(theta_b)
+    k, u, v = alice_harmonic(h, fa, fb, StrategyAngle(30.0).degrees)
+    assert math.hypot(u, v) < 1e-15 * h.scale
+
+
 def test_non_finite_angle_rejected():
     for value in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="finite"):
