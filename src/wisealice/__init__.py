@@ -31,7 +31,7 @@ _HOME = {name: module for module, names in {
     "solver": ("Equilibrium", "ReactionCurve", "best_responses", "find_equilibria",
                "find_equilibria_grid", "reaction_curve",
                "verify_nash_quantum"),
-    "simulate": ("SimulationConfig", "SimulationResult", "write_transcript"),
+    "simulate": ("SimulationConfig", "SimulationResult"),
     "scenario": ("Scenario", "ScenarioError", "load_scenario"),
 }.items() for name in names}
 

@@ -11,6 +11,7 @@ import json
 import math
 import os
 import re
+import stat
 import sys
 import types
 from pathlib import Path
@@ -97,6 +98,20 @@ def _output(path: str | Path | None) -> Iterator[Callable[[Iterable[str]], None]
         raise OSError("stdout is closed")
     with _created(path) if path else contextlib.nullcontext(sys.stdout) as fh:
         yield lambda lines: fh.writelines(f"{line}\n" for line in lines)
+
+
+def _is_stdout(path: str) -> bool:
+    """Whether path is the regular file or pipe that stdout writes to.
+
+    /dev/null and a terminal can take both streams, so they never count.
+    """
+    if sys.stdout is None:   # closed: _output reports it
+        return False
+    try:
+        mine, out = os.stat(path), os.fstat(sys.stdout.fileno())
+    except (OSError, ValueError):   # no such file, or a stdout with no descriptor
+        return False
+    return (stat.S_ISREG(out.st_mode) or stat.S_ISFIFO(out.st_mode)) and os.path.samestat(mine, out)
 
 
 def _formatted(args: argparse.Namespace, report: dict, lines: list[str]) -> list[str]:
@@ -307,12 +322,15 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.out and args.transcript and (
             Path(args.out).resolve() == Path(args.transcript).resolve()):
         raise scenario.ScenarioError(f"--out and --transcript name the same file: {args.out}")
+    if not args.out and args.transcript and _is_stdout(args.transcript):
+        raise scenario.ScenarioError(f"--transcript names the file stdout writes to: "
+                                     f"{args.transcript}")
     # --out first: an unwritable --out must not leave a transcript behind
     with _output(args.out) as write, (_created(args.transcript, newline="")
                                       if args.transcript else contextlib.nullcontext()) as fh:
-        result = simulate.simulate(config)
+        result = simulate.simulate(config, fh)
         if fh:
-            simulate.write_transcript(config, fh)
+            fh.flush()   # a transcript that cannot be written fails before the report
         z = result.z_score()
         report = {**dataclasses.asdict(result), "z_score": z,
                   "std_error_defined": result.std_error is not None}
@@ -444,6 +462,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for flag in ("out", "transcript"):
+            if getattr(args, flag, None) == "":
+                raise ValueError(f"--{flag} must name a file, got an empty path")
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -16,14 +16,16 @@ w·2^53 is exact in floating point, and an integer word lies below it
 exactly when it lies below ceil(w·2^53), so u < w holds exactly when
 word < ceil(w·2^53).  One block kernel, `_draws`, turns a block's
 counters into per-pair outcome codes, and one table, `_scoring_table`,
-scores them; `simulate` and `write_transcript` are views of the two.
+scores them.  `simulate` draws each block once: its codes feed the counts
+of joint outcomes and, when a transcript handle is given, that block's
+CSV rows, joined from pieces made once per run (`_transcript_writer`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, TextIO
+from typing import Callable, Iterator, TextIO
 
 import numpy as np
 
@@ -112,15 +114,50 @@ class SimulationResult:
         return (self.mean - self.analytic_value) / self.std_error
 
 
-def simulate(config: SimulationConfig) -> SimulationResult:
+def _transcript_writer(payoffs: PayoffMatrix,
+                       fh: TextIO) -> Callable[[range, np.ndarray], None]:
+    """Write the transcript's CSV header to fh; return the writer of a block's rows.
+
+    Each round gives two rows, one per question pair, in round order:
+    round, pair ("13" or "24"), alice_outcome, bob_outcome, payoff (.6g).
+    A block is joined from pieces made once, so no int is formatted and no
+    Python code runs per row: round i prints as str(i // 1000), empty
+    below 1000, then i % 1000 from a table, zero-padded to three digits
+    above 999; what follows it is the row tail of its pair's code.
+    """
+    tails = [np.array([f",{pair},{alice},{bob},{payoff:.6g}\n" for alice, bob, payoff in cells],
+                      dtype=object) for pair, cells in zip(_PAIRS, _scoring_table(payoffs))]
+    plain, padded = [str(r) for r in range(1000)], [f"{r:03d}" for r in range(1000)]
+    fh.write("round,pair,alice_outcome,bob_outcome,payoff\n")
+
+    def write(rounds: range, codes: np.ndarray) -> None:
+        heads, rests = [], []
+        for k in range(rounds.start // 1000, (rounds.stop - 1) // 1000 + 1):
+            lo, hi = max(rounds.start - 1000 * k, 0), min(rounds.stop - 1000 * k, 1000)
+            heads += [str(k) if k else ""] * (hi - lo)
+            rests += (padded if k else plain)[lo:hi]
+        parts = [""] * (6 * len(rounds))
+        parts[0::6] = parts[3::6] = heads
+        parts[1::6] = parts[4::6] = rests
+        parts[2::6], parts[5::6] = (tail[column].tolist() for tail, column in zip(tails, codes.T))
+        fh.write("".join(parts))
+    return write
+
+
+def simulate(config: SimulationConfig, transcript: TextIO | None = None) -> SimulationResult:
     """Run every round and report the empirical mean against the exact value.
 
     Rounds are streamed in blocks and only the count of each joint outcome
-    code is kept, so memory does not grow with the number of rounds.
+    code is kept, so memory does not grow with the number of rounds.  With
+    a transcript handle, each block's rows are also written there as CSV
+    (`_transcript_writer`) while the block is at hand.
     """
+    write = None if transcript is None else _transcript_writer(config.payoffs, transcript)
     counts = np.zeros(16, dtype=np.int64)
-    for _, codes in _blocks(config):
+    for rounds, codes in _blocks(config):
         counts += np.bincount(4 * codes[:, 0] + codes[:, 1], minlength=16)
+        if write:
+            write(rounds, codes)
     pay13, pay24 = (np.array([cell[2] for cell in pair])
                     for pair in _scoring_table(config.payoffs))
     values = (pay13[:, None] + pay24[None, :]).ravel()   # round payoff by joint code
@@ -138,21 +175,3 @@ def simulate(config: SimulationConfig) -> SimulationResult:
     analytic = quantum_payoff(config.payoffs, outcome_weights(config.alpha, config.frame_a),
                               outcome_weights(config.beta, config.frame_b))
     return SimulationResult(n, mean, se, analytic)
-
-
-def write_transcript(config: SimulationConfig, fh: TextIO) -> None:
-    """Write every round as CSV with a header, payoffs formatted .6g.
-
-    Each round gives two rows, one per question pair, in round order:
-    round, pair ("13" or "24"), alice_outcome, bob_outcome, payoff.
-    """
-    tails13, tails24 = (
-        [f",{pair},{alice},{bob},{payoff:.6g}\n" for alice, bob, payoff in cells]
-        for pair, cells in zip(_PAIRS, _scoring_table(config.payoffs))
-    )
-    fh.write("round,pair,alice_outcome,bob_outcome,payoff\n")
-    for indices, codes in _blocks(config):
-        fh.write("".join(
-            f"{i}{tails13[code13]}{i}{tails24[code24]}"
-            for i, code13, code24 in zip(indices, *codes.T.tolist())
-        ))

@@ -510,11 +510,13 @@ def test_simulate_with_an_unwritable_transcript_leaves_no_out(scenario_dir, tmp_
 
 def test_simulate_that_fails_while_writing_leaves_no_file(scenario_dir, tmp_path,
                                                           monkeypatch, capsys):
-    def fail(config, fh):
-        fh.write("round,pair\n")
-        raise OSError("disk full")
+    def writer(payoffs, fh):
+        def fail(rounds, codes):
+            fh.write("round,pair\n")
+            raise OSError("disk full")
+        return fail
 
-    monkeypatch.setattr("wisealice.simulate.write_transcript", fail)
+    monkeypatch.setattr("wisealice.simulate._transcript_writer", writer)
     code = main(["simulate", "--scenario", str(scenario_dir / "unit_payoffs.txt"),
                  "--alpha", "0", "--beta", "0", "--rounds", "10",
                  "--out", str(tmp_path / "o.txt"), "--transcript", str(tmp_path / "t.csv")])
@@ -535,6 +537,30 @@ def test_simulate_rejects_one_file_for_out_and_transcript(scenario_dir, tmp_path
                  "--transcript", transcript.format(tmp=tmp_path)])
     assert code == 1
     assert "name the same file" in one_line_error(capsys)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--scenario", "{scenarios}/two_equilibria.txt", "--out", ""],
+    ["equilibria", "--scenario", "{scenarios}/two_equilibria.txt", "--out", ""],
+    ["curves", "--scenario", "{scenarios}/two_equilibria.txt", "--out", ""],
+    ["sweep", "--scenario", "{scenarios}/two_equilibria.txt", "--theta-a", "5:85",
+     "--theta-b", "5:85", "--out", ""],
+    ["simulate", "--scenario", "{scenarios}/unit_payoffs.txt", "--alpha", "0", "--beta", "0",
+     "--rounds", "10", "--out", ""],
+    ["simulate", "--scenario", "{scenarios}/unit_payoffs.txt", "--alpha", "0", "--beta", "0",
+     "--rounds", "10", "--transcript", ""],
+    ["lattice-check", "--theta", "45", "--out", ""],
+], ids=["analyze", "equilibria", "curves", "sweep", "simulate-out", "simulate-transcript",
+        "lattice-check"])
+def test_an_empty_path_is_an_error(scenario_dir, tmp_path, monkeypatch, argv, capsys):
+    # an empty --out fell back to stdout, curves' to ./curves.*, and an
+    # empty --transcript wrote none, all with exit 0
+    monkeypatch.chdir(tmp_path)
+    argv = [arg.format(scenarios=scenario_dir) for arg in argv]
+    assert main(argv) == 1
+    flag = argv[argv.index("") - 1]
+    assert one_line_error(capsys) == f"error: {flag} must name a file, got an empty path\n"
     assert list(tmp_path.iterdir()) == []
 
 

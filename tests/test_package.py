@@ -158,6 +158,9 @@ def files(root: Path) -> dict[str, bytes]:
 
 
 SCENARIOS = SRC.parent / "scenarios"
+SIMULATE = ["simulate", "--scenario", str(SCENARIOS / "unit_payoffs.txt"), "--alpha", "10",
+            "--beta", "20", "--rounds", "5"]
+
 SAME_RESULT = {
     "analyze": ["analyze", "--scenario", str(TWO_EQUILIBRIA), "--format", "json"],
     "equilibria": ["equilibria", "--scenario", str(SCENARIOS / "interior_equilibrium.txt")],
@@ -221,7 +224,8 @@ def closed_stdout(argv: list[str], cwd: Path) -> subprocess.CompletedProcess:
 
 @pytest.mark.skipif(not os.path.exists("/bin/sh"), reason="needs a POSIX shell")
 @pytest.mark.parametrize("argv", [["lattice-check", "--theta", "45"],
-                                  ["curves", "--scenario", str(TWO_EQUILIBRIA), "--out", "c"]])
+                                  ["curves", "--scenario", str(TWO_EQUILIBRIA), "--out", "c"],
+                                  SIMULATE + ["--transcript", "t.csv"]])
 def test_a_closed_stdout_is_one_error_line_before_any_work(argv, tmp_path):
     proc = closed_stdout(argv, tmp_path)
     assert (proc.returncode, proc.stderr) == (1, "error: stdout is closed\n")
@@ -262,6 +266,42 @@ def test_a_failed_write_to_stdout_is_one_error_line(sink, message, command):
     finally:
         os.close(fd)
     assert (proc.returncode, proc.stderr.decode()) == (1, f"error: {message}\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_a_transcript_that_cannot_be_written_fails_before_the_report(tmp_path):
+    # the transcript sat in its buffer until the file closed, after the
+    # report had gone to stdout
+    proc = fresh_cli(SIMULATE + ["--transcript", "/dev/full"], cwd=tmp_path)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        1, b"", b"error: [Errno 28] No space left on device\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+@pytest.mark.parametrize("sink", ["file", "pipe"])
+def test_a_transcript_into_stdout_is_refused_before_any_draw(sink, tmp_path):
+    # the transcript overwrote the report: with stdout a file, the file held
+    # the transcript and then the report's last bytes, with exit 0
+    argv = SIMULATE + ["--format", "json", "--transcript", "/dev/stdout"]
+    if sink == "pipe":
+        proc = fresh_cli(argv, cwd=tmp_path)
+        written = proc.stdout
+    else:
+        fd = os.open(tmp_path / "o.txt", os.O_WRONLY | os.O_CREAT | os.O_TRUNC)
+        try:
+            proc = fresh_cli(argv, cwd=tmp_path, stdout=fd)
+        finally:
+            os.close(fd)
+        written = (tmp_path / "o.txt").read_bytes()
+    assert (proc.returncode, proc.stderr, written) == (
+        1, b"error: --transcript names the file stdout writes to: /dev/stdout\n", b"")
+
+
+def test_dev_null_takes_the_transcript_and_the_report(tmp_path):
+    proc = fresh_cli(SIMULATE + ["--transcript", os.devnull], cwd=tmp_path,
+                     stdout=subprocess.DEVNULL)
+    assert (proc.returncode, proc.stderr) == (0, b"")
 
 
 def test_the_console_script_is_the_entry_the_main_block_calls():

@@ -9,15 +9,16 @@ import warnings
 import numpy as np
 import pytest
 
+from wisealice.cli import main
 from wisealice.game import PayoffMatrix
 from wisealice.quantum import MeasurementFrame, StrategyAngle
 from wisealice.simulate import (
     BLOCK_ROUNDS,
     SimulationConfig,
+    _PAIRS,
     _draws,
     _scoring_table,
     simulate,
-    write_transcript,
 )
 
 import simulate_reference as reference
@@ -46,9 +47,9 @@ def kernel_draws(config, start, stop):
 
 
 def transcript_rows(config):
-    """The rows of write_transcript's CSV, parsed back into TranscriptRow."""
+    """The rows of simulate's CSV transcript, parsed back into TranscriptRow."""
     fh = io.StringIO()
-    write_transcript(config, fh)
+    simulate(config, fh)
     fh.seek(0)
     return [reference.TranscriptRow(int(r["round"]), r["pair"], int(r["alice_outcome"]),
                                     int(r["bob_outcome"]), float(r["payoff"]))
@@ -212,14 +213,14 @@ def test_block_kernel_matches_per_round_reference(rounds, seed, payoffs):
 
     expected, written = io.StringIO(), io.StringIO()
     reference.write_transcript(rows, expected)
-    write_transcript(config, written)
+    result = simulate(config, written)
     assert written.getvalue() == expected.getvalue()
+    assert simulate(config) == result
 
     assert kernel_draws(config, 0, rounds) == draws
 
     vector = np.array([draw.payoff_13 + draw.payoff_24 for draw in draws])
 
-    result = simulate(config)
     # numpy's std of the payoffs in units of their total, scaled back: the
     # raw squares of 1e300 deviations would overflow
     scale = config.payoffs.scale
@@ -229,6 +230,44 @@ def test_block_kernel_matches_per_round_reference(rounds, seed, payoffs):
         assert result.std_error is None
     else:
         assert result.std_error == pytest.approx(std / math.sqrt(rounds), rel=1e-13)
+
+
+def formatted_per_row(config):
+    """The transcript as one f-string per round over _draws' codes of every round."""
+    tails13, tails24 = (
+        [f",{pair},{alice},{bob},{payoff:.6g}\n" for alice, bob, payoff in cells]
+        for pair, cells in zip(_PAIRS, _scoring_table(config.payoffs))
+    )
+    codes = _draws(config, 0, config.rounds)
+    return "round,pair,alice_outcome,bob_outcome,payoff\n" + "".join(
+        f"{i}{tails13[code13]}{i}{tails24[code24]}"
+        for i, code13, code24 in zip(range(config.rounds), *codes.T.tolist())
+    )
+
+
+@pytest.mark.parametrize("rounds", [1, 999, 1000, 1001, BLOCK_ROUNDS + 1, 100_001])
+def test_transcript_matches_a_per_row_formatter(rounds):
+    # 100,001 rounds print indices of 1 to 6 digits, across every block edge
+    config = differential_config(rounds, 7, DIFFERENTIAL_PAYOFFS[1])
+    written = io.StringIO()
+    simulate(config, written)
+    assert written.getvalue() == formatted_per_row(config)
+
+
+def test_a_transcript_draws_each_block_once(scenario_dir, tmp_path, monkeypatch):
+    calls = []
+
+    def counted(config, start, stop):
+        calls.append((start, stop))
+        return _draws(config, start, stop)
+
+    monkeypatch.setattr("wisealice.simulate._draws", counted)
+    assert main(["simulate", "--scenario", str(scenario_dir / "unit_payoffs.txt"),
+                 "--alpha", "10", "--beta", "20", "--rounds", "10000",
+                 "--out", str(tmp_path / "o.txt"),
+                 "--transcript", str(tmp_path / "t.csv")]) == 0
+    assert len(calls) == math.ceil(10_000 / BLOCK_ROUNDS) == 3
+    assert len((tmp_path / "t.csv").read_text().splitlines()) == 1 + 2 * 10_000
 
 
 def test_unreached_cells_leave_the_std_error_as_numpy_has_it():
