@@ -19,11 +19,10 @@ __version__ = "0.1.0"
 
 # exported name -> home module
 _HOME = {name: module for module, names in {
-    "game": ("MeasurementFrame", "PayoffMatrix", "PureSaddleAnalysis", "bob_outcome",
+    "game": ("MeasurementFrame", "PayoffMatrix", "PureSaddleAnalysis",
              "pure_saddle_analysis"),
-    "lattice": ("FiniteOrtholattice", "LatticeStructureError", "PlaneSubspaceRep",
-                "check_representation", "disjunction_paradox",
-                "find_distributivity_violation", "join", "meet", "orthocomplement",
+    "lattice": ("FiniteOrtholattice", "PlaneSubspaceRep", "check_representation",
+                "disjunction_paradox", "find_distributivity_violation", "join", "meet",
                 "wise_alice_lattice"),
     "classical": ("MixedProfile", "solve_zero_sum"),
     "quantum": ("OutcomeWeights", "StrategyAngle", "bilinear_form", "outcome_weights",

@@ -45,9 +45,10 @@ classical, game, lattice, quantum, scenario, simulate, solver, svg = map(_regist
 
 
 # Largest frame grid `sweep` will solve.  A cell that is solved costs about
-# 70 us and 0.6 KiB (measured up to 285,156 cells on a 2-vCPU host); a cell
+# 40 us and 0.2 KiB (1,000,000 cells of payoffs 0.1, 10, 10, 0.1, 984,555 of
+# them solved, took 37-43 s and 176 MiB peak RSS on a 2-vCPU host); a cell
 # the solver certifies empty is not solved, at about 0.4 us of solver time.  So
-# the cap holds one sweep below 70 s and 0.6 GiB whatever the payoffs.
+# the cap holds one sweep below 45 s and 0.2 GiB whatever the payoffs.
 # `curves` caps its samples per curve at the same number (1e5 per curve took
 # 0.9 s and 61 MiB peak RSS there, the cap 9.0 s and 330 MiB).
 MAX_SWEEP_CELLS = 1_000_000
@@ -286,12 +287,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise scenario.ScenarioError(f"--step {step} rounds two grid angles to one at "
                                      f"{_AXIS_DIGITS} decimals")
     with _output(args.out) as write:
-        cells = solver.find_equilibria_grid(h, thetas_a, thetas_b)
+        cell, _, _, value, _ = solver.find_equilibria_grid(h, thetas_a, thetas_b)
+        count, best = [0] * (n_a * n_b), [-math.inf] * (n_a * n_b)
+        for i, v in zip(cell.tolist(), value.tolist()):
+            count[i], best[i] = count[i] + 1, max(best[i], v)
         write(["theta_a,theta_b,equilibrium_count,best_value_for_alice"])
         # 12 significant digits print every 10-decimal angle below 90 exactly
-        write(f"{ta:.12g},{tb:.12g},{len(eqs)},"
-              + (f"{max(eq.value for eq in eqs):.9g}" if eqs else "")
-              for (ta, tb), eqs in zip(itertools.product(thetas_a, thetas_b), cells))
+        write(f"{ta:.12g},{tb:.12g},{n}," + (f"{v:.9g}" if n else "")
+              for (ta, tb), n, v in zip(itertools.product(thetas_a, thetas_b), count, best))
     return 0
 
 

@@ -1,4 +1,4 @@
-"""The ball-in-a-box game: the square's corners, Bob's move rule, payoffs, frames.
+"""The ball-in-a-box game: the square's corners, payoffs, frames.
 
 Bob hides a ball in a corner of a square box; Alice asks whether it sits
 in a particular corner.  Before answering, Bob may slide the ball to an
@@ -13,27 +13,10 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-# corners 1..4 in cyclic order, the corners adjacent to each, and the opposite one
+# corners 1..4 in cyclic order, and the one opposite each: the only corner
+# from which Bob cannot slide the ball to the one asked about
 VERTICES = (1, 2, 3, 4)
-ADJACENT = {1: frozenset({2, 4}), 2: frozenset({1, 3}),
-            3: frozenset({2, 4}), 4: frozenset({1, 3})}
 OPPOSITE = {1: 3, 2: 4, 3: 1, 4: 2}
-
-
-def require_vertex(v: int) -> None:
-    if v not in VERTICES:
-        raise ValueError(f"invalid vertex: {v}")
-
-
-def bob_outcome(question: int, ball: int) -> str:
-    """Bob's answer, "yes" or "no": he slides to the asked corner whenever he can.
-
-    The ball reaches the question corner iff it is already there or
-    adjacent; only the opposite corner forces a "no".
-    """
-    require_vertex(question)
-    require_vertex(ball)
-    return "yes" if ball == question or ball in ADJACENT[question] else "no"
 
 
 @dataclass(frozen=True)

@@ -27,10 +27,6 @@ TOP = "I"
 ATOMS = ("1", "2", "3", "4")
 
 
-class LatticeStructureError(ValueError):
-    """Raised when the stored order fails to determine a unique meet/join."""
-
-
 @dataclass(frozen=True)
 class FiniteOrtholattice:
     """A finite lattice, bounded by BOTTOM and TOP, with an orthocomplementation.
@@ -78,13 +74,16 @@ def wise_alice_lattice() -> FiniteOrtholattice:
 
 
 def _bound(lattice: FiniteOrtholattice, x: str, y: str, name: str, leq) -> str:
-    """Greatest element below both x and y in the order leq, named name in errors."""
+    """Greatest element below both x and y in the order leq, named name in errors.
+
+    ValueError if the order has no unique one: then it is no lattice.
+    """
     lattice._require(x)
     lattice._require(y)
     lower = [z for z in lattice.elements if leq(z, x) and leq(z, y)]
     greatest = [z for z in lower if all(leq(w, z) for w in lower)]
     if len(greatest) != 1:
-        raise LatticeStructureError(f"{name}({x}, {y}) is not unique: {greatest}")
+        raise ValueError(f"{name}({x}, {y}) is not unique: {greatest}")
     return greatest[0]
 
 
@@ -96,11 +95,6 @@ def meet(lattice: FiniteOrtholattice, x: str, y: str) -> str:
 def join(lattice: FiniteOrtholattice, x: str, y: str) -> str:
     """Least upper bound of x and y: their meet in the dual order."""
     return _bound(lattice, x, y, "join", lambda a, b: lattice.leq(b, a))
-
-
-def orthocomplement(lattice: FiniteOrtholattice, x: str) -> str:
-    lattice._require(x)
-    return lattice.complement[x]
 
 
 def ortholattice_law_report(lattice: FiniteOrtholattice) -> dict[str, bool]:

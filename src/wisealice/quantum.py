@@ -52,10 +52,6 @@ class StrategyAngle:
         degrees = self.degrees % 180.0
         object.__setattr__(self, "degrees", 0.0 if degrees == 180.0 else degrees)
 
-    @property
-    def radians(self) -> float:
-        return math.radians(self.degrees)
-
 
 @dataclass(frozen=True)
 class OutcomeWeights:
@@ -80,23 +76,26 @@ class OutcomeWeights:
         return (self.p1, self.p2, self.p3, self.p4)
 
 
+def _weights(angle_deg: ArrayLike, theta_deg: ArrayLike) -> tuple[ArrayLike, ...]:
+    """(p1, p2, p3, p4) at strategy and frame angles in degrees, scalars or arrays."""
+    a, t = np.radians(angle_deg), np.radians(theta_deg)
+    c1, s1, c2, s2 = np.cos(a), np.sin(a), np.cos(a - t), np.sin(a - t)
+    return c1 * c1, c2 * c2, s1 * s1, s2 * s2
+
+
+def _payoff(h: PayoffMatrix, p: tuple[ArrayLike, ...], q: tuple[ArrayLike, ...]) -> ArrayLike:
+    """a p1 q3 + c p3 q1 + b p2 q4 + d p4 q2 for weights (p1, p2, p3, p4), scalars or arrays."""
+    return h.a * p[0] * q[2] + h.c * p[2] * q[0] + h.b * p[1] * q[3] + h.d * p[3] * q[1]
+
+
 def outcome_weights(strategy: StrategyAngle, frame: MeasurementFrame) -> OutcomeWeights:
     """Squared amplitudes of a strategy angle in the given frame."""
-    a = strategy.radians
-    t = math.radians(frame.theta_deg)
-    c1, s1 = math.cos(a), math.sin(a)
-    c2, s2 = math.cos(a - t), math.sin(a - t)
-    return OutcomeWeights(c1 * c1, c2 * c2, s1 * s1, s2 * s2)
+    return OutcomeWeights(*map(float, _weights(strategy.degrees, frame.theta_deg)))
 
 
 def quantum_payoff(h: PayoffMatrix, p: OutcomeWeights, q: OutcomeWeights) -> float:
     """Expected payoff to Alice: a p1 q3 + c p3 q1 + b p2 q4 + d p4 q2."""
-    return (
-        h.a * p.p1 * q.p3
-        + h.c * p.p3 * q.p1
-        + h.b * p.p2 * q.p4
-        + h.d * p.p4 * q.p2
-    )
+    return _payoff(h, p.as_tuple(), q.as_tuple())
 
 
 # a MeasurementFrame, or frame angles in degrees already checked by one

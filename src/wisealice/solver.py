@@ -55,10 +55,11 @@ from wisealice.quantum import (
     _degrees,
     _dot,
     _mat_vec,
+    _payoff,
     _vec_mat,
+    _weights,
     bilinear_form,
     outcome_weights,
-    quantum_payoff,
     unit_vectors,
 )
 
@@ -230,19 +231,13 @@ def verify_nash_quantum(
     return np.maximum(_gain(g, k, m, x, y), 0.0)
 
 
-def _make_equilibrium(
-    h: PayoffMatrix, frames: Frames, alpha_deg: float, beta_deg: float, residual: float
-) -> Equilibrium:
-    alpha = StrategyAngle(alpha_deg)
-    beta = StrategyAngle(beta_deg)
-    p, q = outcome_weights(alpha, frames[0]), outcome_weights(beta, frames[1])
-    return Equilibrium(alpha=alpha, beta=beta, value=quantum_payoff(h, p, q),
-                       weights_a=p, weights_b=q, residual=residual)
+def _circle_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Distance of angles a and b in [0, 180] degrees on the half-turn circle.
 
-
-def _circle_dist(a: float, b: float) -> float:
-    d = abs(a - b) % 180.0
-    return min(d, 180.0 - d)
+    Elementwise.  |a - b| lies in [0, 180] already, so no % is needed.
+    """
+    d = np.abs(a - b)
+    return np.minimum(d, 180.0 - d)
 
 
 def _turn(v: np.ndarray) -> np.ndarray:
@@ -386,35 +381,48 @@ def _candidates(
         return (np.degrees(phi) / 2.0) % 180.0, (np.degrees(psi) / 2.0) % 180.0
 
 
-def _solve_block(
-    h: PayoffMatrix,
-    theta_a: np.ndarray,
-    theta_b: np.ndarray,
-) -> list[list[Equilibrium]]:
-    """find_equilibria at the frame pairs (theta_a[i], theta_b[i]), in degrees.
+def _merge(alpha: np.ndarray, beta: np.ndarray, residual: np.ndarray,
+           passed: np.ndarray) -> np.ndarray:
+    """Which candidate slots of each row are kept, (n, 9).
+
+    Slots are taken by residual, ties in slot order, and a slot is kept if
+    it passed and no slot kept before it lies within MERGE_DISTANCE_DEG of
+    it in both angles: of candidates that close, the smallest residual
+    stands for them all.  No sort, whose first call costs a process 128 KiB
+    of peak RSS: each step re-decides every slot from the last step's
+    verdicts, and a slot's verdict is final once those of all slots before
+    it are, so the k-th slot's is final after k - 1 steps.  A failed slot,
+    NaN residual included, is never kept and so blocks none.
+    """
+    # float slot numbers: the solver compares no integers elsewhere, and a
+    # first integer comparison would cost 128 KiB of peak RSS too
+    slot = np.arange(float(residual.shape[1]))
+    r_s, r_t = residual[:, :, None], residual[:, None, :]
+    # blocks[i, s, t]: slot t comes before slot s and lies near it
+    blocks = (((r_t < r_s) | ((r_t == r_s) & (slot < slot[:, None])))
+              & (_circle_dist(alpha[:, :, None], alpha[:, None, :]) < MERGE_DISTANCE_DEG)
+              & (_circle_dist(beta[:, :, None], beta[:, None, :]) < MERGE_DISTANCE_DEG))
+    kept = passed
+    for _ in range(slot.size - 1):
+        kept = passed & ~(blocks & kept[:, None, :]).any(axis=2)
+    return kept
+
+
+def _solve_block(h: PayoffMatrix, theta_a: np.ndarray,
+                 theta_b: np.ndarray) -> tuple[np.ndarray, ...]:
+    """find_equilibria_grid's arrays at the frame pairs (theta_a[i], theta_b[i]), cell i.
 
     Solved and judged on _lift(h); values come from h itself.
     """
     lifted, shift = _lift(h)
     alpha, beta = _candidates(lifted, theta_a, theta_b)
     residual = verify_nash_quantum(lifted, (theta_a[:, None], theta_b[:, None]), alpha, beta)
-    passed = residual <= NASH_TOLERANCE * lifted.scale
-    found: list[list[Equilibrium]] = [[] for _ in theta_a]
-    for cell in np.flatnonzero(passed.any(axis=1)):
-        kept: list[int] = []
-        for slot in sorted(np.flatnonzero(passed[cell]), key=lambda s: residual[cell, s]):
-            if not any(
-                _circle_dist(alpha[cell, slot], alpha[cell, k]) < MERGE_DISTANCE_DEG
-                and _circle_dist(beta[cell, slot], beta[cell, k]) < MERGE_DISTANCE_DEG
-                for k in kept
-            ):
-                kept.append(slot)
-        frames = (MeasurementFrame(theta_a[cell]), MeasurementFrame(theta_b[cell]))
-        found[cell] = sorted(
-            (_make_equilibrium(h, frames, float(alpha[cell, s]), float(beta[cell, s]),
-                               math.ldexp(residual[cell, s], -shift)) for s in kept),
-            key=lambda e: e.alpha.degrees)
-    return found
+    cell, slot = np.nonzero(_merge(alpha, beta, residual,
+                                   residual <= NASH_TOLERANCE * lifted.scale))
+    # as StrategyAngle does: % rounds a tiny negative angle up to 180 itself
+    alpha, beta = (np.where(t == 180.0, 0.0, t) for t in (alpha[cell, slot], beta[cell, slot]))
+    value = _payoff(h, _weights(alpha, theta_a[cell]), _weights(beta, theta_b[cell]))
+    return cell, alpha, beta, value, np.ldexp(residual[cell, slot], -shift)
 
 
 def find_equilibria(h: PayoffMatrix, frames: Frames) -> list[Equilibrium]:
@@ -431,7 +439,14 @@ def find_equilibria(h: PayoffMatrix, frames: Frames) -> list[Equilibrium]:
     smallest residual is kept.
     This is find_equilibria_grid's grid of one cell.
     """
-    return find_equilibria_grid(h, [frames[0].theta_deg], [frames[1].theta_deg])[0]
+    _, *points = find_equilibria_grid(h, [frames[0].theta_deg], [frames[1].theta_deg])
+    found = []
+    for alpha, beta, value, residual in zip(*(t.tolist() for t in points)):
+        alpha, beta = StrategyAngle(alpha), StrategyAngle(beta)
+        found.append(Equilibrium(alpha, beta, value, outcome_weights(alpha, frames[0]),
+                                 outcome_weights(beta, frames[1]), residual))
+    # ties in alpha by residual, as the merge takes them
+    return sorted(found, key=lambda e: (e.alpha.degrees, e.residual))
 
 
 def _circle_margin(h: PayoffMatrix, theta_deg: np.ndarray) -> np.ndarray:
@@ -468,15 +483,18 @@ def find_equilibria_grid(
     h: PayoffMatrix,
     thetas_a_deg: Iterable[float],
     thetas_b_deg: Iterable[float],
-) -> list[list[Equilibrium]]:
-    """find_equilibria at every pair of the frame angles, theta_a major.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """find_equilibria at every pair of the frame angles, as arrays.
 
-    Cell i * len(thetas_b_deg) + j holds the equilibria at frames
-    (thetas_a_deg[i], thetas_b_deg[j]).  Every angle must be a valid
-    MeasurementFrame.  A cell that _certified_empty proves holds no point
-    within NASH_TOLERANCE is not solved and gets [].  The others are solved
-    BLOCK_CELLS at a time and judged at that same tolerance, so each cell's
-    result is what find_equilibria returns for it alone.
+    Returns (cell, alpha, beta, value, residual), one entry per equilibrium,
+    in cell order: cell i * len(thetas_b_deg) + j is the frame pair
+    (thetas_a_deg[i], thetas_b_deg[j]), and within a cell the points come
+    in candidate order.  alpha and beta are StrategyAngle's degrees in
+    [0, 180).  Every angle must be a valid MeasurementFrame.  A cell that
+    _certified_empty proves holds no point within NASH_TOLERANCE is not
+    solved and has no entry.  The others are solved BLOCK_CELLS at a time
+    and judged at that same tolerance, so each cell's entries are what
+    find_equilibria returns for it alone.
     """
     theta_a, theta_b = (
         np.array([MeasurementFrame(float(t)).theta_deg for t in thetas], dtype=float)
@@ -484,9 +502,9 @@ def find_equilibria_grid(
     cells_a = np.repeat(theta_a, theta_b.size)
     cells_b = np.tile(theta_b, theta_a.size)
     solve = np.flatnonzero(~_certified_empty(h, theta_a, theta_b).ravel())
-    found: list[list[Equilibrium]] = [[] for _ in cells_a]
+    found = [(np.empty(0, dtype=np.intp), *[np.empty(0)] * 4)]
     for start in range(0, solve.size, BLOCK_CELLS):
         block = solve[start:start + BLOCK_CELLS]
-        for cell, equilibria in zip(block, _solve_block(h, cells_a[block], cells_b[block])):
-            found[cell] = equilibria
-    return found
+        index, *points = _solve_block(h, cells_a[block], cells_b[block])
+        found.append((block[index], *points))
+    return tuple(np.concatenate(column) for column in zip(*found))

@@ -2,7 +2,8 @@
 
     python tests/code_lines.py src/wisealice/*.py
 
-prints each module's code lines and their total.  A code line holds at
+prints each module's code lines and their total; with no path it prints
+a usage line to stderr and exits 2.  A code line holds at
 least one token that is not a comment and not part of a docstring; blank
 lines, comment-only lines and docstring lines do not count.  A docstring
 is a string literal standing alone as the first statement of a module,
@@ -49,6 +50,9 @@ def code_lines(path: Path) -> int:
 
 
 def main(argv: list[str]) -> int:
+    if not argv:
+        print("usage: python tests/code_lines.py FILE...", file=sys.stderr)
+        return 2
     total = 0
     for name in argv:
         count = code_lines(Path(name))

@@ -3,8 +3,11 @@
 Each function here only checks other code, so it lives with the tests
 rather than in the package, which ships what its commands reach.
 
-- payoff_matrix_from_rules plays out Bob's move rule to cross-check the
-  payoff matrix, and as_array writes the matrix out as a 4x4 array;
+- bob_outcome states Bob's move rule from the square's adjacency, and
+  payoff_matrix_from_rules plays it out to cross-check the payoff matrix,
+  which the package states by OPPOSITE alone; as_array writes the matrix
+  out as a 4x4 array;
+- orthocomplement reads a lattice's complement map, for the lattice laws;
 - expected_payoff and verify_nash_classical check the classical solve
   against every pure deviation;
 - payoff_kernel and payoff_surface compute F from its trigonometric
@@ -14,7 +17,9 @@ rather than in the package, which ships what its commands reach.
 - grid_nash_audit sweeps the strategy torus on a grid;
 - interval_i and pure_equilibrium_count state in closed form which frame
   cells hold a pure equilibrium;
-- prove_saddle certifies a reported equilibrium with an interval proof.
+- prove_saddle certifies a reported equilibrium with an interval proof;
+- reference_merge states the solver's merge of near candidates one slot at
+  a time.
 
 None of them reads quantum.bilinear_form, the form the solver and its
 judge use.
@@ -31,7 +36,8 @@ import numpy as np
 from mpmath.ctx_iv import MPIntervalContext
 
 from wisealice.classical import MixedProfile
-from wisealice.game import VERTICES, MeasurementFrame, PayoffMatrix, bob_outcome
+from wisealice.game import VERTICES, MeasurementFrame, PayoffMatrix
+from wisealice.lattice import FiniteOrtholattice
 from wisealice.quantum import (
     ArrayLike,
     Frame,
@@ -40,6 +46,34 @@ from wisealice.quantum import (
     quantum_payoff,
 )
 from wisealice.solver import Frames
+
+
+# the corners adjacent to each corner of the square
+ADJACENT = {1: frozenset({2, 4}), 2: frozenset({1, 3}),
+            3: frozenset({2, 4}), 4: frozenset({1, 3})}
+
+
+def require_vertex(v: int) -> None:
+    if v not in VERTICES:
+        raise ValueError(f"invalid vertex: {v}")
+
+
+def bob_outcome(question: int, ball: int) -> str:
+    """Bob's answer, "yes" or "no": he slides to the asked corner whenever he can.
+
+    The ball reaches the question corner iff it is already there or
+    adjacent; only the opposite corner forces a "no".
+    """
+    require_vertex(question)
+    require_vertex(ball)
+    return "yes" if ball == question or ball in ADJACENT[question] else "no"
+
+
+def orthocomplement(lattice: FiniteOrtholattice, x: str) -> str:
+    """x', or KeyError for an element the lattice does not hold."""
+    if x not in lattice.elements:
+        raise KeyError(f"unknown lattice element: {x!r}")
+    return lattice.complement[x]
 
 
 def payoff_matrix_from_rules(a: float, b: float, c: float, d: float) -> PayoffMatrix:
@@ -325,3 +359,27 @@ def prove_saddle(h: PayoffMatrix, frames: Frames, alpha_deg: float,
         if inside:
             return rho
     return None
+
+
+def circle_dist(a: float, b: float) -> float:
+    """Distance of two angles in degrees on the half-turn circle."""
+    d = abs(a - b) % 180.0
+    return min(d, 180.0 - d)
+
+
+def reference_merge(alpha, beta, residual, passed, distance: float) -> list[list[int]]:
+    """The slots each row keeps, in the order it keeps them.
+
+    A row's passed slots are taken by residual, ties in slot order, and a
+    slot is kept unless a slot kept before it lies within distance of it in
+    both angles.  Plain Python over nested sequences, one slot at a time.
+    """
+    rows = []
+    for a, b, r, ok in zip(alpha, beta, residual, passed):
+        kept: list[int] = []
+        for slot in sorted((s for s in range(len(a)) if ok[s]), key=lambda s: r[s]):
+            if not any(circle_dist(a[slot], a[k]) < distance
+                       and circle_dist(b[slot], b[k]) < distance for k in kept):
+                kept.append(slot)
+        rows.append(kept)
+    return rows

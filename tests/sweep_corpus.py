@@ -4,9 +4,11 @@
 
 runs wisealice.cli.main in this process and writes into OUTDIR
 
-- 80 sweep CSVs, 367,560 cells: for seeds sweep:1 to sweep:40, payoffs drawn
-  as perfbench/workloads.py draws its sweep scenario, each at frames
-  5:85 step 2.5 and at 0.5:89.5 step 1;
+- 100 sweep CSVs, 459,450 cells, each with its scenario file: for seeds
+  sweep:1 to sweep:40, payoffs drawn as perfbench/workloads.py draws its
+  sweep scenario, and for seeds wide:1 to wide:10, payoffs e^U(-8,8), where
+  the merge and the tolerance-edge points live, written with every digit;
+  each at frames 5:85 step 2.5 and at 0.5:89.5 step 1;
 - for each shipped scenario, analyze and equilibria as text and as JSON,
   curves (CSV and SVG) at resolutions of 0.25, 0.05 and 89 degrees, the
   last two in NAME_curves_0.05.* and NAME_curves_89.*, and simulate as text
@@ -27,6 +29,7 @@ about half a minute on a 2-vCPU host.
 
 from __future__ import annotations
 
+import math
 import random
 import sys
 from pathlib import Path
@@ -34,7 +37,12 @@ from pathlib import Path
 from wisealice.cli import main
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
-SEEDS = range(1, 41)
+# payoff draws by name: the seeds and the draw of one payoff from a seeded rng
+DRAWS = {
+    # the draw of perfbench/workloads.py's sweep workload
+    "sweep": (range(1, 41), lambda rng: round(rng.uniform(0.5, 5.0), 6)),
+    "wide": (range(1, 11), lambda rng: math.exp(rng.uniform(-8.0, 8.0))),
+}
 GRIDS = {"coarse": ("5:85", "2.5"), "fine": ("0.5:89.5", "1")}
 # simulate's strategy pair, seed and round count for every shipped scenario
 SIMULATE = ("--alpha", "30", "--beta", "60", "--seed", "7", "--rounds", "20000")
@@ -47,16 +55,17 @@ def run(*argv: str) -> None:
 
 
 def write_sweeps(out: Path) -> None:
-    for seed in SEEDS:
-        # the draw of perfbench/workloads.py's sweep workload
-        rng = random.Random(f"sweep:{seed}")
-        a, b, c, d = (round(rng.uniform(0.5, 5.0), 6) for _ in range(4))
-        scenario = out / f"sweep_{seed}.txt"
-        scenario.write_text(f"a = {a}\nb = {b}\nc = {c}\nd = {d}\n"
-                            "theta_a_deg = 45\ntheta_b_deg = 45\n")
-        for name, (span, step) in GRIDS.items():
-            run("sweep", "--scenario", str(scenario), "--theta-a", span, "--theta-b", span,
-                "--step", step, "--out", str(out / f"sweep_{seed}_{name}.csv"))
+    for draw_name, (seeds, draw) in DRAWS.items():
+        for seed in seeds:
+            rng = random.Random(f"{draw_name}:{seed}")
+            a, b, c, d = (draw(rng) for _ in range(4))
+            # repr keeps every digit of a payoff near e^-8
+            scenario = out / f"{draw_name}_{seed}.txt"
+            scenario.write_text(f"a = {a!r}\nb = {b!r}\nc = {c!r}\nd = {d!r}\n"
+                                "theta_a_deg = 45\ntheta_b_deg = 45\n")
+            for name, (span, step) in GRIDS.items():
+                run("sweep", "--scenario", str(scenario), "--theta-a", span, "--theta-b",
+                    span, "--step", step, "--out", str(out / f"{draw_name}_{seed}_{name}.csv"))
 
 
 def write_shipped(out: Path) -> None:

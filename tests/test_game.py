@@ -9,11 +9,10 @@ from wisealice.game import (
     OPPOSITE,
     VERTICES,
     PayoffMatrix,
-    bob_outcome,
     pure_saddle_analysis,
 )
 
-from oracles import as_array, payoff_matrix_from_rules
+from oracles import as_array, bob_outcome, payoff_matrix_from_rules
 
 positive_payoff = st.floats(min_value=0.01, max_value=100.0,
                             allow_nan=False, allow_infinity=False)

