@@ -39,6 +39,17 @@ _PAIR_TOL = 1e-12
 ArrayLike = Union[float, np.ndarray]
 
 
+def _half_turn(degrees: ArrayLike) -> ArrayLike:
+    """Angles in degrees on the half-turn circle [0, 180), a float or an array.
+
+    The one owner of the rule.  % alone rounds a tiny negative angle, -1e-20
+    say, up to 180 itself; the subtraction takes that to 0 and, unlike
+    np.where, keeps a float a float.  NaN and +-inf give NaN.
+    """
+    turned = degrees % 180.0
+    return turned - 180.0 * (turned == 180.0)
+
+
 @dataclass(frozen=True)
 class StrategyAngle:
     """An angle on the half-turn circle; 180-degree shifts compare equal."""
@@ -48,9 +59,7 @@ class StrategyAngle:
     def __post_init__(self) -> None:
         if not math.isfinite(self.degrees):
             raise ValueError(f"angle must be finite, got {self.degrees}")
-        # % rounds a tiny negative angle, -1e-20 say, up to 180 itself
-        degrees = self.degrees % 180.0
-        object.__setattr__(self, "degrees", 0.0 if degrees == 180.0 else degrees)
+        object.__setattr__(self, "degrees", _half_turn(self.degrees))
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, TextIO
+from typing import Callable, TextIO
 
 import numpy as np
 
@@ -94,13 +94,6 @@ def _draws(config: SimulationConfig, start: int, stop: int) -> np.ndarray:
     return 2 * second[:, 0::2] + second[:, 1::2]
 
 
-def _blocks(config: SimulationConfig) -> Iterator[tuple[range, np.ndarray]]:
-    """(round indices, outcome codes) of every round, BLOCK_ROUNDS at a time."""
-    for start in range(0, config.rounds, BLOCK_ROUNDS):
-        stop = min(start + BLOCK_ROUNDS, config.rounds)
-        yield range(start, stop), _draws(config, start, stop)
-
-
 @dataclass(frozen=True)
 class SimulationResult:
     rounds: int
@@ -154,10 +147,12 @@ def simulate(config: SimulationConfig, transcript: TextIO | None = None) -> Simu
     """
     write = None if transcript is None else _transcript_writer(config.payoffs, transcript)
     counts = np.zeros(16, dtype=np.int64)
-    for rounds, codes in _blocks(config):
+    for start in range(0, config.rounds, BLOCK_ROUNDS):
+        stop = min(start + BLOCK_ROUNDS, config.rounds)
+        codes = _draws(config, start, stop)
         counts += np.bincount(4 * codes[:, 0] + codes[:, 1], minlength=16)
         if write:
-            write(rounds, codes)
+            write(range(start, stop), codes)
     pay13, pay24 = (np.array([cell[2] for cell in pair])
                     for pair in _scoring_table(config.payoffs))
     values = (pay13[:, None] + pay24[None, :]).ravel()   # round payoff by joint code

@@ -54,6 +54,7 @@ from wisealice.quantum import (
     StrategyAngle,
     _degrees,
     _dot,
+    _half_turn,
     _mat_vec,
     _payoff,
     _vec_mat,
@@ -140,7 +141,7 @@ def best_responses(
     """Best replies of one player to opponent angles in degrees, scalar or array.
 
     Returns (angle_deg, amplitude, degenerate): Alice's maximizer or Bob's
-    minimizer mod 180, the amplitude sqrt(U^2 + V^2) of the payoff's
+    minimizer in [0, 180), the amplitude sqrt(U^2 + V^2) of the payoff's
     harmonic in the player's angle, and whether that amplitude is below
     DEGENERACY_RATIO * (a + b + c + d).  (U, V) is read off the bilinear
     form: g + M y for Alice, k + M^T x for Bob, whose minimizer is the
@@ -155,11 +156,11 @@ def best_responses(
     # kept, as curves of a million samples hold several such arrays at once
     offset, matrix, phase = ((g, m, 0.0) if player == "alice"
                              else (k, np.swapaxes(m, -1, -2), 90.0))
-    uv = offset + _mat_vec(matrix, unit_vectors(2.0 * np.radians(_degrees(opponent_deg))))
+    uv = offset + _mat_vec(matrix, unit_vectors(2.0 * np.radians(opponent_deg)))
     u, v = uv[..., 0], uv[..., 1]
     amplitude = np.hypot(u, v)
     degenerate = amplitude < DEGENERACY_RATIO * lifted.scale
-    angle = (0.5 * np.degrees(np.arctan2(v, u)) + phase) % 180.0
+    angle = _half_turn(0.5 * np.degrees(np.arctan2(v, u)) + phase)
     if shift:
         amplitude = np.ldexp(amplitude, -shift)
     return np.where(degenerate, 0.0, angle), amplitude, degenerate
@@ -375,10 +376,10 @@ def _candidates(
     # error into a wrong beta, which _partner can only shrink; Newton steps
     # on the saddle restore both
     phi, psi = _saddle_newton(g, k, m, phi, _partner(g, k, m, phi))
-    # a singular Newton step leaves +-inf, which % turns into NaN: such a
-    # candidate gets a NaN residual and fails the judge
+    # a singular Newton step leaves +-inf, which _half_turn turns into NaN:
+    # such a candidate gets a NaN residual and fails the judge
     with np.errstate(invalid="ignore"):
-        return (np.degrees(phi) / 2.0) % 180.0, (np.degrees(psi) / 2.0) % 180.0
+        return _half_turn(np.degrees(phi) / 2.0), _half_turn(np.degrees(psi) / 2.0)
 
 
 def _merge(alpha: np.ndarray, beta: np.ndarray, residual: np.ndarray,
@@ -419,8 +420,7 @@ def _solve_block(h: PayoffMatrix, theta_a: np.ndarray,
     residual = verify_nash_quantum(lifted, (theta_a[:, None], theta_b[:, None]), alpha, beta)
     cell, slot = np.nonzero(_merge(alpha, beta, residual,
                                    residual <= NASH_TOLERANCE * lifted.scale))
-    # as StrategyAngle does: % rounds a tiny negative angle up to 180 itself
-    alpha, beta = (np.where(t == 180.0, 0.0, t) for t in (alpha[cell, slot], beta[cell, slot]))
+    alpha, beta = alpha[cell, slot], beta[cell, slot]
     value = _payoff(h, _weights(alpha, theta_a[cell]), _weights(beta, theta_b[cell]))
     return cell, alpha, beta, value, np.ldexp(residual[cell, slot], -shift)
 

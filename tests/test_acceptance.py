@@ -43,7 +43,13 @@ from wisealice.solver import (
     verify_nash_quantum,
 )
 
-from oracles import grid_nash_audit, payoff_kernel, payoff_surface, verify_nash_classical
+from oracles import (
+    circle_dist,
+    grid_nash_audit,
+    payoff_kernel,
+    payoff_surface,
+    verify_nash_classical,
+)
 
 H_ASYM = PayoffMatrix(3, 3, 5, 1)
 H_UNIT = PayoffMatrix(1, 1, 1, 1)
@@ -64,11 +70,6 @@ def report(criterion: str, failures: list[str]) -> None:
     detail = "" if not failures else f"  [{'; '.join(failures)}]"
     print(f"[{status}] {criterion}{detail}")
     assert not failures, f"{criterion}: {failures}"
-
-
-def circle_dist(a: float, b: float) -> float:
-    d = abs(a - b) % 180.0
-    return min(d, 180.0 - d)
 
 
 def arc_count(angles, step: float) -> int:

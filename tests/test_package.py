@@ -1,5 +1,6 @@
 """The lazy package, the process policy of the CLI module, how a CLI process
-ends, and what the test references import from the package."""
+ends, what the test references import from the package, and the corpus
+comparison of tests/corpus_diff.py."""
 
 import ast
 import importlib
@@ -14,6 +15,8 @@ import pytest
 
 import wisealice
 from wisealice import cli
+
+import corpus_diff
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 TWO_EQUILIBRIA = SRC.parent / "scenarios" / "two_equilibria.txt"
@@ -328,3 +331,26 @@ def test_oracles_import_no_private_name_of_the_package(module):
                and node.module.split(".")[0] == "wisealice"
                for alias in node.names if alias.name.startswith("_")]
     assert private == []
+
+
+def test_corpus_diff_names_each_file_and_its_first_differing_line(tmp_path):
+    line = "x" * 501 + "{}" + "x" * 500 + "\n"
+    trees = {"left": {"same.csv": "a\nb\n", "moved.csv": "a\nb\nc,d\n", "longer.csv": "a\nb\n",
+                      "long.svg": line.format("a"), "sub/old.txt": "x\n"},
+             "right": {"same.csv": "a\nb\n", "moved.csv": "a\nb\nc,e\n", "longer.csv": "a\n",
+                       "long.svg": line.format("b"), "new.txt": "y\n"}}
+    for side, texts in trees.items():
+        for name, text in texts.items():
+            (tmp_path / side / name).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / side / name).write_text(text)
+    left, right = tmp_path / "left", tmp_path / "right"
+    assert corpus_diff.differences(left, right, "REV", "working tree") == [
+        "only in REV: sub/old.txt",
+        "only in working tree: new.txt",
+        "differs: long.svg, first at line 1, column 502\n"
+        f"    REV: ...{'x' * 40}a{'x' * 79}...\n    working tree: ...{'x' * 40}b{'x' * 79}...",
+        "differs: longer.csv, first at line 2, column 1\n"
+        "    REV: b\n    working tree: (end of file)",
+        "differs: moved.csv, first at line 3, column 3\n    REV: c,d\n    working tree: c,e",
+    ]
+    assert corpus_diff.differences(left, left, "REV", "working tree") == []

@@ -193,6 +193,45 @@ def test_scaling_leaves_responses_unchanged(two_eq_instance):
             ) <= 1e-9
 
 
+# --- the half-turn circle -----------------------------------------------------
+
+circle_payoffs = st.floats(min_value=-8.0, max_value=8.0).map(math.exp)
+# exact multiples of 45 degrees, where the unit instance's replies sit on the 0/180 edge
+opponent_angles = st.one_of(st.integers(-8, 8).map(lambda n: 45.0 * n), angles)
+
+
+def on_half_turn(degrees) -> bool:
+    """Every angle in [0, 180), compared raw: circle_dist takes 180 for 0."""
+    degrees = np.asarray(degrees)
+    return bool(np.all((0.0 <= degrees) & (degrees < 180.0)))
+
+
+def test_unit_instance_replies_lie_on_the_half_turn_circle(unit_instance):
+    """% alone leaves Alice's reply to beta = 90 at 180 itself."""
+    h, frames = unit_instance
+    assert best_responses("alice", h, frames, 90.0)[0] == 0.0
+    assert best_responses("bob", h, frames, 180.0)[0] == 0.0
+
+
+@settings(max_examples=100, deadline=None)
+@given(circle_payoffs, circle_payoffs, circle_payoffs, circle_payoffs,
+       st.one_of(st.just(45.0), frame_angles), st.one_of(st.just(45.0), frame_angles),
+       st.lists(opponent_angles, min_size=1, max_size=8))
+@example(1.0, 1.0, 1.0, 1.0, 45.0, 45.0, [90.0, 180.0])
+def test_every_angle_lies_on_the_half_turn_circle(a, b, c, d, ta, tb, opponents):
+    h = PayoffMatrix(a, b, c, d)
+    frames = (MeasurementFrame(ta), MeasurementFrame(tb))
+    for player in ("alice", "bob"):
+        assert on_half_turn(best_responses(player, h, frames, opponents[0])[0])
+        assert on_half_turn(best_responses(player, h, frames, np.array(opponents))[0])
+        for resolution in (45.0, 0.05):
+            assert on_half_turn(reaction_curve(player, h, frames, resolution).response_deg)
+    alpha, beta = _candidates(_lift(h)[0], np.array([ta]), np.array([tb]))
+    assert on_half_turn(alpha[np.isfinite(alpha)]) and on_half_turn(beta[np.isfinite(beta)])
+    _, alpha, beta, _, _ = find_equilibria_grid(h, [ta, 45.0], [tb, 45.0])
+    assert on_half_turn(alpha) and on_half_turn(beta)
+
+
 # --- reaction curves ---------------------------------------------------------
 
 def test_unit_instance_alice_curve_jumps_at_90(unit_instance):
