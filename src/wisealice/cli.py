@@ -101,18 +101,24 @@ def _output(path: str | Path | None) -> Iterator[Callable[[Iterable[str]], None]
         yield lambda lines: fh.writelines(f"{line}\n" for line in lines)
 
 
-def _is_stdout(path: str) -> bool:
-    """Whether path is the regular file or pipe that stdout writes to.
+def _same_file(path: str | Path, other: str | Path | None) -> bool:
+    """Whether writing path puts a second handle on other's file, or with
+    other None on the file stdout writes to.
 
-    /dev/null and a terminal can take both streams, so they never count.
+    Two existing names collide when they reach one regular file or FIFO, a
+    hard link as much as one name; a device such as /dev/null or a
+    terminal takes any number of streams, so it never counts.  A path that
+    does not exist yet is reached only by its own real path, so it
+    collides with another path, a dangling symlink included, when their
+    real paths match.  A closed stdout, or one with no descriptor, is no
+    file and never counts.
     """
-    if sys.stdout is None:   # closed: _output reports it
-        return False
     try:
-        mine, out = os.stat(path), os.fstat(sys.stdout.fileno())
-    except (OSError, ValueError):   # no such file, or a stdout with no descriptor
-        return False
-    return (stat.S_ISREG(out.st_mode) or stat.S_ISFIFO(out.st_mode)) and os.path.samestat(mine, out)
+        mine, theirs = os.stat(path), os.stat(other if other is not None else sys.stdout.fileno())
+    except (AttributeError, OSError, ValueError):   # a name not there yet, or no stdout file
+        return other is not None and os.path.realpath(path) == os.path.realpath(other)
+    return ((stat.S_ISREG(mine.st_mode) or stat.S_ISFIFO(mine.st_mode))
+            and os.path.samestat(mine, theirs))
 
 
 def _formatted(args: argparse.Namespace, report: dict, lines: list[str]) -> list[str]:
@@ -209,6 +215,11 @@ def cmd_curves(args: argparse.Namespace) -> int:
     if base.endswith((".csv", ".svg")):
         base = base[:-4]
     csv_path, svg_path = Path(base + ".csv"), Path(base + ".svg")
+    # checked before stdout is entered or a file opened, so a refusal truncates nothing
+    for path, other in ((csv_path, None), (svg_path, None), (svg_path, csv_path)):
+        if _same_file(path, other):
+            raise scenario.ScenarioError(f"--out's {other} and {path} name the same file" if other
+                                         else f"--out names the file stdout writes to: {path}")
 
     h, frames = sc.payoff_matrix(), sc.frames()
     # stdout is entered first, so a closed stdout fails before any file is written
@@ -322,12 +333,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         beta=_flagged("--beta", quantum.StrategyAngle, args.beta),
     )
     # two handles on one file would interleave the report and the transcript
-    if args.out and args.transcript and (
-            Path(args.out).resolve() == Path(args.transcript).resolve()):
-        raise scenario.ScenarioError(f"--out and --transcript name the same file: {args.out}")
-    if not args.out and args.transcript and _is_stdout(args.transcript):
-        raise scenario.ScenarioError(f"--transcript names the file stdout writes to: "
-                                     f"{args.transcript}")
+    if args.transcript and _same_file(args.transcript, args.out):
+        raise scenario.ScenarioError(
+            f"--out and --transcript name the same file: {args.out}" if args.out else
+            f"--transcript names the file stdout writes to: {args.transcript}")
     # --out first: an unwritable --out must not leave a transcript behind
     with _output(args.out) as write, (_created(args.transcript, newline="")
                                       if args.transcript else contextlib.nullcontext()) as fh:

@@ -16,9 +16,11 @@ w·2^53 is exact in floating point, and an integer word lies below it
 exactly when it lies below ceil(w·2^53), so u < w holds exactly when
 word < ceil(w·2^53).  One block kernel, `_draws`, turns a block's
 counters into per-pair outcome codes, and one table, `_scoring_table`,
-scores them.  `simulate` draws each block once: its codes feed the counts
-of joint outcomes and, when a transcript handle is given, that block's
-CSV rows, joined from pieces made once per run (`_transcript_writer`).
+scores them.  `simulate` makes the table, the weights and their
+thresholds once per run and draws each block once: its codes feed the
+counts of joint outcomes and, when a transcript handle is given, that
+block's CSV rows, joined from pieces made once per run
+(`_transcript_writer`).
 """
 
 from __future__ import annotations
@@ -68,28 +70,24 @@ def _scoring_table(h: PayoffMatrix) -> tuple[tuple[tuple[int, int, float], ...],
                  for pair in _PAIRS.values())
 
 
-def _draws(config: SimulationConfig, start: int, stop: int) -> np.ndarray:
+def _draws(seed: int, thresholds: np.ndarray, start: int, stop: int) -> np.ndarray:
     """Per-pair outcome codes (n, 2) of rounds [start, stop).
 
     Round i's columns are counters 4i..4i+3, drawn for Alice and Bob on
-    {1,3}, then Alice and Bob on {2,4}; SplitMix64 runs in place on the
+    {1,3}, then Alice and Bob on {2,4}, and compared with the thresholds
+    of p1, q1, p2 and q2 in that order; SplitMix64 runs in place on the
     one array of counters.
     """
     z = np.arange(4 * start, 4 * stop, dtype=np.uint64)
     z += np.uint64(1)   # wraps at the stream's last counter, 2^64 - 1
     z *= _GAMMA
-    z += np.uint64(config.seed)
+    z += np.uint64(seed)
     z ^= z >> np.uint64(30)
     z *= _MIX1
     z ^= z >> np.uint64(27)
     z *= _MIX2
     z ^= z >> np.uint64(31)
     z >>= np.uint64(11)
-    p = outcome_weights(config.alpha, config.frame_a)
-    q = outcome_weights(config.beta, config.frame_b)
-    # w in [0, 1], so each threshold lies in [0, 2^53]
-    thresholds = np.array([math.ceil(w * 2.0**53) for w in (p.p1, q.p1, p.p2, q.p2)],
-                          dtype=np.uint64)
     second = z.reshape(-1, 4) >= thresholds
     return 2 * second[:, 0::2] + second[:, 1::2]
 
@@ -107,19 +105,19 @@ class SimulationResult:
         return (self.mean - self.analytic_value) / self.std_error
 
 
-def _transcript_writer(payoffs: PayoffMatrix,
-                       fh: TextIO) -> Callable[[range, np.ndarray], None]:
+def _transcript_writer(table: tuple, fh: TextIO) -> Callable[[range, np.ndarray], None]:
     """Write the transcript's CSV header to fh; return the writer of a block's rows.
 
     Each round gives two rows, one per question pair, in round order:
-    round, pair ("13" or "24"), alice_outcome, bob_outcome, payoff (.6g).
+    round, pair ("13" or "24"), alice_outcome, bob_outcome, payoff (.6g),
+    the last three read off table, the run's `_scoring_table`.
     A block is joined from pieces made once, so no int is formatted and no
     Python code runs per row: round i prints as str(i // 1000), empty
     below 1000, then i % 1000 from a table, zero-padded to three digits
     above 999; what follows it is the row tail of its pair's code.
     """
     tails = [np.array([f",{pair},{alice},{bob},{payoff:.6g}\n" for alice, bob, payoff in cells],
-                      dtype=object) for pair, cells in zip(_PAIRS, _scoring_table(payoffs))]
+                      dtype=object) for pair, cells in zip(_PAIRS, table)]
     plain, padded = [str(r) for r in range(1000)], [f"{r:03d}" for r in range(1000)]
     fh.write("round,pair,alice_outcome,bob_outcome,payoff\n")
 
@@ -145,16 +143,21 @@ def simulate(config: SimulationConfig, transcript: TextIO | None = None) -> Simu
     a transcript handle, each block's rows are also written there as CSV
     (`_transcript_writer`) while the block is at hand.
     """
-    write = None if transcript is None else _transcript_writer(config.payoffs, transcript)
+    table = _scoring_table(config.payoffs)
+    write = None if transcript is None else _transcript_writer(table, transcript)
+    p = outcome_weights(config.alpha, config.frame_a)
+    q = outcome_weights(config.beta, config.frame_b)
+    # w in [0, 1], so each threshold lies in [0, 2^53]
+    thresholds = np.array([math.ceil(w * 2.0**53) for w in (p.p1, q.p1, p.p2, q.p2)],
+                          dtype=np.uint64)
     counts = np.zeros(16, dtype=np.int64)
     for start in range(0, config.rounds, BLOCK_ROUNDS):
         stop = min(start + BLOCK_ROUNDS, config.rounds)
-        codes = _draws(config, start, stop)
+        codes = _draws(config.seed, thresholds, start, stop)
         counts += np.bincount(4 * codes[:, 0] + codes[:, 1], minlength=16)
         if write:
             write(range(start, stop), codes)
-    pay13, pay24 = (np.array([cell[2] for cell in pair])
-                    for pair in _scoring_table(config.payoffs))
+    pay13, pay24 = (np.array([cell[2] for cell in pair]) for pair in table)
     values = (pay13[:, None] + pay24[None, :]).ravel()   # round payoff by joint code
     n = config.rounds
     # weights before values: the sum of counts times values overflows first
@@ -167,6 +170,4 @@ def simulate(config: SimulationConfig, transcript: TextIO | None = None) -> Simu
         se = float(np.sqrt(counts @ deviations**2 / (n - 1)) / np.sqrt(n)) * scale
     else:
         se = None
-    analytic = quantum_payoff(config.payoffs, outcome_weights(config.alpha, config.frame_a),
-                              outcome_weights(config.beta, config.frame_b))
-    return SimulationResult(n, mean, se, analytic)
+    return SimulationResult(n, mean, se, quantum_payoff(config.payoffs, p, q))

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import os
 
 import pytest
 
@@ -363,6 +364,18 @@ def test_curves_with_an_unwritable_svg_leaves_no_csv(scenario_dir, tmp_path, cap
     assert [p.name for p in tmp_path.iterdir()] == ["c.svg"]
 
 
+def test_curves_refuse_a_csv_and_svg_that_are_one_file(scenario_dir, tmp_path, capsys):
+    # the CSV was written over the start of the SVG, with exit 0
+    (tmp_path / "c.csv").write_text("keep me\n")
+    os.link(tmp_path / "c.csv", tmp_path / "c.svg")
+    code = main(["curves", "--scenario", str(scenario_dir / "unit_payoffs.txt"),
+                 "--out", str(tmp_path / "c"), "--resolution", "45"])
+    assert code == 1
+    assert "name the same file" in one_line_error(capsys)
+    assert {p.name: p.read_text() for p in tmp_path.iterdir()} == {
+        "c.csv": "keep me\n", "c.svg": "keep me\n"}
+
+
 # --- sweep -------------------------------------------------------------------
 
 def test_sweep_rows_deterministic(scenario_dir, tmp_path):
@@ -538,6 +551,40 @@ def test_simulate_rejects_one_file_for_out_and_transcript(scenario_dir, tmp_path
     assert code == 1
     assert "name the same file" in one_line_error(capsys)
     assert list(tmp_path.iterdir()) == []
+
+
+def test_simulate_rejects_an_out_and_transcript_hard_linked(scenario_dir, tmp_path, no_draws,
+                                                            capsys):
+    # the two names passed the name comparison: the report ended in the
+    # transcript's last bytes, with exit 0
+    (tmp_path / "a").write_text("keep me\n")
+    os.link(tmp_path / "a", tmp_path / "b")
+    code = main(["simulate", "--scenario", str(scenario_dir / "two_equilibria.txt"),
+                 "--alpha", "10", "--beta", "20", "--rounds", "3", "--seed", "1",
+                 "--out", str(tmp_path / "a"), "--transcript", str(tmp_path / "b")])
+    assert code == 1
+    assert "name the same file" in one_line_error(capsys)
+    assert (tmp_path / "a").read_text() == "keep me\n"
+
+
+def test_simulate_rejects_a_transcript_linked_to_its_out(scenario_dir, tmp_path, no_draws,
+                                                         capsys):
+    # a dangling symlink: opening it creates the file --out names
+    os.symlink(tmp_path / "o.txt", tmp_path / "t.csv")
+    code = main(["simulate", "--scenario", str(scenario_dir / "unit_payoffs.txt"),
+                 "--alpha", "0", "--beta", "0", "--rounds", "5",
+                 "--out", str(tmp_path / "o.txt"), "--transcript", str(tmp_path / "t.csv")])
+    assert code == 1
+    assert "name the same file" in one_line_error(capsys)
+    assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
+
+
+def test_dev_null_takes_both_out_and_transcript(scenario_dir, capsys):
+    # a device takes any number of streams
+    assert main(["simulate", "--scenario", str(scenario_dir / "unit_payoffs.txt"),
+                 "--alpha", "0", "--beta", "0", "--rounds", "5",
+                 "--out", os.devnull, "--transcript", os.devnull]) == 0
+    assert capsys.readouterr() == ("", "")
 
 
 @pytest.mark.parametrize("argv", [

@@ -301,6 +301,20 @@ def test_a_transcript_into_stdout_is_refused_before_any_draw(sink, tmp_path):
         1, b"error: --transcript names the file stdout writes to: /dev/stdout\n", b"")
 
 
+def test_curves_refuse_a_csv_that_is_their_stdout(tmp_path):
+    # the "wrote" line overwrote the CSV's header, with exit 0
+    (tmp_path / "c.csv").write_text("keep me\n")
+    fd = os.open(tmp_path / "c.csv", os.O_WRONLY)
+    try:
+        proc = fresh_cli(["curves", "--scenario", str(SCENARIOS / "unit_payoffs.txt"),
+                          "--resolution", "45", "--out", "c"], cwd=tmp_path, stdout=fd)
+    finally:
+        os.close(fd)
+    assert (proc.returncode, proc.stderr) == (
+        1, b"error: --out names the file stdout writes to: c.csv\n")
+    assert files(tmp_path) == {"c.csv": b"keep me\n"}
+
+
 def test_dev_null_takes_the_transcript_and_the_report(tmp_path):
     proc = fresh_cli(SIMULATE + ["--transcript", os.devnull], cwd=tmp_path,
                      stdout=subprocess.DEVNULL)

@@ -4,6 +4,7 @@ import functools
 import io
 import math
 import tracemalloc
+import unittest.mock
 import warnings
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 
 from wisealice.cli import main
 from wisealice.game import PayoffMatrix
-from wisealice.quantum import MeasurementFrame, StrategyAngle
+from wisealice.quantum import MeasurementFrame, StrategyAngle, outcome_weights
 from wisealice.simulate import (
     BLOCK_ROUNDS,
     SimulationConfig,
@@ -38,12 +39,25 @@ def make_config(rounds=1000, seed=42, payoffs=(1, 1, 1, 1),
     )
 
 
+def kernel_args(config):
+    """The seed and thresholds simulate hands the block kernel for config."""
+    seen = []
+
+    def draws(seed, thresholds, start, stop):
+        seen.append((seed, thresholds))
+        return _draws(seed, thresholds, start, stop)
+
+    with unittest.mock.patch("wisealice.simulate._draws", draws):
+        simulate(dataclasses.replace(config, rounds=1))
+    return seen[0]
+
+
 def kernel_draws(config, start, stop):
     """Rounds [start, stop) of the block kernel, read as the reference's RoundDraw."""
     table13, table24 = _scoring_table(config.payoffs)
     return [reference.RoundDraw(*table13[c13][:2], *table24[c24][:2],
                                 table13[c13][2], table24[c24][2])
-            for c13, c24 in _draws(config, start, stop).tolist()]
+            for c13, c24 in _draws(*kernel_args(config), start, stop).tolist()]
 
 
 def transcript_rows(config):
@@ -99,11 +113,11 @@ def test_last_round_of_the_stream_draws_the_last_counters():
 
 
 def test_draws_deterministic():
-    config = make_config()
-    first = _draws(config, 0, 50)
-    assert np.array_equal(first, _draws(config, 0, 50))
+    args = kernel_args(make_config())
+    first = _draws(*args, 0, 50)
+    assert np.array_equal(first, _draws(*args, 0, 50))
     # a block of rounds draws what the same rounds draw inside a longer block
-    assert np.array_equal(first[20:], _draws(config, 20, 50))
+    assert np.array_equal(first[20:], _draws(*args, 20, 50))
 
 
 def test_vectorized_run_matches_per_round_sampling():
@@ -149,8 +163,6 @@ def test_estimator_unbiased_on_generic_instance():
 
 
 def test_marginal_frequencies_converge():
-    from wisealice.quantum import outcome_weights
-
     config = make_config(rounds=100_000, seed=17, payoffs=(3, 3, 5, 1),
                          thetas=(10, 70), alpha=145.44, beta=59.38)
     p = outcome_weights(config.alpha, config.frame_a)
@@ -238,7 +250,7 @@ def formatted_per_row(config):
         [f",{pair},{alice},{bob},{payoff:.6g}\n" for alice, bob, payoff in cells]
         for pair, cells in zip(_PAIRS, _scoring_table(config.payoffs))
     )
-    codes = _draws(config, 0, config.rounds)
+    codes = _draws(*kernel_args(config), 0, config.rounds)
     return "round,pair,alice_outcome,bob_outcome,payoff\n" + "".join(
         f"{i}{tails13[code13]}{i}{tails24[code24]}"
         for i, code13, code24 in zip(range(config.rounds), *codes.T.tolist())
@@ -257,9 +269,9 @@ def test_transcript_matches_a_per_row_formatter(rounds):
 def test_a_transcript_draws_each_block_once(scenario_dir, tmp_path, monkeypatch):
     calls = []
 
-    def counted(config, start, stop):
+    def counted(seed, thresholds, start, stop):
         calls.append((start, stop))
-        return _draws(config, start, stop)
+        return _draws(seed, thresholds, start, stop)
 
     monkeypatch.setattr("wisealice.simulate._draws", counted)
     assert main(["simulate", "--scenario", str(scenario_dir / "unit_payoffs.txt"),
@@ -268,6 +280,21 @@ def test_a_transcript_draws_each_block_once(scenario_dir, tmp_path, monkeypatch)
                  "--transcript", str(tmp_path / "t.csv")]) == 0
     assert len(calls) == math.ceil(10_000 / BLOCK_ROUNDS) == 3
     assert len((tmp_path / "t.csv").read_text().splitlines()) == 1 + 2 * 10_000
+
+
+def test_a_run_weighs_each_strategy_once(monkeypatch):
+    # every 4,096-round block recomputed both players' weights, and the
+    # analytic value computed them again: 8 calls at 10,000 rounds
+    calls = []
+
+    def counted(angle, frame):
+        calls.append(angle)
+        return outcome_weights(angle, frame)
+
+    monkeypatch.setattr("wisealice.simulate.outcome_weights", counted)
+    config = make_config(rounds=10_000, seed=7, alpha=30, beta=40)
+    simulate(config, io.StringIO())
+    assert calls == [config.alpha, config.beta]
 
 
 def test_unreached_cells_leave_the_std_error_as_numpy_has_it():
