@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import bisect
 import contextlib
 import dataclasses
 import importlib.util
@@ -110,13 +111,16 @@ def _same_file(path: str | Path, other: str | Path | None) -> bool:
     terminal takes any number of streams, so it never counts.  A path that
     does not exist yet is reached only by its own real path, so it
     collides with another path, a dangling symlink included, when their
-    real paths match.  A closed stdout, or one with no descriptor, is no
-    file and never counts.
+    real paths match and the directory of each name exists.  A closed
+    stdout, or one with no descriptor, is no file and never counts.
     """
     try:
         mine, theirs = os.stat(path), os.stat(other if other is not None else sys.stdout.fileno())
     except (AttributeError, OSError, ValueError):   # a name not there yet, or no stdout file
-        return other is not None and os.path.realpath(path) == os.path.realpath(other)
+        # realpath folds nodir/.. away even where nodir is missing and open() would fail
+        return (other is not None
+                and all(os.path.isdir(os.path.dirname(p) or os.curdir) for p in (path, other))
+                and os.path.realpath(path) == os.path.realpath(other))
     return ((stat.S_ISREG(mine.st_mode) or stat.S_ISFIFO(mine.st_mode))
             and os.path.samestat(mine, theirs))
 
@@ -258,25 +262,6 @@ def _parse_range(spec: str, name: str) -> tuple[float, float]:
     return lo, hi
 
 
-def _axis_length(lo: float, hi: float, step: float) -> int | float:
-    """How many of lo, lo + step, lo + 2*step, ... are <= hi + 1e-12.
-
-    The quotient gives the count to within a few steps, and the test
-    itself settles it, so no list is built.  A count above the cell cap
-    comes back as the uncorrected float.
-    """
-    top = hi + 1e-12
-    estimate = (top - lo) / step
-    if estimate >= MAX_SWEEP_CELLS:
-        return estimate + 1
-    k = int(estimate)
-    while lo + (k + 1) * step <= top:
-        k += 1
-    while k > 0 and lo + k * step > top:
-        k -= 1
-    return k + 1
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
     sc = _load(args)
     h = sc.payoff_matrix()
@@ -286,12 +271,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if not (math.isfinite(step) and step > 0):
         raise scenario.ScenarioError(f"--step must be positive and finite, got {step}")
 
-    n_a, n_b = _axis_length(lo_a, hi_a, step), _axis_length(lo_b, hi_b, step)
+    # an axis is lo + k * step for each k with lo + k * step <= hi + 1e-12; that key never
+    # falls as k grows, so bisection counts by the test itself, stopping one past the cap
+    n_a, n_b = (bisect.bisect_right(range(MAX_SWEEP_CELLS + 1), hi + 1e-12,
+                                    key=lambda k: lo + k * step)
+                for lo, hi in ((lo_a, hi_a), (lo_b, hi_b)))
     if n_a * n_b > MAX_SWEEP_CELLS:
-        raise scenario.ScenarioError(
-            f"--step {step} gives too many grid cells ({n_a * n_b:.4g}); "
-            f"at most {MAX_SWEEP_CELLS} are allowed"
-        )
+        raise scenario.ScenarioError(f"--step {step} gives more than {MAX_SWEEP_CELLS} grid cells")
     thetas_a = [round(lo_a + k * step, _AXIS_DIGITS) for k in range(n_a)]
     thetas_b = [round(lo_b + k * step, _AXIS_DIGITS) for k in range(n_b)]
     if len(set(thetas_a)) < n_a or len(set(thetas_b)) < n_b:

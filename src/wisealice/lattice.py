@@ -78,8 +78,6 @@ def _bound(lattice: FiniteOrtholattice, x: str, y: str, name: str, leq) -> str:
 
     ValueError if the order has no unique one: then it is no lattice.
     """
-    lattice._require(x)
-    lattice._require(y)
     lower = [z for z in lattice.elements if leq(z, x) and leq(z, y)]
     greatest = [z for z in lower if all(leq(w, z) for w in lower)]
     if len(greatest) != 1:

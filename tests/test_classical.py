@@ -199,6 +199,11 @@ def test_mixed_profile_validates_simplex():
         MixedProfile(UNIFORM, (0.3, 0.3, 0.3, 0.3), 0.0)
 
 
+def test_mixed_profile_rejects_a_vector_of_three_entries():
+    with pytest.raises(ValueError, match=r"^x must have 4 entries, got \(0\.5, 0\.25, 0\.25\)$"):
+        MixedProfile((0.5, 0.25, 0.25), UNIFORM, 0.0)
+
+
 @settings(max_examples=100, deadline=None)
 @given(positive_payoff, positive_payoff, positive_payoff, positive_payoff)
 def test_solver_output_always_verifies(a, b, c, d):

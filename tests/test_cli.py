@@ -57,6 +57,13 @@ def test_scenario_reports_line_numbers(tmp_path):
         load_scenario(path)
 
 
+def test_scenario_rejects_a_line_without_an_equals_sign(tmp_path):
+    path = write_scenario(tmp_path, "a = 1\nb 2\n")
+    with pytest.raises(ScenarioError) as excinfo:
+        load_scenario(path)
+    assert str(excinfo.value) == f"{path}:2: expected 'key = value', got 'b 2'"
+
+
 def test_scenario_requires_all_payoffs(tmp_path):
     path = write_scenario(tmp_path, "a = 1\nb = 1\ntheta_a_deg = 45\n")
     with pytest.raises(ScenarioError, match="missing required"):
@@ -456,6 +463,20 @@ def test_sweep_rejects_a_grid_above_the_cell_cap(scenario_dir, tmp_path, step, c
     assert not out.exists()
 
 
+def test_sweep_solves_a_grid_at_the_cell_cap_and_refuses_one_above(scenario_dir, tmp_path,
+                                                                   monkeypatch, capsys):
+    monkeypatch.setattr("wisealice.cli.MAX_SWEEP_CELLS", 12)
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--scenario", str(scenario_dir / "two_equilibria.txt"),
+            "--theta-b", "10:25", "--step", "5", "--out", str(out)]
+    assert main(argv + ["--theta-a", "10:20"]) == 0   # 3 x 4 cells
+    assert len(out.read_text().splitlines()) == 1 + 12
+    out.unlink()
+    assert main(argv + ["--theta-a", "10:25"]) == 1   # 4 x 4 cells
+    assert "more than 12" in one_line_error(capsys)
+    assert not out.exists()
+
+
 # --- simulate ----------------------------------------------------------------
 
 def test_simulate_byte_identical_reports(scenario_dir, tmp_path):
@@ -577,6 +598,24 @@ def test_simulate_rejects_a_transcript_linked_to_its_out(scenario_dir, tmp_path,
     assert code == 1
     assert "name the same file" in one_line_error(capsys)
     assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
+
+
+@pytest.mark.parametrize("out, transcript", [("o.txt", "nodir/../o.txt"),
+                                             ("nodir/../o.txt", "o.txt")],
+                         ids=["out-first", "transcript-first"])
+def test_simulate_through_a_missing_directory_is_no_same_file(scenario_dir, tmp_path,
+                                                              monkeypatch, out, transcript,
+                                                              capsys):
+    # realpath folds nodir/.. away, so the pair was refused as one file,
+    # although opening nodir/../o.txt fails while nodir is missing
+    monkeypatch.chdir(tmp_path)
+    code = main(["simulate", "--scenario", str(scenario_dir / "unit_payoffs.txt"),
+                 "--alpha", "0", "--beta", "0", "--rounds", "5",
+                 "--out", out, "--transcript", transcript])
+    assert code == 1
+    assert one_line_error(capsys) == (
+        "error: [Errno 2] No such file or directory: 'nodir/../o.txt'\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_dev_null_takes_both_out_and_transcript(scenario_dir, capsys):

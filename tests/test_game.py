@@ -38,6 +38,11 @@ def test_invalid_vertex_rejected():
         bob_outcome(1, 5)
 
 
+def test_entry_rejects_a_cell_off_the_matrix():
+    with pytest.raises(ValueError, match=r"^invalid matrix cell \(0, 1\)$"):
+        PayoffMatrix(3, 3, 5, 1).entry(0, 1)
+
+
 def test_exactly_one_losing_ball_position_per_question():
     for question in VERTICES:
         losing = [

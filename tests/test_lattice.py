@@ -169,6 +169,24 @@ def test_representation_check_can_fail(lat, angles):
     assert not check_representation(lat, SimpleNamespace(line_angles=angles))
 
 
+def test_representation_needs_a_line_for_every_atom(lat):
+    # atom 4 has no line
+    assert not check_representation(lat, SimpleNamespace(line_angles={"1": 0, "3": 90, "2": 30}))
+
+
+def test_representation_needs_a_lattice_of_atoms_and_its_bounds():
+    # the Boolean algebra 2^3: its pair joins such as 12 have no plane subspace
+    subsets = [frozenset(c) for r in range(4) for c in itertools.combinations("123", r)]
+    name = {s: "O" if not s else "I" if len(s) == 3 else "".join(sorted(s)) for s in subsets}
+    cube = FiniteOrtholattice(
+        tuple(name[s] for s in subsets),
+        frozenset((name[s], name[t]) for s in subsets for t in subsets if s <= t),
+        {name[s]: name[frozenset("123") - s] for s in subsets})
+    assert cube.atoms() == ("1", "2", "3")
+    assert not check_representation(
+        cube, SimpleNamespace(line_angles={"1": 0, "2": 30, "3": 90}))
+
+
 @pytest.mark.parametrize("theta", [0.0, 90.0, 95.0, -10.0])
 def test_degenerate_theta_rejected(theta):
     with pytest.raises(ValueError):
