@@ -150,7 +150,7 @@ def _quantum_report(equilibria: list[solver.Equilibrium]) -> dict:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    sc = _load(args)
+    sc = scenario.load_scenario(args.scenario)
     with _output(args.out) as write:
         h = sc.payoff_matrix()
         pure = game.pure_saddle_analysis(h)
@@ -195,7 +195,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_equilibria(args: argparse.Namespace) -> int:
-    sc = _load(args)
+    sc = scenario.load_scenario(args.scenario)
     with _output(args.out) as write:
         equilibria = solver.find_equilibria(sc.payoff_matrix(), sc.frames())
         report = {"scenario": dataclasses.asdict(sc), **_quantum_report(equilibria)}
@@ -206,7 +206,7 @@ def cmd_equilibria(args: argparse.Namespace) -> int:
 
 
 def cmd_curves(args: argparse.Namespace) -> int:
-    sc = _load(args)
+    sc = scenario.load_scenario(args.scenario)
     resolution = args.resolution
     if not (math.isfinite(resolution) and resolution > 0
             and 180.0 / resolution <= MAX_SWEEP_CELLS):
@@ -263,7 +263,7 @@ def _parse_range(spec: str, name: str) -> tuple[float, float]:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    sc = _load(args)
+    sc = scenario.load_scenario(args.scenario)
     h = sc.payoff_matrix()
     lo_a, hi_a = _parse_range(args.theta_a, "--theta-a")
     lo_b, hi_b = _parse_range(args.theta_b, "--theta-b")
@@ -307,7 +307,9 @@ def _flagged(flag: str, make: Callable[[float], T], value: float) -> T:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    sc = _load(args)
+    # replace re-runs Scenario's checks on the overridden fields
+    sc = dataclasses.replace(scenario.load_scenario(args.scenario), **{
+        k: v for k in ("rounds", "seed") if (v := getattr(args, k)) is not None})
     frame_a, frame_b = sc.frames()
     config = simulate.SimulationConfig(
         rounds=sc.rounds,
@@ -384,12 +386,6 @@ def cmd_lattice_check(args: argparse.Namespace) -> int:
         )
         write(lines)
     return 0 if all(report.values()) and ok else 1
-
-
-def _load(args: argparse.Namespace) -> scenario.Scenario:
-    return scenario.load_scenario(args.scenario).with_overrides(
-        seed=getattr(args, "seed", None), rounds=getattr(args, "rounds", None)
-    )
 
 
 def _add_common(

@@ -177,10 +177,6 @@ def disjunction_paradox(lattice: FiniteOrtholattice) -> ParadoxReport:
 
 # --- plane realization -------------------------------------------------------
 
-def _same_line(a: Rational, b: Rational) -> bool:
-    return (a - b) % 180 == 0
-
-
 @dataclass(frozen=True)
 class PlaneSubspaceRep:
     """Realization of the lattice by subspaces of the plane.
@@ -202,48 +198,31 @@ class PlaneSubspaceRep:
                            {"1": 0, "3": 90, "2": theta, "4": theta + 90})
 
 
-# plane subspaces: dimension tag plus line angle, (1, angle) for a line
-_ZERO = (0, 0)
-_PLANE = (2, 0)
-
-
-def _within(s: tuple[int, Rational], t: tuple[int, Rational]) -> bool:
-    """True iff subspace s lies inside subspace t."""
-    if s[0] == 0 or t[0] == 2:
-        return True
-    return s[0] == t[0] == 1 and _same_line(s[1], t[1])
-
-
-def _perp(s: tuple[int, Rational]) -> tuple[int, Rational]:
-    if s[0] == 0:
-        return _PLANE
-    if s[0] == 2:
-        return _ZERO
-    return (1, s[1] + 90)
-
-
 def check_representation(lattice: FiniteOrtholattice, rep: PlaneSubspaceRep) -> bool:
     """True iff the atom->line mapping is an ortholattice isomorphism.
 
-    With O at the zero subspace and I at the plane, the mapping must
-    preserve and reflect the order (x <= y iff x's subspace lies in y's)
-    and send each x' to the orthogonal complement of x's subspace.  That
-    suffices: an order embedding is injective, and O, distinct lines and
-    the plane are closed under intersection and span, so the order alone
-    makes meet the intersection and join the span.
+    Each plane subspace has one name: O the zero subspace, I the plane, and
+    a line its exact angle mod 180 (a float angle is taken at its exact
+    value; a NaN raises ValueError and an infinity OverflowError).  So a
+    subspace lies in another iff it is O, the other is I, or the two are
+    one.  The mapping must preserve and reflect the order (x <= y iff x's
+    subspace lies in y's) and send each x' to the orthogonal complement of
+    x's subspace.  That suffices: an order embedding is injective, and O,
+    distinct lines and the plane are closed under intersection and span,
+    so the order alone makes meet the intersection and join the span.
     """
-    mapping: dict[str, tuple[int, Rational]] = {BOTTOM: _ZERO, TOP: _PLANE}
+    name: dict[str, str | Fraction] = {BOTTOM: BOTTOM, TOP: TOP}
     for atom in lattice.atoms():
         if atom not in rep.line_angles:
             return False
-        mapping[atom] = (1, rep.line_angles[atom])
-    if set(mapping) != set(lattice.elements):
+        name[atom] = Fraction(rep.line_angles[atom]) % 180
+    if set(name) != set(lattice.elements):
         return False
     return all(
-        lattice.leq(x, y) == _within(mapping[x], mapping[y])
-        for x, y in itertools.product(lattice.elements, repeat=2)
+        lattice.leq(x, y) == (s is BOTTOM or t is TOP or s == t)
+        for (x, s), (y, t) in itertools.product(name.items(), repeat=2)
     ) and all(
-        _within(_perp(mapping[x]), mapping[lattice.complement[x]])
-        and _within(mapping[lattice.complement[x]], _perp(mapping[x]))
-        for x in lattice.elements
+        name[lattice.complement[x]] == (TOP if s is BOTTOM else BOTTOM if s is TOP
+                                        else (s + 90) % 180)
+        for x, s in name.items()
     )

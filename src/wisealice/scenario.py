@@ -10,7 +10,7 @@ solver.NASH_TOLERANCE and cannot be set here.
 
 # no `from __future__ import annotations`: load_scenario calls each field's
 # type to parse its value, so the types must stay classes, not strings
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 from wisealice.game import MeasurementFrame, PayoffMatrix
@@ -61,10 +61,6 @@ class Scenario:
 
     def frames(self) -> tuple[MeasurementFrame, MeasurementFrame]:
         return (MeasurementFrame(self.theta_a_deg), MeasurementFrame(self.theta_b_deg))
-
-    def with_overrides(self, **kwargs) -> "Scenario":
-        supplied = {k: v for k, v in kwargs.items() if v is not None}
-        return replace(self, **supplied) if supplied else self
 
 
 def load_scenario(path: str | Path) -> Scenario:

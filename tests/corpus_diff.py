@@ -4,8 +4,8 @@
 
 extracts src/ at the git revision REV with ``git archive``, writes
 tests/sweep_corpus.py's corpus once against that tree and once against the
-working tree's src/ (the two runs go side by side, about half a minute on a
-2-vCPU host), and compares the two byte for byte.  Both runs use this
+working tree's src/ (the two runs go side by side, about 10 s on a 2-vCPU
+host), and compares the two byte for byte.  Both runs use this
 checkout's sweep_corpus.py and scenarios, so only src/ differs.  It prints
 every file that exists on one side only, and every file that differs with
 the line and column where it first differs and that line's text there on

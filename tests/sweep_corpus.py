@@ -13,7 +13,8 @@ runs wisealice.cli.main in this process and writes into OUTDIR
   curves (CSV and SVG) at resolutions of 0.25, 0.05 and 89 degrees, the
   last two in NAME_curves_0.05.* and NAME_curves_89.*, and simulate as text
   and as JSON at one fixed strategy pair, seed and round count; the first
-  scenario's simulate also writes its per-round transcript.  The two finer
+  scenario's simulate also writes its per-round transcript, at 1,000,001
+  rounds so that it prints 6- and 7-digit round numbers.  The two finer
   resolutions pin the flags at two samplings; the three samples of the 89
   degree curves pin the SVG's short runs, where a flag follows a one-sample
   run or falls on the last sample;
@@ -24,7 +25,7 @@ script, then compare the two with ``diff -r``; ``tests/corpus_diff.py REV``
 does both runs and the comparison for a git revision.  It fails when it
 finds no shipped scenario, since the two corpora would then agree without
 comparing them.  Not a test module: pytest does not collect it.  It takes
-about half a minute on a 2-vCPU host.
+about 8 s on a 2-vCPU host.
 """
 
 from __future__ import annotations
@@ -44,8 +45,10 @@ DRAWS = {
     "wide": (range(1, 11), lambda rng: math.exp(rng.uniform(-8.0, 8.0))),
 }
 GRIDS = {"coarse": ("5:85", "2.5"), "fine": ("0.5:89.5", "1")}
-# simulate's strategy pair, seed and round count for every shipped scenario
-SIMULATE = ("--alpha", "30", "--beta", "60", "--seed", "7", "--rounds", "20000")
+# simulate's strategy pair and seed for every shipped scenario, with the round
+# counts of its reports and of the one transcript
+SIMULATE = ("--alpha", "30", "--beta", "60", "--seed", "7")
+REPORT_ROUNDS, TRANSCRIPT_ROUNDS = "20000", "1000001"
 
 
 def run(*argv: str) -> None:
@@ -74,14 +77,14 @@ def write_shipped(out: Path) -> None:
         raise SystemExit(f"no shipped scenario in {SCENARIO_DIR}")
     for scenario in scenarios:
         for command in ("analyze", "equilibria", "simulate"):
-            extra = SIMULATE if command == "simulate" else ()
+            extra = (*SIMULATE, "--rounds", REPORT_ROUNDS) if command == "simulate" else ()
             for fmt in ("text", "json"):
                 run(command, "--scenario", str(scenario), *extra, "--format", fmt,
                     "--out", str(out / f"{scenario.stem}_{command}.{fmt}"))
         for resolution, suffix in (("0.25", ""), ("0.05", "_0.05"), ("89", "_89")):
             run("curves", "--scenario", str(scenario), "--resolution", resolution,
                 "--out", str(out / f"{scenario.stem}_curves{suffix}"))
-    run("simulate", "--scenario", str(scenarios[0]), *SIMULATE,
+    run("simulate", "--scenario", str(scenarios[0]), *SIMULATE, "--rounds", TRANSCRIPT_ROUNDS,
         "--transcript", str(out / f"{scenarios[0].stem}_transcript.csv"),
         "--out", str(out / f"{scenarios[0].stem}_transcript_simulate.txt"))
 

@@ -405,11 +405,14 @@ def test_sweep_rows_deterministic(scenario_dir, tmp_path):
 
 
 def test_sweep_rejects_empty_range(scenario_dir, capsys):
-    # two bounds round onto 90 and 0 as the grid's angles do; x is no number
+    # two bounds round onto 90 and 0 as the grid's angles do; x is no number;
+    # 5 and 1:2:3 do not have the shape LO:HI
     for flag, theta_a, theta_b in (("--theta-a", "50:10", "20:30"),
                                    ("--theta-a", "89.99999999999:89.99999999999", "20:30"),
                                    ("--theta-b", "10:20", "1e-300:1e-300"),
-                                   ("--theta-a", "x:5", "20:30")):
+                                   ("--theta-a", "x:5", "20:30"),
+                                   ("--theta-a", "5", "20:30"),
+                                   ("--theta-b", "10:20", "1:2:3")):
         code = main(["sweep", "--scenario", str(scenario_dir / "two_equilibria.txt"),
                      "--theta-a", theta_a, "--theta-b", theta_b])
         assert code == 1

@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
@@ -164,9 +165,19 @@ def test_representation_at_every_frame_near_the_ends(lat, theta):
 @pytest.mark.parametrize("angles", [
     {"1": 0.0, "3": 60.0, "2": 30.0, "4": 120.0},   # 3 = 1' is not perpendicular to 1
     {"1": 0.0, "3": 90.0, "2": 0.0, "4": 90.0},     # atoms 1 and 2 share a line
+    {"1": 0, "3": 90, "2": 180, "4": 270},          # 2 is 1's line, written 180 deg on
+    # the float 90.1 lies not exactly 90 deg past the float 0.1, though in floats
+    # 90.1 + 90 - 0.1 == 180.0: an angle is taken at its exact value
+    {"1": 0.1, "3": 90.1, "2": 30.0, "4": 120.0},
 ])
 def test_representation_check_can_fail(lat, angles):
     assert not check_representation(lat, SimpleNamespace(line_angles=angles))
+
+
+def test_representation_reduces_every_angle_mod_180(lat):
+    # each line is written outside [0, 180): 1 at 0, 3 at 90, 2 at 30, 4 at 120
+    angles = {"1": 180, "3": -90, "2": Fraction(390), "4": 120}
+    assert check_representation(lat, SimpleNamespace(line_angles=angles))
 
 
 def test_representation_needs_a_line_for_every_atom(lat):
