@@ -4,30 +4,31 @@ In the bilinear form F = c0 + g.x + k.y + x^T M y (see quantum), F is
 c0 + k.y + x.v in x with v = g + M y and c0 + g.x + y.w in y with
 w = k + M^T x, a single harmonic (U, V) in each player's doubled angle.
 best_responses reads both off the form: Alice's reply to y is parallel to
-v, 2*alpha = atan2(v1, v0), and Bob's reply to x is y = -w/|w|, so every
-equilibrium satisfies
+v, 2*alpha = atan2(v1, v0), and Bob's reply to x is y = -w/|w|.
 
-    |w|^2 (x cross g)^2 = (x cross M w)^2
+Bob is indifferent at x_c, where w = 0, and Alice at y_c, where v = 0;
+_indifference owns their one closed form in the payoff ratios and the
+frame angle.  Then F = v* + (x - x_c)^T M (y - y_c) with det M > 0, so
+Alice replies dir(M (y - y_c)) and Bob dir(-M^T (x - x_c)), and three
+lemmas on the game extended to the unit disks, where it has a saddle,
+settle each cell of frame pairs:
 
-a trigonometric polynomial of degree 4 in 2*alpha.  Times (1 + t^2)^4 it is
-a real polynomial of degree 8 in the half-angle t = tan(alpha - alpha_0),
-whose at most eight roots come from one real companion matrix.  Each cell
-takes its own origin alpha_0, a quarter turn before its largest sample of
-the quartic, so the leading coefficient is that sample and no root lies at
-t = inf.  Squaring admits spurious roots, so each root is only a
-candidate.  Where Bob is indifferent, w = 0, the quartic's root may be
-lost in roundoff, so the cusp x_c joins the eight roots as a ninth.
-Each of the nine is completed by Bob's reply, or where that fits worse
-by a y to which Alice replies with it, polished by Newton steps on
-grad F = 0, and judged as Newton leaves it (a failed step leaves NaN,
-which fails).  A grid of frame pairs goes through in blocks, each step
-one array operation over the block: one stacked eigenvalue call for the
-roots and one broadcast verification.  Both indifference points, x_c
-of Bob and y_c of Alice, have one closed form in the payoff ratios and
-the frame angle, and _indifference is its one owner.  Cells where both
-lie far enough inside the circle are not solved: there every pure pair
-gains more than the judge's tolerance, a bound read off the payoffs and
-the two frame angles (_certified_empty).
+- A: with |x_c| < 1 and |y_c| < 1 the cell holds no pure equilibrium.
+  _circle_margin decides it from the payoffs and the frames alone, and
+  such a cell is not solved.
+- C: with |x_c| > 1 the directions x - x_c of Alice's circle points fill
+  a cone, and Alice's reply to Bob's reply to a direction lands back in
+  it, so the composed reply has a fixed point, a pure equilibrium.
+  _reply_arc bisects for it on the arc of Bob's replies; with |y_c| > 1
+  and |x_c| < 1 the players swap.
+- B: off the lines |x_c| = 1 and |y_c| = 1 that point is the only one.
+
+A cell within roundoff of a line can hold two, and there the ends of the
+chord of Alice's (or Bob's) optimal points on the circle join the walk's
+point as candidates (_cell_points).  The walk's point is polished by
+Newton steps on grad F = 0, and every candidate is judged as it stands
+(a failed step leaves NaN, which fails).  A grid of frame pairs goes
+through in blocks, each step one array operation over the block.
 Every returned equilibrium carries its residual, the larger unilateral gain
 
     max( |v| - x.v,  |w| + y.w ),   v = g + M y,  w = k + M^T x
@@ -76,11 +77,20 @@ DEGENERACY_RATIO = 1e-12
 # times the total payoff a + b + c + d
 NASH_TOLERANCE = 1e-8
 # verified candidates closer than this in both angles are one equilibrium:
-# near-tangent instances yield two roots of the quartic for one equilibrium
+# in a cell on a line the walk's point is often a chord end too, and at a
+# corner both lines' chords end at (x_c, y_c)
 MERGE_DISTANCE_DEG = 0.2
 # frame pairs solved per stacked call; a cell's result does not depend on
 # it, and it bounds the block's arrays to a few hundred KiB
 BLOCK_CELLS = 256
+# a frame whose _circle_margin q lies within this of 0 is taken to lie on a
+# line, |x_c| = 1 or |y_c| = 1, for it cannot say on which side it lies:
+# against 40 digits q's own error is below 7e-16, and the ends of I computed
+# in floats (60,000 of them, payoffs up to e^+-8) give |q| up to 1.3e-15.
+# A wider band takes frames off the line for lines, where the chord ends
+# pass the judge without being equilibria (1e-14 let through one at
+# 3.2e-9 * S, 2e-8 degrees inside I next to a corner)
+_LINE_ROUNDOFF = 2e-15
 
 
 @dataclass(frozen=True)
@@ -252,8 +262,8 @@ def _saddle_newton(g, k, m, phi, psi):
     The Hessian's determinant -|g + M y| |k + M^T x| - (x'.M y')^2 is
     negative at an equilibrium, so the steps converge there even where a
     best reply is ill-conditioned; a singular one gives non-finite angles.
-    Four steps, because the cusp can start farther from a saddle than a
-    root does.
+    Four steps: from _reply_arc's start they take every point of the wide
+    stress tests to roundoff.
     """
     with np.errstate(all="ignore"):
         for _ in range(4):
@@ -286,105 +296,139 @@ def _indifference(h: PayoffMatrix, theta_deg: np.ndarray) -> np.ndarray:
     return np.stack([-s * np.sin(two_theta), s * np.cos(two_theta) - t], axis=-1)
 
 
-def _cayley(a: int, b: int) -> list[complex]:
-    """Coefficients of (1 + i t)^a (1 - i t)^b, highest first (np.convolve
-    would cost every process ~0.3 MiB of peak RSS)."""
-    return [sum(math.comb(a, j) * math.comb(b, k - j) * 1j**j * (-1j)**(k - j)
-                for j in range(k + 1))
-            for k in range(a + b, -1, -1)]
+def _circle_margin(h: PayoffMatrix, theta_deg: np.ndarray) -> np.ndarray:
+    """q(theta) = sin 2theta - |sin 2theta p(theta)| from _indifference.
 
-
-_SAMPLES = np.arange(16) * (2.0 * math.pi / 16)
-# Fourier coefficients p_n, |n| <= 4, exact from the 16 samples, from p_4
-# down to p_-4.  With z = e^{2i alpha} = (1 + i t)/(1 - i t), t = tan alpha,
-# (1 + t^2)^4 z^n = (1 + i t)^(4+n) (1 - i t)^(4-n), so (1 + t^2)^4 P is a
-# degree-8 polynomial in t, real because p_-n is the conjugate of p_n; the
-# rows of _HALF_ANGLE take the 16 samples to its coefficients, highest first
-_DFT = np.exp(-1j * np.outer(np.arange(4, -5, -1), _SAMPLES)) / 16
-_CAYLEY = np.array([_cayley(4 + n, 4 - n) for n in range(4, -5, -1)])
-# not a matmul: a first BLAS call costs ~0.5 MiB of RSS
-_HALF_ANGLE = np.sum(_CAYLEY.T[:, None, :] * _DFT.T, axis=-1).real
-
-
-def _half_angle_roots(samples: np.ndarray) -> np.ndarray:
-    """2 alpha at the roots of the quartic from each row of its samples, (n, 8).
-
-    Each row is measured from its own origin alpha_0, a quarter turn before
-    its largest |P|: in t = tan(alpha - alpha_0), (1 + t^2)^4 P leads with
-    P(alpha_0 + 90), that largest sample, so t = inf is never a root and
-    the companion roots keep their accuracy relative to the coefficients.
-    An all-zero row has no roots and gives NaN.
+    That is sin 2theta (1 - |p(theta)|), where |p(theta_A)| = |x_c| and
+    |p(theta_B)| = |y_c|; q > 0 exactly where the indifference point lies
+    inside the circle.  It reads the payoffs and the frame alone, not the
+    bilinear form.
     """
-    origin = (np.argmax(np.abs(samples), axis=1) + 8) % 16
-    rolled = np.take_along_axis(samples, (origin[:, None] + np.arange(16)) % 16, axis=1)
-    rows = np.sum(rolled[:, None, :] * _HALF_ANGLE, axis=-1)
-    zero = rows[:, :1] == 0
-    companion = np.zeros((len(rows), 8, 8))
-    companion[:, 0, :] = -rows[:, 1:] / np.where(zero, 1.0, rows[:, :1])
-    companion[:, np.arange(1, 8), np.arange(7)] = 1.0
-    t = np.linalg.eigvals(companion)
-    phi = np.angle((1 + 1j * t) / (1 - 1j * t))
-    return np.where(zero, np.nan, phi + _SAMPLES[origin, None])
+    point = _indifference(h, theta_deg)
+    return np.sin(2.0 * np.radians(theta_deg)) - np.hypot(point[..., 0], point[..., 1])
 
 
-def _partner(g, k, m, phi) -> np.ndarray:
-    """psi = 2 beta for each phi: Bob's reply -w/|w|, or one of the up to two y
-    to which Alice replies x, whichever gains less (a nearly indifferent Bob
-    magnifies phi's error, and at the cusp w = 0).  Alice replies x to y where
-    x cross (g + M y) = 0, and x cross M y = (M^T x_turn) . y = |r| cos(psi - angle r)."""
-    x = unit_vectors(phi)
-    w = k + _vec_mat(x, m)
-    r = _vec_mat(_turn(x), m)
+def _unit(u0, u1):
+    """The 2-vector (u0, u1), given by its components, scaled to unit length."""
+    norm = np.hypot(u0, u1)
+    return u0 / norm, u1 / norm
+
+
+def _reply_arc(first, offset, second, center, sigma, q):
+    """One pure equilibrium per cell, (x, r), by bisection on a reply arc.
+
+    One player walks: its indifference point c = center / sigma lies
+    outside the circle (q = sigma - |center| < 0), so the directions d of
+    its circle points from c fill a cone around -c, with ends
+    -t center +- sigma turn(center), t = sqrt(|center|^2 - sigma^2).  The
+    other player replies to d with r = dir(first d), and the walker to r
+    with b = dir(offset + second r); where b - c is parallel to d, (b, r)
+    is an equilibrium (lemma C).  det(first) > 0, so r runs over the arc
+    of replies to the cone in d's order, and adj(first) r points along d.
+    At the arc's clockwise end b - c lies counterclockwise of d or on it,
+    at the other end clockwise, so each halving keeps the half where
+    d cross (sigma b - center) changes sign: sums of unit vectors, with no
+    trigonometry.  Thirty halvings give the polish a start it converges
+    from in every cell of the wide stress tests.
+
+    The walker's point x is not b itself but the circle point on the ray
+    from c along the last d that the walker prefers: x = rho d + kappa
+    turn(d) for unit d, kappa = d cross c and rho = +-sqrt(1 - kappa^2)
+    signed as d . b.  Next to frames of 0 or 90 degrees the walker is
+    nearly indifferent there, and b turns fast with r.  For those frames
+    the matrices' entries also stay apart, in components: entries of size
+    sin 2theta decide the replies, and a sum with entries of size 1 would
+    lose them.  Arrays over n cells: first and second (n, 2, 2), offset
+    and center (n, 2), sigma and q (n,); x and r come back as pairs of
+    components.
+    """
+    f00, f01, f10, f11 = first.reshape(-1, 4).T
+    s00, s01, s10, s11 = second.reshape(-1, 4).T
+    (o0, o1), (c0, c1) = offset.T, center.T
+    t, side = np.sqrt(-q * (2.0 * sigma - q))[:, None], sigma[:, None] * _turn(center)
+    (lo0, lo1), (hi0, hi1) = (_unit(*_mat_vec(first, sign * side - t * center).T)
+                              for sign in (1.0, -1.0))
+    # the 31st midpoint, of the arc halved 30 times, is the walk's point
+    for _ in range(31):
+        r0, r1 = _unit(lo0 + hi0, lo1 + hi1)
+        d0, d1 = f11 * r0 - f01 * r1, f00 * r1 - f10 * r0
+        b0, b1 = o0 + s00 * r0 + s01 * r1, o1 + s10 * r0 + s11 * r1
+        up = sigma * (d0 * b1 - d1 * b0) > np.hypot(b0, b1) * (d0 * c1 - d1 * c0)
+        lo0, lo1 = np.where(up, r0, lo0), np.where(up, r1, lo1)
+        hi0, hi1 = np.where(up, hi0, r0), np.where(up, hi1, r1)
+    d0, d1 = _unit(d0, d1)
+    kappa = (d0 * c1 - d1 * c0) / sigma
+    rho = np.copysign(np.sqrt(np.maximum(1.0 - kappa * kappa, 0.0)), d0 * b0 + d1 * b1)
+    return (rho * d0 - kappa * d1, rho * d1 + kappa * d0), (r0, r1)
+
+
+def _chord_ends(center, sigma, q, ray, keep):
+    """center + nu ray at both roots nu of |center + nu ray| = sigma, (..., 2, 2).
+
+    These point along where the ray from center / sigma along ray meets
+    the unit circle, at most twice.  A meeting behind center (nu < 0), one
+    that does not happen, and every place where keep is False are NaN.
+    The smaller root is taken from the larger by Vieta, so neither
+    cancels, and |center|^2 - sigma^2 = -q (2 sigma - q) keeps q's digits.
+    """
+    b, a, c = _dot(center, ray), _dot(ray, ray), -q * (2.0 * sigma - q)
+    big = -(b + np.copysign(np.sqrt(b * b - a * c), b))
+    nu = np.stack([big / a, c / big], axis=-1)
+    nu = np.where((nu >= 0.0) & keep[..., None], nu, np.nan)
+    return center[..., None, :] + nu[..., None] * ray[..., None, :]
+
+
+def _cell_points(h: PayoffMatrix, theta_a: np.ndarray,
+                 theta_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(alpha, beta) candidates in degrees, (n, slots), at n frame pairs.
+
+    Slot 0 is _reply_arc's point, where Alice walks if |x_c| > 1 and Bob
+    otherwise, polished by _saddle_newton.  Where some cell lies on a line
+    (_LINE_ROUNDOFF), four more slots hold the chord ends of the cells on
+    one, in closed form, and NaN elsewhere.  On |y_c| = 1 Alice is
+    indifferent at y_c, and Bob replies y_c to each x = x_c - lam M^-T y_c
+    with lam >= 0; on |x_c| = 1, mirrored, Alice replies x_c to each
+    y = y_c + lam M^-1 x_c.  NaN also fills the place of a failed Newton
+    step.  Built from the form divided by the total payoff, so every
+    coefficient stays near one whatever the payoff magnitude.
+    """
+    # the players' arrays stacked, Alice first: center is sigma (x_c, y_c)
+    thetas, cells = np.stack([theta_a, theta_b]), np.arange(theta_a.size)
+    center = _indifference(h, thetas) * np.array([1.0, -1.0])[:, None, None]
+    sigma, q = np.sin(2.0 * np.radians(thetas)), _circle_margin(h, thetas)
+    _, g, k, m = (t / h.scale for t in bilinear_form(h, theta_a, theta_b))
+    mt = np.swapaxes(m, -1, -2)
+    # the other player replies to a direction d from one's own indifference
+    # point with dir(first d), and one replies to the other's r with
+    # dir(offset + second r): Bob with dir(-M^T d) and Alice dir(g + M y)
+    first, offset, second = np.stack([-mt, m]), np.stack([g, -k]), np.stack([m, -mt])
+    walker = np.where(q[0] < 0.0, 0, 1)
+    # NaN fills the place of a candidate that does not exist, and fails the
+    # judge: a walker within roundoff inside the circle has no cone, an
+    # indifference point at 0 no direction, a chord may miss the circle,
+    # and a singular Newton step leaves +-inf, which _half_turn makes NaN
     with np.errstate(all="ignore"):
-        spread = np.arccos(-_dot(_turn(x), g) / np.hypot(r[..., 0], r[..., 1]))
-    bob = np.arctan2(-w[..., 1:], -w[..., :1])
-    alice = np.arctan2(r[..., 1:], r[..., :1]) + spread[..., None] * [1.0, -1.0]
-    psi = np.concatenate([bob, alice], -1)
-    gain = _gain(g[..., None, :], k[..., None, :], m[..., None, :, :], x[..., None, :],
-                 unit_vectors(psi))
-    best = np.argmin(np.where(np.isnan(gain), np.inf, gain), axis=-1)[..., None]
-    return np.take_along_axis(psi, best, axis=-1)[..., 0]
-
-
-def _candidates(
-    h: PayoffMatrix, theta_a: np.ndarray, theta_b: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """(alpha, beta) candidates in degrees, (n, 9), at n frame pairs.
-
-    The eight roots of the fixed-point polynomial and the cusp, each paired
-    by _partner and taken as Newton's steps leave it; NaN fills the places
-    of candidates a cell does not have or whose step failed.  Built from the
-    form divided by the total payoff, so the coefficients stay near one
-    whatever the payoff magnitude.
-    """
-    # g, k: (n, 1, 2) and M: (n, 1, 2, 2); axis 1 runs over samples or roots
-    _, g, k, m = (t / h.scale
-                  for t in bilinear_form(h, theta_a[:, None], theta_b[:, None]))
-    x = unit_vectors(_SAMPLES)
-    x_turn = _turn(x)
-    w = k + _vec_mat(x, m)
-    x_cross_mw = _dot(x_turn, _mat_vec(m, w))
-    samples = _dot(w, w) * _dot(x_turn, g) ** 2 - x_cross_mw**2
-    # the cusp x_c, where Bob is indifferent: k + M^T x = 0, so the quartic's
-    # root there, if roundoff leaves one, has no reply -w/|w|; _partner
-    # pairs it like a root, and off the circle it is one more candidate
-    cusp = _indifference(h, theta_a[:, None])
-    phi = np.concatenate([_half_angle_roots(samples),
-                          np.arctan2(cusp[..., 1], cusp[..., 0])], axis=1)
-    # a root shared with the spurious factor |w| (x cross g) + x cross M w
-    # keeps only half the digits, and a nearly indifferent Bob turns that
-    # error into a wrong beta, which _partner can only shrink; Newton steps
-    # on the saddle restore both
-    phi, psi = _saddle_newton(g, k, m, phi, _partner(g, k, m, phi))
-    # a singular Newton step leaves +-inf, which _half_turn turns into NaN:
-    # such a candidate gets a NaN residual and fails the judge
-    with np.errstate(invalid="ignore"):
-        return _half_turn(np.degrees(phi) / 2.0), _half_turn(np.degrees(psi) / 2.0)
+        pair = np.stack(_reply_arc(*(t[walker, cells]
+                                     for t in (first, offset, second, center, sigma, q))))
+        xy = pair[np.stack([walker, 1 - walker]), :, cells]
+        angles = np.stack(_saddle_newton(g, k, m, *np.arctan2(xy[..., 1], xy[..., 0])))[..., None]
+        line = np.abs(q) <= _LINE_ROUNDOFF
+        if line.any():
+            # each player's chord lies on the other's line, along adj(first)
+            # of the other's indifference point: for 2 x 2 matrices
+            # adj(A) = det(A) A^-1 = tr(A) I - A, and det(first) > 0
+            adj = (first[..., 0, 0] + first[..., 1, 1])[..., None, None] * np.eye(2) - first
+            chord = _chord_ends(center, sigma, q, _mat_vec(adj, center[::-1]), line[::-1])
+            other = np.broadcast_to(center[::-1, :, None, :], chord.shape)
+            ends = np.stack([np.concatenate([chord[0], other[1]], axis=1),
+                             np.concatenate([other[0], chord[1]], axis=1)])
+            angles = np.concatenate([angles, np.arctan2(ends[..., 1], ends[..., 0])], axis=-1)
+        return tuple(_half_turn(np.degrees(angles) / 2.0))
 
 
 def _merge(alpha: np.ndarray, beta: np.ndarray, residual: np.ndarray,
            passed: np.ndarray) -> np.ndarray:
-    """Which candidate slots of each row are kept, (n, 9).
+    """Which candidate slots of each row are kept, (n, slots).
 
     Slots are taken by residual, ties in slot order, and a slot is kept if
     it passed and no slot kept before it lies within MERGE_DISTANCE_DEG of
@@ -416,7 +460,7 @@ def _solve_block(h: PayoffMatrix, theta_a: np.ndarray,
     Solved and judged on _lift(h); values come from h itself.
     """
     lifted, shift = _lift(h)
-    alpha, beta = _candidates(lifted, theta_a, theta_b)
+    alpha, beta = _cell_points(lifted, theta_a, theta_b)
     residual = verify_nash_quantum(lifted, (theta_a[:, None], theta_b[:, None]), alpha, beta)
     cell, slot = np.nonzero(_merge(alpha, beta, residual,
                                    residual <= NASH_TOLERANCE * lifted.scale))
@@ -428,15 +472,12 @@ def _solve_block(h: PayoffMatrix, theta_a: np.ndarray,
 def find_equilibria(h: PayoffMatrix, frames: Frames) -> list[Equilibrium]:
     """All verified Nash equilibria, deduplicated and sorted by alpha.
 
-    An empty list is a valid outcome.  Candidates are the roots of the
-    fixed-point polynomial and the point where Bob is indifferent, each
-    paired with Bob's best response or a beta to which it is Alice's, and
-    polished by Newton steps; each one must pass
-    verify_nash_quantum at NASH_TOLERANCE * (a + b + c + d) before it is
-    reported, so spurious roots are never returned.  The tolerance is a
-    module constant, not a parameter.  Of candidates within
-    MERGE_DISTANCE_DEG of each other in both angles, the one with the
-    smallest residual is kept.
+    An empty list is a valid outcome.  The candidates are _reply_arc's
+    fixed point, polished by Newton steps, and on a line the chord ends;
+    each one must pass verify_nash_quantum at NASH_TOLERANCE * (a + b + c + d)
+    before it is reported.  The tolerance is a module constant, not a
+    parameter.  Of candidates within MERGE_DISTANCE_DEG of each other in
+    both angles, the one with the smallest residual is kept.
     This is find_equilibria_grid's grid of one cell.
     """
     _, *points = find_equilibria_grid(h, [frames[0].theta_deg], [frames[1].theta_deg])
@@ -447,36 +488,6 @@ def find_equilibria(h: PayoffMatrix, frames: Frames) -> list[Equilibrium]:
                                  outcome_weights(beta, frames[1]), residual))
     # ties in alpha by residual, as the merge takes them
     return sorted(found, key=lambda e: (e.alpha.degrees, e.residual))
-
-
-def _circle_margin(h: PayoffMatrix, theta_deg: np.ndarray) -> np.ndarray:
-    """q(theta) = sin 2theta - |sin 2theta p(theta)| from _indifference.
-
-    That is sin 2theta (1 - |p(theta)|), where |p(theta_A)| = |x_c| and
-    |p(theta_B)| = |y_c|; q > 0 exactly where the indifference point lies
-    inside the circle.  It reads the payoffs and the frame alone, not the
-    bilinear form.
-    """
-    point = _indifference(h, theta_deg)
-    return np.sin(2.0 * np.radians(theta_deg)) - np.hypot(point[..., 0], point[..., 1])
-
-
-def _certified_empty(h: PayoffMatrix, theta_a: np.ndarray, theta_b: np.ndarray) -> np.ndarray:
-    """(len(theta_a), len(theta_b)) mask of frame cells where no point can pass the judge.
-
-    With F = v* + (x - x_c)^T M (y - y_c), the two gains at unit vectors
-    (x, y) sum to |M dy| - x_c^T M dy + |M^T dx| + y_c^T M^T dx, dx = x - x_c
-    and dy = y - y_c, which is at least (1 - |x_c|) |M dy| + (1 - |y_c|) |M^T dx|.
-    As |dx| >= 1 - |x_c|, |dy| >= 1 - |y_c| and sigma_min(M) >= |det M| / (S/4),
-    S = a + b + c + d, the sum is at least 2 sigma_min(M) (1 - |x_c|) (1 - |y_c|),
-    so the larger gain is at least (a+c)(b+d)/(4S) q(theta_A) q(theta_B) where
-    both q are positive.  A cell is certified where that bound, formed
-    scale-free, exceeds NASH_TOLERANCE * S.
-    """
-    q_a = _circle_margin(h, theta_a)[:, None]
-    q_b = _circle_margin(h, theta_b)[None, :]
-    weight = (h.a + h.c) / h.scale * ((h.b + h.d) / h.scale) / 4.0
-    return (q_a > 0) & (q_b > 0) & (weight * q_a * q_b > NASH_TOLERANCE)
 
 
 def find_equilibria_grid(
@@ -490,18 +501,19 @@ def find_equilibria_grid(
     in cell order: cell i * len(thetas_b_deg) + j is the frame pair
     (thetas_a_deg[i], thetas_b_deg[j]), and within a cell the points come
     in candidate order.  alpha and beta are StrategyAngle's degrees in
-    [0, 180).  Every angle must be a valid MeasurementFrame.  A cell that
-    _certified_empty proves holds no point within NASH_TOLERANCE is not
-    solved and has no entry.  The others are solved BLOCK_CELLS at a time
-    and judged at that same tolerance, so each cell's entries are what
-    find_equilibria returns for it alone.
+    [0, 180).  Every angle must be a valid MeasurementFrame.  A cell where
+    both indifference points lie inside the circle by more than roundoff
+    holds no pure equilibrium and is not solved (lemma A).
+    The others are solved BLOCK_CELLS at a time, so each cell's entries
+    are what find_equilibria returns for it alone.
     """
     theta_a, theta_b = (
         np.array([MeasurementFrame(float(t)).theta_deg for t in thetas], dtype=float)
         for thetas in (thetas_a_deg, thetas_b_deg))
     cells_a = np.repeat(theta_a, theta_b.size)
     cells_b = np.tile(theta_b, theta_a.size)
-    solve = np.flatnonzero(~_certified_empty(h, theta_a, theta_b).ravel())
+    inside_a, inside_b = (_circle_margin(h, t) > _LINE_ROUNDOFF for t in (theta_a, theta_b))
+    solve = np.flatnonzero(~(inside_a[:, None] & inside_b[None, :]).ravel())
     found = [(np.empty(0, dtype=np.intp), *[np.empty(0)] * 4)]
     for start in range(0, solve.size, BLOCK_CELLS):
         block = solve[start:start + BLOCK_CELLS]

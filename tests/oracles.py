@@ -15,8 +15,8 @@ rather than in the package, which ships what its commands reach.
 - half_angle_coefficients and half_angle_coefficients_in_beta give F's
   harmonic in one angle from the half-angle formulas;
 - grid_nash_audit sweeps the strategy torus on a grid;
-- interval_i and pure_equilibrium_count state in closed form which frame
-  cells hold a pure equilibrium;
+- interval_i, circle_margin and pure_equilibrium_count state in closed
+  form which frame cells hold a pure equilibrium;
 - prove_saddle certifies a reported equilibrium with an interval proof;
 - reference_merge states the solver's merge of near candidates one slot at
   a time.
@@ -264,6 +264,19 @@ def interval_i(h: PayoffMatrix) -> tuple[float, float]:
     return abs(sigma - tau) / 2, min(sigma + tau, 360.0 - sigma - tau) / 2
 
 
+def circle_margin(h: PayoffMatrix, theta: float) -> float:
+    """q(theta) = sin 2theta (1 - r(theta)), positive exactly on I.
+
+    r(theta) is |x_c| at theta_A and |y_c| at theta_B, from
+    r^2 = (s^2 + t^2 - 2st cos 2theta) / sin^2 2theta with s = (a-c)/(a+c)
+    and t = (b-d)/(b+d).
+    """
+    s = (h.a - h.c) / (h.a + h.c)
+    t = (h.b - h.d) / (h.b + h.d)
+    two = 2.0 * math.radians(theta)
+    return math.sin(two) - math.sqrt(s * s + t * t - 2.0 * s * t * math.cos(two))
+
+
 def pure_equilibrium_count(h: PayoffMatrix, theta_a: float, theta_b: float) -> int:
     """How many pure equilibria the cell at frames theta_a, theta_b (degrees) holds.
 
@@ -276,9 +289,9 @@ def pure_equilibrium_count(h: PayoffMatrix, theta_a: float, theta_b: float) -> i
     theta = lo or hi, a cell can hold two equilibria.  It also holds only
     for frames farther than roundoff from I's ends, where a float frame
     cannot say which side it lies on: unit payoffs at theta_a = 1e-300 and
-    theta_b = 89.99999999999999 give q = 3.5e-302 and 5.7e-16, so the
-    certificate cannot skip that cell, and the judge passes 5 points at
-    <= 1.4e-16 * (a+b+c+d) where this rule says 0.  ROADMAP item 2 owns
+    theta_b = 89.99999999999999 give q = 3.5e-302 and 5.7e-16, and the
+    solver's quartic candidates once passed 5 points at <= 1.4e-16 *
+    (a+b+c+d) there where this rule says 0.  ROADMAP item 2 owns
     classifying such points.
     """
     lo, hi = interval_i(h)

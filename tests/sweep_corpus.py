@@ -7,7 +7,8 @@ runs wisealice.cli.main in this process and writes into OUTDIR
 - 100 sweep CSVs, 459,450 cells, each with its scenario file: for seeds
   sweep:1 to sweep:40, payoffs drawn as perfbench/workloads.py draws its
   sweep scenario, and for seeds wide:1 to wide:10, payoffs e^U(-8,8), where
-  the merge and the tolerance-edge points live, written with every digit;
+  the solver is weakest, written with every digit (tests/corpus_judge.py
+  checks every count of them against the count rule);
   each at frames 5:85 step 2.5 and at 0.5:89.5 step 1;
 - for each shipped scenario, analyze and equilibria as text and as JSON,
   curves (CSV and SVG) at resolutions of 0.25, 0.05 and 89 degrees, the

@@ -10,21 +10,14 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 from wisealice.game import PayoffMatrix
-from wisealice.quantum import MeasurementFrame, StrategyAngle
+from wisealice.quantum import MeasurementFrame, StrategyAngle, bilinear_form
 from wisealice.scenario import load_scenario
 from wisealice.solver import (
-    _SAMPLES,
     BLOCK_CELLS,
     MERGE_DISTANCE_DEG,
     NASH_TOLERANCE,
-    _candidates,
-    _certified_empty,
-    _circle_margin,
-    _half_angle_roots,
     _indifference,
-    _lift,
     _merge,
-    _solve_block,
     best_responses,
     find_equilibria,
     find_equilibria_grid,
@@ -35,6 +28,7 @@ from wisealice.solver import (
 from oracles import (
     _payoff_derivatives,
     circle_dist,
+    circle_margin,
     grid_nash_audit,
     half_angle_coefficients,
     half_angle_coefficients_in_beta,
@@ -226,8 +220,8 @@ def test_every_angle_lies_on_the_half_turn_circle(a, b, c, d, ta, tb, opponents)
         assert on_half_turn(best_responses(player, h, frames, np.array(opponents))[0])
         for resolution in (45.0, 0.05):
             assert on_half_turn(reaction_curve(player, h, frames, resolution).response_deg)
-    alpha, beta = _candidates(_lift(h)[0], np.array([ta]), np.array([tb]))
-    assert on_half_turn(alpha[np.isfinite(alpha)]) and on_half_turn(beta[np.isfinite(beta)])
+    found = find_equilibria(h, frames)
+    assert on_half_turn([eq.alpha.degrees for eq in found] + [eq.beta.degrees for eq in found])
     _, alpha, beta, _, _ = find_equilibria_grid(h, [ta, 45.0], [tb, 45.0])
     assert on_half_turn(alpha) and on_half_turn(beta)
 
@@ -387,7 +381,8 @@ def test_residual_arrays_invariant_under_half_turn_shifts(a, b, c, d, ta, tb, al
 
 
 def test_nan_angles_give_nan_residuals_without_a_warning(two_eq_instance):
-    # _candidates hands a failed Newton step to the judge as NaN, which must fail
+    # the solver hands a failed Newton step or a missing chord end to the
+    # judge as NaN, which must fail
     h, frames = two_eq_instance
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -487,8 +482,8 @@ def test_steep_crossing_is_not_mistaken_for_a_wrap():
 # --- the cusp: Bob indifferent ------------------------------------------------
 
 # (payoffs, frames, equilibria as (alpha, beta, value)), the first at the
-# cusp: there k + M^T x = 0, so every beta is Bob's reply and the quartic's
-# root has no reply -w/|w| to pair with; x_c = -M^-T k has unit length
+# cusp: there k + M^T x = 0, so every beta is Bob's reply; x_c = -M^-T k
+# has unit length, so theta_A lies on an end of I and the cell on a line
 CUSP_INSTANCES = [
     ((1, 3, 1, 1), (15, 60), [(135.0, 69.8960906, 1.25)]),
     # Alice's condition touches the circle at beta = 95: a double root
@@ -541,8 +536,9 @@ def test_grid_cells_match_find_equilibria_alone_at_cusps(payoffs):
 
 
 def test_cusp_candidate_is_the_only_one_to_find_this_equilibrium():
-    # Bob is nearly indifferent here: the quartic's samples are at most 1.4e-7,
-    # and only the cusp x_c, paired and polished like a root, finds the point
+    # the name is kept from the quartic candidates, of which only the cusp
+    # x_c found this point: Bob is nearly indifferent here, and the
+    # quartic's samples are at most 1.4e-7
     h = PayoffMatrix(32.35978971903452, 224.85711873998432,
                      0.0004248362085169901, 0.001003037919629702)
     frames = (MeasurementFrame(0.3438537318107828), MeasurementFrame(0.013675748768441364))
@@ -596,8 +592,9 @@ def test_indifference_points_match_a_40_digit_solve():
     # M, g and k are built at 40 digits from e_1, e(2 theta_A) and e(2 theta_B)
     # here, not from bilinear_form, and x_c and y_c solve M^T x = -k and
     # M y = -g.  _indifference gives sin 2theta_A x_c at theta_A and
-    # -sin 2theta_B y_c at theta_B; the cusp candidate is its angle at theta_A
-    # (a quotient by det M, the formula it replaced, was off by 3.4e-10 rad)
+    # -sin 2theta_B y_c at theta_B, and its angle at theta_A is x_c's, which
+    # a line cell's chord reads (a quotient by det M, the formula it
+    # replaced, was off by 3.4e-10 rad)
     rng = np.random.default_rng(26)
     worst_angle = worst_point = 0.0
     with mpmath.workdps(40):
@@ -626,8 +623,8 @@ def test_line_equilibria_are_the_chord_ends(scenario_dir):
     # x_c - lam M^-T y_c (lam >= 0) inside the disk, a chord whose two ends
     # are the pure equilibria, both at y_c's beta.  Measured: alpha
     # 47.5440984163 and 138.6027975434, beta 52.2387560930; find_equilibria
-    # reports the first 9.3e-8 degrees off (ROADMAP item 3), the rest
-    # within 1e-13 degrees
+    # takes them from the same closed form and reports every angle within
+    # 6.3e-15 degrees, under one ulp of 138.6
     sc = load_scenario(scenario_dir / "line_two_equilibria.txt")
     h, frames = sc.payoff_matrix(), sc.frames()
     thetas = [frame.theta_deg for frame in frames]
@@ -652,8 +649,8 @@ def test_line_equilibria_are_the_chord_ends(scenario_dir):
     found = find_equilibria(h, frames)
     assert len(found) == 2
     for eq, alpha in zip(found, alphas):
-        assert circle_dist(eq.alpha.degrees, alpha) <= 1e-6
-        assert circle_dist(eq.beta.degrees, beta) <= 1e-6
+        assert circle_dist(eq.alpha.degrees, alpha) <= 2e-14
+        assert circle_dist(eq.beta.degrees, beta) <= 2e-14
 
 
 # --- the count rule: which cells hold an equilibrium ---------------------------
@@ -767,28 +764,32 @@ def test_line_cells_with_theta_a_in_i_or_two_points_sit_at_alices_indifference()
     assert min(cells.values()) > 0, cells
 
 
-# where the rule says one equilibrium and the solver stops short: ROADMAP
-# item 2 fixes the solver there before it sets one tolerance
+# where the rule says one equilibrium and the quartic candidates of the
+# solver before the reply-arc walk stopped short: no candidate reached
+# (179.34066, 89.82577), and the other was reported 0.01 degrees off, at
+# 1.3e-12 * S.  Both cells are HARD_CELLS of the interval proof too
+RULE_CELLS = [
+    ((0.0005859766306065266, 1412.714583118388, 0.055246477694773664,
+      0.005087920384938334), (89.21701484019307, 89.89337087656244)),
+    ((0.0005290755669106352, 1873.584314388169, 0.11572485695187998,
+      0.003049614304498293), (89.33922842917872, 89.11813051198726)),
+]
+
+
 @pytest.mark.parametrize("payoffs, thetas", [
-    pytest.param((0.0005859766306065266, 1412.714583118388, 0.055246477694773664,
-                  0.005087920384938334), (89.21701484019307, 89.89337087656244),
-                 id="missed", marks=pytest.mark.xfail(strict=True, reason=(
-                     "no candidate reaches (179.34066, 89.82577) at 9.6e-20 * S"))),
-    pytest.param((0.0005290755669106352, 1873.584314388169, 0.11572485695187998,
-                  0.003049614304498293), (89.33922842917872, 89.11813051198726),
-                 id="off", marks=pytest.mark.xfail(strict=True, reason=(
-                     "reported 0.01 degrees off, at 1.3e-12 * S"))),
+    pytest.param(*RULE_CELLS[0], id="missed"), pytest.param(*RULE_CELLS[1], id="off"),
 ])
 def test_rule_names_the_cells_the_solver_misses(payoffs, thetas):
     assert_count_is_the_rule(PayoffMatrix(*payoffs), tuple(map(MeasurementFrame, thetas)))
 
 
 # (3,3,5,1) at theta_A = 30: the equilibrium of theta_B = 20 exists up to
-# I's left end, 22.2387560930; past it the solver's tolerance still passes
-# a point near the vanished one until its residual crosses 1e-8 * S near
-# theta_B = 22.2387592
+# I's left end, 22.2387560930, and past it the rule gives none.  22.2387590
+# lies 2.9e-6 degrees inside I: no point there passes the judge, while the
+# solver's quartic candidates used to leave one at 9.9e-9 * S until the
+# residual of the vanished point crossed 1e-8 * S near theta_B = 22.2387592
 @pytest.mark.parametrize("theta_b, count", [
-    (22.2387, 1), (22.238756, 1), (22.2387590, 1), (22.23875917, None),
+    (22.2387, 1), (22.238756, 1), (22.2387590, 0), (22.23875917, None),
     (22.2387592, 0), (22.2388, 0),
 ])
 def test_bifurcation_frames(theta_b, count):
@@ -819,6 +820,21 @@ def test_equilibrium_invariant_across_the_float_range(two_eq_instance):
         assert eqs[0].beta.degrees == pytest.approx(TWO_EQ_POINT[1], abs=1e-6)
         assert eqs[0].value == pytest.approx(lam * TWO_EQ_POINT[2], rel=1e-9)
         assert eqs[0].residual <= 1e-8 * scaled.scale
+
+
+@pytest.mark.parametrize("thetas", [
+    (1e-300, 30.0), (1e-100, 30.0), (1e-20, 30.0), (1e-10, 30.0), (1e-6, 30.0),
+    (89.99999999999999, 30.0), (89.9999999, 30.0), (45.0, 1e-12), (1e-8, 89.99999),
+])
+def test_frames_next_to_0_and_90_keep_their_one_equilibrium(thetas):
+    # there M's entries of size sin 2theta decide the replies, and the walker
+    # is nearly indifferent at the equilibrium, so its reply alone misplaces
+    # the point by tens of degrees; the quartic candidates reported a second
+    # point at roundoff in most of these cells
+    h = PayoffMatrix(3, 3, 5, 1)
+    found = find_equilibria(h, tuple(map(MeasurementFrame, thetas)))
+    assert len(found) == pure_equilibrium_count(h, *thetas) == 1
+    assert found[0].residual <= 1e-15 * h.scale
 
 
 @settings(max_examples=60, deadline=None)
@@ -909,35 +925,6 @@ def test_judge_matches_the_trigonometric_definition(a, b, c, d, ta, tb, k, alpha
 
 
 # --- grid solve ---------------------------------------------------------------
-
-def test_half_angle_map_recovers_the_roots_of_a_trigonometric_quartic():
-    # the product of sin(phi - phi_j) over four phi_j is of degree 4 in phi
-    # and vanishes at phi_j and phi_j + pi.  phi_j = pi is a root at
-    # alpha = 90, and pi +- 2e-9 one 1e-9 rad to either side of it: each
-    # row's own origin keeps those roots as accurate as the others.  Such a
-    # row has period pi, so its sample a half turn past the largest is the
-    # largest again.  The product of sin((phi - phi_j) / 2) over eight phi_j
-    # is a general quartic: the last row has a root on the sample 8 places
-    # past its largest, so only the origin a quarter turn before the largest
-    # keeps its leading coefficient nonzero.  The rows are solved in one
-    # call; an all-zero row has no roots
-    cases = ([0.3, 1.1, 2.0, 2.9], [math.pi, 0.4, 1.7, 2.5],
-             [math.pi + 2e-9, 0.4, 1.7, 2.5], [math.pi - 2e-9, 0.9, 1.3, 2.2])
-    general = [*np.random.default_rng(0).uniform(0.0, 2.0 * math.pi, size=7), _SAMPLES[15]]
-    general_row = np.prod(np.sin((_SAMPLES[:, None] - np.array(general)) / 2), axis=-1)
-    assert np.argmax(np.abs(general_row)) == 7
-    samples = np.array([np.prod(np.sin(_SAMPLES[:, None] - np.array(phis)), axis=-1)
-                        for phis in cases] + [np.zeros(16), general_row])
-    found = np.degrees(_half_angle_roots(samples)) / 2
-    assert found.shape == (6, 8)
-    for phis, roots in zip(cases, found):
-        for phi in phis:
-            for alpha in (math.degrees(phi) / 2, math.degrees(phi) / 2 + 90.0):
-                assert min(circle_dist(alpha, a) for a in roots) <= 1e-9
-    assert np.isnan(found[4]).all()
-    for phi in general:
-        assert min(circle_dist(math.degrees(phi) / 2, a) for a in found[5]) <= 1e-9
-
 
 GRID_SHAPES = {1: (1, 1), 255: (15, 17), 256: (16, 16), 257: (1, 257), 600: (24, 25)}
 
@@ -1030,37 +1017,55 @@ def test_sweep_grid_cells_have_at_most_one_equilibrium(scenario_dir, name, cells
     assert counts.count(1) == cells_with_one
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "the absolute tolerance 1e-8 * scale also verifies points near the one "
-    "equilibrium whose residual has a positive local minimum"))
 @settings(max_examples=200, deadline=None)
 @given(wide_payoffs, wide_payoffs, wide_payoffs, wide_payoffs,
        st.floats(min_value=0.1, max_value=89.9), st.floats(min_value=0.1, max_value=89.9))
 # found by a seeded search of 768,000 cells (36 hits, none by hypothesis in
-# 9000 examples): the second point lies 78 and 60 degrees from the first,
-# with residual 1.3e-8 and 8.1e-9 whose local minima are 6.8e-9 * scale
-# and 4.5e-10 * scale, so it is no equilibrium
+# 9000 examples) when the solver's quartic candidates also passed a second
+# point 78 and 60 degrees from the first, with residual 1.3e-8 and 8.1e-9
+# whose local minima are 6.8e-9 * scale and 4.5e-10 * scale: no equilibrium
 @example(0.1, 0.576422617034681, 0.576422617034681, 0.576422617034681,
          1.0232507043975223, 22.387533976194195)
 @example(0.05224121895171803, 10.06081972187502, 0.07587639195024413, 3.2897644466639595,
          0.1, 20.5541948881458)
-# both frames far from 0 and 90: (23.0957, 117.0742) at residual 6.6e-9 *
-# scale lies 0.28 degrees, just past MERGE_DISTANCE_DEG, from the
-# equilibrium (23.3784, 117.0783) at 4.9e-17 * scale
+# both frames far from 0 and 90: the quartic candidates left (23.0957,
+# 117.0742) at residual 6.6e-9 * scale, 0.28 degrees from the equilibrium
+# (23.3784, 117.0783) at 4.9e-17 * scale
 @example(0.27389357093257377, 0.07567227636498573, 1.035501233998605, 35.037844417659976,
          31.47012855935395, 24.53836514601862)
 def test_random_instances_have_at_most_one_equilibrium(a, b, c, d, ta, tb):
     # F is bilinear in the unit vectors, so the game extended to the disks is
     # convex-concave and its saddle set convex; it meets the torus at most
-    # at isolated points.  Frames within hundredths of a degree of 0 or 90
-    # admit points within the tolerance of equilibria that do not exist.
+    # at isolated points, and off the lines of item 1 at one.
     h = PayoffMatrix(a, b, c, d)
     assert len(find_equilibria(h, (MeasurementFrame(ta), MeasurementFrame(tb)))) <= 1
 
 
+def test_wide_stress_counts_are_the_rule():
+    # numpy seed 13: 20 payoff sets at e^U(-8,8), each on a 10 x 10 grid of
+    # frames from U(0.001, 89.999), theta_A first, one grid call per set.
+    # Every cell off I's ends holds the rule's count, and every point lies
+    # at roundoff.  A cell within 1e-9 degrees of an end, where a float
+    # frame cannot say on which side it lies, is listed instead: none here
+    rng = np.random.default_rng(13)
+    near_an_end = []
+    for n in range(20):
+        h = PayoffMatrix(*np.exp(rng.uniform(-8.0, 8.0, 4)))
+        ta, tb = rng.uniform(0.001, 89.999, (2, 10))
+        cell, _, _, _, residual = find_equilibria_grid(h, ta, tb)
+        assert (residual <= 1e-15 * h.scale).all(), (h, residual.max() / h.scale)
+        counts = np.bincount(cell, minlength=100).tolist()
+        for (i, j), count in zip(np.ndindex(10, 10), counts):
+            if off_the_lines(h, ta[i], tb[j]):
+                assert count == pure_equilibrium_count(h, ta[i], tb[j]), (h, ta[i], tb[j])
+            else:
+                near_an_end.append((n, i, j))
+    assert near_an_end == []
+
+
 # --- the interval proof: each reported point is a proved saddle ---------------
 
-# the @examples of the strict xfail above, as (a, b, c, d, theta_a, theta_b)
+# the @examples of the test above, as (a, b, c, d, theta_a, theta_b)
 AT_MOST_ONE_EXAMPLES = [
     (0.1, 0.576422617034681, 0.576422617034681, 0.576422617034681,
      1.0232507043975223, 22.387533976194195),
@@ -1070,8 +1075,8 @@ AT_MOST_ONE_EXAMPLES = [
      31.47012855935395, 24.53836514601862),
 ]
 # the @examples of test_root_solve_matches_scan where both frames lie
-# near 90 or near 0, and two bifurcation frames: 9.3e-8 degrees outside I
-# and 2.9e-6 inside
+# near 90 or near 0, two bifurcation frames, 9.3e-8 degrees outside I and
+# 2.9e-6 inside, and the RULE_CELLS
 HARD_CELLS = [
     (math.exp(-4.0), math.exp(3.5), math.exp(4.0), math.exp(-4.0), 89.875, 89.984375),
     (math.exp(-4.0), math.exp(3.5), math.exp(4.0), math.exp(-3.625), 89.875, 89.984375),
@@ -1080,13 +1085,14 @@ HARD_CELLS = [
     (48.182698291098816, 33.11545195869231, 0.042528085166786085, 0.028332142798731294,
      0.011536394184157093, 0.024679625850786854),
     (3, 3, 5, 1, 30, 22.238756), (3, 3, 5, 1, 30, 22.2387590),
+    *((*payoffs, *thetas) for payoffs, thetas in RULE_CELLS),
 ]
 
 
 def test_interval_proof_certifies_every_equilibrium_at_roundoff(scenario_dir):
-    # the four shipped scenarios, the xfail's examples, the hard cells and
-    # 300 seeded cells; no cusp (CUSP_INSTANCES), where F_bb = 0 and no box
-    # proves a saddle
+    # the four shipped scenarios, the at-most-one examples, the hard cells
+    # and 300 seeded cells; no cusp (CUSP_INSTANCES), where F_bb = 0 and no
+    # box proves a saddle.  Every reported point lies at roundoff and is proved
     scenarios = (load_scenario(scenario_dir / f"{name}.txt") for name in (
         "two_equilibria", "unit_payoffs", "no_equilibrium", "interior_equilibrium"))
     cells = [(s.payoff_matrix(), s.frames()) for s in scenarios]
@@ -1098,21 +1104,16 @@ def test_interval_proof_certifies_every_equilibrium_at_roundoff(scenario_dir):
         theta_a, theta_b = rng.uniform(0.05, 89.95, size=2)
         cells.append((h, (MeasurementFrame(theta_a), MeasurementFrame(theta_b))))
 
-    proved, rejected = 0, 0
+    proved = 0
     for h, frames in cells:
         for eq in find_equilibria(h, frames):
-            radius = prove_saddle(h, frames, eq.alpha.degrees, eq.beta.degrees)
-            if eq.residual <= 1e-15 * h.scale:
-                assert radius is not None, (h, frames, eq)
-                proved += 1
-            else:
-                # the tolerance-edge points: no saddle within 1e-6 rad
-                assert radius is None, (h, frames, eq)
-                rejected += 1
-    # 3 shipped, 3 at the examples, 5 at the hard cells and 268 seeded; the
-    # first two examples also report a point at 7.1e-9 and 6.0e-10 * scale,
-    # and the hard cells one at 2.7e-9 and one at 9.9e-9 * scale
-    assert (proved, rejected) == (279, 4)
+            assert eq.residual <= 1e-15 * h.scale, (h, frames, eq)
+            assert prove_saddle(h, frames, eq.alpha.degrees, eq.beta.degrees) is not None, (
+                h, frames, eq)
+            proved += 1
+    # 3 shipped, 3 at the examples, 7 at the hard cells (none at 2.9e-6
+    # degrees inside I) and 268 seeded
+    assert proved == 281
 
 
 def test_proof_derivatives_are_those_of_the_payoff():
@@ -1142,11 +1143,16 @@ def test_proof_derivatives_are_those_of_the_payoff():
             assert float(derivative.mid) == pytest.approx(difference, abs=1e-6 * h.scale)
 
 
-# --- the certificate: cells proven empty are not solved -----------------------
+# --- lemma A: cells in I x I hold no point and are not solved ------------------
 
 certificate_payoffs = st.floats(min_value=-8.0, max_value=8.0).map(math.exp)
 fractions = st.floats(min_value=0.0, max_value=1.0)
 GRID_05 = np.arange(0.0, 180.0, 0.5)
+
+
+def off_the_lines(h, *thetas) -> bool:
+    """Every frame farther than 1e-9 degrees from I's ends."""
+    return min(abs(t - end) for t in thetas for end in interval_i(h)) > 1e-9
 
 
 @settings(max_examples=150, deadline=None)
@@ -1159,65 +1165,102 @@ def test_certificate_bounds_every_pure_gain(a, b, c, d, u_a, u_b):
     # land in I x I and u = 0 or 1 on its edges.  Where q > 0 at both
     # frames every pure pair gains at least (a+c)(b+d)/(4S) q_A q_B; the
     # judge must agree at every point of a 0.5-degree grid, up to its own
-    # roundoff of 1e-14 * S (test_judge_matches_the_trigonometric_definition)
+    # roundoff of 1e-14 * S (test_judge_matches_the_trigonometric_definition),
+    # and the solver reports no point there off I's ends: farther than 1e-9
+    # degrees, and with both q above 1e-14, where the closed form here
+    # places them (next to a corner it was 3e-15 off in one cell)
     h = PayoffMatrix(a, b, c, d)
     lo, hi = interval_i(h)
     ta, tb = (min(max(lo + u * (hi - lo), 0.05), 89.95) for u in (u_a, u_b))
-    q_a, q_b = _circle_margin(h, np.array([ta, tb]))
-    certified = _certified_empty(h, np.array([ta]), np.array([tb]))[0, 0]
+    q_a, q_b = circle_margin(h, ta), circle_margin(h, tb)
     if not (q_a > 0 and q_b > 0):
-        assert not certified
         return
     bound = (a + c) * (b + d) / (4.0 * h.scale) * q_a * q_b
-    assert certified == (bound > NASH_TOLERANCE * h.scale)
     residual = verify_nash_quantum(h, (ta, tb), GRID_05[:, None], GRID_05[None, :])
     assert residual.min() >= bound - 1e-14 * h.scale
+    if off_the_lines(h, ta, tb) and min(q_a, q_b) > 1e-14:
+        assert find_equilibria(h, (MeasurementFrame(ta), MeasurementFrame(tb))) == []
+        assert all(t.size == 0 for t in find_equilibria_grid(h, [ta], [tb]))
 
 
-def test_certificate_skips_nothing_outside_the_interval():
+def solved_cells(monkeypatch) -> list[tuple[float, float]]:
+    """The frame pairs the solver builds a bilinear form for, as it builds them."""
+    cells = []
+
+    def record(h, theta_a, theta_b):
+        cells.extend(zip(np.ravel(theta_a).tolist(), np.ravel(theta_b).tolist()))
+        return bilinear_form(h, theta_a, theta_b)
+
+    monkeypatch.setattr("wisealice.solver.bilinear_form", record)
+    return cells
+
+
+def test_certificate_skips_nothing_outside_the_interval(monkeypatch):
     # (3, 3, 5, 1): I = (22.2387560930, 82.2387560930); 30/40 lies in I x I,
-    # 10 and 85 lie outside
+    # 10 and 85 lie outside.  The grid builds a form for exactly the 32
+    # cells outside I x I, and the judge's forms are the solve's cells again
     h = PayoffMatrix(3, 3, 5, 1)
-    assert interval_i(h) == pytest.approx((22.2387560930, 82.2387560930), abs=1e-9)
-    thetas = np.array([10.0, 22.2, 30.0, 40.0, 82.3, 85.0])
-    assert (_circle_margin(h, thetas) > 0).tolist() == [False, False, True, True, False, False]
-    assert _certified_empty(h, thetas, thetas).sum() == 4
+    lo, hi = interval_i(h)
+    assert (lo, hi) == pytest.approx((22.2387560930, 82.2387560930), abs=1e-9)
+    thetas = [10.0, 22.2, 30.0, 40.0, 82.3, 85.0]
+    assert [lo < t < hi for t in thetas] == [False, False, True, True, False, False]
+    cells = solved_cells(monkeypatch)
+    cell = find_equilibria_grid(h, thetas, thetas)[0]
+    outside = [(ta, tb) for ta in thetas for tb in thetas
+               if pure_equilibrium_count(h, ta, tb) == 1]
+    assert len(outside) == 32
+    assert sorted(set(cells)) == sorted(outside)
+    assert np.bincount(cell, minlength=36).tolist() == [
+        pure_equilibrium_count(h, ta, tb) for ta in thetas for tb in thetas]
 
 
 def test_masked_grid_matches_the_full_solve_cell_for_cell():
     # numpy seed 20: 30 payoff draws at e^U(-4,4) and 30 at e^U(-8,8), each
-    # on 8 x 8 frames from U(0.05, 89.95); _solve_block solves every cell
+    # on 8 x 8 frames from U(0.05, 89.95).  Every cell off I's ends holds the
+    # rule's count, so no cell the grid skips holds a point; in each grid
+    # the skipped cell with the smallest lemma-A bound also passes no point
+    # of the 0.5-degree grid audit at the solver's tolerance
     rng = np.random.default_rng(20)
     for width in (4.0, 8.0):
         skipped = 0
         for _ in range(30):
             h = PayoffMatrix(*np.exp(rng.uniform(-width, width, 4)))
             ta, tb = rng.uniform(0.05, 89.95, (2, 8))
-            grid = find_equilibria_grid(h, ta, tb)
-            assert_same_arrays(grid, _solve_block(h, np.repeat(ta, 8), np.tile(tb, 8)))
-            skipped += _certified_empty(h, ta, tb).sum()
+            counts = np.bincount(find_equilibria_grid(h, ta, tb)[0], minlength=64)
+            inside = []
+            for (i, j), count in zip(np.ndindex(8, 8), counts.tolist()):
+                if off_the_lines(h, ta[i], tb[j]):
+                    assert count == pure_equilibrium_count(h, ta[i], tb[j]), (h, ta[i], tb[j])
+                if pure_equilibrium_count(h, ta[i], tb[j]) == 0:
+                    inside.append((circle_margin(h, ta[i]) * circle_margin(h, tb[j]), i, j))
+            if inside:
+                _, i, j = min(inside)
+                frames = (MeasurementFrame(ta[i]), MeasurementFrame(tb[j]))
+                assert grid_nash_audit(h, frames, step=0.5, tol=NASH_TOLERANCE * h.scale) == []
+            skipped += len(inside)
         assert skipped > 0
     # the cusp instances' grids hold cells on a line, where q is 0 up to
     # roundoff: a bare q > 0 mask would skip 7 cells of (1, 1, 3, 3) that
-    # hold 8 equilibria, while the certificate skips only empty ones
+    # hold 8 equilibria, and each of those cells holds what it holds alone
     thetas = np.array(CUSP_THETAS)
     for payoffs, _, _ in CUSP_INSTANCES:
         h = PayoffMatrix(*payoffs)
         grid = find_equilibria_grid(h, thetas, thetas)
-        assert_same_arrays(grid, _solve_block(h, np.repeat(thetas, 5), np.tile(thetas, 5)))
-        assert 0 < _certified_empty(h, thetas, thetas).sum() < 25
+        assert_grid_matches_alone(h, grid, thetas, thetas)
         if payoffs == (1, 1, 3, 3):
-            q = _circle_margin(h, thetas)
+            q = np.array([circle_margin(h, t) for t in thetas])
             bare = ((q[:, None] > 0) & (q[None, :] > 0)).ravel()
-            assert sum(bool(found) for found, inside in zip(grid_cells(grid, 25), bare)
-                       if inside) == 7
+            held = [len(found) for found, inside in zip(grid_cells(grid, 25), bare) if inside]
+            assert (sum(map(bool, held)), sum(held)) == (7, 8)
 
 
 def test_certified_cells_are_never_solved(unit_instance, monkeypatch):
+    # lemma A is decided from the payoffs and the frames alone: no bilinear
+    # form is built for a cell in I x I
     def fail(*args):
-        raise AssertionError("solved a certified cell")
+        raise AssertionError("solved a cell in I x I")
 
-    monkeypatch.setattr("wisealice.solver._candidates", fail)
+    monkeypatch.setattr("wisealice.solver.bilinear_form", fail)
     h, frames = unit_instance
     assert find_equilibria(h, frames) == []
     # the payoffs perfbench's sweep workload draws at seed 1: every cell of
@@ -1255,25 +1298,6 @@ def array_merge(alpha, beta, residual, passed) -> list[list[int]]:
 
 def slot_order(rows: list[list[int]]) -> list[list[int]]:
     return [sorted(row) for row in rows]
-
-
-def test_the_array_merge_matches_the_reference_merge():
-    # numpy seed 34: 40 payoff draws at e^U(-8,8), each on 64 frame pairs
-    # from U(0.05, 89.95), solved and judged as _solve_block does
-    rng = np.random.default_rng(34)
-    merged = 0
-    for _ in range(40):
-        h = _lift(PayoffMatrix(*np.exp(rng.uniform(-8.0, 8.0, 4))))[0]
-        ta, tb = rng.uniform(0.05, 89.95, (2, 64))
-        alpha, beta = _candidates(h, ta, tb)
-        residual = verify_nash_quantum(h, (ta[:, None], tb[:, None]), alpha, beta)
-        passed = residual <= NASH_TOLERANCE * h.scale
-        kept = array_merge(alpha, beta, residual, passed)
-        assert kept == slot_order(reference_merge(alpha.tolist(), beta.tolist(),
-                                                  residual.tolist(), passed.tolist(),
-                                                  MERGE_DISTANCE_DEG))
-        merged += int(passed.sum()) - sum(map(len, kept))
-    assert merged > 0
 
 
 NAN = math.nan
