@@ -17,14 +17,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
-import numpy as np
-
-from wisealice.game import OPPOSITE, VERTICES, PayoffMatrix
-
-# slack on probability vectors: entries >= -_SIMPLEX_TOL, sum within it of 1
-_SIMPLEX_TOL = 1e-12
+from wisealice.game import OPPOSITE, VERTICES, PayoffMatrix, _check_distribution
 
 
 @dataclass(frozen=True)
@@ -38,20 +32,10 @@ class MixedProfile:
     def __post_init__(self) -> None:
         if not math.isfinite(self.value):
             raise ValueError(f"value must be finite, got {self.value}")
-        _probability_vector("x", self.x)
-        _probability_vector("y", self.y)
-
-
-def _probability_vector(name: str, vec: Sequence[float]) -> np.ndarray:
-    """vec as an array, or ValueError unless it is a finite point of the simplex."""
-    v = np.asarray(vec, dtype=float)
-    if v.shape != (4,):
-        raise ValueError(f"{name} must have 4 entries, got {vec}")
-    if not np.isfinite(v).all():
-        raise ValueError(f"{name} must have finite entries, got {vec}")
-    if v.min() < -_SIMPLEX_TOL or abs(v.sum() - 1.0) > _SIMPLEX_TOL:
-        raise ValueError(f"{name} is not on the probability simplex, got {vec}")
-    return v
+        for name, vec in (("x", self.x), ("y", self.y)):
+            if len(vec) != 4:
+                raise ValueError(f"{name} must have 4 entries, got {vec}")
+            _check_distribution(name, vec)
 
 
 def solve_zero_sum(h: PayoffMatrix) -> MixedProfile:

@@ -11,12 +11,28 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 # corners 1..4 in cyclic order, and the one opposite each: the only corner
 # from which Bob cannot slide the ball to the one asked about
 VERTICES = (1, 2, 3, 4)
 OPPOSITE = {1: 3, 2: 4, 3: 1, 4: 2}
+# slack on a probability distribution: entries >= -_PROBABILITY_TOL, and
+# their exact sum within it of 1
+_PROBABILITY_TOL = 1e-12
+
+
+def _check_distribution(name: str, weights: Sequence[float]) -> None:
+    """ValueError unless weights are finite and a probability distribution.
+
+    The one owner of the rule for the classical simplex points and the
+    quantum outcome pairs alike: every entry finite and at least
+    -_PROBABILITY_TOL, and math.fsum of the entries within it of 1.
+    """
+    if not all(map(math.isfinite, weights)):
+        raise ValueError(f"{name} must have finite entries, got {weights}")
+    if min(weights) < -_PROBABILITY_TOL or abs(math.fsum(weights) - 1.0) > _PROBABILITY_TOL:
+        raise ValueError(f"{name} is not a probability distribution, got {weights}")
 
 
 @dataclass(frozen=True)

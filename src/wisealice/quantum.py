@@ -32,9 +32,7 @@ from typing import Union
 
 import numpy as np
 
-from wisealice.game import MeasurementFrame, PayoffMatrix
-
-_PAIR_TOL = 1e-12
+from wisealice.game import MeasurementFrame, PayoffMatrix, _check_distribution
 
 ArrayLike = Union[float, np.ndarray]
 
@@ -76,10 +74,8 @@ class OutcomeWeights:
     p4: float
 
     def __post_init__(self) -> None:
-        if abs(self.p1 + self.p3 - 1.0) > _PAIR_TOL:
-            raise ValueError(f"p1 + p3 must equal 1, got {self.p1 + self.p3}")
-        if abs(self.p2 + self.p4 - 1.0) > _PAIR_TOL:
-            raise ValueError(f"p2 + p4 must equal 1, got {self.p2 + self.p4}")
+        _check_distribution("(p1, p3)", (self.p1, self.p3))
+        _check_distribution("(p2, p4)", (self.p2, self.p4))
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.p1, self.p2, self.p3, self.p4)

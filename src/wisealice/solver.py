@@ -19,8 +19,9 @@ settle each cell of frame pairs:
 - C: with |x_c| > 1 the directions x - x_c of Alice's circle points fill
   a cone, and Alice's reply to Bob's reply to a direction lands back in
   it, so the composed reply has a fixed point, a pure equilibrium.
-  _reply_arc bisects for it on the arc of Bob's replies; with |y_c| > 1
-  and |x_c| < 1 the players swap.
+  _reply_arc bisects for it on the arc of Bob's replies.  With |y_c| > 1
+  the players swap, and where both points lie outside, the one farther
+  out walks: its cone is the narrower.
 - B: off the lines |x_c| = 1 and |y_c| = 1 that point is the only one.
 
 A cell within roundoff of a line can hold two, and there the ends of the
@@ -382,8 +383,8 @@ def _cell_points(h: PayoffMatrix, theta_a: np.ndarray,
                  theta_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(alpha, beta) candidates in degrees, (n, slots), at n frame pairs.
 
-    Slot 0 is _reply_arc's point, where Alice walks if |x_c| > 1 and Bob
-    otherwise, polished by _saddle_newton.  Where some cell lies on a line
+    Slot 0 is _reply_arc's point, where Alice walks if |x_c| > |y_c| and
+    Bob otherwise, polished by _saddle_newton.  Where some cell lies on a line
     (_LINE_ROUNDOFF), four more slots hold the chord ends of the cells on
     one, in closed form, and NaN elsewhere.  On |y_c| = 1 Alice is
     indifferent at y_c, and Bob replies y_c to each x = x_c - lam M^-T y_c
@@ -402,7 +403,9 @@ def _cell_points(h: PayoffMatrix, theta_a: np.ndarray,
     # point with dir(first d), and one replies to the other's r with
     # dir(offset + second r): Bob with dir(-M^T d) and Alice dir(g + M y)
     first, offset, second = np.stack([-mt, m]), np.stack([g, -k]), np.stack([m, -mt])
-    walker = np.where(q[0] < 0.0, 0, 1)
+    # the player whose indifference point lies farther out walks: |x_c| > |y_c|
+    # exactly where q_A / sigma_A = 1 - |x_c| is below q_B / sigma_B
+    walker = np.where(q[0] * sigma[1] < q[1] * sigma[0], 0, 1)
     # NaN fills the place of a candidate that does not exist, and fails the
     # judge: a walker within roundoff inside the circle has no cone, an
     # indifference point at 0 no direction, a chord may miss the circle,
@@ -501,7 +504,9 @@ def find_equilibria_grid(
     in cell order: cell i * len(thetas_b_deg) + j is the frame pair
     (thetas_a_deg[i], thetas_b_deg[j]), and within a cell the points come
     in candidate order.  alpha and beta are StrategyAngle's degrees in
-    [0, 180).  Every angle must be a valid MeasurementFrame.  A cell where
+    [0, 180).  Every angle must be a valid MeasurementFrame whose sin 2theta
+    is a normal double, at least 6.3743670598675964e-307 degrees; a smaller
+    one raises ValueError.  A cell where
     both indifference points lie inside the circle by more than roundoff
     holds no pure equilibrium and is not solved (lemma A).
     The others are solved BLOCK_CELLS at a time, so each cell's entries
@@ -510,6 +515,13 @@ def find_equilibria_grid(
     theta_a, theta_b = (
         np.array([MeasurementFrame(float(t)).theta_deg for t in thetas], dtype=float)
         for thetas in (thetas_a_deg, thetas_b_deg))
+    # the walk and the chord ends divide by sin 2theta, which a frame within
+    # about 6.4e-307 degrees of 0 leaves subnormal, without its digits
+    angles = np.concatenate([theta_a, theta_b])
+    tiny = angles[np.sin(2.0 * np.radians(angles)) < np.finfo(float).tiny]
+    if tiny.size:
+        raise ValueError(f"frame angle {float(tiny[0])!r} is too close to 0 to solve: "
+                         "sin 2theta is below the smallest normal double")
     cells_a = np.repeat(theta_a, theta_b.size)
     cells_b = np.tile(theta_b, theta_a.size)
     inside_a, inside_b = (_circle_margin(h, t) > _LINE_ROUNDOFF for t in (theta_a, theta_b))

@@ -3,7 +3,7 @@
     python tests/corpus_judge.py CORPUS_DIR
 
 reads every sweep CSV that tests/sweep_corpus.py wrote into CORPUS_DIR,
-NAME_coarse.csv and NAME_fine.csv, with the payoffs of its scenario
+NAME_coarse.csv, NAME_fine.csv and NAME_edge.csv, with the payoffs of its scenario
 NAME.txt, and checks each cell's equilibrium count against
 oracles.pure_equilibrium_count.  The rule holds only for frames farther
 than roundoff from I's ends, so a cell with a frame within 1e-9 degrees of
@@ -53,7 +53,8 @@ def main(argv: list[str]) -> int:
         print("usage: python tests/corpus_judge.py CORPUS_DIR", file=sys.stderr)
         return 2
     corpus = Path(argv[0])
-    sweeps = sorted([*corpus.glob("*_coarse.csv"), *corpus.glob("*_fine.csv")])
+    sweeps = sorted(path for grid in ("coarse", "fine", "edge")
+                    for path in corpus.glob(f"*_{grid}.csv"))
     if not sweeps:
         print(f"no sweep CSV in {corpus}")
         return 1

@@ -4,12 +4,13 @@
 
 runs wisealice.cli.main in this process and writes into OUTDIR
 
-- 100 sweep CSVs, 459,450 cells, each with its scenario file: for seeds
+- 150 sweep CSVs, 864,450 cells, each with its scenario file: for seeds
   sweep:1 to sweep:40, payoffs drawn as perfbench/workloads.py draws its
   sweep scenario, and for seeds wide:1 to wide:10, payoffs e^U(-8,8), where
   the solver is weakest, written with every digit (tests/corpus_judge.py
   checks every count of them against the count rule);
-  each at frames 5:85 step 2.5 and at 0.5:89.5 step 1;
+  each at frames 5:85 step 2.5, at 0.5:89.5 step 1 and at
+  1e-10:89.0000000001 step 1;
 - for each shipped scenario, analyze and equilibria as text and as JSON,
   curves (CSV and SVG) at resolutions of 0.25, 0.05 and 89 degrees, the
   last two in NAME_curves_0.05.* and NAME_curves_89.*, and simulate as text
@@ -45,7 +46,10 @@ DRAWS = {
     "sweep": (range(1, 41), lambda rng: round(rng.uniform(0.5, 5.0), 6)),
     "wide": (range(1, 11), lambda rng: math.exp(rng.uniform(-8.0, 8.0))),
 }
-GRIDS = {"coarse": ("5:85", "2.5"), "fine": ("0.5:89.5", "1")}
+# edge: frames 1e-10 degrees from 0, the smallest start that sweep's
+# 10-decimal grid keeps, then 1 degree apart
+GRIDS = {"coarse": ("5:85", "2.5"), "fine": ("0.5:89.5", "1"),
+         "edge": ("1e-10:89.0000000001", "1")}
 # simulate's strategy pair and seed for every shipped scenario, with the round
 # counts of its reports and of the one transcript
 SIMULATE = ("--alpha", "30", "--beta", "60", "--seed", "7")

@@ -169,6 +169,17 @@ def test_analyze_reports_no_equilibrium_status(tmp_path):
     assert report["status"] == "no_equilibrium"
 
 
+@pytest.mark.parametrize("command", ["analyze", "equilibria"])
+def test_a_frame_whose_sin_is_subnormal_is_an_error(tmp_path, command, capsys):
+    # not "no equilibrium": the solver cannot divide by sin 2theta there
+    path = write_scenario(tmp_path, "a = 3\nb = 3\nc = 5\nd = 1\n"
+                                    "theta_a_deg = 5e-324\ntheta_b_deg = 30\n")
+    assert main([command, "--scenario", str(path)]) == 1
+    assert one_line_error(capsys) == (
+        "error: frame angle 5e-324 is too close to 0 to solve: "
+        "sin 2theta is below the smallest normal double\n")
+
+
 def test_equilibria_text_output(scenario_dir, capsys):
     code = main(["equilibria", "--scenario",
                  str(scenario_dir / "interior_equilibrium.txt")])

@@ -38,6 +38,16 @@ def test_import_loads_no_layer_and_no_numpy():
     assert out == "[]\n"
 
 
+def test_classical_solve_loads_no_numpy():
+    # the classical baseline and the probability check it shares with the
+    # quantum weights are plain Python
+    out = fresh_python("import sys\n"
+                       "from wisealice import PayoffMatrix, solve_zero_sum\n"
+                       "solve_zero_sum(PayoffMatrix(3, 3, 5, 1))\n"
+                       "print('numpy' in sys.modules)")
+    assert out == "False\n"
+
+
 def test_every_export_is_the_object_its_home_module_defines():
     # importing a layer binds it on the package, so no export may share a
     # layer's name

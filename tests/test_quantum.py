@@ -71,6 +71,24 @@ def test_outcome_weights_rejects_unnormalized_pairs():
         OutcomeWeights(0.7, 0.6, 0.3, 0.5)
 
 
+@pytest.mark.parametrize("weights", [
+    (math.nan, 0.5, math.nan, 0.5), (0.5, math.nan, 0.5, math.nan),
+    (math.inf, 0.5, -math.inf, 0.5), (0.5, -math.inf, 0.5, math.inf),
+])
+def test_outcome_weights_rejects_non_finite(weights):
+    with pytest.raises(ValueError, match="finite"):
+        OutcomeWeights(*weights)
+
+
+def test_outcome_weights_rejects_negative_weights_whose_pair_sums_to_1():
+    for weights in ((1.5, 0.5, -0.5, 0.5), (-0.5, 0.5, 1.5, 0.5), (0.5, 2.0, 0.5, -1.0),
+                    (0.5, 1.0 + 2e-12, 0.5, -2e-12)):
+        with pytest.raises(ValueError, match="not a probability distribution"):
+            OutcomeWeights(*weights)
+    # a weight within 1e-12 below 0 is a probability up to roundoff
+    assert OutcomeWeights(0.5, 1.0 + 1e-13, 0.5, -1e-13).p4 == -1e-13
+
+
 @settings(max_examples=200)
 @given(angles, frame_angles)
 def test_pair_normalization_identity(angle, theta):

@@ -822,9 +822,14 @@ def test_equilibrium_invariant_across_the_float_range(two_eq_instance):
         assert eqs[0].residual <= 1e-8 * scaled.scale
 
 
+# the smallest frame whose sin 2theta, as the solver computes it, is a normal double
+FRAME_FLOOR = 6.3743670598675964e-307
+
+
 @pytest.mark.parametrize("thetas", [
     (1e-300, 30.0), (1e-100, 30.0), (1e-20, 30.0), (1e-10, 30.0), (1e-6, 30.0),
     (89.99999999999999, 30.0), (89.9999999, 30.0), (45.0, 1e-12), (1e-8, 89.99999),
+    (FRAME_FLOOR, 30.0), (30.0, FRAME_FLOOR),
 ])
 def test_frames_next_to_0_and_90_keep_their_one_equilibrium(thetas):
     # there M's entries of size sin 2theta decide the replies, and the walker
@@ -835,6 +840,36 @@ def test_frames_next_to_0_and_90_keep_their_one_equilibrium(thetas):
     found = find_equilibria(h, tuple(map(MeasurementFrame, thetas)))
     assert len(found) == pure_equilibrium_count(h, *thetas) == 1
     assert found[0].residual <= 1e-15 * h.scale
+
+
+def test_bob_frames_next_to_0_and_90_keep_the_rule():
+    # numpy seed 36: 40 payoff sets at e^U(-8,8), each on Alice's frames
+    # U(0.01, 89.99) against Bob's from 1e-3 to 1e-8 degrees of 0 and of 90.
+    # Where both indifference points lie outside the circle the one farther
+    # out walks; a walk of Alice's cone whenever |x_c| > 1 missed the point
+    # of 172 of these 4,800 cells, in 22 of the 40 sets
+    rng = np.random.default_rng(36)
+    ends = [10.0**-k for k in range(3, 9)]
+    tb = np.array(ends + [90.0 - e for e in ends])
+    for _ in range(40):
+        h = PayoffMatrix(*np.exp(rng.uniform(-8.0, 8.0, 4)))
+        ta = rng.uniform(0.01, 89.99, 10)
+        cell, _, _, _, residual = find_equilibria_grid(h, ta, tb)
+        assert (residual <= 1e-15 * h.scale).all(), (h, residual.max() / h.scale)
+        counts = np.bincount(cell, minlength=ta.size * tb.size).tolist()
+        assert counts == [pure_equilibrium_count(h, a, b) for a in ta for b in tb], h
+
+
+@pytest.mark.parametrize("theta", [5e-324, math.nextafter(FRAME_FLOOR, 0.0)])
+def test_frames_below_the_floor_are_rejected(theta):
+    # the walk divides by sin 2theta: at 5e-324 it is 0 and (3, 3, 5, 1)
+    # at 30 degrees had no point where the rule says 1
+    h = PayoffMatrix(3, 3, 5, 1)
+    for thetas in ((theta, 30.0), (30.0, theta)):
+        with pytest.raises(ValueError, match=r"^frame angle .* is too close to 0 to solve"):
+            find_equilibria(h, tuple(map(MeasurementFrame, thetas)))
+        with pytest.raises(ValueError, match="too close to 0"):
+            find_equilibria_grid(h, [45.0, thetas[0]], [thetas[1], 60.0])
 
 
 @settings(max_examples=60, deadline=None)
@@ -1076,7 +1111,9 @@ AT_MOST_ONE_EXAMPLES = [
 ]
 # the @examples of test_root_solve_matches_scan where both frames lie
 # near 90 or near 0, two bifurcation frames, 9.3e-8 degrees outside I and
-# 2.9e-6 inside, and the RULE_CELLS
+# 2.9e-6 inside, the RULE_CELLS, and two cells where Bob's frame lies next
+# to 0 or 90 and both indifference points outside the circle, whose point
+# the walk missed while Alice walked whenever |x_c| > 1
 HARD_CELLS = [
     (math.exp(-4.0), math.exp(3.5), math.exp(4.0), math.exp(-4.0), 89.875, 89.984375),
     (math.exp(-4.0), math.exp(3.5), math.exp(4.0), math.exp(-3.625), 89.875, 89.984375),
@@ -1086,6 +1123,10 @@ HARD_CELLS = [
      0.011536394184157093, 0.024679625850786854),
     (3, 3, 5, 1, 30, 22.238756), (3, 3, 5, 1, 30, 22.2387590),
     *((*payoffs, *thetas) for payoffs, thetas in RULE_CELLS),
+    (7.90066095128409, 0.11613612599934513, 0.024564084595853557, 0.31866391583835135,
+     49.61761541408758, 1e-9),
+    (0.006036864402984121, 0.19628024329532068, 545.2903783678288, 0.2131362002643206,
+     45.99706075091924, 89.9999999),
 ]
 
 
@@ -1111,9 +1152,9 @@ def test_interval_proof_certifies_every_equilibrium_at_roundoff(scenario_dir):
             assert prove_saddle(h, frames, eq.alpha.degrees, eq.beta.degrees) is not None, (
                 h, frames, eq)
             proved += 1
-    # 3 shipped, 3 at the examples, 7 at the hard cells (none at 2.9e-6
+    # 3 shipped, 3 at the examples, 9 at the hard cells (none at 2.9e-6
     # degrees inside I) and 268 seeded
-    assert proved == 281
+    assert proved == 283
 
 
 def test_proof_derivatives_are_those_of_the_payoff():
