@@ -20,15 +20,16 @@ settle each cell of frame pairs:
   a cone, and Alice's reply to Bob's reply to a direction lands back in
   it, so the composed reply has a fixed point, a pure equilibrium.
   _reply_arc bisects for it on the arc of Bob's replies.  With |y_c| > 1
-  the players swap, and where both points lie outside, the one farther
-  out walks: its cone is the narrower.
+  the players swap.
 - B: off the lines |x_c| = 1 and |y_c| = 1 that point is the only one.
 
-A cell within roundoff of a line can hold two, and there the ends of the
-chord of Alice's (or Bob's) optimal points on the circle join the walk's
-point as candidates (_cell_points).  The walk's point is polished by
-Newton steps on grad F = 0, and every candidate is judged as it stands
-(a failed step leaves NaN, which fails).  A grid of frame pairs goes
+Both players walk in every solved cell, and the merge keeps one walk
+point: the one with the smaller residual.  A cell within roundoff of a
+line can hold two, and there the ends of the chord of Alice's (or Bob's)
+optimal points on the circle join the walks' points as candidates
+(_cell_points).  The walks' points are polished by Newton steps on
+grad F = 0, and every candidate is judged as it stands (a failed step, or
+a walker with no cone, leaves NaN, which fails).  A grid of frame pairs goes
 through in blocks, each step one array operation over the block.
 Every returned equilibrium carries its residual, the larger unilateral gain
 
@@ -78,7 +79,7 @@ DEGENERACY_RATIO = 1e-12
 # times the total payoff a + b + c + d
 NASH_TOLERANCE = 1e-8
 # verified candidates closer than this in both angles are one equilibrium:
-# in a cell on a line the walk's point is often a chord end too, and at a
+# in a cell on a line a walk's point is often a chord end too, and at a
 # corner both lines' chords end at (x_c, y_c)
 MERGE_DISTANCE_DEG = 0.2
 # frame pairs solved per stacked call; a cell's result does not depend on
@@ -383,8 +384,8 @@ def _cell_points(h: PayoffMatrix, theta_a: np.ndarray,
                  theta_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(alpha, beta) candidates in degrees, (n, slots), at n frame pairs.
 
-    Slot 0 is _reply_arc's point, where Alice walks if |x_c| > |y_c| and
-    Bob otherwise, polished by _saddle_newton.  Where some cell lies on a line
+    Slots 0 and 1 are _reply_arc's points where Alice walks and where Bob
+    walks, each polished by _saddle_newton.  Where some cell lies on a line
     (_LINE_ROUNDOFF), four more slots hold the chord ends of the cells on
     one, in closed form, and NaN elsewhere.  On |y_c| = 1 Alice is
     indifferent at y_c, and Bob replies y_c to each x = x_c - lam M^-T y_c
@@ -394,7 +395,7 @@ def _cell_points(h: PayoffMatrix, theta_a: np.ndarray,
     coefficient stays near one whatever the payoff magnitude.
     """
     # the players' arrays stacked, Alice first: center is sigma (x_c, y_c)
-    thetas, cells = np.stack([theta_a, theta_b]), np.arange(theta_a.size)
+    thetas = np.stack([theta_a, theta_b])
     center = _indifference(h, thetas) * np.array([1.0, -1.0])[:, None, None]
     sigma, q = np.sin(2.0 * np.radians(thetas)), _circle_margin(h, thetas)
     _, g, k, m = (t / h.scale for t in bilinear_form(h, theta_a, theta_b))
@@ -403,18 +404,19 @@ def _cell_points(h: PayoffMatrix, theta_a: np.ndarray,
     # point with dir(first d), and one replies to the other's r with
     # dir(offset + second r): Bob with dir(-M^T d) and Alice dir(g + M y)
     first, offset, second = np.stack([-mt, m]), np.stack([g, -k]), np.stack([m, -mt])
-    # the player whose indifference point lies farther out walks: |x_c| > |y_c|
-    # exactly where q_A / sigma_A = 1 - |x_c| is below q_B / sigma_B
-    walker = np.where(q[0] * sigma[1] < q[1] * sigma[0], 0, 1)
     # NaN fills the place of a candidate that does not exist, and fails the
-    # judge: a walker within roundoff inside the circle has no cone, an
-    # indifference point at 0 no direction, a chord may miss the circle,
-    # and a singular Newton step leaves +-inf, which _half_turn makes NaN
+    # judge: a walker inside the circle has no cone, an indifference point
+    # at 0 no direction, a chord may miss the circle, and a singular Newton
+    # step leaves +-inf, which _half_turn makes NaN
     with np.errstate(all="ignore"):
-        pair = np.stack(_reply_arc(*(t[walker, cells]
-                                     for t in (first, offset, second, center, sigma, q))))
-        xy = pair[np.stack([walker, 1 - walker]), :, cells]
-        angles = np.stack(_saddle_newton(g, k, m, *np.arctan2(xy[..., 1], xy[..., 0])))[..., None]
+        # both players walk, in one call on their stacked arrays: own[p] and
+        # reply[p] are the doubled angles of player p's point and of the
+        # other's reply in p's walk
+        own, reply = (np.arctan2(p1, p0).reshape(2, -1) for p0, p1 in _reply_arc(
+            *(t.reshape(-1, *t.shape[2:]) for t in (first, offset, second, center, sigma, q))))
+        # Newton's arrays are (slot, cell): slot 0 is Alice's walk and slot 1 Bob's
+        angles = np.stack(_saddle_newton(g, k, m, np.stack([own[0], reply[1]]),
+                                         np.stack([reply[0], own[1]]))).swapaxes(1, 2)
         line = np.abs(q) <= _LINE_ROUNDOFF
         if line.any():
             # each player's chord lies on the other's line, along adj(first)
@@ -436,8 +438,10 @@ def _merge(alpha: np.ndarray, beta: np.ndarray, residual: np.ndarray,
     Slots are taken by residual, ties in slot order, and a slot is kept if
     it passed and no slot kept before it lies within MERGE_DISTANCE_DEG of
     it in both angles: of candidates that close, the smallest residual
-    stands for them all.  No sort, whose first call costs a process 128 KiB
-    of peak RSS: each step re-decides every slot from the last step's
+    stands for them all.  The two walks, slots 0 and 1, count as that close
+    wherever they lie, for off the lines they seek one point (lemma B), so
+    at most one of them is kept.  No sort, whose first call costs a process
+    128 KiB of peak RSS: each step re-decides every slot from the last step's
     verdicts, and a slot's verdict is final once those of all slots before
     it are, so the k-th slot's is final after k - 1 steps.  A failed slot,
     NaN residual included, is never kept and so blocks none.
@@ -446,10 +450,12 @@ def _merge(alpha: np.ndarray, beta: np.ndarray, residual: np.ndarray,
     # first integer comparison would cost 128 KiB of peak RSS too
     slot = np.arange(float(residual.shape[1]))
     r_s, r_t = residual[:, :, None], residual[:, None, :]
-    # blocks[i, s, t]: slot t comes before slot s and lies near it
+    # blocks[i, s, t]: slot t comes before slot s and lies near it, as the
+    # two walks always do
     blocks = (((r_t < r_s) | ((r_t == r_s) & (slot < slot[:, None])))
-              & (_circle_dist(alpha[:, :, None], alpha[:, None, :]) < MERGE_DISTANCE_DEG)
-              & (_circle_dist(beta[:, :, None], beta[:, None, :]) < MERGE_DISTANCE_DEG))
+              & ((_circle_dist(alpha[:, :, None], alpha[:, None, :]) < MERGE_DISTANCE_DEG)
+                 & (_circle_dist(beta[:, :, None], beta[:, None, :]) < MERGE_DISTANCE_DEG)
+                 | (slot < 2.0) & (slot[:, None] < 2.0)))
     kept = passed
     for _ in range(slot.size - 1):
         kept = passed & ~(blocks & kept[:, None, :]).any(axis=2)
@@ -475,8 +481,8 @@ def _solve_block(h: PayoffMatrix, theta_a: np.ndarray,
 def find_equilibria(h: PayoffMatrix, frames: Frames) -> list[Equilibrium]:
     """All verified Nash equilibria, deduplicated and sorted by alpha.
 
-    An empty list is a valid outcome.  The candidates are _reply_arc's
-    fixed point, polished by Newton steps, and on a line the chord ends;
+    An empty list is a valid outcome.  The candidates are each player's
+    _reply_arc point, polished by Newton steps, and on a line the chord ends;
     each one must pass verify_nash_quantum at NASH_TOLERANCE * (a + b + c + d)
     before it is reported.  The tolerance is a module constant, not a
     parameter.  Of candidates within MERGE_DISTANCE_DEG of each other in

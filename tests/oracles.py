@@ -385,14 +385,16 @@ def reference_merge(alpha, beta, residual, passed, distance: float) -> list[list
 
     A row's passed slots are taken by residual, ties in slot order, and a
     slot is kept unless a slot kept before it lies within distance of it in
-    both angles.  Plain Python over nested sequences, one slot at a time.
+    both angles; slots 0 and 1, the two walks, count as that close wherever
+    they lie.  Plain Python over nested sequences, one slot at a time.
     """
     rows = []
     for a, b, r, ok in zip(alpha, beta, residual, passed):
         kept: list[int] = []
         for slot in sorted((s for s in range(len(a)) if ok[s]), key=lambda s: r[s]):
-            if not any(circle_dist(a[slot], a[k]) < distance
-                       and circle_dist(b[slot], b[k]) < distance for k in kept):
+            if not any(max(slot, k) < 2 or (circle_dist(a[slot], a[k]) < distance
+                                             and circle_dist(b[slot], b[k]) < distance)
+                       for k in kept):
                 kept.append(slot)
         rows.append(kept)
     return rows

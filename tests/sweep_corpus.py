@@ -4,11 +4,12 @@
 
 runs wisealice.cli.main in this process and writes into OUTDIR
 
-- 150 sweep CSVs, 864,450 cells, each with its scenario file: for seeds
+- 162 sweep CSVs, 933,606 cells, each with its scenario file: for seeds
   sweep:1 to sweep:40, payoffs drawn as perfbench/workloads.py draws its
-  sweep scenario, and for seeds wide:1 to wide:10, payoffs e^U(-8,8), where
-  the solver is weakest, written with every digit (tests/corpus_judge.py
-  checks every count of them against the count rule);
+  sweep scenario, for seeds wide:1 to wide:10, payoffs e^U(-8,8), where
+  the solver is weakest, and log_1 to log_4, four payoff sets given by
+  value, all written with every digit (tests/corpus_judge.py checks every
+  count of them against the count rule);
   each at frames 5:85 step 2.5, at 0.5:89.5 step 1 and at
   1e-10:89.0000000001 step 1;
 - for each shipped scenario, analyze and equilibria as text and as JSON,
@@ -46,6 +47,15 @@ DRAWS = {
     "sweep": (range(1, 41), lambda rng: round(rng.uniform(0.5, 5.0), 6)),
     "wide": (range(1, 11), lambda rng: math.exp(rng.uniform(-8.0, 8.0))),
 }
+# payoff sets by value, NAME_1 on: those of four HARD_CELLS in
+# test_solver.py, where at theta_A near 0 Alice's indifference point lies
+# far out and Bob's just outside the circle, and only Bob's walk finds the point
+PAYOFFS = {"log": [
+    (543.9021940783261, 761.2609365921613, 0.0007821976556284133, 0.0011090019607127035),
+    (0.0038722985117020936, 0.004672387049629906, 104.57774034685723, 126.77707608693012),
+    (2762.41618151469, 151.4916231220772, 0.007947893804427, 0.0007321029461244316),
+    (1961.1002393293338, 512.7349247788168, 0.0004950960694321023, 0.0005227797092291814),
+]}
 # edge: frames 1e-10 degrees from 0, the smallest start that sweep's
 # 10-decimal grid keeps, then 1 degree apart
 GRIDS = {"coarse": ("5:85", "2.5"), "fine": ("0.5:89.5", "1"),
@@ -62,18 +72,25 @@ def run(*argv: str) -> None:
         raise SystemExit(f"wisealice {' '.join(argv)} exited with {code}")
 
 
+def write_sweep(out: Path, stem: str, payoffs) -> None:
+    a, b, c, d = payoffs
+    # repr keeps every digit of a payoff near e^-8
+    scenario = out / f"{stem}.txt"
+    scenario.write_text(f"a = {a!r}\nb = {b!r}\nc = {c!r}\nd = {d!r}\n"
+                        "theta_a_deg = 45\ntheta_b_deg = 45\n")
+    for name, (span, step) in GRIDS.items():
+        run("sweep", "--scenario", str(scenario), "--theta-a", span, "--theta-b",
+            span, "--step", step, "--out", str(out / f"{stem}_{name}.csv"))
+
+
 def write_sweeps(out: Path) -> None:
     for draw_name, (seeds, draw) in DRAWS.items():
         for seed in seeds:
             rng = random.Random(f"{draw_name}:{seed}")
-            a, b, c, d = (draw(rng) for _ in range(4))
-            # repr keeps every digit of a payoff near e^-8
-            scenario = out / f"{draw_name}_{seed}.txt"
-            scenario.write_text(f"a = {a!r}\nb = {b!r}\nc = {c!r}\nd = {d!r}\n"
-                                "theta_a_deg = 45\ntheta_b_deg = 45\n")
-            for name, (span, step) in GRIDS.items():
-                run("sweep", "--scenario", str(scenario), "--theta-a", span, "--theta-b",
-                    span, "--step", step, "--out", str(out / f"{draw_name}_{seed}_{name}.csv"))
+            write_sweep(out, f"{draw_name}_{seed}", [draw(rng) for _ in range(4)])
+    for name, sets in PAYOFFS.items():
+        for n, payoffs in enumerate(sets, 1):
+            write_sweep(out, f"{name}_{n}", payoffs)
 
 
 def write_shipped(out: Path) -> None:

@@ -801,6 +801,10 @@ def test_bifurcation_frames(theta_b, count):
 
 @settings(max_examples=40, deadline=None)
 @given(wide_payoffs, wide_payoffs, frame_angles, frame_angles)
+# unit payoffs with both frames within roundoff of I's ends, (0, 90): the
+# cell reads as a line cell, and with both indifference points at 0 it has
+# no cone and no chord
+@example(1.0, 1.0, 1e-300, 89.99999999999999)
 def test_balanced_payoffs_have_no_equilibrium(ac, bd, ta, tb):
     # with a = c and b = d, g = k = 0: x would have to be a positive
     # multiple of -M M^T x, which the positive definite M M^T rules out;
@@ -845,9 +849,8 @@ def test_frames_next_to_0_and_90_keep_their_one_equilibrium(thetas):
 def test_bob_frames_next_to_0_and_90_keep_the_rule():
     # numpy seed 36: 40 payoff sets at e^U(-8,8), each on Alice's frames
     # U(0.01, 89.99) against Bob's from 1e-3 to 1e-8 degrees of 0 and of 90.
-    # Where both indifference points lie outside the circle the one farther
-    # out walks; a walk of Alice's cone whenever |x_c| > 1 missed the point
-    # of 172 of these 4,800 cells, in 22 of the 40 sets
+    # A walk of Alice's cone wherever |x_c| > 1 missed the point of 172 of
+    # these 4,800 cells, in 22 of the 40 sets
     rng = np.random.default_rng(36)
     ends = [10.0**-k for k in range(3, 9)]
     tb = np.array(ends + [90.0 - e for e in ends])
@@ -1076,26 +1079,47 @@ def test_random_instances_have_at_most_one_equilibrium(a, b, c, d, ta, tb):
     assert len(find_equilibria(h, (MeasurementFrame(ta), MeasurementFrame(tb)))) <= 1
 
 
+def cells_near_an_end(h, ta, tb) -> list[tuple[int, int]]:
+    """The grid of frames ta x tb in one call: every point lies at roundoff,
+    and every cell off I's ends holds the rule's count.  Returns the (i, j)
+    of each cell within 1e-9 degrees of an end, where a float frame cannot
+    say on which side it lies, which is not judged."""
+    cell, _, _, _, residual = find_equilibria_grid(h, ta, tb)
+    assert (residual <= 1e-15 * h.scale).all(), (h, residual.max() / h.scale)
+    counts = np.bincount(cell, minlength=ta.size * tb.size).tolist()
+    near = []
+    for (i, j), count in zip(np.ndindex(ta.size, tb.size), counts):
+        if off_the_lines(h, ta[i], tb[j]):
+            assert count == pure_equilibrium_count(h, ta[i], tb[j]), (h, ta[i], tb[j])
+        else:
+            near.append((i, j))
+    return near
+
+
 def test_wide_stress_counts_are_the_rule():
     # numpy seed 13: 20 payoff sets at e^U(-8,8), each on a 10 x 10 grid of
-    # frames from U(0.001, 89.999), theta_A first, one grid call per set.
-    # Every cell off I's ends holds the rule's count, and every point lies
-    # at roundoff.  A cell within 1e-9 degrees of an end, where a float
-    # frame cannot say on which side it lies, is listed instead: none here
+    # frames from U(0.001, 89.999), theta_A first, one grid call per set;
+    # no cell lies near an end of I
     rng = np.random.default_rng(13)
-    near_an_end = []
-    for n in range(20):
+    for _ in range(20):
         h = PayoffMatrix(*np.exp(rng.uniform(-8.0, 8.0, 4)))
         ta, tb = rng.uniform(0.001, 89.999, (2, 10))
-        cell, _, _, _, residual = find_equilibria_grid(h, ta, tb)
-        assert (residual <= 1e-15 * h.scale).all(), (h, residual.max() / h.scale)
-        counts = np.bincount(cell, minlength=100).tolist()
-        for (i, j), count in zip(np.ndindex(10, 10), counts):
-            if off_the_lines(h, ta[i], tb[j]):
-                assert count == pure_equilibrium_count(h, ta[i], tb[j]), (h, ta[i], tb[j])
-            else:
-                near_an_end.append((n, i, j))
-    assert near_an_end == []
+        assert cells_near_an_end(h, ta, tb) == []
+
+
+def test_log_uniform_frames_keep_the_rule():
+    # numpy seeds 45 and 50: 20 payoff sets each at e^U(-8,8), each on a
+    # 10 x 10 grid of frames 10^U(-14, 1.9) degrees, theta_A first, one grid
+    # call per set.  Walking only the player whose indifference point lies
+    # farther out missed the point of 12 cells, 8 in seed 45's set 17 and 4
+    # in seed 50's set 19: there Bob's point lies just outside the circle
+    # and only his walk finds it
+    for seed in (45, 50):
+        rng = np.random.default_rng(seed)
+        for _ in range(20):
+            h = PayoffMatrix(*np.exp(rng.uniform(-8.0, 8.0, 4)))
+            ta, tb = 10.0 ** rng.uniform(-14.0, 1.9, (2, 10))
+            assert cells_near_an_end(h, ta, tb) == []
 
 
 # --- the interval proof: each reported point is a proved saddle ---------------
@@ -1111,9 +1135,13 @@ AT_MOST_ONE_EXAMPLES = [
 ]
 # the @examples of test_root_solve_matches_scan where both frames lie
 # near 90 or near 0, two bifurcation frames, 9.3e-8 degrees outside I and
-# 2.9e-6 inside, the RULE_CELLS, and two cells where Bob's frame lies next
-# to 0 or 90 and both indifference points outside the circle, whose point
-# the walk missed while Alice walked whenever |x_c| > 1
+# 2.9e-6 inside, the RULE_CELLS, two cells where Bob's frame lies next to
+# 0 or 90 and both indifference points outside the circle, whose point the
+# walk missed while Alice walked whenever |x_c| > 1, and four log-uniform
+# cells with theta_A below 1e-8, where Alice's point lies far out and Bob's
+# within 7e-4 of the circle: Alice's walk misses the point of the first two
+# and leaves those of the last two at 1.4e-11 * S and 4.1e-11 * S, which no
+# box proves, and Bob's finds each at residual 0
 HARD_CELLS = [
     (math.exp(-4.0), math.exp(3.5), math.exp(4.0), math.exp(-4.0), 89.875, 89.984375),
     (math.exp(-4.0), math.exp(3.5), math.exp(4.0), math.exp(-3.625), 89.875, 89.984375),
@@ -1127,6 +1155,14 @@ HARD_CELLS = [
      49.61761541408758, 1e-9),
     (0.006036864402984121, 0.19628024329532068, 545.2903783678288, 0.2131362002643206,
      45.99706075091924, 89.9999999),
+    (543.9021940783261, 761.2609365921613, 0.0007821976556284133, 0.0011090019607127035,
+     4.3012996124952495e-14, 1.4074871669405675),
+    (0.0038722985117020936, 0.004672387049629906, 104.57774034685723, 126.77707608693012,
+     8.603611900027126e-09, 2.2506245749563254),
+    (2762.41618151469, 151.4916231220772, 0.007947893804427, 0.0007321029461244316,
+     9.80677989653438e-13, 0.8208011571135391),
+    (1961.1002393293338, 512.7349247788168, 0.0004950960694321023, 0.0005227797092291814,
+     1.242317900345732e-11, 0.7945168554325953),
 ]
 
 
@@ -1152,9 +1188,9 @@ def test_interval_proof_certifies_every_equilibrium_at_roundoff(scenario_dir):
             assert prove_saddle(h, frames, eq.alpha.degrees, eq.beta.degrees) is not None, (
                 h, frames, eq)
             proved += 1
-    # 3 shipped, 3 at the examples, 9 at the hard cells (none at 2.9e-6
+    # 3 shipped, 3 at the examples, 13 at the hard cells (none at 2.9e-6
     # degrees inside I) and 268 seeded
-    assert proved == 283
+    assert proved == 287
 
 
 def test_proof_derivatives_are_those_of_the_payoff():
@@ -1367,6 +1403,18 @@ MERGE_ROWS = [
     ([0.05, 179.9, 179.95, 0.1, 90.0, 90.1, NAN, NAN, NAN],
      [45.0, 45.1, 179.95, 0.05, 10.0, 10.3, NAN, NAN, NAN],
      [1e-9, 2e-9, 3e-9, 4e-9, 5e-9, 6e-9, NAN, NAN, NAN], [0, 2, 4, 5]),
+    # the two walks, slots 0 and 1, are one candidate however far apart:
+    # the smaller residual stands, a tie goes to Alice's walk in slot 0, and
+    # a walk that is not kept blocks none
+    ([10.0, 100.0, 50.0, NAN, NAN, NAN, NAN, NAN, NAN],
+     [20.0, 60.0, 70.0, NAN, NAN, NAN, NAN, NAN, NAN],
+     [2e-9, 1e-9, 3e-9, NAN, NAN, NAN, NAN, NAN, NAN], [1, 2]),
+    ([10.0, 100.0, NAN, NAN, NAN, NAN, NAN, NAN, NAN],
+     [20.0, 60.0, NAN, NAN, NAN, NAN, NAN, NAN, NAN],
+     [1e-9, 1e-9, NAN, NAN, NAN, NAN, NAN, NAN, NAN], [0]),
+    ([10.0, 100.0, 10.05, NAN, NAN, NAN, NAN, NAN, NAN],
+     [20.0, 60.0, 20.0, NAN, NAN, NAN, NAN, NAN, NAN],
+     [2e-9, 3e-9, 1e-9, NAN, NAN, NAN, NAN, NAN, NAN], [2, 1]),
 ]
 
 
