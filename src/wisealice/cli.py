@@ -46,10 +46,10 @@ classical, game, lattice, quantum, scenario, simulate, solver, svg = map(_regist
 
 
 # Largest frame grid `sweep` will solve.  A cell that is solved costs about
-# 11 us and 0.2 KiB (1,000,000 cells of payoffs 0.1, 10, 10, 0.1, 983,871 of
-# them solved, took 10.5-11.5 s and 172 MiB peak RSS on a 2-vCPU host); a cell
+# 6 us and 0.2 KiB (1,000,000 cells of payoffs 0.1, 10, 10, 0.1, 983,871 of
+# them solved, took 5.4-7.0 s and 158 MiB peak RSS on a 2-vCPU host); a cell
 # whose two indifference points lie inside the circle is not solved, at about
-# 0.01 us of solver time.  So the cap holds one sweep near 11 s and below
+# 0.01 us of solver time.  So the cap holds one sweep near 7 s and below
 # 0.2 GiB whatever the payoffs.
 # `curves` caps its samples per curve at the same number (1e5 per curve took
 # 0.9 s and 61 MiB peak RSS there, the cap 9.0 s and 330 MiB).

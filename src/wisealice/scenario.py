@@ -4,8 +4,8 @@ The keys are the fields of Scenario (a, b, c, d, theta_a_deg,
 theta_b_deg, rounds, seed), each parsed as its field's type; the fields
 with defaults, the simulation settings rounds and seed, may be omitted.
 Lines starting with '#' (or blank) are ignored; values follow an '=' sign.
-Any other key is an error; the equilibrium tolerance is
-solver.NASH_TOLERANCE and cannot be set here.
+Any other key is an error; an equilibrium is judged at the solver's
+roundoff constant, solver.ROUNDOFF, which cannot be set here.
 """
 
 # no `from __future__ import annotations`: load_scenario calls each field's

@@ -23,14 +23,15 @@ settle each cell of frame pairs:
   the players swap.
 - B: off the lines |x_c| = 1 and |y_c| = 1 that point is the only one.
 
-Both players walk in every solved cell, and the merge keeps one walk
-point: the one with the smaller residual.  A cell within roundoff of a
-line can hold two, and there the ends of the chord of Alice's (or Bob's)
-optimal points on the circle join the walks' points as candidates
-(_cell_points).  The walks' points are polished by Newton steps on
-grad F = 0, and every candidate is judged as it stands (a failed step, or
-a walker with no cone, leaves NaN, which fails).  A grid of frame pairs goes
-through in blocks, each step one array operation over the block.
+In a solved cell each player whose point is not inside the circle walks,
+and the merge keeps one walk point: the one with the smaller residual.
+A cell within roundoff of a line can hold two, and there the ends of the
+chord of Alice's (or Bob's) optimal points on the circle join the walks'
+points as candidates (_cell_points).  The walks' points are polished by
+Newton steps on grad F = 0, and every candidate is judged as it stands,
+at ROUNDOFF times the total payoff (a failed step, or a walker with no
+cone, leaves NaN, which fails).  A grid of frame pairs goes through in
+blocks, each step one array operation over the block.
 Every returned equilibrium carries its residual, the larger unilateral gain
 
     max( |v| - x.v,  |w| + y.w ),   v = g + M y,  w = k + M^T x
@@ -75,24 +76,31 @@ Frames = tuple[MeasurementFrame, MeasurementFrame]
 # 5.8e-14 and 0.012 at 1.85e-14, past the 0.01-deg grid oracle; the tests
 # fail at a ratio of 1e-14
 DEGENERACY_RATIO = 1e-12
-# a candidate is an equilibrium when verify_nash_quantum gives at most this
-# times the total payoff a + b + c + d
-NASH_TOLERANCE = 1e-8
 # verified candidates closer than this in both angles are one equilibrium:
 # in a cell on a line a walk's point is often a chord end too, and at a
 # corner both lines' chords end at (x_c, y_c)
 MERGE_DISTANCE_DEG = 0.2
 # frame pairs solved per stacked call; a cell's result does not depend on
-# it, and it bounds the block's arrays to a few hundred KiB
-BLOCK_CELLS = 256
-# a frame whose _circle_margin q lies within this of 0 is taken to lie on a
-# line, |x_c| = 1 or |y_c| = 1, for it cannot say on which side it lies:
-# against 40 digits q's own error is below 7e-16, and the ends of I computed
-# in floats (60,000 of them, payoffs up to e^+-8) give |q| up to 1.3e-15.
-# A wider band takes frames off the line for lines, where the chord ends
-# pass the judge without being equilibria (1e-14 let through one at
-# 3.2e-9 * S, 2e-8 degrees inside I next to a corner)
-_LINE_ROUNDOFF = 2e-15
+# it.  Measured on a 2-vCPU host, per-call overhead bounds the walk in
+# smaller blocks (the 179 x 179 grid at payoffs 0.1, 10, 10, 0.1 takes
+# 250 ms in blocks of 256 and 130 ms in blocks of 2048), and blocks of
+# 4096 are no faster but peak higher; a block's arrays stay within a few MiB
+BLOCK_CELLS = 2048
+# the roundoff of every cut the solver makes: of q = _circle_margin, and of
+# a residual relative to the total payoff S = a + b + c + d.  A frame whose
+# q lies within this of 0 is taken to lie on a line, |x_c| = 1 or
+# |y_c| = 1, for it cannot say on which side it lies: against 40 digits q's
+# own error is below 7e-16, and the ends of I computed in floats (60,000
+# of them, payoffs up to e^+-8) give |q| up to 1.3e-15.  A wider band takes
+# frames off the line for lines, whose chord ends are no equilibria (at
+# 1e-14 one lay 2e-8 degrees inside I next to a corner).  A candidate is an
+# equilibrium when verify_nash_quantum gives at most this times S: true
+# points lie at <= 3.6e-16 * S (the wide and log-uniform stresses, 540,000
+# cells), and the points off the count rule that an earlier quartic
+# solver passed at 1e-8 * S lay at >= 2.5e-11 * S in a 102,400-cell
+# stress.  Within 1e-8 degrees of an end of I the residuals leave no such
+# gap (the near-end stress of tests/solver_stress.py)
+ROUNDOFF = 2e-15
 
 
 @dataclass(frozen=True)
@@ -135,8 +143,8 @@ def _lift(h: PayoffMatrix) -> tuple[PayoffMatrix, int]:
     """(h times 2^shift, shift), the power of two lifting a total below 1 into [1, 2).
 
     A total of 1 or more gives (h, 0).  Below about 2^-1018 the form's /4
-    and its products lose digits, and NASH_TOLERANCE and DEGENERACY_RATIO
-    times the total underflow to 0.  Scaling up by a power of two is exact,
+    and its products lose digits, and ROUNDOFF and DEGENERACY_RATIO times
+    the total underflow to 0.  Scaling up by a power of two is exact,
     and no payoff exceeds the total, so the lifted game has the caller's
     equilibria and replies; its residuals and amplitudes are 2^shift times
     the caller's.
@@ -385,12 +393,13 @@ def _cell_points(h: PayoffMatrix, theta_a: np.ndarray,
     """(alpha, beta) candidates in degrees, (n, slots), at n frame pairs.
 
     Slots 0 and 1 are _reply_arc's points where Alice walks and where Bob
-    walks, each polished by _saddle_newton.  Where some cell lies on a line
-    (_LINE_ROUNDOFF), four more slots hold the chord ends of the cells on
-    one, in closed form, and NaN elsewhere.  On |y_c| = 1 Alice is
-    indifferent at y_c, and Bob replies y_c to each x = x_c - lam M^-T y_c
-    with lam >= 0; on |x_c| = 1, mirrored, Alice replies x_c to each
-    y = y_c + lam M^-1 x_c.  NaN also fills the place of a failed Newton
+    walks, each polished by _saddle_newton; a player whose point lies
+    inside the circle by more than ROUNDOFF does not walk, and its slot is
+    NaN.  Where some cell lies on a line (ROUNDOFF), four more slots hold
+    the chord ends of the cells on one, in closed form, and NaN elsewhere.
+    On |y_c| = 1 Alice is indifferent at y_c, and Bob replies y_c to each
+    x = x_c - lam M^-T y_c with lam >= 0; on |x_c| = 1, mirrored, Alice
+    replies x_c to each y = y_c + lam M^-1 x_c.  NaN also fills the place of a failed Newton
     step.  Built from the form divided by the total payoff, so every
     coefficient stays near one whatever the payoff magnitude.
     """
@@ -409,15 +418,19 @@ def _cell_points(h: PayoffMatrix, theta_a: np.ndarray,
     # at 0 no direction, a chord may miss the circle, and a singular Newton
     # step leaves +-inf, which _half_turn makes NaN
     with np.errstate(all="ignore"):
-        # both players walk, in one call on their stacked arrays: own[p] and
-        # reply[p] are the doubled angles of player p's point and of the
-        # other's reply in p's walk
-        own, reply = (np.arctan2(p1, p0).reshape(2, -1) for p0, p1 in _reply_arc(
-            *(t.reshape(-1, *t.shape[2:]) for t in (first, offset, second, center, sigma, q))))
+        # a player walks where its point is not inside the circle by more
+        # than roundoff, both in one call on their stacked arrays: own[p]
+        # and reply[p] are the doubled angles of player p's point and of the
+        # other's reply in p's walk, NaN where p does not walk
+        walk = q <= ROUNDOFF
+        own, reply = np.full((2, *q.shape), np.nan)
+        for angle, (p0, p1) in zip((own, reply), _reply_arc(
+                *(t[walk] for t in (first, offset, second, center, sigma, q)))):
+            angle[walk] = np.arctan2(p1, p0)
         # Newton's arrays are (slot, cell): slot 0 is Alice's walk and slot 1 Bob's
         angles = np.stack(_saddle_newton(g, k, m, np.stack([own[0], reply[1]]),
                                          np.stack([reply[0], own[1]]))).swapaxes(1, 2)
-        line = np.abs(q) <= _LINE_ROUNDOFF
+        line = np.abs(q) <= ROUNDOFF
         if line.any():
             # each player's chord lies on the other's line, along adj(first)
             # of the other's indifference point: for 2 x 2 matrices
@@ -472,7 +485,7 @@ def _solve_block(h: PayoffMatrix, theta_a: np.ndarray,
     alpha, beta = _cell_points(lifted, theta_a, theta_b)
     residual = verify_nash_quantum(lifted, (theta_a[:, None], theta_b[:, None]), alpha, beta)
     cell, slot = np.nonzero(_merge(alpha, beta, residual,
-                                   residual <= NASH_TOLERANCE * lifted.scale))
+                                   residual <= ROUNDOFF * lifted.scale))
     alpha, beta = alpha[cell, slot], beta[cell, slot]
     value = _payoff(h, _weights(alpha, theta_a[cell]), _weights(beta, theta_b[cell]))
     return cell, alpha, beta, value, np.ldexp(residual[cell, slot], -shift)
@@ -483,10 +496,10 @@ def find_equilibria(h: PayoffMatrix, frames: Frames) -> list[Equilibrium]:
 
     An empty list is a valid outcome.  The candidates are each player's
     _reply_arc point, polished by Newton steps, and on a line the chord ends;
-    each one must pass verify_nash_quantum at NASH_TOLERANCE * (a + b + c + d)
-    before it is reported.  The tolerance is a module constant, not a
-    parameter.  Of candidates within MERGE_DISTANCE_DEG of each other in
-    both angles, the one with the smallest residual is kept.
+    each one must pass verify_nash_quantum at ROUNDOFF * (a + b + c + d)
+    before it is reported.  The tolerance is the module's roundoff
+    constant, not a parameter.  Of candidates within MERGE_DISTANCE_DEG of
+    each other in both angles, the one with the smallest residual is kept.
     This is find_equilibria_grid's grid of one cell.
     """
     _, *points = find_equilibria_grid(h, [frames[0].theta_deg], [frames[1].theta_deg])
@@ -530,7 +543,7 @@ def find_equilibria_grid(
                          "sin 2theta is below the smallest normal double")
     cells_a = np.repeat(theta_a, theta_b.size)
     cells_b = np.tile(theta_b, theta_a.size)
-    inside_a, inside_b = (_circle_margin(h, t) > _LINE_ROUNDOFF for t in (theta_a, theta_b))
+    inside_a, inside_b = (_circle_margin(h, t) > ROUNDOFF for t in (theta_a, theta_b))
     solve = np.flatnonzero(~(inside_a[:, None] & inside_b[None, :]).ravel())
     found = [(np.empty(0, dtype=np.intp), *[np.empty(0)] * 4)]
     for start in range(0, solve.size, BLOCK_CELLS):

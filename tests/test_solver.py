@@ -13,9 +13,8 @@ from wisealice.game import PayoffMatrix
 from wisealice.quantum import MeasurementFrame, StrategyAngle, bilinear_form
 from wisealice.scenario import load_scenario
 from wisealice.solver import (
-    BLOCK_CELLS,
     MERGE_DISTANCE_DEG,
-    NASH_TOLERANCE,
+    ROUNDOFF,
     _indifference,
     _merge,
     best_responses,
@@ -389,7 +388,7 @@ def test_nan_angles_give_nan_residuals_without_a_warning(two_eq_instance):
         residual = verify_nash_quantum(h, frames, np.array([math.nan, 30.0, math.nan]),
                                        np.array([40.0, math.nan, math.nan]))
     assert np.isnan(residual).all()
-    assert not np.any(residual <= NASH_TOLERANCE * h.scale)
+    assert not np.any(residual <= ROUNDOFF * h.scale)
 
 
 # --- equilibrium search ------------------------------------------------------
@@ -554,8 +553,8 @@ def test_cusp_candidate_is_the_only_one_to_find_this_equilibrium():
     assert circle_dist(eq.alpha.degrees, alpha) <= 1e-5
     assert circle_dist(eq.beta.degrees, beta) <= 1e-5
     assert eq.residual <= 1e-15 * h.scale
-    assert brute_force_gain(h, frames, eq.alpha.degrees, eq.beta.degrees) <= (
-        NASH_TOLERANCE * h.scale)
+    # the 0.01-degree grid's gain, at the solver's tolerance before ROUNDOFF
+    assert brute_force_gain(h, frames, eq.alpha.degrees, eq.beta.degrees) <= 1e-8 * h.scale
 
 
 def solve_2x2(m, rhs):
@@ -690,13 +689,12 @@ def duality_gap(h, frames) -> tuple[float, float, float]:
 
 
 def assert_count_is_the_rule(h, frames):
-    """The points at roundoff, residual <= 1e-15 * S, are as many as the rule
-    gives.  The solver's tolerance also passes points up to 1e-8 * S that
-    are no equilibrium (ROADMAP item 2), so only the roundoff class counts."""
+    """The solver reports as many points as the rule gives, each at
+    roundoff, residual <= 1e-15 * S."""
     found = find_equilibria(h, frames)
-    at_roundoff = [eq for eq in found if eq.residual <= 1e-15 * h.scale]
     rule = pure_equilibrium_count(h, frames[0].theta_deg, frames[1].theta_deg)
-    assert len(at_roundoff) == rule, (h, frames, found)
+    assert len(found) == rule, (h, frames, found)
+    assert all(eq.residual <= 1e-15 * h.scale for eq in found), (h, frames, found)
     return found
 
 
@@ -767,17 +765,28 @@ def test_line_cells_with_theta_a_in_i_or_two_points_sit_at_alices_indifference()
 # where the rule says one equilibrium and the quartic candidates of the
 # solver before the reply-arc walk stopped short: no candidate reached
 # (179.34066, 89.82577), and the other was reported 0.01 degrees off, at
-# 1.3e-12 * S.  Both cells are HARD_CELLS of the interval proof too
+# 1.3e-12 * S.  Then two cells 1.6e-9 and 1.7e-9 degrees from an end of I
+# (tests/solver_stress.py's near-end family), where a judge at 1e-8 * S
+# passed a point that no box proves: (89.912787, 0.087213) at 1.6e-13 * S
+# where the rule says 0, and (20.44413, 179.873559) at 6.5e-14 * S beside
+# the one equilibrium.  All four cells are HARD_CELLS of the interval
+# proof too
 RULE_CELLS = [
     ((0.0005859766306065266, 1412.714583118388, 0.055246477694773664,
       0.005087920384938334), (89.21701484019307, 89.89337087656244)),
     ((0.0005290755669106352, 1873.584314388169, 0.11572485695187998,
       0.003049614304498293), (89.33922842917872, 89.11813051198726)),
+    ((597.5036440441979, 287.4771556401267, 0.0013843847975021904,
+      0.0028301564479909025), (0.09256028315592581, 0.26698589183568094)),
+    ((80.67279428183576, 0.013350653703699466, 0.00039288083533490684,
+      1478.7568234922398), (9.632266196060828, 89.70140193141565)),
 ]
 
 
 @pytest.mark.parametrize("payoffs, thetas", [
     pytest.param(*RULE_CELLS[0], id="missed"), pytest.param(*RULE_CELLS[1], id="off"),
+    pytest.param(*RULE_CELLS[2], id="near-end-none"),
+    pytest.param(*RULE_CELLS[3], id="near-end-one"),
 ])
 def test_rule_names_the_cells_the_solver_misses(payoffs, thetas):
     assert_count_is_the_rule(PayoffMatrix(*payoffs), tuple(map(MeasurementFrame, thetas)))
@@ -896,7 +905,7 @@ def test_equilibria_invariant_under_power_of_two_scaling(a, b, c, d, ta, tb, k):
 
 def test_tiny_totals_keep_the_equilibria_and_replies():
     # (3, 3, 5, 1) 2^k is exact at every k here, but below a total of about
-    # 2^-1018 the form loses digits and NASH_TOLERANCE * S underflows; the
+    # 2^-1018 the form loses digits and ROUNDOFF * S underflows; the
     # solve on payoffs lifted by a power of two keeps the k = 0 answers.
     # A value sums four products of subnormals, each rounded to 2^-1074
     frames = (MeasurementFrame(10), MeasurementFrame(70))
@@ -1014,17 +1023,20 @@ def assert_grid_matches_alone(h, grid, thetas_a, thetas_b):
 @pytest.mark.parametrize("cells", sorted(GRID_SHAPES))
 @pytest.mark.parametrize("payoffs", [(3, 3, 5, 1), (1, 1, 1, 1), (2.5, 0.75, 2.5, 0.75),
                                      (0.21567, 3.8796, 0.91455, 6.2394)])
-def test_grid_cells_match_find_equilibria_alone(cells, payoffs):
-    # a cell's result must not depend on the block it is solved in: the
-    # grids end inside, at and just past a block and span three blocks;
+def test_grid_cells_match_find_equilibria_alone(cells, payoffs, monkeypatch):
+    # a cell's result must not depend on the block it is solved in: in
+    # blocks of 256 cells the grids end inside, at and just past a block and
+    # span three blocks, and the shipped BLOCK_CELLS gives the same arrays;
     # a = c, b = d (the unit instance at 45/45 among them) admits none
     h = PayoffMatrix(*payoffs)
     rng = np.random.default_rng(cells)
     rows, cols = GRID_SHAPES[cells]
     thetas_a, thetas_b = grid_thetas(rows, rng), grid_thetas(cols, rng)
+    shipped = find_equilibria_grid(h, thetas_a, thetas_b)
+    monkeypatch.setattr("wisealice.solver.BLOCK_CELLS", 256)
     grid = find_equilibria_grid(h, thetas_a, thetas_b)
+    assert_same_arrays(grid, shipped)
     assert grid[0].size == 0 or 0 <= grid[0].min() <= grid[0].max() < cells
-    assert BLOCK_CELLS == 256
     assert_grid_matches_alone(h, grid, thetas_a, thetas_b)
     if payoffs[0] == payoffs[2] and payoffs[1] == payoffs[3]:
         assert all(t.size == 0 for t in grid)
@@ -1188,9 +1200,10 @@ def test_interval_proof_certifies_every_equilibrium_at_roundoff(scenario_dir):
             assert prove_saddle(h, frames, eq.alpha.degrees, eq.beta.degrees) is not None, (
                 h, frames, eq)
             proved += 1
-    # 3 shipped, 3 at the examples, 13 at the hard cells (none at 2.9e-6
-    # degrees inside I) and 268 seeded
-    assert proved == 287
+    # 3 shipped, 3 at the examples, 14 at the hard cells (none at 2.9e-6
+    # degrees inside I or in the near-end cell where the rule says 0) and
+    # 268 seeded
+    assert proved == 288
 
 
 def test_proof_derivatives_are_those_of_the_payoff():
@@ -1296,7 +1309,8 @@ def test_masked_grid_matches_the_full_solve_cell_for_cell():
     # on 8 x 8 frames from U(0.05, 89.95).  Every cell off I's ends holds the
     # rule's count, so no cell the grid skips holds a point; in each grid
     # the skipped cell with the smallest lemma-A bound also passes no point
-    # of the 0.5-degree grid audit at the solver's tolerance
+    # of the 0.5-degree grid audit at 1e-8 * S, the solver's tolerance
+    # before ROUNDOFF: a smaller one would make the empty audit easier
     rng = np.random.default_rng(20)
     for width in (4.0, 8.0):
         skipped = 0
@@ -1313,7 +1327,7 @@ def test_masked_grid_matches_the_full_solve_cell_for_cell():
             if inside:
                 _, i, j = min(inside)
                 frames = (MeasurementFrame(ta[i]), MeasurementFrame(tb[j]))
-                assert grid_nash_audit(h, frames, step=0.5, tol=NASH_TOLERANCE * h.scale) == []
+                assert grid_nash_audit(h, frames, step=0.5, tol=1e-8 * h.scale) == []
             skipped += len(inside)
         assert skipped > 0
     # the cusp instances' grids hold cells on a line, where q is 0 up to
@@ -1363,7 +1377,7 @@ def test_the_grid_builds_no_per_equilibrium_object(monkeypatch):
     theta_b = np.tile(SWEEP_THETAS, len(SWEEP_THETAS))[cell]
     np.testing.assert_allclose(value, payoff_kernel(h, theta_a, theta_b, alpha, beta),
                                rtol=1e-12)
-    assert (residual <= NASH_TOLERANCE * h.scale).all()
+    assert (residual <= ROUNDOFF * h.scale).all()
 
 
 # --- the merge: candidates within MERGE_DISTANCE_DEG are one equilibrium -------
@@ -1457,8 +1471,10 @@ def test_grid_audit_matches_solver_counts(two_eq_instance, unit_instance,
 
 
 def test_grid_audit_rejects_everything_at_solver_tolerance(unit_instance):
+    # 1e-8 * S, the solver's tolerance before ROUNDOFF: an audit at a
+    # smaller one would reject everything more easily
     h, frames = unit_instance
-    assert grid_nash_audit(h, frames, step=0.1, tol=NASH_TOLERANCE * h.scale) == []
+    assert grid_nash_audit(h, frames, step=0.1, tol=1e-8 * h.scale) == []
 
 
 def test_grid_audit_default_tolerance_confirms_equilibria(two_eq_instance,
