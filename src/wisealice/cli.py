@@ -8,7 +8,6 @@ import contextlib
 import dataclasses
 import importlib.util
 import itertools
-import json
 import math
 import os
 import re
@@ -128,7 +127,11 @@ def _same_file(path: str | Path, other: str | Path | None) -> bool:
 
 def _formatted(args: argparse.Namespace, report: dict, lines: list[str]) -> list[str]:
     """The report as indented JSON, or the text lines, as --format asks."""
-    return [json.dumps(report, indent=2)] if args.format == "json" else lines
+    if args.format != "json":
+        return lines
+    # imported here alone: 1.4-2.4 ms of a process (-X importtime), and numpy does not load it
+    import json
+    return [json.dumps(report, indent=2)]
 
 
 def _equilibrium_dict(eq: solver.Equilibrium) -> dict:

@@ -134,12 +134,6 @@ def _mat_vec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
                      m[..., 1, 0] * v[..., 0] + m[..., 1, 1] * v[..., 1]], axis=-1)
 
 
-def _vec_mat(v: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """M^T v (the row vector v times M), broadcast like _mat_vec."""
-    return np.stack([v[..., 0] * m[..., 0, 0] + v[..., 1] * m[..., 1, 0],
-                     v[..., 0] * m[..., 0, 1] + v[..., 1] * m[..., 1, 1]], axis=-1)
-
-
 def bilinear_form(
     h: PayoffMatrix, frame_a: Frame, frame_b: Frame
 ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:

@@ -61,7 +61,6 @@ from wisealice.quantum import (
     _half_turn,
     _mat_vec,
     _payoff,
-    _vec_mat,
     _weights,
     bilinear_form,
     outcome_weights,
@@ -223,7 +222,7 @@ def _gain(g, k, m, x, y):
     w = k + M^T x, so Alice gains |v| - x.v and Bob |w| + y.w.
     """
     v = g + _mat_vec(m, y)
-    w = k + _vec_mat(x, m)
+    w = k + _mat_vec(np.swapaxes(m, -1, -2), x)
     return np.maximum(np.hypot(v[..., 0], v[..., 1]) - _dot(x, v),
                       _dot(y, w) + np.hypot(w[..., 0], w[..., 1]))
 
@@ -275,12 +274,13 @@ def _saddle_newton(g, k, m, phi, psi):
     Four steps: from _reply_arc's start they take every point of the wide
     stress tests to roundoff.
     """
+    mt = np.swapaxes(m, -1, -2)
     with np.errstate(all="ignore"):
         for _ in range(4):
             x, y = unit_vectors(phi), unit_vectors(psi)
             x_turn, y_turn = _turn(x), _turn(y)
             v = g + _mat_vec(m, y)
-            w = k + _vec_mat(x, m)
+            w = k + _mat_vec(mt, x)
             grad_a, grad_b = _dot(x_turn, v), _dot(y_turn, w)
             h_aa, h_bb = -_dot(x, v), -_dot(y, w)
             h_ab = _dot(x_turn, _mat_vec(m, y_turn))
@@ -406,7 +406,9 @@ def _cell_points(h: PayoffMatrix, theta_a: np.ndarray,
     # the players' arrays stacked, Alice first: center is sigma (x_c, y_c)
     thetas = np.stack([theta_a, theta_b])
     center = _indifference(h, thetas) * np.array([1.0, -1.0])[:, None, None]
-    sigma, q = np.sin(2.0 * np.radians(thetas)), _circle_margin(h, thetas)
+    # q = sigma - |center| is _circle_margin's, from the arrays at hand
+    sigma = np.sin(2.0 * np.radians(thetas))
+    q = sigma - np.hypot(center[..., 0], center[..., 1])
     _, g, k, m = (t / h.scale for t in bilinear_form(h, theta_a, theta_b))
     mt = np.swapaxes(m, -1, -2)
     # the other player replies to a direction d from one's own indifference

@@ -5,11 +5,11 @@
 reads every sweep CSV that tests/sweep_corpus.py wrote into CORPUS_DIR,
 NAME_coarse.csv, NAME_fine.csv and NAME_edge.csv, with the payoffs of its scenario
 NAME.txt, and checks each cell's equilibrium count against
-oracles.pure_equilibrium_count.  The rule holds only for frames farther
-than roundoff from I's ends, so a cell with a frame within 1e-9 degrees of
-an end is listed and not judged.  It prints each cell whose count is not
-the rule's, then one summary line, and exits 1 if there is any such cell
-or no sweep CSV at all, else 0.  Plain Python over the CSVs: it runs no
+oracles.pure_equilibrium_count with oracles.judge_counts.  The rule holds
+only for frames farther than roundoff from I's ends, so a cell with a frame
+within 1e-9 degrees of an end is listed and not judged.  It prints each
+cell whose count is not the rule's, then one summary line, and exits 1 if
+there is any such cell or no sweep CSV at all, else 0.  Plain Python over the CSVs: it runs no
 solver.  Not a test module: pytest does not collect it.
 """
 
@@ -21,31 +21,23 @@ from pathlib import Path
 
 from wisealice.scenario import load_scenario
 
-from oracles import interval_i, pure_equilibrium_count
-
-# a frame this close to an end of I, in degrees, may lie on either side of it
-NEAR_A_LINE_DEG = 1e-9
+from oracles import NEAR_AN_END_DEG, judge_counts
 
 
 def judge_sweep(path: Path, scenario: Path) -> tuple[int, list[str], list[str]]:
     """(cells, wrong, near) for one sweep CSV: its cell count, and one line
     per cell whose count is not the rule's and per cell near a line."""
-    h = load_scenario(scenario).payoff_matrix()
-    ends = interval_i(h)
-    wrong, near = [], []
     with path.open(newline="") as fh:
         rows = list(csv.DictReader(fh))
-    for row in rows:
-        ta, tb = float(row["theta_a"]), float(row["theta_b"])
-        count = int(row["equilibrium_count"])
-        where = f"{path.name}: cell ({row['theta_a']}, {row['theta_b']})"
-        if min(abs(t - end) for t in (ta, tb) for end in ends) <= NEAR_A_LINE_DEG:
-            near.append(f"{where} holds {count}, within {NEAR_A_LINE_DEG} degrees of a line")
-            continue
-        rule = pure_equilibrium_count(h, ta, tb)
-        if count != rule:
-            wrong.append(f"{where} holds {count}, the rule says {rule}")
-    return len(rows), wrong, near
+    counts = [int(row["equilibrium_count"]) for row in rows]
+    off, near = judge_counts(load_scenario(scenario).payoff_matrix(),
+                             [float(row["theta_a"]) for row in rows],
+                             [float(row["theta_b"]) for row in rows], counts)
+
+    def where(k: int) -> str:
+        return f"{path.name}: cell ({rows[k]['theta_a']}, {rows[k]['theta_b']}) holds {counts[k]}"
+    return (len(rows), [f"{where(k)}, the rule says {rule}" for k, _, rule in off],
+            [f"{where(k)}, within {NEAR_AN_END_DEG} degrees of a line" for k in near])
 
 
 def main(argv: list[str]) -> int:

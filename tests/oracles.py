@@ -16,7 +16,10 @@ rather than in the package, which ships what its commands reach.
   harmonic in one angle from the half-angle formulas;
 - grid_nash_audit sweeps the strategy torus on a grid;
 - interval_i, circle_margin and pure_equilibrium_count state in closed
-  form which frame cells hold a pure equilibrium;
+  form which frame cells hold a pure equilibrium; off_the_lines and
+  judge_counts apply that count rule to the solver's cells, with the one
+  near-end band NEAR_AN_END_DEG and the one roundoff bound AT_ROUNDOFF
+  that every judge of the solver shares;
 - prove_saddle certifies a reported equilibrium with an interval proof;
 - reference_merge states the solver's merge of near candidates one slot at
   a time.
@@ -296,6 +299,38 @@ def pure_equilibrium_count(h: PayoffMatrix, theta_a: float, theta_b: float) -> i
     """
     lo, hi = interval_i(h)
     return 0 if lo < theta_a < hi and lo < theta_b < hi else 1
+
+
+# a frame this close to an end of I, in degrees, may lie on either side of it
+NEAR_AN_END_DEG = 1e-9
+# residual / S, S = a + b + c + d, at or below which a reported point lies at roundoff
+AT_ROUNDOFF = 1e-15
+
+
+def off_the_lines(h: PayoffMatrix, *thetas: float) -> bool:
+    """Every frame farther than NEAR_AN_END_DEG from I's ends."""
+    return min(abs(t - end) for t in thetas for end in interval_i(h)) > NEAR_AN_END_DEG
+
+
+def judge_counts(h: PayoffMatrix, theta_a, theta_b,
+                 counts) -> tuple[list[tuple[int, int, int]], list[int]]:
+    """(off, near) for cells holding counts[k] points at frames theta_a[k], theta_b[k].
+
+    off lists (k, count, rule) for each cell off I's ends whose count is not
+    pure_equilibrium_count's rule, and near the k of each cell with a frame
+    within NEAR_AN_END_DEG of an end, which is not judged.  The frames
+    broadcast together and counts takes their shape, all read in C order, so
+    a grid's theta_a[:, None], theta_b and its flat counts read cell by cell.
+    """
+    theta_a, theta_b = np.broadcast_arrays(theta_a, theta_b)
+    off, near = [], []
+    for k, (ta, tb, count) in enumerate(zip(theta_a.ravel().tolist(), theta_b.ravel().tolist(),
+                                            np.reshape(counts, theta_a.shape).ravel().tolist())):
+        if not off_the_lines(h, ta, tb):
+            near.append(k)
+        elif count != (rule := pure_equilibrium_count(h, ta, tb)):
+            off.append((k, count, rule))
+    return off, near
 
 
 # the interval proof's own context at 40 digits, leaving mpmath.iv as it is

@@ -20,12 +20,14 @@ set a grid of frames theta_A x theta_B, theta_A drawn first:
 For each family it prints the cells and points, the judged cells holding
 more and fewer points than oracles.pure_equilibrium_count, the points
 above 1e-15 * S (S = a + b + c + d), the largest residual / S and the
-sha256 of the returned arrays, then each judged cell off the rule.  A
-cell with a frame within 1e-9 degrees of an end of I may lie on either
-side of it, so, as in tests/corpus_judge.py, it is counted as near and
-not judged.  It exits 1 when a judged cell holds fewer points than the
-rule, or when a wide or log-uniform cell is off the rule or holds a
-point above 1e-15 * S, else 0.  It takes about 16 s on a 2-vCPU host.
+sha256 of the returned arrays, then each judged cell off the rule.
+oracles.judge_counts judges the cells, as it does for tests/corpus_judge.py
+and the tier-1 tests: a cell with a frame within 1e-9 degrees of an end of
+I may lie on either side of it, so it is counted as near and not judged.
+The tier-1 tests run the first 20 sets of the wide family's seed 13 and of
+the log-uniform family's seeds 45 and 50.  It exits 1 when a judged cell
+holds fewer points than the rule, or when a wide or log-uniform cell is
+off the rule or holds a point above 1e-15 * S, else 0.  It takes about 16 s on a 2-vCPU host.
 Not a test module: pytest does not collect it.
 """
 
@@ -39,12 +41,7 @@ import numpy as np
 from wisealice.game import PayoffMatrix
 from wisealice.solver import find_equilibria_grid
 
-from oracles import interval_i, pure_equilibrium_count
-
-# a frame this close to an end of I, in degrees, may lie on either side of it
-NEAR_A_LINE_DEG = 1e-9
-# residual / S above which a point is not at roundoff
-AT_ROUNDOFF = 1e-15
+from oracles import AT_ROUNDOFF, interval_i, judge_counts
 
 
 def wide_sets():
@@ -95,18 +92,15 @@ def run_family(sets) -> dict:
         tally["points"] += cell.size
         tally["off_roundoff"] += int((residual > AT_ROUNDOFF).sum())
         tally["worst"] = max(tally["worst"], float(residual.max(initial=0.0)))
-        ends = interval_i(h)
-        counts = np.bincount(cell, minlength=ta.size * tb.size).tolist()
-        for (i, j), count in zip(np.ndindex(ta.size, tb.size), counts):
-            if min(abs(t - end) for t in (ta[i], tb[j]) for end in ends) <= NEAR_A_LINE_DEG:
-                tally["near"] += 1
-                continue
-            rule = pure_equilibrium_count(h, ta[i], tb[j])
-            if count != rule:
-                tally["above" if count > rule else "below"] += 1
-                tally["wrong"].append(f"{tuple(map(float, (h.a, h.b, h.c, h.d)))} at "
-                                      f"{float(ta[i])!r}/{float(tb[j])!r}: holds {count}, "
-                                      f"the rule says {rule}")
+        counts = np.bincount(cell, minlength=ta.size * tb.size)
+        off, near = judge_counts(h, ta[:, None], tb, counts)
+        tally["near"] += len(near)
+        for k, count, rule in off:
+            i, j = divmod(k, tb.size)
+            tally["above" if count > rule else "below"] += 1
+            tally["wrong"].append(f"{tuple(map(float, (h.a, h.b, h.c, h.d)))} at "
+                                  f"{float(ta[i])!r}/{float(tb[j])!r}: holds {count}, "
+                                  f"the rule says {rule}")
     tally["sha256"] = digest.hexdigest()
     return tally
 

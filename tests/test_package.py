@@ -1,10 +1,12 @@
 """The lazy package, the process policy of the CLI module, how a CLI process
-ends, what the test references import from the package, and the corpus
-comparison of tests/corpus_diff.py."""
+ends, what the test references import from the package, the corpus
+comparison of tests/corpus_diff.py and the count-rule judge of
+tests/corpus_judge.py."""
 
 import ast
 import importlib
 import os
+import shutil
 import subprocess
 import sys
 import types
@@ -17,6 +19,8 @@ import wisealice
 from wisealice import cli
 
 import corpus_diff
+import corpus_judge
+from oracles import interval_i, judge_counts
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 TWO_EQUILIBRIA = SRC.parent / "scenarios" / "two_equilibria.txt"
@@ -135,7 +139,8 @@ COMMAND_LAYERS = {
 
 @pytest.mark.parametrize("command", COMMAND_LAYERS)
 def test_each_command_executes_only_its_layers(command, tmp_path):
-    """A command runs the layers it uses and no other; lattice-check loads no numpy.
+    """A command runs the layers it uses and no other; lattice-check loads no numpy,
+    and no command in text format loads json.
 
     A layer that is registered but not yet used is a LazyLoader subclass of
     ModuleType, so `type(m) is ModuleType` marks the executed ones.
@@ -148,13 +153,14 @@ def test_each_command_executes_only_its_layers(command, tmp_path):
         "import contextlib, io, sys, types, wisealice.cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    code = wisealice.cli.main({argv!r})\n"
-        "print(code, 'numpy' in sys.modules, ' '.join(sorted(\n"
+        "print(code, 'numpy' in sys.modules, 'json' in sys.modules, ' '.join(sorted(\n"
         "    name for name, m in sys.modules.items()\n"
         "    if name.startswith('wisealice.') and type(m) is types.ModuleType)))")
-    code, numpy_loaded, *executed = out.split()
+    code, numpy_loaded, json_loaded, *executed = out.split()
     assert code == "0"
     assert executed == sorted(f"wisealice.{layer}" for layer in layers)
     assert numpy_loaded == str(command != "lattice-check")
+    assert json_loaded == "False"
 
 
 def fresh_cli(argv: list[str], cwd: Path | None = None,
@@ -378,3 +384,25 @@ def test_corpus_diff_names_each_file_and_its_first_differing_line(tmp_path):
         "differs: moved.csv, first at line 3, column 3\n    REV: c,d\n    working tree: c,e",
     ]
     assert corpus_diff.differences(left, left, "REV", "working tree") == []
+
+
+def test_the_count_judge_names_a_count_off_by_one_and_a_cell_near_an_end(tmp_path, capsys):
+    # the scenario's (3, 3, 5, 1), I = (22.2387560930, 82.2387560930): on a
+    # 3 x 1 grid the rule gives 10/40 one point and 30/40 none, and
+    # theta_A = lo + 5e-10 lies within the band of I's end; 30/40 is given
+    # one point too many
+    h = wisealice.PayoffMatrix(3, 3, 5, 1)
+    theta_a, counts = [10.0, 30.0, interval_i(h)[0] + 5e-10], [1, 1, 0]
+    assert judge_counts(h, [[t] for t in theta_a], [40.0], counts) == ([(1, 1, 0)], [2])
+    # tests/corpus_judge.py judges the grid as a sweep CSV and fails on it
+    shutil.copy(TWO_EQUILIBRIA, tmp_path)
+    (tmp_path / "two_equilibria_coarse.csv").write_text(
+        "theta_a,theta_b,equilibrium_count,best_value_for_alice\n"
+        + "".join(f"{ta!r},40.0,{n},0\n" for ta, n in zip(theta_a, counts)))
+    assert corpus_judge.main([str(tmp_path)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "two_equilibria_coarse.csv: cell (30.0, 40.0) holds 1, the rule says 0",
+        f"two_equilibria_coarse.csv: cell ({theta_a[2]!r}, 40.0) holds 0, within 1e-09 "
+        "degrees of a line",
+        "1 sweep files, 3 cells: 1 not the rule's count, 1 near a line and not judged",
+    ]

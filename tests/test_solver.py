@@ -1,3 +1,4 @@
+import itertools
 import math
 import sys
 import warnings
@@ -25,6 +26,7 @@ from wisealice.solver import (
 )
 
 from oracles import (
+    AT_ROUNDOFF,
     _payoff_derivatives,
     circle_dist,
     circle_margin,
@@ -32,11 +34,14 @@ from oracles import (
     half_angle_coefficients,
     half_angle_coefficients_in_beta,
     interval_i,
+    judge_counts,
+    off_the_lines,
     payoff_kernel,
     prove_saddle,
     pure_equilibrium_count,
     reference_merge,
 )
+from solver_stress import log_uniform_sets, wide_sets
 
 frame_angles = st.floats(min_value=1.0, max_value=89.0,
                          allow_nan=False, allow_infinity=False)
@@ -552,7 +557,7 @@ def test_cusp_candidate_is_the_only_one_to_find_this_equilibrium():
     eq = found[0]
     assert circle_dist(eq.alpha.degrees, alpha) <= 1e-5
     assert circle_dist(eq.beta.degrees, beta) <= 1e-5
-    assert eq.residual <= 1e-15 * h.scale
+    assert eq.residual <= AT_ROUNDOFF * h.scale
     # the 0.01-degree grid's gain, at the solver's tolerance before ROUNDOFF
     assert brute_force_gain(h, frames, eq.alpha.degrees, eq.beta.degrees) <= 1e-8 * h.scale
 
@@ -689,13 +694,25 @@ def duality_gap(h, frames) -> tuple[float, float, float]:
 
 
 def assert_count_is_the_rule(h, frames):
-    """The solver reports as many points as the rule gives, each at
-    roundoff, residual <= 1e-15 * S."""
+    """The solver reports as many points as the rule gives at a cell off
+    I's ends, each at roundoff."""
     found = find_equilibria(h, frames)
-    rule = pure_equilibrium_count(h, frames[0].theta_deg, frames[1].theta_deg)
-    assert len(found) == rule, (h, frames, found)
-    assert all(eq.residual <= 1e-15 * h.scale for eq in found), (h, frames, found)
+    assert judge_counts(h, frames[0].theta_deg, frames[1].theta_deg,
+                        len(found)) == ([], []), (h, frames, found)
+    assert all(eq.residual <= AT_ROUNDOFF * h.scale for eq in found), (h, frames, found)
     return found
+
+
+def assert_grid_keeps_the_rule(h, ta, tb) -> list[int]:
+    """The grid of frames ta x tb in one call: every point lies at roundoff,
+    and every cell holds the rule's count, none near an end.  Returns the
+    counts, theta_A first."""
+    ta, tb = np.asarray(ta, dtype=float), np.asarray(tb, dtype=float)
+    cell, _, _, _, residual = find_equilibria_grid(h, ta, tb)
+    assert (residual <= AT_ROUNDOFF * h.scale).all(), (h, residual.max() / h.scale)
+    counts = np.bincount(cell, minlength=ta.size * tb.size)
+    assert judge_counts(h, ta[:, None], tb, counts) == ([], []), h
+    return counts.tolist()
 
 
 @settings(max_examples=150, deadline=None)
@@ -715,7 +732,7 @@ def test_root_solve_matches_scan(a, b, c, d, ta, tb):
     # hold two equilibria, and a frame within roundoff of one may lie on
     # either side
     h = PayoffMatrix(a, b, c, d)
-    assume(min(abs(t - end) for t in (ta, tb) for end in interval_i(h)) > 1e-9)
+    assume(off_the_lines(h, ta, tb))
     assert_count_is_the_rule(h, (MeasurementFrame(ta), MeasurementFrame(tb)))
 
 
@@ -849,10 +866,8 @@ def test_frames_next_to_0_and_90_keep_their_one_equilibrium(thetas):
     # is nearly indifferent at the equilibrium, so its reply alone misplaces
     # the point by tens of degrees; the quartic candidates reported a second
     # point at roundoff in most of these cells
-    h = PayoffMatrix(3, 3, 5, 1)
-    found = find_equilibria(h, tuple(map(MeasurementFrame, thetas)))
-    assert len(found) == pure_equilibrium_count(h, *thetas) == 1
-    assert found[0].residual <= 1e-15 * h.scale
+    frames = tuple(map(MeasurementFrame, thetas))
+    assert len(assert_count_is_the_rule(PayoffMatrix(3, 3, 5, 1), frames)) == 1
 
 
 def test_bob_frames_next_to_0_and_90_keep_the_rule():
@@ -865,11 +880,7 @@ def test_bob_frames_next_to_0_and_90_keep_the_rule():
     tb = np.array(ends + [90.0 - e for e in ends])
     for _ in range(40):
         h = PayoffMatrix(*np.exp(rng.uniform(-8.0, 8.0, 4)))
-        ta = rng.uniform(0.01, 89.99, 10)
-        cell, _, _, _, residual = find_equilibria_grid(h, ta, tb)
-        assert (residual <= 1e-15 * h.scale).all(), (h, residual.max() / h.scale)
-        counts = np.bincount(cell, minlength=ta.size * tb.size).tolist()
-        assert counts == [pure_equilibrium_count(h, a, b) for a in ta for b in tb], h
+        assert_grid_keeps_the_rule(h, rng.uniform(0.01, 89.99, 10), tb)
 
 
 @pytest.mark.parametrize("theta", [5e-324, math.nextafter(FRAME_FLOOR, 0.0)])
@@ -1060,11 +1071,7 @@ SWEEP_THETAS = [5.0 + 2.5 * k for k in range(33)]
 ])
 def test_sweep_grid_cells_have_at_most_one_equilibrium(scenario_dir, name, cells_with_one):
     h = load_scenario(scenario_dir / f"{name}.txt").payoff_matrix()
-    cell = find_equilibria_grid(h, SWEEP_THETAS, SWEEP_THETAS)[0]
-    counts = np.bincount(cell, minlength=len(SWEEP_THETAS)**2).tolist()
-    assert counts == [pure_equilibrium_count(h, ta, tb)
-                      for ta in SWEEP_THETAS for tb in SWEEP_THETAS]
-    assert counts.count(1) == cells_with_one
+    assert assert_grid_keeps_the_rule(h, SWEEP_THETAS, SWEEP_THETAS).count(1) == cells_with_one
 
 
 @settings(max_examples=200, deadline=None)
@@ -1091,47 +1098,24 @@ def test_random_instances_have_at_most_one_equilibrium(a, b, c, d, ta, tb):
     assert len(find_equilibria(h, (MeasurementFrame(ta), MeasurementFrame(tb)))) <= 1
 
 
-def cells_near_an_end(h, ta, tb) -> list[tuple[int, int]]:
-    """The grid of frames ta x tb in one call: every point lies at roundoff,
-    and every cell off I's ends holds the rule's count.  Returns the (i, j)
-    of each cell within 1e-9 degrees of an end, where a float frame cannot
-    say on which side it lies, which is not judged."""
-    cell, _, _, _, residual = find_equilibria_grid(h, ta, tb)
-    assert (residual <= 1e-15 * h.scale).all(), (h, residual.max() / h.scale)
-    counts = np.bincount(cell, minlength=ta.size * tb.size).tolist()
-    near = []
-    for (i, j), count in zip(np.ndindex(ta.size, tb.size), counts):
-        if off_the_lines(h, ta[i], tb[j]):
-            assert count == pure_equilibrium_count(h, ta[i], tb[j]), (h, ta[i], tb[j])
-        else:
-            near.append((i, j))
-    return near
-
-
 def test_wide_stress_counts_are_the_rule():
-    # numpy seed 13: 20 payoff sets at e^U(-8,8), each on a 10 x 10 grid of
-    # frames from U(0.001, 89.999), theta_A first, one grid call per set;
-    # no cell lies near an end of I
-    rng = np.random.default_rng(13)
-    for _ in range(20):
-        h = PayoffMatrix(*np.exp(rng.uniform(-8.0, 8.0, 4)))
-        ta, tb = rng.uniform(0.001, 89.999, (2, 10))
-        assert cells_near_an_end(h, ta, tb) == []
+    # tests/solver_stress.py's first 20 wide sets, numpy seed 13: payoffs at
+    # e^U(-8,8), each on a 10 x 10 grid of frames from U(0.001, 89.999),
+    # one grid call per set; no cell lies near an end of I
+    for h, ta, tb in itertools.islice(wide_sets(), 20):
+        assert_grid_keeps_the_rule(h, ta, tb)
 
 
 def test_log_uniform_frames_keep_the_rule():
-    # numpy seeds 45 and 50: 20 payoff sets each at e^U(-8,8), each on a
-    # 10 x 10 grid of frames 10^U(-14, 1.9) degrees, theta_A first, one grid
-    # call per set.  Walking only the player whose indifference point lies
-    # farther out missed the point of 12 cells, 8 in seed 45's set 17 and 4
-    # in seed 50's set 19: there Bob's point lies just outside the circle
-    # and only his walk finds it
-    for seed in (45, 50):
-        rng = np.random.default_rng(seed)
-        for _ in range(20):
-            h = PayoffMatrix(*np.exp(rng.uniform(-8.0, 8.0, 4)))
-            ta, tb = 10.0 ** rng.uniform(-14.0, 1.9, (2, 10))
-            assert cells_near_an_end(h, ta, tb) == []
+    # tests/solver_stress.py's first 20 log-uniform sets of numpy seeds 45
+    # and 50: payoffs at e^U(-8,8), each on a 10 x 10 grid of frames
+    # 10^U(-14, 1.9) degrees, one grid call per set.  Walking only the player
+    # whose indifference point lies farther out missed the point of 12
+    # cells, 8 in seed 45's set 17 and 4 in seed 50's set 19: there Bob's
+    # point lies just outside the circle and only his walk finds it
+    for start in (1500, 3000):
+        for h, ta, tb in itertools.islice(log_uniform_sets(), start, start + 20):
+            assert_grid_keeps_the_rule(h, ta, tb)
 
 
 # --- the interval proof: each reported point is a proved saddle ---------------
@@ -1196,7 +1180,7 @@ def test_interval_proof_certifies_every_equilibrium_at_roundoff(scenario_dir):
     proved = 0
     for h, frames in cells:
         for eq in find_equilibria(h, frames):
-            assert eq.residual <= 1e-15 * h.scale, (h, frames, eq)
+            assert eq.residual <= AT_ROUNDOFF * h.scale, (h, frames, eq)
             assert prove_saddle(h, frames, eq.alpha.degrees, eq.beta.degrees) is not None, (
                 h, frames, eq)
             proved += 1
@@ -1238,11 +1222,6 @@ def test_proof_derivatives_are_those_of_the_payoff():
 certificate_payoffs = st.floats(min_value=-8.0, max_value=8.0).map(math.exp)
 fractions = st.floats(min_value=0.0, max_value=1.0)
 GRID_05 = np.arange(0.0, 180.0, 0.5)
-
-
-def off_the_lines(h, *thetas) -> bool:
-    """Every frame farther than 1e-9 degrees from I's ends."""
-    return min(abs(t - end) for t in thetas for end in interval_i(h)) > 1e-9
 
 
 @settings(max_examples=150, deadline=None)
@@ -1295,13 +1274,11 @@ def test_certificate_skips_nothing_outside_the_interval(monkeypatch):
     thetas = [10.0, 22.2, 30.0, 40.0, 82.3, 85.0]
     assert [lo < t < hi for t in thetas] == [False, False, True, True, False, False]
     cells = solved_cells(monkeypatch)
-    cell = find_equilibria_grid(h, thetas, thetas)[0]
+    assert_grid_keeps_the_rule(h, thetas, thetas)
     outside = [(ta, tb) for ta in thetas for tb in thetas
                if pure_equilibrium_count(h, ta, tb) == 1]
     assert len(outside) == 32
     assert sorted(set(cells)) == sorted(outside)
-    assert np.bincount(cell, minlength=36).tolist() == [
-        pure_equilibrium_count(h, ta, tb) for ta in thetas for tb in thetas]
 
 
 def test_masked_grid_matches_the_full_solve_cell_for_cell():
@@ -1317,13 +1294,9 @@ def test_masked_grid_matches_the_full_solve_cell_for_cell():
         for _ in range(30):
             h = PayoffMatrix(*np.exp(rng.uniform(-width, width, 4)))
             ta, tb = rng.uniform(0.05, 89.95, (2, 8))
-            counts = np.bincount(find_equilibria_grid(h, ta, tb)[0], minlength=64)
-            inside = []
-            for (i, j), count in zip(np.ndindex(8, 8), counts.tolist()):
-                if off_the_lines(h, ta[i], tb[j]):
-                    assert count == pure_equilibrium_count(h, ta[i], tb[j]), (h, ta[i], tb[j])
-                if pure_equilibrium_count(h, ta[i], tb[j]) == 0:
-                    inside.append((circle_margin(h, ta[i]) * circle_margin(h, tb[j]), i, j))
+            counts = assert_grid_keeps_the_rule(h, ta, tb)
+            inside = [(circle_margin(h, ta[i]) * circle_margin(h, tb[j]), i, j)
+                      for i, j in np.ndindex(8, 8) if counts[8 * i + j] == 0]
             if inside:
                 _, i, j = min(inside)
                 frames = (MeasurementFrame(ta[i]), MeasurementFrame(tb[j]))
