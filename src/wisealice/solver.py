@@ -14,8 +14,8 @@ lemmas on the game extended to the unit disks, where it has a saddle,
 settle each cell of frame pairs:
 
 - A: with |x_c| < 1 and |y_c| < 1 the cell holds no pure equilibrium.
-  _circle_margin decides it from the payoffs and the frames alone, and
-  such a cell is not solved.
+  _indifference's margin q decides it from the payoffs and the frames
+  alone, and such a cell is not solved.
 - C: with |x_c| > 1 the directions x - x_c of Alice's circle points fill
   a cone, and Alice's reply to Bob's reply to a direction lands back in
   it, so the composed reply has a fixed point, a pure equilibrium.
@@ -85,20 +85,20 @@ MERGE_DISTANCE_DEG = 0.2
 # 250 ms in blocks of 256 and 130 ms in blocks of 2048), and blocks of
 # 4096 are no faster but peak higher; a block's arrays stay within a few MiB
 BLOCK_CELLS = 2048
-# the roundoff of every cut the solver makes: of q = _circle_margin, and of
+# the roundoff of every cut the solver makes: of _indifference's q, and of
 # a residual relative to the total payoff S = a + b + c + d.  A frame whose
 # q lies within this of 0 is taken to lie on a line, |x_c| = 1 or
-# |y_c| = 1, for it cannot say on which side it lies: against 40 digits q's
-# own error is below 7e-16, and the ends of I computed in floats (60,000
-# of them, payoffs up to e^+-8) give |q| up to 1.3e-15.  A wider band takes
-# frames off the line for lines, whose chord ends are no equilibria (at
-# 1e-14 one lay 2e-8 degrees inside I next to a corner).  A candidate is an
-# equilibrium when verify_nash_quantum gives at most this times S: true
-# points lie at <= 3.6e-16 * S (the wide and log-uniform stresses, 540,000
-# cells), and the points off the count rule that an earlier quartic
-# solver passed at 1e-8 * S lay at >= 2.5e-11 * S in a 102,400-cell
-# stress.  Within 1e-8 degrees of an end of I the residuals leave no such
-# gap (the near-end stress of tests/solver_stress.py)
+# |y_c| = 1, for it cannot say on which side it lies: against 40 digits q
+# errs by up to 7.6e-16 (1,000 frames, payoffs up to e^+-8), and the ends
+# of I computed in floats (60,000 of them) give |q| up to 1.3e-15.  A wider
+# band takes frames off the line for lines, whose chord ends are no
+# equilibria (at 1e-14 one lay 2e-8 degrees inside I next to a corner).  A
+# candidate is an equilibrium when verify_nash_quantum gives at most this
+# times S: true points lie at <= 3.6e-16 * S (the wide and log-uniform
+# stresses, 540,000 cells), and the points off the count rule that an
+# earlier quartic solver passed at 1e-8 * S lay at >= 2.5e-11 * S in a
+# 102,400-cell stress.  Within 1e-8 degrees of an end of I the residuals
+# leave no such gap (the near-end stress of tests/solver_stress.py)
 ROUNDOFF = 2e-15
 
 
@@ -290,32 +290,26 @@ def _saddle_newton(g, k, m, phi, psi):
     return phi, psi
 
 
-def _indifference(h: PayoffMatrix, theta_deg: np.ndarray) -> np.ndarray:
-    """sin 2theta p(theta) = (-s sin 2theta, s cos 2theta - t), (..., 2).
+def _indifference(h: PayoffMatrix,
+                  theta_deg: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(center, sigma, q) at frame angles theta_deg: all a frame alone decides.
 
-    The one owner of where a player is indifferent, with s = (a-c)/(a+c)
-    and t = (b-d)/(b+d).  Bob is indifferent, k + M^T x = 0, exactly where
+    center = sin 2theta p(theta) = (-s sin 2theta, s cos 2theta - t),
+    (..., 2), is where a player is indifferent, with s = (a-c)/(a+c) and
+    t = (b-d)/(b+d).  Bob is indifferent, k + M^T x = 0, exactly where
     e_1.x = -s and e(2theta_A).x = -t, at x_c = p(theta_A); Alice,
     g + M y = 0, where e_1.y = s and e(2theta_B).y = t, at y_c = -p(theta_B).
-    Times sin 2theta > 0 the form never divides, and as s and t are ratios
-    it cannot overflow.
+    Times sigma = sin 2theta > 0 the form never divides, and as s and t are
+    ratios it cannot overflow.  q = sigma - |center| is sin 2theta
+    (1 - |p(theta)|), where |p(theta_A)| = |x_c| and |p(theta_B)| = |y_c|:
+    q > 0 exactly where the indifference point lies inside the circle.
     """
     s = (h.a - h.c) / (h.a + h.c)
     t = (h.b - h.d) / (h.b + h.d)
     two_theta = 2.0 * np.radians(theta_deg)
-    return np.stack([-s * np.sin(two_theta), s * np.cos(two_theta) - t], axis=-1)
-
-
-def _circle_margin(h: PayoffMatrix, theta_deg: np.ndarray) -> np.ndarray:
-    """q(theta) = sin 2theta - |sin 2theta p(theta)| from _indifference.
-
-    That is sin 2theta (1 - |p(theta)|), where |p(theta_A)| = |x_c| and
-    |p(theta_B)| = |y_c|; q > 0 exactly where the indifference point lies
-    inside the circle.  It reads the payoffs and the frame alone, not the
-    bilinear form.
-    """
-    point = _indifference(h, theta_deg)
-    return np.sin(2.0 * np.radians(theta_deg)) - np.hypot(point[..., 0], point[..., 1])
+    sigma = np.sin(two_theta)
+    center = np.stack([-s * sigma, s * np.cos(two_theta) - t], axis=-1)
+    return center, sigma, sigma - np.hypot(center[..., 0], center[..., 1])
 
 
 def _unit(u0, u1):
@@ -388,10 +382,13 @@ def _chord_ends(center, sigma, q, ray, keep):
     return center[..., None, :] + nu[..., None] * ray[..., None, :]
 
 
-def _cell_points(h: PayoffMatrix, theta_a: np.ndarray,
-                 theta_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _cell_points(h: PayoffMatrix, theta, center, sigma, q) -> tuple[np.ndarray, np.ndarray]:
     """(alpha, beta) candidates in degrees, (n, slots), at n frame pairs.
 
+    Each argument after h stacks the players' arrays, Alice's first, as
+    find_equilibria_grid gathers them from _indifference cell by cell:
+    theta (2, n) the frame angles in degrees, center (2, n, 2) sigma x_c
+    and sigma y_c, sigma and q (2, n).
     Slots 0 and 1 are _reply_arc's points where Alice walks and where Bob
     walks, each polished by _saddle_newton; a player whose point lies
     inside the circle by more than ROUNDOFF does not walk, and its slot is
@@ -403,13 +400,7 @@ def _cell_points(h: PayoffMatrix, theta_a: np.ndarray,
     step.  Built from the form divided by the total payoff, so every
     coefficient stays near one whatever the payoff magnitude.
     """
-    # the players' arrays stacked, Alice first: center is sigma (x_c, y_c)
-    thetas = np.stack([theta_a, theta_b])
-    center = _indifference(h, thetas) * np.array([1.0, -1.0])[:, None, None]
-    # q = sigma - |center| is _circle_margin's, from the arrays at hand
-    sigma = np.sin(2.0 * np.radians(thetas))
-    q = sigma - np.hypot(center[..., 0], center[..., 1])
-    _, g, k, m = (t / h.scale for t in bilinear_form(h, theta_a, theta_b))
+    _, g, k, m = (t / h.scale for t in bilinear_form(h, *theta))
     mt = np.swapaxes(m, -1, -2)
     # the other player replies to a direction d from one's own indifference
     # point with dir(first d), and one replies to the other's r with
@@ -477,22 +468,6 @@ def _merge(alpha: np.ndarray, beta: np.ndarray, residual: np.ndarray,
     return kept
 
 
-def _solve_block(h: PayoffMatrix, theta_a: np.ndarray,
-                 theta_b: np.ndarray) -> tuple[np.ndarray, ...]:
-    """find_equilibria_grid's arrays at the frame pairs (theta_a[i], theta_b[i]), cell i.
-
-    Solved and judged on _lift(h); values come from h itself.
-    """
-    lifted, shift = _lift(h)
-    alpha, beta = _cell_points(lifted, theta_a, theta_b)
-    residual = verify_nash_quantum(lifted, (theta_a[:, None], theta_b[:, None]), alpha, beta)
-    cell, slot = np.nonzero(_merge(alpha, beta, residual,
-                                   residual <= ROUNDOFF * lifted.scale))
-    alpha, beta = alpha[cell, slot], beta[cell, slot]
-    value = _payoff(h, _weights(alpha, theta_a[cell]), _weights(beta, theta_b[cell]))
-    return cell, alpha, beta, value, np.ldexp(residual[cell, slot], -shift)
-
-
 def find_equilibria(h: PayoffMatrix, frames: Frames) -> list[Equilibrium]:
     """All verified Nash equilibria, deduplicated and sorted by alpha.
 
@@ -531,25 +506,37 @@ def find_equilibria_grid(
     both indifference points lie inside the circle by more than roundoff
     holds no pure equilibrium and is not solved (lemma A).
     The others are solved BLOCK_CELLS at a time, so each cell's entries
-    are what find_equilibria returns for it alone.
+    are what find_equilibria returns for it alone.  Cells are solved and
+    judged on _lift(h); values come from h itself.
     """
     theta_a, theta_b = (
         np.array([MeasurementFrame(float(t)).theta_deg for t in thetas], dtype=float)
         for thetas in (thetas_a_deg, thetas_b_deg))
+    lifted, shift = _lift(h)
+    # each frame's data once, the players' rows stacked, Alice's first:
+    # center is sigma (x_c, y_c)
+    thetas = np.concatenate([theta_a, theta_b])
+    center, sigma, q = _indifference(lifted, thetas)
+    center[theta_a.size:] *= -1.0
     # the walk and the chord ends divide by sin 2theta, which a frame within
     # about 6.4e-307 degrees of 0 leaves subnormal, without its digits
-    angles = np.concatenate([theta_a, theta_b])
-    tiny = angles[np.sin(2.0 * np.radians(angles)) < np.finfo(float).tiny]
+    tiny = thetas[sigma < np.finfo(float).tiny]
     if tiny.size:
         raise ValueError(f"frame angle {float(tiny[0])!r} is too close to 0 to solve: "
                          "sin 2theta is below the smallest normal double")
-    cells_a = np.repeat(theta_a, theta_b.size)
-    cells_b = np.tile(theta_b, theta_a.size)
-    inside_a, inside_b = (_circle_margin(h, t) > ROUNDOFF for t in (theta_a, theta_b))
-    solve = np.flatnonzero(~(inside_a[:, None] & inside_b[None, :]).ravel())
+    # frame[p, i] is the row of player p's frame in cell i
+    frame = np.stack([np.repeat(np.arange(theta_a.size), theta_b.size),
+                      np.tile(np.arange(theta_a.size, thetas.size), theta_a.size)])
+    solve = np.flatnonzero(~(q > ROUNDOFF)[frame].all(axis=0))
     found = [(np.empty(0, dtype=np.intp), *[np.empty(0)] * 4)]
     for start in range(0, solve.size, BLOCK_CELLS):
         block = solve[start:start + BLOCK_CELLS]
-        index, *points = _solve_block(h, cells_a[block], cells_b[block])
-        found.append((block[index], *points))
+        theta, *per_frame = (t[frame[:, block]] for t in (thetas, center, sigma, q))
+        alpha, beta = _cell_points(lifted, theta, *per_frame)
+        residual = verify_nash_quantum(lifted, tuple(theta[..., None]), alpha, beta)
+        cell, slot = np.nonzero(_merge(alpha, beta, residual,
+                                       residual <= ROUNDOFF * lifted.scale))
+        alpha, beta = alpha[cell, slot], beta[cell, slot]
+        value = _payoff(h, _weights(alpha, theta[0, cell]), _weights(beta, theta[1, cell]))
+        found.append((block[cell], alpha, beta, value, np.ldexp(residual[cell, slot], -shift)))
     return tuple(np.concatenate(column) for column in zip(*found))

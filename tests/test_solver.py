@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import sys
 import warnings
 
@@ -598,9 +599,11 @@ def test_indifference_points_match_a_40_digit_solve():
     # M y = -g.  _indifference gives sin 2theta_A x_c at theta_A and
     # -sin 2theta_B y_c at theta_B, and its angle at theta_A is x_c's, which
     # a line cell's chord reads (a quotient by det M, the formula it
-    # replaced, was off by 3.4e-10 rad)
+    # replaced, was off by 3.4e-10 rad).  Its q = sin 2theta (1 - |p|)
+    # errs by up to 7.54e-16, 0.32 of 4.4 eps (sin 2theta + |s sin 2theta|
+    # + |s cos 2theta| + |t|), and stays below ROUNDOFF, the band it draws
     rng = np.random.default_rng(26)
-    worst_angle = worst_point = 0.0
+    worst_angle = worst_point = worst_q = worst_q_share = 0.0
     with mpmath.workdps(40):
         for _ in range(1000):
             payoffs = np.exp(rng.uniform(-8.0, 8.0, 4))
@@ -609,16 +612,27 @@ def test_indifference_points_match_a_40_digit_solve():
             two_a, two_b = (2 * mpmath.radians(mpmath.mpf(float(t))) for t in thetas)
             x_c = solve_2x2(transposed(m), [-k[0], -k[1]])
             y_c = solve_2x2(m, [-g[0], -g[1]])
-            owner = _indifference(PayoffMatrix(*payoffs), thetas)
-            for got, point, two in ((owner[0], x_c, two_a), (-owner[1], y_c, two_b)):
+            h = PayoffMatrix(*payoffs)
+            s, t = (h.a - h.c) / (h.a + h.c), (h.b - h.d) / (h.b + h.d)
+            owner, _, q = _indifference(h, thetas)
+            for got, point, two, margin in ((owner[0], x_c, two_a, q[0]),
+                                            (-owner[1], y_c, two_b, q[1])):
                 exact = [mpmath.sin(two) * z for z in point]
                 worst_point = max(worst_point, float(
                     mpmath.hypot(got[0] - exact[0], got[1] - exact[1]) / mpmath.hypot(*exact)))
+                error = abs(float(mpmath.mpf(float(margin))
+                                  - mpmath.sin(two) * (1 - mpmath.hypot(*point))))
+                sin2, cos2 = math.sin(float(two)), math.cos(float(two))
+                bound = 4.4 * sys.float_info.epsilon * (sin2 + abs(s * sin2) + abs(s * cos2)
+                                                        + abs(t))
+                worst_q, worst_q_share = max(worst_q, error), max(worst_q_share, error / bound)
             cusp = math.atan2(owner[0][1], owner[0][0])
             worst_angle = max(worst_angle, abs(math.remainder(
                 cusp - float(mpmath.atan2(x_c[1], x_c[0])), 2.0 * math.pi)))
     assert worst_angle <= 1e-12
     assert worst_point <= 1e-12
+    assert worst_q_share <= 1.0
+    assert worst_q < ROUNDOFF
 
 
 def test_line_equilibria_are_the_chord_ends(scenario_dir):
@@ -891,8 +905,18 @@ def test_frames_below_the_floor_are_rejected(theta):
     for thetas in ((theta, 30.0), (30.0, theta)):
         with pytest.raises(ValueError, match=r"^frame angle .* is too close to 0 to solve"):
             find_equilibria(h, tuple(map(MeasurementFrame, thetas)))
-        with pytest.raises(ValueError, match="too close to 0"):
-            find_equilibria_grid(h, [45.0, thetas[0]], [thetas[1], 60.0])
+        # the tiny angle is named whichever axis holds it, behind a valid one
+        with pytest.raises(ValueError, match=f"^frame angle {re.escape(repr(theta))} "
+                                             "is too close to 0"):
+            find_equilibria_grid(h, [45.0, thetas[0]], [60.0, thetas[1]])
+
+
+@pytest.mark.parametrize("axes", [([], [10.0, 20.0]), ([10.0, 20.0], []), ([], [])])
+def test_an_empty_axis_gives_five_empty_arrays(axes):
+    cell, *points = find_equilibria_grid(PayoffMatrix(3, 3, 5, 1), *axes)
+    assert cell.dtype == np.intp
+    for column in (cell, *points):
+        assert column.shape == (0,)
 
 
 @settings(max_examples=60, deadline=None)
