@@ -2,9 +2,9 @@
 
     python bench/run.py REV N
 
-extracts src/ at the git revision REV with ``git archive``, as
-tests/corpus_diff.py does, and starts two worker processes, one on REV's
-src/ and one on the working tree's.  Each imports the package and calls
+extracts src/ at the git revision REV with tests/corpus_diff.py's
+extract_src and starts two worker processes, one on REV's src/ and one on
+the working tree's.  Each imports the package and calls
 every kernel once untimed.  Then, PAIRS times over, each kernel is timed
 in one worker and right after in the other, which of the two goes first
 alternating from pair to pair, so both times of a pair share the host's
@@ -42,6 +42,8 @@ from importlib.metadata import version
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "tests"))
+from corpus_diff import extract_src
 PAIRS = 21
 REPEATS = 3
 
@@ -114,10 +116,7 @@ def main(argv: list[str]) -> int:
     revision = subprocess.run(["git", "-C", str(ROOT), "rev-parse", rev], check=True,
                               capture_output=True, text=True).stdout.strip()
     with tempfile.TemporaryDirectory() as tmp:
-        archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", rev, "src"],
-                                 check=True, capture_output=True).stdout
-        subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
-        trees = {"base": Path(tmp) / "src", "head": ROOT / "src"}
+        trees = {"base": extract_src(rev, Path(tmp) / "rev"), "head": ROOT / "src"}
         bytecode = {tree: has_bytecode(src) for tree, src in trees.items()}
         workers = {tree: start_worker(src, env) for tree, src in trees.items()}
         # both list the same kernels, once each has called them all

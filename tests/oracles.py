@@ -20,7 +20,15 @@ rather than in the package, which ships what its commands reach.
   judge_counts apply that count rule to the solver's cells, with the one
   near-end band NEAR_AN_END_DEG and the one roundoff bound AT_ROUNDOFF
   that every judge of the solver shares;
-- prove_saddle certifies a reported equilibrium with an interval proof;
+- _payoff_derivatives gives F's first and second derivatives from the
+  trigonometric definition in an mpmath context: iv, 40-digit intervals,
+  or mp60, 60-digit values.  prove_saddle certifies a reported equilibrium
+  with an interval proof in iv; exact_reply, exact_gain and exact_saddle
+  give a best reply, the unilateral gain at a point and the zero of the
+  gradient near it in mp60;
+- exact_indifference builds the disk game's form at 60 digits and gives
+  the indifference points and q at each frame.  These are the tests' only
+  high-precision arithmetic: no test module imports mpmath;
 - reference_merge states the solver's merge of near candidates one slot at
   a time.
 
@@ -37,6 +45,7 @@ from typing import Sequence
 
 import numpy as np
 from mpmath.ctx_iv import MPIntervalContext
+from mpmath.ctx_mp import MPContext
 
 from wisealice.classical import MixedProfile
 from wisealice.game import VERTICES, MeasurementFrame, PayoffMatrix
@@ -333,32 +342,36 @@ def judge_counts(h: PayoffMatrix, theta_a, theta_b,
     return off, near
 
 
-# the interval proof's own context at 40 digits, leaving mpmath.iv as it is
+# the interval proof's context at 40 digits and the exact values' at 60; each
+# sets its own precision, leaving mpmath.mp and mpmath.iv as they are
 iv = MPIntervalContext()
 iv.dps = 40
+mp60 = MPContext()
+mp60.dps = 60
 # box radii in radians, smallest first: a point Newton left short of the
 # saddle needs a wider box, a nearly flat payoff (F_aa ~ -1.6e-8 at
 # theta_A = 0.1 degrees) a narrower one
 PROOF_RADII = tuple(10.0 ** -k for k in range(12, 5, -1))
 
 
-def _squares_and_doubles(x):
-    """(cos^2 x, sin^2 x, sin 2x, cos 2x) of an interval x."""
-    return iv.cos(x) ** 2, iv.sin(x) ** 2, iv.sin(2 * x), iv.cos(2 * x)
+def _squares_and_doubles(ctx, x):
+    """(cos^2 x, sin^2 x, sin 2x, cos 2x) in the mpmath context ctx."""
+    return ctx.cos(x) ** 2, ctx.sin(x) ** 2, ctx.sin(2 * x), ctx.cos(2 * x)
 
 
-def _payoff_derivatives(h: PayoffMatrix, theta_a, theta_b, alpha, beta):
+def _payoff_derivatives(ctx, h: PayoffMatrix, theta_a, theta_b, alpha, beta):
     """(F_a, F_b, F_aa, F_ab, F_bb) from the trigonometric definition.
 
     F = a cos^2 al sin^2 be + c sin^2 al cos^2 be + b cos^2 A sin^2 B
     + d sin^2 A cos^2 B with A = al - theta_a and B = be - theta_b; every
-    argument is an interval in radians, and so is every derivative.
+    argument is in radians, a number of the mpmath context ctx (iv's
+    intervals or mp60's values), and so is every derivative.
     """
-    a, b, c, d = (iv.mpf(p) for p in (h.a, h.b, h.c, h.d))
-    cos_al, sin_al, sin_2al, cos_2al = _squares_and_doubles(alpha)
-    cos_be, sin_be, sin_2be, cos_2be = _squares_and_doubles(beta)
-    cos_a, sin_a, sin_2a, cos_2a = _squares_and_doubles(alpha - theta_a)
-    cos_b, sin_b, sin_2b, cos_2b = _squares_and_doubles(beta - theta_b)
+    a, b, c, d = (ctx.mpf(p) for p in (h.a, h.b, h.c, h.d))
+    cos_al, sin_al, sin_2al, cos_2al = _squares_and_doubles(ctx, alpha)
+    cos_be, sin_be, sin_2be, cos_2be = _squares_and_doubles(ctx, beta)
+    cos_a, sin_a, sin_2a, cos_2a = _squares_and_doubles(ctx, alpha - theta_a)
+    cos_b, sin_b, sin_2b, cos_2b = _squares_and_doubles(ctx, beta - theta_b)
     return (
         -a * sin_2al * sin_be + c * sin_2al * cos_be - b * sin_2a * sin_b + d * sin_2a * cos_b,
         a * cos_al * sin_2be - c * sin_al * sin_2be + b * cos_a * sin_2b - d * sin_a * sin_2b,
@@ -368,6 +381,86 @@ def _payoff_derivatives(h: PayoffMatrix, theta_a, theta_b, alpha, beta):
         2 * (a * cos_al * cos_2be - c * sin_al * cos_2be
              + b * cos_a * cos_2b - d * sin_a * cos_2b),
     )
+
+
+def _radians(*degrees):
+    """Float angles in degrees, each read as the exact binary number it is, in mp60 radians."""
+    return [mp60.mpf(x) * mp60.pi / 180 for x in degrees]
+
+
+def exact_reply(player: str, h: PayoffMatrix, theta_a, theta_b, angle) -> float:
+    """The player's best reply in degrees to the other's float angle, at 60 digits.
+
+    F is K + U cos 2al + V sin 2al in al, so U = -F_aa/4 and V = F_a/2 at
+    al = 0, and Alice's reply is atan2(V, U)/2.  Bob minimises, so his is
+    atan2(-V, -U)/2, with F_b and F_bb at be = 0.
+    """
+    alice = player == "alice"
+    theta_a, theta_b, zero, other = _radians(theta_a, theta_b, 0, angle)
+    f_a, f_b, f_aa, _, f_bb = _payoff_derivatives(mp60, h, theta_a, theta_b,
+                                                  *((zero, other) if alice else (other, zero)))
+    u, v = (-f_aa / 4, f_a / 2) if alice else (f_bb / 4, -f_b / 2)
+    return float(mp60.degrees(mp60.atan2(v, u)) / 2 % 180)
+
+
+def _harmonic_gain(f_1, f_11):
+    """max over d of U cos 2d + V sin 2d, less its value U at d = 0, with
+    U = -f_11/4 and V = f_1/2: A - U, A = |(U, V)|, taken as V^2/(A + U)
+    where U > 0, so it cancels nothing."""
+    amplitude = mp60.hypot(f_1 / 2, f_11 / 4)
+    return (f_1 / 2) ** 2 / (amplitude - f_11 / 4) if f_11 < 0 else amplitude + f_11 / 4
+
+
+def exact_gain(h: PayoffMatrix, theta_a, theta_b, alpha, beta) -> float:
+    """The larger unilateral gain at the float angles alpha and beta, at 60 digits.
+
+    Alice's is the harmonic gain of F in al; Bob minimises F, so his is
+    that of -F in be, with F_b and -F_bb.
+    """
+    f_a, f_b, f_aa, _, f_bb = _payoff_derivatives(mp60, h, *_radians(theta_a, theta_b,
+                                                                    alpha, beta))
+    return float(max(_harmonic_gain(f_a, f_aa), _harmonic_gain(f_b, -f_bb)))
+
+
+def exact_saddle(h: PayoffMatrix, theta_a, theta_b, alpha, beta) -> tuple[float, float]:
+    """The zero of (F_a, F_b) near the float point (alpha, beta), in degrees.
+
+    Twelve Newton steps at 60 digits from that point: from a double point
+    near a zero whose Hessian is regular they reach it to the context's
+    digits.  Where the Hessian is singular they need not.
+    """
+    theta_a, theta_b, al, be = _radians(theta_a, theta_b, alpha, beta)
+    for _ in range(12):
+        f_a, f_b, f_aa, f_ab, f_bb = _payoff_derivatives(mp60, h, theta_a, theta_b, al, be)
+        det = f_aa * f_bb - f_ab ** 2
+        al, be = al - (f_bb * f_a - f_ab * f_b) / det, be - (f_aa * f_b - f_ab * f_a) / det
+    return float(mp60.degrees(al)), float(mp60.degrees(be))
+
+
+def _solve(m, rhs):
+    """Cramer's rule for the 2x2 system m z = rhs."""
+    (p, q), (r, s) = m
+    det = p * s - q * r
+    return (rhs[0] * s - q * rhs[1]) / det, (p * rhs[1] - r * rhs[0]) / det
+
+
+def exact_indifference(h: PayoffMatrix, theta_a, theta_b):
+    """(x_c, y_c, q_A, q_B) at 60 digits, at the float frames in degrees.
+
+    M, g and k of F = c0 + g.x + k.y + x^T M y are built from e_1,
+    e(2 theta_A) and e(2 theta_B), not from bilinear_form.  Bob is
+    indifferent at x_c = -M^-T k and Alice at y_c = -M^-1 g, and
+    q = sin 2theta (1 - |p|) at each frame, p its point.
+    """
+    a, b, c, d = (mp60.mpf(p) for p in (h.a, h.b, h.c, h.d))
+    e1 = (1, 0)
+    ea, eb = ((mp60.cos(2 * t), mp60.sin(2 * t)) for t in _radians(theta_a, theta_b))
+    m = [[-(a + c) / 4 * e1[i] * e1[j] - (b + d) / 4 * ea[i] * eb[j] for j in (0, 1)]
+         for i in (0, 1)]
+    minus_g = [(c - a) / 4 * e1[i] + (d - b) / 4 * ea[i] for i in (0, 1)]
+    minus_k = [(a - c) / 4 * e1[i] + (b - d) / 4 * eb[i] for i in (0, 1)]
+    x_c, y_c = _solve(list(zip(*m)), minus_k), _solve(m, minus_g)
+    return x_c, y_c, *(e[1] * (1 - mp60.hypot(*p)) for e, p in ((ea, x_c), (eb, y_c)))
 
 
 def prove_saddle(h: PayoffMatrix, frames: Frames, alpha_deg: float,
@@ -386,10 +479,10 @@ def prove_saddle(h: PayoffMatrix, frames: Frames, alpha_deg: float,
     """
     theta_a, theta_b = (iv.mpf(f.theta_deg) * iv.pi / 180 for f in frames)
     centre = [(iv.mpf(x) * iv.pi / 180).mid for x in (alpha_deg, beta_deg)]
-    grad = _payoff_derivatives(h, theta_a, theta_b, *centre)[:2]
+    grad = _payoff_derivatives(iv, h, theta_a, theta_b, *centre)[:2]
     for rho in PROOF_RADII:
         box = [x + iv.mpf([-rho, rho]) for x in centre]
-        _, _, f_aa, f_ab, f_bb = _payoff_derivatives(h, theta_a, theta_b, *box)
+        _, _, f_aa, f_ab, f_bb = _payoff_derivatives(iv, h, theta_a, theta_b, *box)
         if not (f_aa < 0 and f_bb > 0):
             continue
         det = f_aa.mid * f_bb.mid - f_ab.mid ** 2

@@ -4,7 +4,6 @@ import re
 import sys
 import warnings
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -31,10 +30,15 @@ from oracles import (
     _payoff_derivatives,
     circle_dist,
     circle_margin,
+    exact_gain,
+    exact_indifference,
+    exact_reply,
+    exact_saddle,
     grid_nash_audit,
     half_angle_coefficients,
     half_angle_coefficients_in_beta,
     interval_i,
+    iv,
     judge_counts,
     off_the_lines,
     payoff_kernel,
@@ -70,6 +74,20 @@ def brute_force_gain(h, frames, alpha: float, beta: float) -> float:
     f0 = payoff_kernel(h, frames[0], frames[1], alpha, beta)
     return max(payoff_kernel(h, frames[0], frames[1], GRID_001, beta).max() - f0,
                f0 - payoff_kernel(h, frames[0], frames[1], alpha, GRID_001).min())
+
+
+# how far in degrees a reported point may lie from the exact zero of grad F:
+# over the named cells of the interval proof the worst is 1.46e-11 degrees,
+# at the HARD_CELLS cell with frames 89.34 and 89.12
+SADDLE_DEG = 1e-10
+
+
+def exact_offsets(h, frames, alpha: float, beta: float) -> tuple[float, float]:
+    """(exact gain / S, degrees to the exact zero of grad F) at (alpha, beta)."""
+    thetas = [frame.theta_deg for frame in frames]
+    saddle = exact_saddle(h, *thetas, alpha, beta)
+    return (exact_gain(h, *thetas, alpha, beta) / h.scale,
+            max(circle_dist(alpha, saddle[0]), circle_dist(beta, saddle[1])))
 
 
 # --- best responses ----------------------------------------------------------
@@ -134,25 +152,6 @@ def flat_for_alice(eps: float = 0.0):
     return h, (MeasurementFrame(25), MeasurementFrame(theta_b))
 
 
-def exact_alice_reply(h, theta_a: float, theta_b: float, beta: float) -> float:
-    """Alice's reply in degrees, 0.5 atan2(V, U) at 50 digits from the trig form.
-
-    p1 = (1 + cos 2a)/2 and p2 = (1 + cos(2a - 2 theta_a))/2, so
-    U = (a q3 - c q1)/2 + r cos 2 theta_a and V = r sin 2 theta_a with
-    r = (b q4 - d q2)/2.  The payoffs are the floats the solver sees.
-    """
-    with mpmath.workdps(50):
-        rad = mpmath.pi / 180
-        q1, q3 = mpmath.cos(beta * rad) ** 2, mpmath.sin(beta * rad) ** 2
-        q2 = mpmath.cos((beta - theta_b) * rad) ** 2
-        q4 = mpmath.sin((beta - theta_b) * rad) ** 2
-        a, b, c, d = (mpmath.mpf(x) for x in (h.a, h.b, h.c, h.d))
-        r = (b * q4 - d * q2) / 2
-        u = (a * q3 - c * q1) / 2 + r * mpmath.cos(2 * theta_a * rad)
-        v = r * mpmath.sin(2 * theta_a * rad)
-        return float((mpmath.atan2(v, u) / (2 * rad)) % 180)
-
-
 def test_degenerate_response_flagged():
     h, frames = flat_for_alice()
     angle, amplitude, degenerate = best_responses("alice", h, frames,
@@ -173,7 +172,7 @@ def test_every_unflagged_reply_meets_the_grid_oracle():
         h, frames = flat_for_alice(eps)
         angle, _, degenerate = best_responses("alice", h, frames, 30.0)
         if not degenerate:
-            assert circle_dist(angle, exact_alice_reply(h, 25, 70, 30)) <= 0.01, eps
+            assert circle_dist(angle, exact_reply("alice", h, 25, 70, 30)) <= 0.01, eps
 
 
 def test_scaling_leaves_responses_unchanged(two_eq_instance):
@@ -524,6 +523,12 @@ def test_equilibria_where_bob_is_indifferent(payoffs, thetas, expected):
         assert circle_dist(eq.beta.degrees, beta) <= 1e-5
         assert eq.value == pytest.approx(value, rel=1e-12)
         assert eq.residual <= 1e-14 * h.scale
+        # prove_saddle needs F_aa < 0 < F_bb, and here F_bb = 0 or, at the
+        # corner's second point, F_aa = 0; but the Hessian's determinant is
+        # -F_ab^2 < 0, not 0, so Newton still reaches the exact zero
+        gain, distance = exact_offsets(h, frames, eq.alpha.degrees, eq.beta.degrees)
+        assert gain <= AT_ROUNDOFF
+        assert distance <= SADDLE_DEG
 
 
 @pytest.mark.parametrize("payoffs", [payoffs for payoffs, _, _ in CUSP_INSTANCES])
@@ -563,40 +568,11 @@ def test_cusp_candidate_is_the_only_one_to_find_this_equilibrium():
     assert brute_force_gain(h, frames, eq.alpha.degrees, eq.beta.degrees) <= 1e-8 * h.scale
 
 
-def solve_2x2(m, rhs):
-    """Cramer's rule for the 2x2 system m z = rhs, in the numbers' own precision."""
-    (p, q), (r, s) = m
-    det = p * s - q * r
-    return (rhs[0] * s - q * rhs[1]) / det, (p * rhs[1] - r * rhs[0]) / det
-
-
-def transposed(m):
-    return [[m[0][0], m[1][0]], [m[0][1], m[1][1]]]
-
-
-def form_in_working_precision(payoffs, thetas):
-    """M, g and k of F = c0 + g.x + k.y + x^T M y, in mpmath's working precision.
-
-    They are built from e_1, e(2 theta_A) and e(2 theta_B), not from
-    bilinear_form.
-    """
-    a, b, c, d = (mpmath.mpf(float(v)) for v in payoffs)
-    two_a, two_b = (2 * mpmath.radians(mpmath.mpf(float(t))) for t in thetas)
-    e1 = (mpmath.mpf(1), mpmath.mpf(0))
-    ea = (mpmath.cos(two_a), mpmath.sin(two_a))
-    eb = (mpmath.cos(two_b), mpmath.sin(two_b))
-    m = [[-(a + c) / 4 * e1[i] * e1[j] - (b + d) / 4 * ea[i] * eb[j] for j in (0, 1)]
-         for i in (0, 1)]
-    g = [(a - c) / 4 * e1[i] + (b - d) / 4 * ea[i] for i in (0, 1)]
-    k = [(c - a) / 4 * e1[i] + (d - b) / 4 * eb[i] for i in (0, 1)]
-    return m, g, k
-
-
-def test_indifference_points_match_a_40_digit_solve():
+def test_indifference_points_match_a_60_digit_solve():
     # numpy seed 26: 1,000 cells at payoffs e^U(-8,8), frames U(0.01, 89.99).
-    # M, g and k are built at 40 digits from e_1, e(2 theta_A) and e(2 theta_B)
-    # here, not from bilinear_form, and x_c and y_c solve M^T x = -k and
-    # M y = -g.  _indifference gives sin 2theta_A x_c at theta_A and
+    # exact_indifference solves M^T x = -k and M y = -g at 60 digits, on a
+    # form built from e_1, e(2 theta_A) and e(2 theta_B), not from
+    # bilinear_form.  _indifference gives sin 2theta_A x_c at theta_A and
     # -sin 2theta_B y_c at theta_B, and its angle at theta_A is x_c's, which
     # a line cell's chord reads (a quotient by det M, the formula it
     # replaced, was off by 3.4e-10 rad).  Its q = sin 2theta (1 - |p|)
@@ -604,31 +580,25 @@ def test_indifference_points_match_a_40_digit_solve():
     # + |s cos 2theta| + |t|), and stays below ROUNDOFF, the band it draws
     rng = np.random.default_rng(26)
     worst_angle = worst_point = worst_q = worst_q_share = 0.0
-    with mpmath.workdps(40):
-        for _ in range(1000):
-            payoffs = np.exp(rng.uniform(-8.0, 8.0, 4))
-            thetas = rng.uniform(0.01, 89.99, 2)
-            m, g, k = form_in_working_precision(payoffs, thetas)
-            two_a, two_b = (2 * mpmath.radians(mpmath.mpf(float(t))) for t in thetas)
-            x_c = solve_2x2(transposed(m), [-k[0], -k[1]])
-            y_c = solve_2x2(m, [-g[0], -g[1]])
-            h = PayoffMatrix(*payoffs)
-            s, t = (h.a - h.c) / (h.a + h.c), (h.b - h.d) / (h.b + h.d)
-            owner, _, q = _indifference(h, thetas)
-            for got, point, two, margin in ((owner[0], x_c, two_a, q[0]),
-                                            (-owner[1], y_c, two_b, q[1])):
-                exact = [mpmath.sin(two) * z for z in point]
-                worst_point = max(worst_point, float(
-                    mpmath.hypot(got[0] - exact[0], got[1] - exact[1]) / mpmath.hypot(*exact)))
-                error = abs(float(mpmath.mpf(float(margin))
-                                  - mpmath.sin(two) * (1 - mpmath.hypot(*point))))
-                sin2, cos2 = math.sin(float(two)), math.cos(float(two))
-                bound = 4.4 * sys.float_info.epsilon * (sin2 + abs(s * sin2) + abs(s * cos2)
-                                                        + abs(t))
-                worst_q, worst_q_share = max(worst_q, error), max(worst_q_share, error / bound)
-            cusp = math.atan2(owner[0][1], owner[0][0])
-            worst_angle = max(worst_angle, abs(math.remainder(
-                cusp - float(mpmath.atan2(x_c[1], x_c[0])), 2.0 * math.pi)))
+    for _ in range(1000):
+        payoffs = np.exp(rng.uniform(-8.0, 8.0, 4))
+        thetas = rng.uniform(0.01, 89.99, 2)
+        h = PayoffMatrix(*payoffs)
+        s, t = (h.a - h.c) / (h.a + h.c), (h.b - h.d) / (h.b + h.d)
+        owner, _, q = _indifference(h, thetas)
+        x_c, y_c, q_a, q_b = exact_indifference(h, *thetas)
+        for got, point, theta, margin, exact in ((owner[0], x_c, thetas[0], q[0], q_a),
+                                                 (-owner[1], y_c, thetas[1], q[1], q_b)):
+            sin2, cos2 = math.sin(2.0 * math.radians(theta)), math.cos(2.0 * math.radians(theta))
+            want = [sin2 * float(z) for z in point]
+            worst_point = max(worst_point, math.hypot(got[0] - want[0], got[1] - want[1])
+                              / math.hypot(*want))
+            error = abs(float(exact - float(margin)))
+            bound = 4.4 * sys.float_info.epsilon * (sin2 + abs(s * sin2) + abs(s * cos2) + abs(t))
+            worst_q, worst_q_share = max(worst_q, error), max(worst_q_share, error / bound)
+        worst_angle = max(worst_angle, abs(math.remainder(
+            math.atan2(owner[0][1], owner[0][0]) - math.atan2(float(x_c[1]), float(x_c[0])),
+            2.0 * math.pi)))
     assert worst_angle <= 1e-12
     assert worst_point <= 1e-12
     assert worst_q_share <= 1.0
@@ -639,36 +609,51 @@ def test_line_equilibria_are_the_chord_ends(scenario_dir):
     # Bob's frame sits on I's left end, so |y_c| = 1 and Alice is indifferent
     # at y_c, while |x_c| > 1.  Her optimal set is the part of the ray
     # x_c - lam M^-T y_c (lam >= 0) inside the disk, a chord whose two ends
-    # are the pure equilibria, both at y_c's beta.  Measured: alpha
-    # 47.5440984163 and 138.6027975434, beta 52.2387560930; find_equilibria
-    # takes them from the same closed form and reports every angle within
-    # 6.3e-15 degrees, under one ulp of 138.6
+    # are the pure equilibria, both at y_c's beta: the zeros of grad F at
+    # that beta where Bob gains nothing.  Measured: alpha 47.5440984163 and
+    # 138.6027975434, beta 52.2387560930; find_equilibria takes them from
+    # the chord's closed form and reports every angle within 7.1e-15 degrees
+    # of the exact zeros, under one ulp of 138.6
     sc = load_scenario(scenario_dir / "line_two_equilibria.txt")
     h, frames = sc.payoff_matrix(), sc.frames()
     thetas = [frame.theta_deg for frame in frames]
-    with mpmath.workdps(40):
-        m, g, k = form_in_working_precision((h.a, h.b, h.c, h.d), thetas)
-        x_c = solve_2x2(transposed(m), [-k[0], -k[1]])
-        y_c = solve_2x2(m, [-g[0], -g[1]])
-        ray = solve_2x2(transposed(m), y_c)   # M^-T y_c
-        assert abs(mpmath.hypot(*y_c) - 1) <= 1e-12
-        assert mpmath.hypot(*x_c) > 1
-        # |x_c - lam ray|^2 = 1: lam^2 |ray|^2 - 2 lam x_c.ray + |x_c|^2 - 1 = 0
-        qa = ray[0] ** 2 + ray[1] ** 2
-        qb = x_c[0] * ray[0] + x_c[1] * ray[1]
-        qc = x_c[0] ** 2 + x_c[1] ** 2 - 1
-        root = mpmath.sqrt(qb * qb - qa * qc)
-        lams = ((qb - root) / qa, (qb + root) / qa)
-        assert min(lams) >= 0
-        alphas = sorted(float(mpmath.degrees(mpmath.atan2(x_c[1] - lam * ray[1],
-                                                          x_c[0] - lam * ray[0])) / 2 % 180)
-                        for lam in lams)
-        beta = float(mpmath.degrees(mpmath.atan2(y_c[1], y_c[0])) / 2 % 180)
+    _, y_c, q_a, q_b = exact_indifference(h, *thetas)
+    assert abs(q_b) <= 1e-12
+    assert q_a < 0
+    beta_c = math.degrees(math.atan2(float(y_c[1]), float(y_c[0]))) / 2
     found = find_equilibria(h, frames)
     assert len(found) == 2
-    for eq, alpha in zip(found, alphas):
+    for eq in found:
+        alpha, beta = exact_saddle(h, *thetas, eq.alpha.degrees, eq.beta.degrees)
         assert circle_dist(eq.alpha.degrees, alpha) <= 2e-14
         assert circle_dist(eq.beta.degrees, beta) <= 2e-14
+        assert circle_dist(beta, beta_c) <= 2e-14
+        assert exact_gain(h, *thetas, eq.alpha.degrees, eq.beta.degrees) <= AT_ROUNDOFF * h.scale
+
+
+# (3, 1, 1, 3) gives s = 1/2 and t = -1/2, so sigma = 60, tau = 120 and
+# I = (30, 90): q(30) = sin 60 - sqrt(3)/2 = 0, and the float 30.0 is 30
+# exactly, so these cells lie on a line by construction.  interval_i gives
+# 30.000000000000004 for that end, and judge_counts files them as near and
+# judges none.  The last is CUSP_INSTANCES' corner, on both lines, whose
+# points its own test places
+@pytest.mark.parametrize("payoffs, thetas, expected", [
+    ((3, 1, 1, 3), (10, 30), [(50, 150), (140, 150)]),
+    ((3, 1, 1, 3), (5, 30), [(47.5, 150), (137.5, 150)]),
+    ((3, 1, 1, 3), (30, 10), [(150, 140)]),
+    ((5, 1, 5, 3), (75, 15), None),
+])
+def test_exact_line_cells_hold_their_points_at_exact_gain(payoffs, thetas, expected):
+    h = PayoffMatrix(*payoffs)
+    found = find_equilibria(h, tuple(MeasurementFrame(t) for t in thetas))
+    assert judge_counts(h, *thetas, len(found)) == ([], [0])
+    if expected is not None:
+        assert len(found) == len(expected)
+        for eq, (alpha, beta) in zip(found, expected):
+            assert circle_dist(eq.alpha.degrees, alpha) <= 1e-12
+            assert circle_dist(eq.beta.degrees, beta) <= 1e-12
+    for eq in found:
+        assert exact_gain(h, *thetas, eq.alpha.degrees, eq.beta.degrees) <= 1e-30 * h.scale
 
 
 # --- the count rule: which cells hold an equilibrium ---------------------------
@@ -1189,12 +1174,15 @@ HARD_CELLS = [
 def test_interval_proof_certifies_every_equilibrium_at_roundoff(scenario_dir):
     # the four shipped scenarios, the at-most-one examples, the hard cells
     # and 300 seeded cells; no cusp (CUSP_INSTANCES), where F_bb = 0 and no
-    # box proves a saddle.  Every reported point lies at roundoff and is proved
+    # box proves a saddle.  Every reported point lies at roundoff and is
+    # proved, and each in a named cell lies at an exact gain below
+    # AT_ROUNDOFF and within SADDLE_DEG of the exact zero of grad F
     scenarios = (load_scenario(scenario_dir / f"{name}.txt") for name in (
         "two_equilibria", "unit_payoffs", "no_equilibrium", "interior_equilibrium"))
     cells = [(s.payoff_matrix(), s.frames()) for s in scenarios]
     cells += [(PayoffMatrix(*payoffs), (MeasurementFrame(ta), MeasurementFrame(tb)))
               for *payoffs, ta, tb in AT_MOST_ONE_EXAMPLES + HARD_CELLS]
+    named = len(cells)
     rng = np.random.default_rng(7)
     for _ in range(300):
         h = PayoffMatrix(*np.exp(rng.uniform(-4.0, 4.0, size=4)))
@@ -1202,16 +1190,57 @@ def test_interval_proof_certifies_every_equilibrium_at_roundoff(scenario_dir):
         cells.append((h, (MeasurementFrame(theta_a), MeasurementFrame(theta_b))))
 
     proved = 0
-    for h, frames in cells:
+    for i, (h, frames) in enumerate(cells):
         for eq in find_equilibria(h, frames):
             assert eq.residual <= AT_ROUNDOFF * h.scale, (h, frames, eq)
             assert prove_saddle(h, frames, eq.alpha.degrees, eq.beta.degrees) is not None, (
                 h, frames, eq)
+            if i < named:
+                gain, distance = exact_offsets(h, frames, eq.alpha.degrees, eq.beta.degrees)
+                assert gain <= AT_ROUNDOFF and distance <= SADDLE_DEG, (h, frames, eq)
             proved += 1
     # 3 shipped, 3 at the examples, 14 at the hard cells (none at 2.9e-6
     # degrees inside I or in the near-end cell where the rule says 0) and
     # 268 seeded
     assert proved == 288
+
+
+def test_a_point_moved_by_a_microdegree_fails_the_exact_checks(scenario_dir):
+    # the move takes a point 1e-6 degrees from its zero, 10^4 SADDLE_DEG.
+    # Its gain grows as the square of the move, about |F_aa| (1.7e-8)^2 / 2:
+    # at the shipped scenario's curvature that stays under AT_ROUNDOFF, so
+    # only the distance sees the move, while at the example with theta_A =
+    # 0.1 degrees the gain sees it too
+    sc = load_scenario(scenario_dir / "two_equilibria.txt")
+    *payoffs, theta_a, theta_b = AT_MOST_ONE_EXAMPLES[1]
+    flat = (MeasurementFrame(theta_a), MeasurementFrame(theta_b))
+    for h, frames, gain_sees in ((sc.payoff_matrix(), sc.frames(), False),
+                                 (PayoffMatrix(*payoffs), flat, True)):
+        [eq] = find_equilibria(h, frames)
+        for d_alpha, d_beta in ((1e-6, 0.0), (0.0, 1e-6)):
+            gain, distance = exact_offsets(h, frames, eq.alpha.degrees + d_alpha,
+                                           eq.beta.degrees + d_beta)
+            assert distance > SADDLE_DEG
+            assert (gain > AT_ROUNDOFF) == gain_sees
+
+
+def test_exact_gain_and_reply_match_the_package():
+    # numpy seed 12: 300 points at payoffs e^U(-4,4), frames U(0.05, 89.95)
+    # and angles U(0, 180).  verify_nash_quantum reads the bilinear form in
+    # double, exact_gain F's derivatives at 60 digits; the worst difference
+    # is 2.8e-16 * S.  No reply here is flagged, and the worst of
+    # best_responses lies 8.0e-13 degrees from exact_reply
+    rng = np.random.default_rng(12)
+    for _ in range(300):
+        h = PayoffMatrix(*np.exp(rng.uniform(-4.0, 4.0, size=4)))
+        thetas = rng.uniform(0.05, 89.95, size=2)
+        frames = (MeasurementFrame(thetas[0]), MeasurementFrame(thetas[1]))
+        alpha, beta = rng.uniform(0.0, 180.0, size=2)
+        judged = float(verify_nash_quantum(h, frames, alpha, beta))
+        assert abs(judged - exact_gain(h, *thetas, alpha, beta)) <= 1e-15 * h.scale
+        for player, opponent in (("alice", beta), ("bob", alpha)):
+            reply, _, _ = best_responses(player, h, frames, opponent)
+            assert circle_dist(reply, exact_reply(player, h, *thetas, opponent)) <= 5e-12
 
 
 def test_proof_derivatives_are_those_of_the_payoff():
@@ -1236,7 +1265,7 @@ def test_proof_derivatives_are_those_of_the_payoff():
             (f(0, 1) - 2 * f(0, 0) + f(0, -1)) / step**2,
         )
         angles = (frames[0].theta_deg, frames[1].theta_deg, alpha, beta)
-        derivatives = _payoff_derivatives(h, *(math.radians(x) for x in angles))
+        derivatives = _payoff_derivatives(iv, h, *(math.radians(x) for x in angles))
         for derivative, difference in zip(derivatives, differences):
             assert float(derivative.mid) == pytest.approx(difference, abs=1e-6 * h.scale)
 
